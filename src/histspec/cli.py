@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success/verified, 1 counterexample or invariant violation,
-2 usage error, 3 graph6 format error, 4 numeric non-convergence.
+2 usage error, 3 graph6 format error, 4 numeric non-convergence,
+5 search budget exhausted (no verdict).
 
 Wherever a graph6 string is expected, the shorthand family:NAME:params
 (e.g. family:L:7, family:Kpq:2:8) builds the named construction instead.
@@ -15,7 +16,7 @@ import sys
 
 from .graph6 import Graph6FormatError, decode_graph6, encode_graph6, read_graph6_file
 from .graphs import Graph, make_family
-from .hist import find_hist
+from .hist import SearchBudgetError, find_hist
 from .spectral import (
     ConvergenceError,
     DEFAULT_MAX_ITER,
@@ -33,6 +34,7 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_NUMERIC = 4
+EXIT_BUDGET = 5
 
 
 def parse_graph_arg(text: str) -> Graph:
@@ -213,6 +215,9 @@ def main(argv=None) -> int:
     except ConvergenceError as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    except SearchBudgetError as err:
+        print(f"search budget exhausted, no verdict: {err}", file=sys.stderr)
+        return EXIT_BUDGET
     except InvariantViolation as err:
         print(f"invariant violation: {err}", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE

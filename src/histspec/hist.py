@@ -314,7 +314,7 @@ def spanning_trees(g: Graph) -> Iterator[tuple[tuple[int, int], ...]]:
 
     chosen = []
 
-    def connected_without(start_idx, skip_idx) -> bool:
+    def connected_without(start_idx) -> bool:
         # Would the remaining edges still connect all current components?
         probe = {v: find(v) for v in range(n)}
         groups = {}
@@ -334,8 +334,6 @@ def spanning_trees(g: Graph) -> Iterator[tuple[tuple[int, int], ...]]:
 
         comps = k
         for j in range(start_idx, m):
-            if j == skip_idx:
-                continue
             a, b = edge_list[j]
             ra, rb = f2(label[a]), f2(label[b])
             if ra != rb:
@@ -365,7 +363,7 @@ def spanning_trees(g: Graph) -> Iterator[tuple[tuple[int, int], ...]]:
         chosen.pop()
         parent[ra] = ra
         # skip edge j, but only if the rest still connects everything
-        if connected_without(j + 1, -1):
+        if connected_without(j + 1):
             yield from rec(j + 1)
 
     yield from rec(0)

@@ -7,11 +7,16 @@ graph6 triangle order.  The scan pipeline per mask block is:
   1. mask-level prescreens (edge count, degrees, Hong-type bound), each
      justified by an upper bound on rho that is valid for every connected
      graph, so no graph that could reach the threshold is ever dropped;
-  2. cheap certain classifications that skip the eigensolver: Rayleigh
+  2. certain classifications that skip the eigensolver: Rayleigh
      quotients of the all-ones and degree vectors are lower bounds on rho
      (certain over), the maximum two-walk count bounds rho^2 from above
-     (certain under);
-  3. batched dense eigensolves for the remainder;
+     (certain under), and a few Collatz-Wielandt steps from the positive
+     vector (A+I)d then bracket rho between the Rayleigh quotient x'Ax/x'x
+     and max_v (Ax)_v/x_v (positive because the prescreens enforce
+     minimum degree >= 1); a bound settles a graph only with the GUARD
+     margin below, so no verdict differs from the eigensolver's;
+  3. batched dense eigensolves for the few graphs left, which include
+     every labeled copy of the extremal family (rho exactly theta);
   4. vectorized connectivity (or 2-connectivity) by bitset BFS over all
      graphs at once;
   5. classification of the over-threshold graphs: extremal family match,
@@ -35,7 +40,8 @@ from .hist import find_hist, proof_guided_hist
 from .spectral import GUARD
 
 BLOCK_BITS = 20
-EIG_BATCH = 1 << 16
+EIG_BATCH = 1 << 15
+CW_ITERS = 5  # Collatz-Wielandt steps before the eigensolve
 HASH_MULT = 2654435761  # Knuth multiplicative hash, for unbiased subsampling
 
 
@@ -71,6 +77,12 @@ class ScanConfig:
     prescreens: bool = True
     subsample: int | None = None   # keep ~1 in this many masks when set
     collect_over: bool = False     # also return the over-threshold masks
+
+    def __post_init__(self):
+        if self.n > 8:
+            raise ValueError(
+                f"the scan engine is limited to n <= 8 (got n={self.n}): "
+                "adjacency rows are uint8 and edge masks uint32")
 
 
 @dataclass
@@ -207,40 +219,73 @@ def _adj_of_rows(rows: np.ndarray, n: int) -> np.ndarray:
 def _eig_over(cfg, t, masks, deg, refine):
     """Masks whose spectral radius reaches theta - GUARD, batched.
 
-    With refine=True two exact side bounds skip eigensolves: the degree
-    vector's Rayleigh quotient (lower bound) and the maximum two-walk
-    count (upper bound on rho^2); margins exceed eigensolver error so the
-    classification agrees with the plain eigensolve path.
+    With refine=False every mask goes to the dense eigensolver; the
+    prescreen audit uses that path as the reference.  With refine=True
+    (only called on masks that passed the prescreens, so every vertex has
+    degree >= 1) exact side bounds settle most masks first:
+
+      * the degree vector d: its Rayleigh quotient d'Ad/d'd is a lower
+        bound on rho, and the maximum two-walk count max_v (Ad)_v is an
+        upper bound on rho^2;
+      * then, for the rows still undecided, up to CW_ITERS steps of the
+        Collatz-Wielandt sandwich from x = (A+I)d: with y = Ax,
+        x'y/x'x <= rho <= max_v y_v/x_v, valid for any nonnegative
+        symmetric A and positive x (Horn & Johnson, Matrix Analysis,
+        8.1), followed by x <- (y + x)/max(y + x).  Here x starts >= d >= 1
+        and A + I keeps it positive; the +I shift keeps the iteration
+        converging on bipartite rows, whose -rho eigenvalue would
+        otherwise make it oscillate.
+
+    A row is over when a lower bound reaches theta and under when an upper
+    bound stays below theta - GUARD - 1e-12, so float error in the bounds
+    cannot change a verdict relative to the plain eigensolve.  Rows that
+    the bounds cannot settle, such as every labeled copy of the extremal
+    family (rho exactly theta), go to eigvalsh.
     """
     n = t.n
     over = []
     for s in range(0, len(masks), EIG_BATCH):
         mk = masks[s:s + EIG_BATCH]
-        dg = deg[s:s + EIG_BATCH]
-        rows = _rows_of_masks(t, mk)
-        adj = _adj_of_rows(rows, n)
+        adj = _adj_of_rows(_rows_of_masks(t, mk), n).astype(np.float64)
         if refine:
-            walk = np.einsum("kvw,kw->kv", adj.astype(np.float64),
-                             dg.astype(np.float64))
-            rq_deg = np.einsum("kv,kv->k", walk, dg.astype(np.float64))
-            denom = np.einsum("kv,kv->k", dg.astype(np.float64), dg.astype(np.float64))
-            sure_over = np.zeros(len(mk), dtype=bool)
-            nz = denom > 0
-            sure_over[nz] = rq_deg[nz] >= cfg.theta * denom[nz]
-            sure_under = walk.max(axis=1) < (cfg.theta - GUARD - 1e-12) ** 2
-            sure_under &= ~sure_over
-            over.append(mk[sure_over])
-            todo = ~(sure_over | sure_under)
-            if not todo.any():
+            sure, mk, adj = _sandwich(cfg, mk, adj, deg[s:s + EIG_BATCH])
+            over.append(sure)
+            if not len(mk):
                 continue
-            mk, adj = mk[todo], adj[todo]
-        lam = np.linalg.eigvalsh(adj.astype(np.float64))[:, -1]
+        lam = np.linalg.eigvalsh(adj)[:, -1]
         over.append(mk[lam >= cfg.theta - GUARD])
     if not over:
         return np.empty(0, dtype=np.uint32)
     res = np.concatenate(over)
     res.sort()
     return res
+
+
+def _sandwich(cfg, mk, adj, deg):
+    """Settle rows by the side bounds of _eig_over.  Returns the masks
+    certainly over, then the undecided masks and their adjacency
+    matrices."""
+    over = []
+    under = cfg.theta - GUARD - 1e-12
+    d = deg.astype(np.float64)
+    walk = np.matmul(adj, d[:, :, None])[:, :, 0]
+    sure_over = (walk * d).sum(axis=1) >= cfg.theta * (d * d).sum(axis=1)
+    sure_under = walk.max(axis=1) < under * under
+    x = walk + d
+    for _ in range(CW_ITERS):
+        over.append(mk[sure_over])
+        keep = ~(sure_over | sure_under)
+        mk, adj, x = mk[keep], adj[keep], x[keep]
+        if not len(mk):
+            return np.concatenate(over), mk, adj
+        x /= x.max(axis=1, keepdims=True)
+        y = np.matmul(adj, x[:, :, None])[:, :, 0]
+        sure_over = (x * y).sum(axis=1) >= cfg.theta * (x * x).sum(axis=1)
+        sure_under = (y / x).max(axis=1) < under
+        x += y
+    over.append(mk[sure_over])
+    keep = ~(sure_over | sure_under)
+    return np.concatenate(over), mk[keep], adj[keep]
 
 
 def _connected_filter(t: _Tables, rows: np.ndarray, two_connected: bool) -> np.ndarray:

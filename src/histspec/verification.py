@@ -202,8 +202,6 @@ def _verify(theorem, n, theta, mode, extremal, source, corpus_path, threads,
             subsample) -> VerificationReport:
     t0 = time.monotonic()
     if source == LABELED_EXHAUSTIVE:
-        if n > 8:
-            raise ValueError("labeled exhaustive scans are bounded to n <= 8")
         cfg = _scan.ScanConfig(
             n=n, theta=theta, mode=mode, extremal=extremal, subsample=subsample,
         )

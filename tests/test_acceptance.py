@@ -141,9 +141,9 @@ def test_criterion_5_oracle_equivalence():
 
 
 def test_criterion_6_prescreen_safety_audit():
-    rep = audit_prescreens(8, "thm2", subsample=256)
+    rep = audit_prescreens(8, "thm2", subsample=64)
     _report(
-        "criterion 6 (prescreen safety audit, n=8, 1-in-256 subsample)",
+        "criterion 6 (prescreen safety audit, n=8, 1-in-64 subsample)",
         rep.ok,
         f"over with={rep.over_with_prescreens} without={rep.over_without_prescreens} "
         f"discrepancies={rep.discrepancies}, elapsed={rep.elapsed:.0f}s",

@@ -145,3 +145,16 @@ def test_counterexample_exit1(capsys, monkeypatch):
     code = cli_main(["verify", "thm1", "--n", "7"])
     capsys.readouterr()
     assert code == 1
+
+
+def test_search_budget_exit5(capsys, monkeypatch):
+    from histspec import cli
+    from histspec.hist import SearchBudgetError
+
+    def exhausted(g):
+        raise SearchBudgetError("HIST search exceeded budget of 1 nodes")
+
+    monkeypatch.setattr(cli, "find_hist", exhausted)
+    code, out, err = run(capsys, "hist", "family:K:4")
+    assert code == cli.EXIT_BUDGET == 5
+    assert out == "" and "budget" in err and len(err.splitlines()) == 1

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from histspec import (
     encode_graph6,
     enumerate_labeled,
     family_B,
+    family_L,
     find_hist,
     threshold_connected,
     threshold_two_connected,
@@ -121,8 +123,53 @@ def test_family_members_survive_prescreens_and_match():
 def test_audit_small():
     rep = audit_prescreens(7, "thm1", subsample=256)
     assert rep.ok
+    rep = audit_prescreens(8, "thm1", subsample=1024)
+    assert rep.ok
     rep = audit_prescreens(8, "thm2", subsample=65536)
     assert rep.ok
+
+
+def test_scan_engine_order_limit():
+    with pytest.raises(ValueError, match="uint8"):
+        ScanConfig(n=9, theta=5.0, mode="thm2", extremal="B")
+    with pytest.raises(ValueError, match="uint32"):
+        audit_prescreens(9, "thm2")
+
+
+@pytest.mark.parametrize("n,mode,extremal", [(7, "thm1", "L"), (8, "thm2", "B")])
+def test_sandwich_matches_eigensolve_near_threshold(monkeypatch, n, mode, extremal):
+    # Every labeled copy of the extremal family has rho exactly theta, and
+    # one edge added or removed lands just above or below it: the rows
+    # where the bounds of the refine path are tightest and must hand over
+    # to the eigensolver.  The refine path requires minimum degree >= 1.
+    from histspec.scan import _Tables, _eig_over
+
+    theta = threshold_connected(n) if mode == "thm1" else threshold_two_connected(n)
+    cfg = ScanConfig(n=n, theta=theta, mode=mode, extremal=extremal)
+    t = _Tables(cfg)
+    fam = family_L(n) if extremal == "L" else family_B(n)
+    copies = {mask_of_graph(fam.relabel(p)) for p in itertools.permutations(range(n))}
+    near = set(copies)
+    for mk in copies:
+        near.update(mk ^ (1 << b) for b in range(t.nbits))
+    masks = np.array(sorted(near), dtype=np.uint32)
+    deg = np.stack([np.bitwise_count(masks & t.inc[v]) for v in range(n)], axis=1)
+    keep = deg.min(axis=1) >= 1
+    masks, deg = masks[keep], deg[keep]
+
+    plain = _eig_over(cfg, t, masks, deg, refine=False)
+    solved = []
+    real = np.linalg.eigvalsh
+
+    def counted(a):
+        solved.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    refined = _eig_over(cfg, t, masks, deg, refine=True)
+    assert np.array_equal(refined, plain)
+    assert set(copies) <= set(refined.tolist())
+    assert len(copies) <= sum(solved) < len(masks)
 
 
 def test_double_star_shortcut_is_sound():
