@@ -24,15 +24,19 @@ from .graph6 import (
 )
 from .spectral import (
     GUARD,
+    THM1,
+    THM2,
     ConvergenceError,
     InvariantViolation,
     QuarticPoly,
     SlackBound,
     SpectralResult,
+    TheoremSpec,
     charpoly_B,
     charpoly_L,
     delta_bound,
     hong_bound,
+    hong_value,
     largest_root,
     slack_bounds,
     spectral_radius,
@@ -53,7 +57,6 @@ from .verification import (
     AuditReport,
     CertificateReport,
     CorollaryReport,
-    Prescreen,
     VerificationReport,
     audit_prescreens,
     enumerate_labeled,

@@ -21,9 +21,8 @@ from .spectral import (
     ConvergenceError,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    THEOREMS,
     InvariantViolation,
-    charpoly_B,
-    charpoly_L,
     largest_root,
     spectral_radius,
 )
@@ -80,12 +79,9 @@ def cmd_hist(args) -> int:
 
 
 def cmd_charpoly(args) -> int:
-    if args.family == "L":
-        poly = charpoly_L(args.n)
-        root = largest_root(poly, args.n - 3, args.n - 2)
-    else:
-        poly = charpoly_B(args.n)
-        root = largest_root(poly, args.n - 4, args.n - 3)
+    spec = next(s for s in THEOREMS if s.family == args.family)
+    poly = spec.quartic(args.n)
+    root = largest_root(poly, *spec.bracket(args.n))
     coeffs = poly.coefficients()
     _emit(args, {"family": args.family, "n": args.n,
                  "coefficients": list(coeffs), "largest_root": root},
@@ -124,7 +120,8 @@ def cmd_verify(args) -> int:
         return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
     if what == "audit":
         report = verification.audit_prescreens(
-            args.n or 8, theorem=args.theorem, subsample=args.subsample or 256,
+            8 if args.n is None else args.n, theorem=args.theorem,
+            subsample=256 if args.subsample is None else args.subsample,
             threads=args.threads)
         _emit(args, json.loads(report.to_json()),
               f"prescreen audit n={report.n}: over with={report.over_with_prescreens} "
@@ -170,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_hist)
 
     p = sub.add_parser("charpoly", help="family quartic and largest root")
-    p.add_argument("family", choices=("L", "B"))
+    p.add_argument("family", choices=[s.family for s in THEOREMS])
     p.add_argument("n", type=int)
     p.set_defaults(fn=cmd_charpoly)
 
@@ -186,11 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None, help="graph6 corpus file")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--subsample", type=int, default=None,
-                   help="deterministic 1-in-N mask subsample")
+                   help="deterministic 1-in-N mask subsample (labeled source only)")
     p.add_argument("--from", dest="range_from", type=int, default=7)
     p.add_argument("--to", dest="range_to", type=int, default=20)
     p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--theorem", choices=("thm1", "thm2"), default="thm2",
+    p.add_argument("--theorem", choices=[s.name for s in THEOREMS], default="thm2",
                    help="which prescreens to audit")
     p.set_defaults(fn=cmd_verify)
 

@@ -237,15 +237,6 @@ def _reach(rows, start_mask: int, alive: int) -> int:
     return visited
 
 
-def is_connected_after_removal(g: Graph, v: int) -> bool:
-    """Whether g - v is connected (single-vertex removal check)."""
-    if g.n == 1:
-        raise ValueError("cannot remove the only vertex")
-    alive = ((1 << g.n) - 1) ^ (1 << v)
-    start = alive & -alive
-    return _reach(g.rows, start, alive) == alive
-
-
 # -- named families ---------------------------------------------------------
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .graphs import Graph, _bits, is_family_B, is_family_L
-from .spectral import InvariantViolation
+from .spectral import THEOREMS, InvariantViolation
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
 DEFAULT_TREE_CAP = 10_000_000
@@ -428,27 +428,22 @@ class ProofTrace:
 def proof_guided_hist(g: Graph, theorem: str) -> ProofTrace:
     """Deterministically replay the applicable existence-proof case.
 
-    theorem="one_connected" needs a connected graph of order >= 7 with
-    max degree >= n-2; theorem="two_connected" needs a 2-connected graph
-    of order >= 8 with max degree >= n-3.  Returns a trace that either
-    carries an explicit HIST, recognizes the extremal family, or reports
-    the configuration as outside the constructive cases.
+    theorem is the replay name of a TheoremSpec: "one_connected" (THM1)
+    or "two_connected" (THM2).  The graph needs the spec's connectivity,
+    order >= its order floor and max degree >= n - its degree gap.
+    Returns a trace that either carries an explicit HIST, recognizes the
+    extremal family, or reports the configuration as outside the
+    constructive cases.
     """
     n = g.n
-    if theorem == "one_connected":
-        if n < 7:
-            raise ValueError("one_connected replay needs n >= 7")
-        if not g.is_connected():
-            raise ValueError("one_connected replay needs a connected graph")
-        floor_degree = n - 2
-    elif theorem == "two_connected":
-        if n < 8:
-            raise ValueError("two_connected replay needs n >= 8")
-        if not g.is_2_connected():
-            raise ValueError("two_connected replay needs a 2-connected graph")
-        floor_degree = n - 3
-    else:
+    spec = next((s for s in THEOREMS if s.replay == theorem), None)
+    if spec is None:
         raise ValueError("theorem must be 'one_connected' or 'two_connected'")
+    if n < spec.order_floor:
+        raise ValueError(f"{theorem} replay needs n >= {spec.order_floor}")
+    if not spec.admits(g):
+        raise ValueError(f"{theorem} replay needs a {spec.connectivity} graph")
+    floor_degree = n - spec.degree_gap
 
     delta = g.max_degree()
     if delta < floor_degree:

@@ -30,14 +30,14 @@ the scan can only over-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .graph6 import encode_graph6
-from .graphs import Graph, family_B, family_L, is_family_B, is_family_L
+from .graphs import Graph, is_family_B, is_family_L, make_family
 from .hist import find_hist, proof_guided_hist
-from .spectral import GUARD
+from .spectral import GUARD, hong_value, theorem_spec
 
 BLOCK_BITS = 20
 EIG_BATCH = 1 << 15
@@ -72,17 +72,22 @@ class ScanConfig:
 
     n: int
     theta: float
-    mode: str                      # "thm1": connected; "thm2": 2-connected
-    extremal: str                  # "L" or "B"
+    mode: str                      # theorem name, "thm1" or "thm2"
+    extremal: InitVar[str | None] = None  # implied by mode; checked if given
     prescreens: bool = True
     subsample: int | None = None   # keep ~1 in this many masks when set
     collect_over: bool = False     # also return the over-threshold masks
 
-    def __post_init__(self):
+    def __post_init__(self, extremal):
+        spec = theorem_spec(self.mode)
+        if extremal not in (None, spec.family):
+            raise ValueError(f"{self.mode} has extremal family {spec.family}, not {extremal!r}")
         if self.n > 8:
             raise ValueError(
                 f"the scan engine is limited to n <= 8 (got n={self.n}): "
                 "adjacency rows are uint8 and edge masks uint32")
+        if self.subsample is not None and self.subsample < 1:
+            raise ValueError(f"subsample must be >= 1, got {self.subsample}")
 
 
 @dataclass
@@ -124,28 +129,21 @@ class _Tables:
             inc[i] |= np.uint32(1 << b)
             inc[j] |= np.uint32(1 << b)
         self.inc = inc
-        self.min_dmax = n - 2 if cfg.mode == "thm1" else n - 3
-        self.min_dmin = 1 if cfg.mode == "thm1" else 2
+        spec = self.spec = theorem_spec(cfg.mode)
+        self.min_dmax = n - spec.degree_gap
         # Smallest edge count whose Hong-type bound can reach the threshold
         # (the bound is non-increasing in the minimum degree, so the floor
-        # value is the permissive case).
-        self.min_m = 0
-        for m in range(self.nbits + 1):
-            if _hong_value(self.min_dmin, n, m) >= cfg.theta - GUARD:
-                self.min_m = m
-                break
-        fam = family_L(n) if cfg.extremal == "L" else family_B(n)
+        # value is the permissive case; a graph of minimum degree d has at
+        # least d n / 2 edges).
+        d = spec.min_degree
+        self.min_m = next((m for m in range((d * n + 1) // 2, self.nbits + 1)
+                           if hong_value(d, n, m) >= cfg.theta - GUARD), 0)
+        fam = make_family(spec.family, n)
         self.extremal_degmultiset = np.array(sorted(fam.degrees()), dtype=np.uint8)
-        self.is_extremal = is_family_L if cfg.extremal == "L" else is_family_B
-        self.theorem = "one_connected" if cfg.mode == "thm1" else "two_connected"
+        # Looked up per scan, not stored in the spec, so that rebinding
+        # the module attribute takes effect.
+        self.is_extremal = is_family_L if spec.family == "L" else is_family_B
         self.full_row = np.uint8((1 << n) - 1)
-
-
-def _hong_value(delta, n, m):
-    disc = (delta + 1) ** 2 + 4 * (2 * m - delta * n)
-    if disc < 0:
-        return float("-inf")
-    return (delta - 1 + disc**0.5) / 2
 
 
 def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
@@ -175,10 +173,8 @@ def _scan_block(cfg: ScanConfig, t: _Tables, masks: np.ndarray, out: ShardOut):
     dmin = deg.min(axis=1)
 
     if cfg.prescreens:
-        keep = (m >= t.min_m) & (dmax >= t.min_dmax) & (dmin >= t.min_dmin)
-        dl = dmin.astype(np.float64)
-        hong = (dl - 1 + np.sqrt((dl + 1) ** 2 + 4 * (2 * m - dl * n))) / 2
-        keep &= hong >= cfg.theta - GUARD
+        keep = (m >= t.min_m) & (dmax >= t.min_dmax) & (dmin >= t.spec.min_degree)
+        keep &= hong_value(dmin.astype(np.float64), n, m) >= cfg.theta - GUARD
         masks, m, deg, dmax = masks[keep], m[keep], deg[keep], dmax[keep]
         out.survivors += len(masks)
         if not len(masks):
@@ -346,7 +342,7 @@ def _double_star_feasible(t: _Tables, masks, rows) -> np.ndarray:
 def _classify_over(cfg, t, over_masks, out):
     n = t.n
     rows = _rows_of_masks(t, over_masks)
-    keep = _connected_filter(t, rows, two_connected=(cfg.mode == "thm2"))
+    keep = _connected_filter(t, rows, t.spec.two_connected)
     over_masks, rows = over_masks[keep], rows[keep]
     if not len(over_masks):
         return
@@ -379,7 +375,7 @@ def _classify_over(cfg, t, over_masks, out):
     for idx in np.nonzero(rest)[0]:
         out.fallback_searches += 1
         g = _graph_of_row(n, rows[idx])
-        trace = proof_guided_hist(g, t.theorem)
+        trace = proof_guided_hist(g, t.spec.replay)
         if trace.found_tree:
             out.hists += 1
         elif trace.recognized_family is not None:

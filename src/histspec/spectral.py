@@ -11,10 +11,11 @@ Rayleigh quotient, which is quadratically accurate in the residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, make_family
 
 #: Threshold comparisons use "rho >= theta - GUARD": deliberately
 #: over-inclusive so verification can only over-check, never under-check.
@@ -94,22 +95,22 @@ def delta_bound(g: Graph) -> float:
     return float(g.max_degree())
 
 
-def hong_bound(g: Graph) -> float:
-    """Upper bound on rho in terms of order, size and minimum degree.
+def hong_value(d, n, m):
+    """Hong-type upper bound on rho of a connected graph with n vertices,
+    m edges and minimum degree d: (d - 1 + sqrt((d + 1)^2 + 4(2m - d n))) / 2.
 
-    For a connected graph, rho <= (d - 1 + sqrt((d + 1)^2 + 4(2m - d n))) / 2
-    with d the minimum degree; at d = 1 this simplifies to sqrt(2m - n + 1).
+    Takes scalars or numpy arrays; at d = 1 it equals sqrt(2m - n + 1).
     """
+    return (d - 1 + np.sqrt((d + 1) ** 2 + 4 * (2 * m - d * n))) / 2
+
+
+def hong_bound(g: Graph) -> float:
+    """hong_value of a connected graph of order n >= 2."""
     if g.n < 2:
         raise ValueError("hong_bound needs n >= 2")
     if not g.is_connected():
         raise ValueError("hong_bound requires a connected graph")
-    d = g.min_degree()
-    m = g.m
-    n = g.n
-    if d == 1:
-        return float(np.sqrt(2 * m - n + 1))
-    return (d - 1 + np.sqrt((d + 1) ** 2 + 4 * (2 * m - d * n))) / 2
+    return float(hong_value(g.min_degree(), g.n, g.m))
 
 
 # -- family characteristic quartics ------------------------------------------
@@ -156,11 +157,57 @@ def charpoly_B(n: int) -> QuarticPoly:
                        float(3 * n - 16), float(2 * n - 8))
 
 
+# -- the two theorems ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TheoremSpec:
+    """Everything that follows from one of the paper's two thresholds.
+
+    Over-threshold graphs covered by the theorem have maximum degree at
+    least n - degree_gap, and the largest root of the family quartic lies
+    in bracket(n) = [n - degree_gap - 1, n - degree_gap].
+    """
+
+    name: str          # "thm1" | "thm2"
+    replay: str        # theorem name of proof_guided_hist
+    family: str        # extremal family letter, as in make_family
+    connectivity: str  # "connected" | "2-connected"
+    order_floor: int   # smallest order the threshold is defined for
+    degree_gap: int
+    min_degree: int    # of every graph with the stated connectivity
+    quartic: Callable[[int], QuarticPoly]
+
+    @property
+    def two_connected(self) -> bool:
+        return self.connectivity == "2-connected"
+
+    def admits(self, g: Graph) -> bool:
+        """Whether g has the connectivity the theorem assumes (n >= 3)."""
+        return g.is_2_connected() if self.two_connected else g.is_connected()
+
+    def bracket(self, n: int) -> tuple[int, int]:
+        return n - self.degree_gap - 1, n - self.degree_gap
+
+
+THM1 = TheoremSpec("thm1", "one_connected", "L", "connected", 7, 2, 1, charpoly_L)
+THM2 = TheoremSpec("thm2", "two_connected", "B", "2-connected", 8, 3, 2, charpoly_B)
+THEOREMS = (THM1, THM2)
+
+
+def theorem_spec(name: str) -> TheoremSpec:
+    """The spec named "thm1" or "thm2"."""
+    for spec in THEOREMS:
+        if spec.name == name:
+            return spec
+    raise ValueError(f"unknown theorem {name!r}; expected 'thm1' or 'thm2'")
+
+
 def largest_root(p: QuarticPoly, lo: float, hi: float, width: float = 1e-12) -> float:
     """Bisection root inside a sign-change bracket, to absolute width 1e-12.
 
     The caller brackets so that only the largest root lies inside, e.g.
-    [n-3, n-2] for the L quartic and [n-4, n-3] for the B quartic.
+    TheoremSpec.bracket(n) for the family quartics.
     """
     flo, fhi = p(lo), p(hi)
     if flo == 0.0:
@@ -206,24 +253,19 @@ def slack_bounds(family: str, n: int) -> SlackBound:
     Raises InvariantViolation if the measured slack reaches the cap, which
     would mean an eigensolver or coefficient transcription bug.
     """
-    from .graphs import family_B, family_L
-
+    spec = next((s for s in THEOREMS if s.family == family), None)
+    if spec is None:
+        raise ValueError("family must be 'L' or 'B'")
+    if n < spec.order_floor:
+        raise ValueError(f"family {family} slack needs n >= {spec.order_floor}")
+    base = float(spec.bracket(n)[0])
+    rho = spectral_radius(make_family(family, n)).rho
     if family == "L":
-        if n < 7:
-            raise ValueError("family L slack needs n >= 7")
-        base = float(n - 3)
-        rho = spectral_radius(family_L(n)).rho
         upper = 1.0 / (n - 3)
         tight = (n - 3) / (n**3 - 8 * n**2 + 19 * n - 14)
-    elif family == "B":
-        if n < 8:
-            raise ValueError("family B slack needs n >= 8")
-        base = float(n - 4)
-        rho = spectral_radius(family_B(n)).rho
+    else:
         upper = 2.0 / (n - 4)
         tight = (2 * n - 8) / (n**3 - 11 * n**2 + 37 * n - 40)
-    else:
-        raise ValueError("family must be 'L' or 'B'")
     slack = rho - base
     if not 0.0 < slack < tight:
         raise InvariantViolation(

@@ -19,17 +19,18 @@ from dataclasses import asdict, dataclass
 
 from . import scan as _scan
 from .graph6 import read_graph6_file
-from .graphs import family_B, family_L, is_family_B, is_family_L
+from .graphs import family_B, family_L, is_family_B, is_family_L, make_family
 from .hist import find_hist, no_hist_certificate, oracle_hist
 from .spectral import (
     GUARD,
+    THM1,
+    THM2,
     InvariantViolation,
-    charpoly_B,
-    charpoly_L,
     hong_bound,
     largest_root,
     slack_bounds,
     spectral_radius,
+    theorem_spec,
 )
 
 LABELED_EXHAUSTIVE = "labeled_exhaustive"
@@ -37,21 +38,6 @@ GRAPH6_CORPUS = "graph6_corpus"
 
 SHARD_BITS = 19  # fixed shard size keeps reports independent of worker count
 THRESHOLD_AGREEMENT = 1e-8
-
-
-@dataclass(frozen=True)
-class Prescreen:
-    """Declarative rejection rules applied before the eigensolver.
-
-    Every rejection is justified by an upper bound on rho (maximum degree,
-    Hong-type bound) or by the connectivity requirement of the theorem
-    being checked, so a graph that could reach the spectral threshold is
-    never dropped.
-    """
-
-    min_edges: int = 0
-    min_max_degree: int = 0
-    connectivity: str | None = None  # None | "connected" | "two_connected"
 
 
 @dataclass
@@ -105,31 +91,21 @@ class VerificationReport:
 # -- labeled enumeration (scalar path) -----------------------------------------
 
 
-def enumerate_labeled(n: int, prescreen: Prescreen | None = None):
-    """Yield all labeled graphs of order n as Graph values, mask order.
+def enumerate_labeled(n: int, connected: bool = False):
+    """Yield all labeled graphs of order n as Graph values, mask order,
+    only the connected ones if `connected` is set.
 
-    Edge bitmasks run over the C(n, 2) pairs in colex order; graphs failing
-    the prescreen are skipped.  Bounded to n <= 8 (beyond that use a
-    graph6 corpus).
+    Edge bitmasks run over the C(n, 2) pairs in colex order.  Bounded to
+    n <= 8 (beyond that use a graph6 corpus).
     """
     if n > 8:
         raise ValueError("labeled enumeration is bounded to n <= 8; use a corpus")
     if n < 1:
         raise ValueError("order must be >= 1")
-    prescreen = prescreen or Prescreen()
-    nbits = n * (n - 1) // 2
-    for mask in range(1 << nbits):
-        if mask.bit_count() < prescreen.min_edges:
-            continue
+    for mask in range(1 << (n * (n - 1) // 2)):
         g = _scan.graph_from_mask(n, mask)
-        if prescreen.min_max_degree and g.max_degree() < prescreen.min_max_degree:
-            continue
-        if prescreen.connectivity == "connected" and not g.is_connected():
-            continue
-        if prescreen.connectivity == "two_connected":
-            if n < 3 or not g.is_2_connected():
-                continue
-        yield g
+        if not connected or g.is_connected():
+            yield g
 
 
 # -- thresholds ----------------------------------------------------------------
@@ -137,19 +113,20 @@ def enumerate_labeled(n: int, prescreen: Prescreen | None = None):
 
 def threshold_connected(n: int) -> float:
     """rho of the pendant-path family, eigensolver vs quartic cross-check."""
-    rho = spectral_radius(family_L(n)).rho
-    root = largest_root(charpoly_L(n), n - 3, n - 2)
-    if abs(rho - root) > THRESHOLD_AGREEMENT:
-        raise InvariantViolation(
-            f"threshold mismatch at n={n}: eigensolver {rho}, quartic root {root}"
-        )
-    return rho
+    return _threshold(THM1, n)
 
 
 def threshold_two_connected(n: int) -> float:
     """rho of the attached-3-path family, eigensolver vs quartic cross-check."""
-    rho = spectral_radius(family_B(n)).rho
-    root = largest_root(charpoly_B(n), n - 4, n - 3)
+    return _threshold(THM2, n)
+
+
+def _threshold(spec, n: int) -> float:
+    if n < spec.order_floor:
+        raise ValueError(
+            f"the {spec.connectivity} threshold is defined for n >= {spec.order_floor}")
+    rho = spectral_radius(make_family(spec.family, n)).rho
+    root = largest_root(spec.quartic(n), *spec.bracket(n))
     if abs(rho - root) > THRESHOLD_AGREEMENT:
         raise InvariantViolation(
             f"threshold mismatch at n={n}: eigensolver {rho}, quartic root {root}"
@@ -169,14 +146,7 @@ def verify_theorem1(
 ) -> VerificationReport:
     """Every connected order-n graph at or above rho of the pendant-path
     family either is that family or has a HIST."""
-    if n < 7:
-        raise ValueError("the connected threshold is defined for n >= 7")
-    theta = threshold_connected(n)
-    return _verify(
-        theorem="thm1", n=n, theta=theta, mode="thm1", extremal="L",
-        source=source, corpus_path=corpus_path, threads=threads,
-        subsample=subsample,
-    )
+    return _verify(THM1, threshold_connected, n, source, corpus_path, threads, subsample)
 
 
 def verify_theorem2(
@@ -188,41 +158,35 @@ def verify_theorem2(
 ) -> VerificationReport:
     """Every 2-connected order-n graph at or above rho of the
     attached-3-path family either is that family or has a HIST."""
-    if n < 8:
-        raise ValueError("the 2-connected threshold is defined for n >= 8")
-    theta = threshold_two_connected(n)
-    return _verify(
-        theorem="thm2", n=n, theta=theta, mode="thm2", extremal="B",
-        source=source, corpus_path=corpus_path, threads=threads,
-        subsample=subsample,
-    )
+    return _verify(THM2, threshold_two_connected, n, source, corpus_path, threads,
+                   subsample)
 
 
-def _verify(theorem, n, theta, mode, extremal, source, corpus_path, threads,
+def _verify(spec, threshold, n, source, corpus_path, threads,
             subsample) -> VerificationReport:
+    """Body of verify_theorem1/2.  `threshold` is the public threshold
+    function as the caller looked it up, so a rebinding of that module
+    attribute takes effect."""
+    theta = threshold(n)
     t0 = time.monotonic()
     if source == LABELED_EXHAUSTIVE:
-        cfg = _scan.ScanConfig(
-            n=n, theta=theta, mode=mode, extremal=extremal, subsample=subsample,
-        )
+        cfg = _scan.ScanConfig(n=n, theta=theta, mode=spec.name, subsample=subsample)
         res = _run_sharded(cfg, threads)
+        scope = (f"exhaustive over all labeled {spec.connectivity} graphs of order "
+                 f"{n}; no claim beyond this order")
+        if subsample:
+            scope += f" (deterministic 1-in-{subsample} subsample)"
     elif source == GRAPH6_CORPUS:
         if not corpus_path:
             raise ValueError("corpus source needs a corpus path")
-        res = _scan_corpus(n, theta, mode, extremal, corpus_path)
+        if subsample is not None:
+            raise ValueError("subsample applies to the labeled source only")
+        res = _scan_corpus(spec, n, theta, corpus_path)
+        scope = f"all {spec.connectivity} graphs of order {n} in {corpus_path}"
     else:
         raise ValueError(f"unknown source {source!r}")
-    connectivity = "connected" if mode == "thm1" else "2-connected"
-    scope = (
-        f"exhaustive over all labeled {connectivity} graphs of order {n}; "
-        f"no claim beyond this order"
-        if source == LABELED_EXHAUSTIVE
-        else f"all {connectivity} graphs of order {n} in {corpus_path}"
-    )
-    if subsample:
-        scope += f" (deterministic 1-in-{subsample} subsample)"
     return VerificationReport(
-        theorem=theorem, n=n, source=source, threshold=theta,
+        theorem=spec.name, n=n, source=source, threshold=theta,
         scanned=res.scanned, prescreen_survivors=res.survivors,
         over_threshold=res.over, extremal_matches=res.extremal,
         hists_found=res.hists, counterexamples=res.counterexamples,
@@ -253,23 +217,17 @@ def _run_sharded(cfg: _scan.ScanConfig, threads: int) -> _scan.ShardOut:
     return merged
 
 
-def _scan_corpus(n, theta, mode, extremal, corpus_path) -> _scan.ShardOut:
+def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
     from .graph6 import encode_graph6
     from .hist import proof_guided_hist
 
     out = _scan.ShardOut()
-    is_extremal = is_family_L if extremal == "L" else is_family_B
-    theorem = "one_connected" if mode == "thm1" else "two_connected"
-    min_dmax = n - 2 if mode == "thm1" else n - 3
+    is_extremal = is_family_L if spec.family == "L" else is_family_B
     for _, g in read_graph6_file(corpus_path):
         if g.n != n:
             raise ValueError(f"corpus graph of order {g.n}, expected {n}")
         out.scanned += 1
-        if mode == "thm1" and not g.is_connected():
-            continue
-        if mode == "thm2" and (g.n < 3 or not g.is_2_connected()):
-            continue
-        if g.max_degree() < min_dmax:
+        if not spec.admits(g) or g.max_degree() < n - spec.degree_gap:
             continue
         if hong_bound(g) < theta - GUARD:
             continue
@@ -280,7 +238,7 @@ def _scan_corpus(n, theta, mode, extremal, corpus_path) -> _scan.ShardOut:
         if is_extremal(g):
             out.extremal += 1
             continue
-        trace = proof_guided_hist(g, theorem)
+        trace = proof_guided_hist(g, spec.replay)
         if trace.found_tree:
             out.hists += 1
         elif trace.recognized_family is not None:
@@ -416,7 +374,7 @@ def verify_certificates(n_max: int = 6) -> CertificateReport:
     fired = 0
     bad = 0
     for n in range(3, n_max + 1):
-        for g in enumerate_labeled(n, Prescreen(connectivity="connected")):
+        for g in enumerate_labeled(n, connected=True):
             checked += 1
             cert = no_hist_certificate(g)
             if cert is None:
@@ -472,11 +430,8 @@ def audit_prescreens(n: int, theorem: str = "thm2", subsample: int = 256,
     sets exactly.
     """
     t0 = time.monotonic()
-    if theorem == "thm1":
-        theta, mode, extremal = threshold_connected(n), "thm1", "L"
-    else:
-        theta, mode, extremal = threshold_two_connected(n), "thm2", "B"
-    common = dict(n=n, theta=theta, mode=mode, extremal=extremal,
+    spec = theorem_spec(theorem)
+    common = dict(n=n, theta=_threshold(spec, n), mode=spec.name,
                   subsample=subsample, collect_over=True)
     with_pre = _run_sharded(_scan.ScanConfig(prescreens=True, **common), threads)
     without_pre = _run_sharded(_scan.ScanConfig(prescreens=False, **common), threads)

@@ -31,7 +31,7 @@ from histspec import (
     verify_theorem1,
     verify_theorem2,
 )
-from histspec import Prescreen, enumerate_labeled
+from histspec import enumerate_labeled
 
 from helpers import all_labeled_graphs, labeled_copy_count, random_connected
 
@@ -120,7 +120,7 @@ def test_criterion_5_oracle_equivalence():
     disagreements = 0
     checked = 0
     for n in range(1, 7):
-        for g in enumerate_labeled(n, Prescreen(connectivity="connected")):
+        for g in enumerate_labeled(n, connected=True):
             checked += 1
             if find_hist(g).found != oracle_hist(g).found:
                 disagreements += 1

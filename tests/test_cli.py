@@ -114,6 +114,21 @@ def test_usage_error_exit2(capsys):
     assert code == 2
 
 
+def test_bad_verify_options_exit2(capsys, tmp_path):
+    path = tmp_path / "corpus7.g6"
+    path.write_text(encode_graph6(family_L(7)) + "\n")
+    code, _, err = run(capsys, "verify", "thm1", "--n", "7", "--corpus", str(path),
+                       "--subsample", "4")
+    assert code == 2 and "labeled source only" in err
+    code, _, err = run(capsys, "verify", "thm1", "--n", "7", "--subsample", "-5")
+    assert code == 2 and "subsample must be >= 1" in err
+    code, _, err = run(capsys, "verify", "audit", "--n", "7", "--theorem", "thm1",
+                       "--subsample", "0")
+    assert code == 2 and "subsample must be >= 1" in err
+    code, _, _ = run(capsys, "verify", "audit", "--n", "0", "--theorem", "thm1")
+    assert code == 2
+
+
 def test_nonconvergence_exit4(capsys):
     code, _, err = run(capsys, "rho", "family:P:4", "--max-iter", "2",
                        "--tol", "1e-13")

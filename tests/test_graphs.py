@@ -3,7 +3,6 @@ import pytest
 
 from histspec import (
     Graph,
-    Prescreen,
     complete,
     complete_bipartite,
     cycle,
@@ -88,7 +87,7 @@ def test_two_connectivity_equivalence_exhaustive_small():
     # with single-vertex-removal brute force, and 2-connectivity is
     # exactly "connected and no cut vertex".
     for n in range(3, 7):
-        for g in enumerate_labeled(n, Prescreen(connectivity="connected")):
+        for g in enumerate_labeled(n, connected=True):
             cuts = g.cut_vertices()
             assert cuts == brute_cut_vertices(g)
             assert g.is_2_connected() == (len(cuts) == 0)

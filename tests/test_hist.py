@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from histspec import (
-    Prescreen,
     SearchBudgetError,
     complete,
     complete_bipartite,
@@ -129,13 +128,13 @@ def test_found_trees_validate():
 
 def test_oracle_equivalence_exhaustive_n5():
     for n in range(1, 6):
-        for g in enumerate_labeled(n, Prescreen(connectivity="connected")):
+        for g in enumerate_labeled(n, connected=True):
             assert find_hist(g).found == oracle_hist(g).found
 
 
 def test_certificate_soundness_small():
     for n in range(3, 6):
-        for g in enumerate_labeled(n, Prescreen(connectivity="connected")):
+        for g in enumerate_labeled(n, connected=True):
             if no_hist_certificate(g) is not None:
                 assert not oracle_hist(g).found
 

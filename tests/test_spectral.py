@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from histspec import (
+    THM1,
+    THM2,
     ConvergenceError,
     QuarticPoly,
     charpoly_B,
@@ -16,6 +18,7 @@ from histspec import (
     family_L,
     hong_bound,
     largest_root,
+    make_family,
     path_graph,
     slack_bounds,
     spectral_radius,
@@ -94,6 +97,19 @@ def test_largest_root_cross_checks():
         assert root == pytest.approx(spectral_radius(family_B(n)).rho, abs=1e-8)
 
 
+def test_theorem_specs_consistent():
+    # Each spec's quartic, bracket, degree gap and minimum degree must
+    # describe its own extremal family.
+    for spec in (THM1, THM2):
+        for n in range(spec.order_floor, 31):
+            fam = make_family(spec.family, n)
+            root = largest_root(spec.quartic(n), *spec.bracket(n))
+            assert abs(root - spectral_radius(fam).rho) <= 1e-8, (spec.name, n)
+            assert fam.max_degree() == n - spec.degree_gap
+            assert fam.min_degree() == spec.min_degree
+            assert spec.admits(fam)
+
+
 def test_largest_root_constructed():
     # (x - 2) x^3 has largest root 2
     p = QuarticPoly(1.0, -2.0, 0.0, 0.0, 0.0)
@@ -117,10 +133,10 @@ def test_hong_bound_values():
 
 
 def test_hong_bound_dominates_exhaustively():
-    from histspec import Prescreen, enumerate_labeled
+    from histspec import enumerate_labeled
 
     for n in range(2, 7):
-        for g in enumerate_labeled(n, Prescreen(connectivity="connected")):
+        for g in enumerate_labeled(n, connected=True):
             rho = eigvalsh_rho(g)
             assert rho <= hong_bound(g) + 1e-9
             assert rho <= delta_bound(g) + 1e-9

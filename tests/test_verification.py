@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from histspec import (
-    Prescreen,
     complete,
     encode_graph6,
     enumerate_labeled,
@@ -28,21 +27,16 @@ from helpers import connected_labeled_count, random_connected
 
 def test_enumerate_counts_small():
     assert sum(1 for _ in enumerate_labeled(4)) == 64
-    got = sum(1 for _ in enumerate_labeled(4, Prescreen(connectivity="connected")))
+    got = sum(1 for _ in enumerate_labeled(4, connected=True))
     assert got == 38 == connected_labeled_count(4)
     for n in (3, 5, 6):
-        got = sum(1 for _ in enumerate_labeled(n, Prescreen(connectivity="connected")))
+        got = sum(1 for _ in enumerate_labeled(n, connected=True))
         assert got == connected_labeled_count(n)
 
 
 def test_enumerate_count_n7_matches_recurrence():
-    got = sum(1 for _ in enumerate_labeled(7, Prescreen(connectivity="connected")))
+    got = sum(1 for _ in enumerate_labeled(7, connected=True))
     assert got == connected_labeled_count(7) == 1866256
-
-
-def test_enumerate_min_edges_filter():
-    got = list(enumerate_labeled(3, Prescreen(min_edges=3)))
-    assert got == [complete(3)]
 
 
 def test_enumerate_rejects_large_order():
@@ -235,6 +229,35 @@ def test_corpus_wrong_order_rejected(tmp_path):
     path.write_text(encode_graph6(complete(5)) + "\n")
     with pytest.raises(ValueError):
         verify_theorem2(9, source=GRAPH6_CORPUS, corpus_path=str(path))
+
+
+def test_corpus_source_rejects_subsample(tmp_path):
+    # The corpus is always read whole, so a subsample would mislabel the
+    # report's scope.
+    path = tmp_path / "corpus7.g6"
+    path.write_text(encode_graph6(family_L(7)) + "\n")
+    with pytest.raises(ValueError, match="labeled source only"):
+        verify_theorem1(7, source=GRAPH6_CORPUS, corpus_path=str(path), subsample=4)
+
+
+def test_subsample_must_be_positive():
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="subsample must be >= 1"):
+            verify_theorem1(7, subsample=bad)
+
+
+def test_unknown_theorem_rejected():
+    with pytest.raises(ValueError, match="unknown theorem"):
+        audit_prescreens(8, theorem="thm3")
+    with pytest.raises(ValueError, match="unknown theorem"):
+        ScanConfig(n=7, theta=4.0, mode="thm3")
+
+
+def test_scan_extremal_implied_by_mode():
+    with pytest.raises(ValueError, match="extremal family L"):
+        ScanConfig(n=7, theta=4.0, mode="thm1", extremal="B")
+    assert ScanConfig(n=8, theta=4.0, mode="thm2", extremal="B") == ScanConfig(
+        n=8, theta=4.0, mode="thm2")
 
 
 def test_driver_preconditions():
