@@ -244,7 +244,7 @@ def _eig_over(cfg, t, masks, deg, refine):
         mk = masks[s:s + EIG_BATCH]
         adj = _adj_of_rows(_rows_of_masks(t, mk), n).astype(np.float64)
         if refine:
-            sure, mk, adj = _sandwich(cfg, mk, adj, deg[s:s + EIG_BATCH])
+            sure, mk, adj = _sandwich(cfg.theta, mk, adj, deg[s:s + EIG_BATCH])
             over.append(sure)
             if not len(mk):
                 continue
@@ -257,31 +257,33 @@ def _eig_over(cfg, t, masks, deg, refine):
     return res
 
 
-def _sandwich(cfg, mk, adj, deg):
-    """Settle rows by the side bounds of _eig_over.  Returns the masks
-    certainly over, then the undecided masks and their adjacency
+def _sandwich(theta, keys, adj, deg):
+    """Settle rows by the side bounds of _eig_over.  `keys` names the
+    rows of `adj` (masks in the scan, batch positions on the corpus path)
+    and `deg` holds their degree vectors, all >= 1.  Returns the keys
+    certainly over, then the undecided keys and their adjacency
     matrices."""
     over = []
-    under = cfg.theta - GUARD - 1e-12
+    under = theta - GUARD - 1e-12
     d = deg.astype(np.float64)
     walk = np.matmul(adj, d[:, :, None])[:, :, 0]
-    sure_over = (walk * d).sum(axis=1) >= cfg.theta * (d * d).sum(axis=1)
+    sure_over = (walk * d).sum(axis=1) >= theta * (d * d).sum(axis=1)
     sure_under = walk.max(axis=1) < under * under
     x = walk + d
     for _ in range(CW_ITERS):
-        over.append(mk[sure_over])
+        over.append(keys[sure_over])
         keep = ~(sure_over | sure_under)
-        mk, adj, x = mk[keep], adj[keep], x[keep]
-        if not len(mk):
-            return np.concatenate(over), mk, adj
+        keys, adj, x = keys[keep], adj[keep], x[keep]
+        if not len(keys):
+            return np.concatenate(over), keys, adj
         x /= x.max(axis=1, keepdims=True)
         y = np.matmul(adj, x[:, :, None])[:, :, 0]
-        sure_over = (x * y).sum(axis=1) >= cfg.theta * (x * x).sum(axis=1)
+        sure_over = (x * y).sum(axis=1) >= theta * (x * x).sum(axis=1)
         sure_under = (y / x).max(axis=1) < under
         x += y
-    over.append(mk[sure_over])
+    over.append(keys[sure_over])
     keep = ~(sure_over | sure_under)
-    return np.concatenate(over), mk[keep], adj[keep]
+    return np.concatenate(over), keys[keep], adj[keep]
 
 
 def _connected_filter(t: _Tables, rows: np.ndarray, two_connected: bool) -> np.ndarray:

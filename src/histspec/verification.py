@@ -13,12 +13,15 @@ no claim is made beyond the verified range.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import scan as _scan
-from .graph6 import read_graph6_file
+from .graph6 import encode_graph6, read_graph6_file
 from .graphs import family_B, family_L, is_family_B, is_family_L, make_family
 from .hist import find_hist, no_hist_certificate, oracle_hist
 from .spectral import (
@@ -37,6 +40,7 @@ LABELED_EXHAUSTIVE = "labeled_exhaustive"
 GRAPH6_CORPUS = "graph6_corpus"
 
 SHARD_BITS = 19  # fixed shard size keeps reports independent of worker count
+CORPUS_BATCH = 512  # corpus graphs per batched spectral decision; bounds memory
 THRESHOLD_AGREEMENT = 1e-8
 
 
@@ -218,11 +222,37 @@ def _run_sharded(cfg: _scan.ScanConfig, threads: int) -> _scan.ShardOut:
 
 
 def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
-    from .graph6 import encode_graph6
-    from .hist import proof_guided_hist
+    """Decide the spectral test of the filtered corpus graphs in batches
+    of CORPUS_BATCH and classify the over-threshold graphs in corpus
+    order."""
+    from .hist import proof_guided_hist  # looked up per call, so a rebinding takes effect
 
     out = _scan.ShardOut()
     is_extremal = is_family_L if spec.family == "L" else is_family_B
+    survivors = _corpus_survivors(spec, n, theta, corpus_path, out)
+    while batch := list(itertools.islice(survivors, CORPUS_BATCH)):
+        for g in _over_threshold(batch, theta):
+            out.over += 1
+            if is_extremal(g):
+                out.extremal += 1
+                continue
+            out.fallback_searches += 1
+            trace = proof_guided_hist(g, spec.replay)
+            if trace.found_tree:
+                out.hists += 1
+            elif trace.recognized_family is not None:
+                out.extremal += 1
+            elif find_hist(g).found:
+                out.hists += 1
+            else:
+                out.counterexamples.append(encode_graph6(g))
+    return out
+
+
+def _corpus_survivors(spec, n, theta, corpus_path, out):
+    """The corpus graphs with the theorem's connectivity, maximum degree
+    and Hong bound, in corpus order; counts them and the scanned graphs
+    in `out`."""
     for _, g in read_graph6_file(corpus_path):
         if g.n != n:
             raise ValueError(f"corpus graph of order {g.n}, expected {n}")
@@ -232,22 +262,30 @@ def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
         if hong_bound(g) < theta - GUARD:
             continue
         out.survivors += 1
-        if spectral_radius(g).rho < theta - GUARD:
-            continue
-        out.over += 1
-        if is_extremal(g):
-            out.extremal += 1
-            continue
-        trace = proof_guided_hist(g, spec.replay)
-        if trace.found_tree:
-            out.hists += 1
-        elif trace.recognized_family is not None:
-            out.extremal += 1
-        elif find_hist(g).found:
-            out.hists += 1
-        else:
-            out.counterexamples.append(encode_graph6(g))
-    return out
+        yield g
+
+
+def _over_threshold(graphs, theta) -> list:
+    """The graphs, all connected and of one order, whose spectral radius
+    reaches theta - GUARD, in their given order.
+
+    The scan engine's side bounds (`scan._sandwich`) settle most graphs;
+    only the rest go to power iteration.  No verdict differs from
+    `spectral_radius(g).rho >= theta - GUARD`: connected graphs have every
+    degree >= 1, as the bounds require; a graph is under only when an
+    upper bound on rho is below theta - GUARD - 1e-12, and the power
+    Rayleigh quotient never exceeds rho; a graph is over only when a lower
+    bound reaches theta, and the power iteration stops at a residual of at
+    most 1e-10, so its Rayleigh quotient lies within sqrt(n) 1e-10 of rho,
+    less than GUARD for every order graph6 allows (n <= 62).
+    """
+    n = graphs[0].n
+    rows = np.array([g.rows for g in graphs], dtype=np.int64)
+    adj = (rows[:, :, None] >> np.arange(n) & 1).astype(np.float64)
+    over, rest, _ = _scan._sandwich(theta, np.arange(len(graphs)), adj, adj.sum(axis=2))
+    over = over.tolist() + [i for i in rest.tolist()
+                            if spectral_radius(graphs[i]).rho >= theta - GUARD]
+    return [graphs[i] for i in sorted(over)]
 
 
 # -- corollaries and certificates ----------------------------------------------

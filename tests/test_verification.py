@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from histspec import (
+    Graph,
     complete,
     encode_graph6,
     enumerate_labeled,
@@ -164,6 +165,135 @@ def test_sandwich_matches_eigensolve_near_threshold(monkeypatch, n, mode, extrem
     assert np.array_equal(refined, plain)
     assert set(copies) <= set(refined.tolist())
     assert len(copies) <= sum(solved) < len(masks)
+
+
+def _labeled_copies(g, moved, limit=None, seed=0):
+    """Permutations giving distinct labeled copies of g, whose automorphisms
+    permute the vertices outside `moved` freely: every injective image of
+    `moved`, the other vertices in increasing order; a seeded sample of
+    `limit` copies when set."""
+    n = g.n
+    perms, seen = [], set()
+    for image in itertools.permutations(range(n), len(moved)):
+        perm = [0] * n
+        for v, w in zip(moved, image):
+            perm[v] = w
+        rest = iter(sorted(set(range(n)) - set(image)))
+        for v in range(n):
+            if v not in moved:
+                perm[v] = next(rest)
+        rows = g.relabel(perm).rows
+        if rows not in seen:
+            seen.add(rows)
+            perms.append(perm)
+    if limit is not None and limit < len(perms):
+        rng = np.random.default_rng(seed)
+        perms = [perms[i] for i in sorted(rng.choice(len(perms), limit, replace=False))]
+    return np.array(perms)
+
+
+def _relabeled(base, perms):
+    """Every graph of `base` under every permutation, as Graph values:
+    vertex v of a base graph becomes perms[c][v]."""
+    n = base[0].n
+    adj = np.array([[[r >> w & 1 for w in range(n)] for r in g.rows] for g in base])
+    inv = np.argsort(perms, axis=1)
+    out = adj[:, inv[:, :, None], inv[:, None, :]]  # (base, copy, n, n)
+    rows = (out.astype(np.int64) << np.arange(n)).sum(axis=3).reshape(-1, n)
+    return [Graph._from_rows_unchecked(n, tuple(r)) for r in rows.tolist()]
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_corpus_batch_matches_power_iteration_near_threshold(monkeypatch, n):
+    # Labeled copies of L_n and B_n (rho exactly theta) and their one-edge
+    # additions and deletions that stay connected (rho just above or below)
+    # are where the batched bounds of the corpus path are tightest.  rho is
+    # a relabeling invariant, so the per-graph verdict of each unlabeled
+    # graph is computed once by power iteration.  Every copy of L_n, and
+    # of B_n at n = 9, is checked; at n = 10 and 11 a seeded 1,000 of
+    # B_n's 15,120 and 27,720 copies, which all fall to power iteration.
+    from histspec import verification
+    from histspec.spectral import GUARD, spectral_radius
+    from histspec.verification import CORPUS_BATCH, _over_threshold
+
+    calls = []
+    real = verification.spectral_radius
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(verification, "spectral_radius", counted)
+    b_limit = None if n == 9 else 1000
+    for fam, theta, moved, limit in (
+            (family_L(n), threshold_connected(n), (0, 1, 2), None),
+            (family_B(n), threshold_two_connected(n), (0, 1, 2, 3, 4), b_limit)):
+        base = [fam]
+        for i, j in itertools.combinations(range(n), 2):
+            h = fam.remove_edge(i, j) if fam.has_edge(i, j) else fam.add_edge(i, j)
+            if h.is_connected():
+                base.append(h)
+        want = [spectral_radius(h).rho >= theta - GUARD for h in base]
+        assert want[0] and not all(want)
+        perms = _labeled_copies(fam, moved, limit, seed=n)
+        graphs = _relabeled(base, perms)
+        expected = [w for w in want for _ in perms]
+        del calls[:]
+        got = []
+        for s in range(0, len(graphs), CORPUS_BATCH):
+            batch = graphs[s:s + CORPUS_BATCH]
+            over = {id(g) for g in _over_threshold(batch, theta)}
+            got.extend(id(g) in over for g in batch)
+        assert got == expected
+        assert len(perms) <= len(calls) < len(graphs)
+
+
+def test_corpus_batch_at_order_62(tmp_path):
+    # graph6's short form stops at n = 62; the corpus path packs rows into
+    # int64, so bit 61 is the highest it must read.
+    from histspec.spectral import GUARD, spectral_radius
+    from histspec.verification import _over_threshold
+
+    n = 62
+    graphs = [complete(n), complete(n).remove_edge(0, n - 1), family_L(n), family_B(n)]
+    for theta in (threshold_connected(n), threshold_two_connected(n)):
+        want = [g for g in graphs if spectral_radius(g).rho >= theta - GUARD]
+        assert _over_threshold(graphs, theta) == want
+    path = tmp_path / "corpus62.g6"
+    path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+    for verify in (verify_theorem1, verify_theorem2):
+        rep = verify(n, source=GRAPH6_CORPUS, corpus_path=str(path))
+        assert rep.ok
+        assert (rep.over_threshold, rep.extremal_matches, rep.hists_found) == (3, 1, 2)
+
+
+def test_corpus_and_scan_share_one_spectral_decision(tmp_path, monkeypatch):
+    # Every connected graph of one n=7 mask range, written as graph6, goes
+    # through the corpus driver; its over-threshold graphs must be exactly
+    # those of scan_range on the same range.
+    from histspec import verification
+
+    n, lo, hi = 7, 29 << 16, 30 << 16
+    theta = threshold_connected(n)
+    graphs = [g for g in (graph_from_mask(n, mk) for mk in range(lo, hi)) if g.is_connected()]
+    path = tmp_path / "range7.g6"
+    path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+
+    seen = []
+    real = verification.is_family_L
+
+    def recorded(g):  # every over-threshold corpus graph is tested first
+        seen.append(mask_of_graph(g))
+        return real(g)
+
+    monkeypatch.setattr(verification, "is_family_L", recorded)
+    rep = verify_theorem1(n, source=GRAPH6_CORPUS, corpus_path=str(path))
+    shard = scan_range(ScanConfig(n=n, theta=theta, mode="thm1", collect_over=True), lo, hi)
+    assert rep.scanned == len(graphs)
+    assert rep.over_threshold == shard.over == len(seen) > 0
+    assert sorted(seen) == sorted(shard.over_masks)
+    assert (rep.extremal_matches, rep.hists_found, rep.counterexamples) == (
+        shard.extremal, shard.hists, shard.counterexamples)
 
 
 def test_double_star_shortcut_is_sound():
