@@ -137,13 +137,10 @@ class Graph:
     def cut_vertices(self) -> frozenset[int]:
         """Articulation vertices, by iterative low-link DFS.
 
-        Input must be connected.
+        Input must be connected; the DFS from vertex 0 checks that by
+        reaching every vertex.
         """
-        if not self.is_connected():
-            raise ValueError("cut_vertices requires a connected graph")
         n = self.n
-        if n <= 2:
-            return frozenset()
         disc = [-1] * n
         low = [0] * n
         parent = [-1] * n
@@ -175,6 +172,8 @@ class Graph:
                     low[p] = min(low[p], low[v])
                     if p != 0 and low[v] >= disc[p]:
                         ap[p] = True
+        if timer != n:
+            raise ValueError("cut_vertices requires a connected graph")
         if root_children > 1:
             ap[0] = True
         return frozenset(v for v in range(n) if ap[v])

@@ -62,10 +62,11 @@ class HistOutcome:
     certificate: Certificate | None = None
 
     def __post_init__(self):
-        if self.found:
-            assert self.tree_edges is not None and self.certificate is None
-        else:
-            assert self.tree_edges is None and self.certificate is not None
+        has_tree, has_cert = self.tree_edges is not None, self.certificate is not None
+        if (has_tree, has_cert) != (self.found, not self.found):
+            raise InvariantViolation(
+                f"HistOutcome(found={self.found}) needs "
+                + ("a tree and no certificate" if self.found else "a certificate and no tree"))
 
 
 def is_valid_hist(g: Graph, edges) -> bool:

@@ -7,19 +7,20 @@ graph6 triangle order.  The scan pipeline per mask block is:
   1. mask-level prescreens (edge count, degrees, Hong-type bound), each
      justified by an upper bound on rho that is valid for every connected
      graph, so no graph that could reach the threshold is ever dropped;
-  2. certain classifications that skip the eigensolver: Rayleigh
-     quotients of the all-ones and degree vectors are lower bounds on rho
-     (certain over), the maximum two-walk count bounds rho^2 from above
-     (certain under), and a few Collatz-Wielandt steps from the positive
-     vector (A+I)d then bracket rho between the Rayleigh quotient x'Ax/x'x
-     and max_v (Ax)_v/x_v (positive because the prescreens enforce
-     minimum degree >= 1); a bound settles a graph only with the GUARD
-     margin below, so no verdict differs from the eigensolver's;
-  3. batched dense eigensolves for the few graphs left, which include
-     every labeled copy of the extremal family (rho exactly theta);
-  4. vectorized connectivity (or 2-connectivity) by bitset BFS over all
+  2. the spectral decision `over_threshold`, which the graph6 corpus
+     path shares: certain classifications that skip the eigensolver
+     (Rayleigh quotients of the all-ones and degree vectors are lower
+     bounds on rho, the maximum two-walk count bounds rho^2 from above,
+     and a few Collatz-Wielandt steps from the positive vector (A+I)d
+     then bracket rho between the Rayleigh quotient x'Ax/x'x and
+     max_v (Ax)_v/x_v, positive because the prescreens enforce minimum
+     degree >= 1; a bound settles a graph only with the GUARD margin
+     below, so no verdict differs from the eigensolver's), then batched
+     dense eigensolves for the few graphs left, which include every
+     labeled copy of the extremal family (rho exactly theta);
+  3. vectorized connectivity (or 2-connectivity) by bitset BFS over all
      graphs at once;
-  5. classification of the over-threshold graphs: extremal family match,
+  4. classification of the over-threshold graphs: extremal family match,
      star or spanning-double-star HIST constructions (vectorized), then a
      per-graph proof-guided constructor with full backtracking as the
      final fallback.
@@ -164,38 +165,29 @@ def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
 
 
 def _scan_block(cfg: ScanConfig, t: _Tables, masks: np.ndarray, out: ShardOut):
+    if cfg.prescreens:
+        masks = masks[_prescreen(cfg, t, masks)]
+    out.survivors += len(masks)
+    if not len(masks):
+        return
+    rows = _rows_of_masks(t, masks)
+    over = np.concatenate([over_threshold(cfg.theta, rows[s:s + EIG_BATCH], cfg.prescreens)
+                           for s in range(0, len(masks), EIG_BATCH)])
+    if over.any():
+        _classify_over(cfg, t, masks[over], rows[over], out)
+
+
+def _prescreen(cfg: ScanConfig, t: _Tables, masks: np.ndarray) -> np.ndarray:
+    """Which masks pass the edge-count, degree and Hong-type prescreens."""
     n = t.n
     m = np.bitwise_count(masks).astype(np.int64)
     deg = np.empty((len(masks), n), dtype=np.uint8)
     for v in range(n):
         deg[:, v] = np.bitwise_count(masks & t.inc[v])
-    dmax = deg.max(axis=1)
     dmin = deg.min(axis=1)
-
-    if cfg.prescreens:
-        keep = (m >= t.min_m) & (dmax >= t.min_dmax) & (dmin >= t.spec.min_degree)
-        keep &= hong_value(dmin.astype(np.float64), n, m) >= cfg.theta - GUARD
-        masks, m, deg, dmax = masks[keep], m[keep], deg[keep], dmax[keep]
-        out.survivors += len(masks)
-        if not len(masks):
-            return
-        # Rayleigh quotient of the all-ones vector: a certain lower bound.
-        certain_over = (2.0 * m / n) >= cfg.theta
-        rest = ~certain_over
-        over_parts = [masks[certain_over]]
-        if rest.any():
-            rmasks, rdeg = masks[rest], deg[rest]
-            rover = _eig_over(cfg, t, rmasks, rdeg, refine=True)
-            over_parts.append(rover)
-        over_masks = np.concatenate(over_parts)
-        over_masks.sort()
-    else:
-        out.survivors += len(masks)
-        over_masks = _eig_over(cfg, t, masks, deg, refine=False)
-
-    if not len(over_masks):
-        return
-    _classify_over(cfg, t, over_masks, out)
+    keep = (m >= t.min_m) & (deg.max(axis=1) >= t.min_dmax) & (dmin >= t.spec.min_degree)
+    keep &= hong_value(dmin.astype(np.float64), n, m) >= cfg.theta - GUARD
+    return keep
 
 
 def _rows_of_masks(t: _Tables, masks: np.ndarray) -> np.ndarray:
@@ -207,65 +199,68 @@ def _rows_of_masks(t: _Tables, masks: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _adj_of_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    bits = np.unpackbits(rows, axis=1, bitorder="little").reshape(len(rows), n, 8)
-    return bits[:, :, :n]
+def over_threshold(theta: float, rows: np.ndarray, refine: bool = True) -> np.ndarray:
+    """Which graphs reach rho >= theta - GUARD, batched.
 
+    `rows` holds one graph per row as adjacency bit rows of one order n
+    (bit w of rows[k, v] is the edge vw): uint8 from the scan engine,
+    little-endian int64 from a graph6 corpus (whose short form caps n at
+    62), so that byte w // 8 of a row holds bit w.  With
+    refine=False every graph goes to the dense eigensolver; the prescreen
+    audit uses that path as the reference.  With refine=True every vertex
+    must have degree >= 1 (the engine's prescreens and the corpus's
+    connectivity filter both ensure it), and exact side bounds settle most
+    graphs first:
 
-def _eig_over(cfg, t, masks, deg, refine):
-    """Masks whose spectral radius reaches theta - GUARD, batched.
-
-    With refine=False every mask goes to the dense eigensolver; the
-    prescreen audit uses that path as the reference.  With refine=True
-    (only called on masks that passed the prescreens, so every vertex has
-    degree >= 1) exact side bounds settle most masks first:
-
+      * the all-ones vector: its Rayleigh quotient 2m/n is a lower bound
+        on rho;
       * the degree vector d: its Rayleigh quotient d'Ad/d'd is a lower
         bound on rho, and the maximum two-walk count max_v (Ad)_v is an
         upper bound on rho^2;
-      * then, for the rows still undecided, up to CW_ITERS steps of the
+      * then, for the graphs still undecided, up to CW_ITERS steps of the
         Collatz-Wielandt sandwich from x = (A+I)d: with y = Ax,
         x'y/x'x <= rho <= max_v y_v/x_v, valid for any nonnegative
         symmetric A and positive x (Horn & Johnson, Matrix Analysis,
         8.1), followed by x <- (y + x)/max(y + x).  Here x starts >= d >= 1
         and A + I keeps it positive; the +I shift keeps the iteration
-        converging on bipartite rows, whose -rho eigenvalue would
+        converging on bipartite graphs, whose -rho eigenvalue would
         otherwise make it oscillate.
 
-    A row is over when a lower bound reaches theta and under when an upper
-    bound stays below theta - GUARD - 1e-12, so float error in the bounds
-    cannot change a verdict relative to the plain eigensolve.  Rows that
-    the bounds cannot settle, such as every labeled copy of the extremal
-    family (rho exactly theta), go to eigvalsh.
+    A graph is over when a lower bound reaches theta and under when an
+    upper bound stays below theta - GUARD - 1e-12, so float error in the
+    bounds cannot change a verdict relative to the plain eigensolve.  The
+    graphs the bounds cannot settle, such as every labeled copy of the
+    extremal family (rho exactly theta), go to eigvalsh.  LAPACK's
+    symmetric eigensolver is backward stable, so its largest eigenvalue is
+    within about n eps rho <= 62 * 2.2e-16 * 61, roughly 1e-12, of rho,
+    far inside GUARD = 1e-9.
     """
-    n = t.n
-    over = []
-    for s in range(0, len(masks), EIG_BATCH):
-        mk = masks[s:s + EIG_BATCH]
-        adj = _adj_of_rows(_rows_of_masks(t, mk), n).astype(np.float64)
-        if refine:
-            sure, mk, adj = _sandwich(cfg.theta, mk, adj, deg[s:s + EIG_BATCH])
-            over.append(sure)
-            if not len(mk):
-                continue
-        lam = np.linalg.eigvalsh(adj)[:, -1]
-        over.append(mk[lam >= cfg.theta - GUARD])
-    if not over:
-        return np.empty(0, dtype=np.uint32)
-    res = np.concatenate(over)
-    res.sort()
-    return res
+    n = rows.shape[1]
+    over = np.zeros(len(rows), dtype=bool)
+    open_ = np.arange(len(rows))
+    if refine:
+        deg = np.bitwise_count(rows).astype(np.float64)
+        over = deg @ np.ones(n) / n >= theta  # all-ones quotient 2m/n, exact sums
+        open_ = np.flatnonzero(~over)
+    adj = np.unpackbits(rows[open_].view(np.uint8), axis=1, bitorder="little").reshape(
+        len(open_), n, 8 * rows.itemsize)[:, :, :n].astype(np.float64)
+    if refine:
+        sure, rest = _sandwich(theta, adj, deg[open_])
+        over[open_[sure]] = True
+        open_, adj = open_[rest], adj[rest]
+    if len(open_):
+        over[open_] = np.linalg.eigvalsh(adj)[:, -1] >= theta - GUARD
+    return over
 
 
-def _sandwich(theta, keys, adj, deg):
-    """Settle rows by the side bounds of _eig_over.  `keys` names the
-    rows of `adj` (masks in the scan, batch positions on the corpus path)
-    and `deg` holds their degree vectors, all >= 1.  Returns the keys
-    certainly over, then the undecided keys and their adjacency
-    matrices."""
+def _sandwich(theta, adj, d):
+    """The degree, two-walk and Collatz-Wielandt bounds of
+    over_threshold on float64 adjacency matrices `adj` with degree vectors
+    `d`, all >= 1.  Returns the indices of the rows certainly over and of
+    the rows still undecided."""
     over = []
     under = theta - GUARD - 1e-12
-    d = deg.astype(np.float64)
+    keys = np.arange(len(adj))
     walk = np.matmul(adj, d[:, :, None])[:, :, 0]
     sure_over = (walk * d).sum(axis=1) >= theta * (d * d).sum(axis=1)
     sure_under = walk.max(axis=1) < under * under
@@ -275,15 +270,14 @@ def _sandwich(theta, keys, adj, deg):
         keep = ~(sure_over | sure_under)
         keys, adj, x = keys[keep], adj[keep], x[keep]
         if not len(keys):
-            return np.concatenate(over), keys, adj
+            return np.concatenate(over), keys
         x /= x.max(axis=1, keepdims=True)
         y = np.matmul(adj, x[:, :, None])[:, :, 0]
         sure_over = (x * y).sum(axis=1) >= theta * (x * x).sum(axis=1)
         sure_under = (y / x).max(axis=1) < under
         x += y
     over.append(keys[sure_over])
-    keep = ~(sure_over | sure_under)
-    return np.concatenate(over), keys[keep], adj[keep]
+    return np.concatenate(over), keys[~(sure_over | sure_under)]
 
 
 def _connected_filter(t: _Tables, rows: np.ndarray, two_connected: bool) -> np.ndarray:
@@ -341,9 +335,8 @@ def _double_star_feasible(t: _Tables, masks, rows) -> np.ndarray:
     return feasible
 
 
-def _classify_over(cfg, t, over_masks, out):
+def _classify_over(cfg, t, over_masks, rows, out):
     n = t.n
-    rows = _rows_of_masks(t, over_masks)
     keep = _connected_filter(t, rows, t.spec.two_connected)
     over_masks, rows = over_masks[keep], rows[keep]
     if not len(over_masks):
@@ -352,9 +345,7 @@ def _classify_over(cfg, t, over_masks, out):
     if cfg.collect_over:
         out.over_masks.extend(int(x) for x in over_masks)
 
-    deg = np.empty((len(over_masks), n), dtype=np.uint8)
-    for v in range(n):
-        deg[:, v] = np.bitwise_count(over_masks & t.inc[v])
+    deg = np.bitwise_count(rows)
 
     # extremal family candidates, confirmed per graph
     ext = np.zeros(len(over_masks), dtype=bool)

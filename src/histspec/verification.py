@@ -171,6 +171,8 @@ def _verify(spec, threshold, n, source, corpus_path, threads,
     """Body of verify_theorem1/2.  `threshold` is the public threshold
     function as the caller looked it up, so a rebinding of that module
     attribute takes effect."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     theta = threshold(n)
     t0 = time.monotonic()
     if source == LABELED_EXHAUSTIVE:
@@ -267,25 +269,12 @@ def _corpus_survivors(spec, n, theta, corpus_path, out):
 
 def _over_threshold(graphs, theta) -> list:
     """The graphs, all connected and of one order, whose spectral radius
-    reaches theta - GUARD, in their given order.
-
-    The scan engine's side bounds (`scan._sandwich`) settle most graphs;
-    only the rest go to power iteration.  No verdict differs from
-    `spectral_radius(g).rho >= theta - GUARD`: connected graphs have every
-    degree >= 1, as the bounds require; a graph is under only when an
-    upper bound on rho is below theta - GUARD - 1e-12, and the power
-    Rayleigh quotient never exceeds rho; a graph is over only when a lower
-    bound reaches theta, and the power iteration stops at a residual of at
-    most 1e-10, so its Rayleigh quotient lies within sqrt(n) 1e-10 of rho,
-    less than GUARD for every order graph6 allows (n <= 62).
-    """
-    n = graphs[0].n
-    rows = np.array([g.rows for g in graphs], dtype=np.int64)
-    adj = (rows[:, :, None] >> np.arange(n) & 1).astype(np.float64)
-    over, rest, _ = _scan._sandwich(theta, np.arange(len(graphs)), adj, adj.sum(axis=2))
-    over = over.tolist() + [i for i in rest.tolist()
-                            if spectral_radius(graphs[i]).rho >= theta - GUARD]
-    return [graphs[i] for i in sorted(over)]
+    reaches theta - GUARD, in their given order: `scan.over_threshold` on
+    their bit rows, packed as little-endian int64 (graph6's short form caps
+    n at 62).  Connected graphs have every degree >= 1, as its bounds
+    require."""
+    over = _scan.over_threshold(theta, np.array([g.rows for g in graphs], dtype="<i8"))
+    return [g for g, o in zip(graphs, over) if o]
 
 
 # -- corollaries and certificates ----------------------------------------------
@@ -467,6 +456,8 @@ def audit_prescreens(n: int, theorem: str = "thm2", subsample: int = 256,
     eigensolver shortcuts, and compares the resulting over-threshold mask
     sets exactly.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     t0 = time.monotonic()
     spec = theorem_spec(theorem)
     common = dict(n=n, theta=_threshold(spec, n), mode=spec.name,

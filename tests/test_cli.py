@@ -127,6 +127,10 @@ def test_bad_verify_options_exit2(capsys, tmp_path):
     assert code == 2 and "subsample must be >= 1" in err
     code, _, _ = run(capsys, "verify", "audit", "--n", "0", "--theorem", "thm1")
     assert code == 2
+    for what in ("thm1", "audit"):
+        code, _, err = run(capsys, "verify", what, "--n", "7", "--theorem", "thm1",
+                           "--threads", "0")
+        assert code == 2 and "threads must be >= 1" in err
 
 
 def test_nonconvergence_exit4(capsys):

@@ -74,6 +74,16 @@ def test_cut_vertices_against_brute_force_families():
         Graph(4, [(0, 1), (2, 3)]).cut_vertices()
 
 
+def test_cut_vertices_rejects_disconnected_input():
+    # The DFS's own visit count is the connectivity check, down to n = 2.
+    for g in (Graph(2), Graph(5, [(0, 1), (1, 2), (3, 4)]), Graph(5, [(1, 2), (2, 3), (3, 4)])):
+        with pytest.raises(ValueError, match="connected"):
+            g.cut_vertices()
+    assert Graph(1).cut_vertices() == frozenset()
+    assert complete(2).cut_vertices() == frozenset()
+    assert not Graph(5, [(0, 1), (1, 2), (3, 4)]).is_2_connected()
+
+
 def test_two_connectivity_examples():
     assert family_B(8).is_2_connected()
     assert not family_L(7).is_2_connected()

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,7 +25,8 @@ from histspec import (
     star,
 )
 from histspec.graphs import Graph
-from histspec.hist import CUT_VERTEX_DEG2, P5_PATTERN
+from histspec.hist import CUT_VERTEX_DEG2, EXHAUSTED_SEARCH, P5_PATTERN, Certificate, HistOutcome
+from histspec.spectral import InvariantViolation
 
 from helpers import (
     combo_spanning_trees,
@@ -243,3 +248,23 @@ def test_proof_guided_thm1_consistency_random():
         elif t.recognized_family == "L":
             assert is_family_L(g)
         done += 1
+
+
+def test_hist_outcome_invariant_survives_optimize():
+    # A found outcome carries a tree and no certificate, a not-found one
+    # the reverse; the check is not an assert, so `python -O` keeps it.
+    cert = Certificate(EXHAUSTED_SEARCH)
+    for bad in (dict(found=True), dict(found=False),
+                dict(found=True, tree_edges=((0, 1),), certificate=cert),
+                dict(found=False, tree_edges=((0, 1),), certificate=cert)):
+        with pytest.raises(InvariantViolation):
+            HistOutcome(**bad)
+    assert HistOutcome(found=True, tree_edges=((0, 1),)).found
+    assert not HistOutcome(found=False, certificate=cert).found
+    code = ("from histspec.hist import HistOutcome\n"
+            "from histspec.spectral import InvariantViolation\n"
+            "try:\n    HistOutcome(found=True)\nexcept InvariantViolation:\n    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0

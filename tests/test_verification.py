@@ -137,22 +137,21 @@ def test_sandwich_matches_eigensolve_near_threshold(monkeypatch, n, mode, extrem
     # one edge added or removed lands just above or below it: the rows
     # where the bounds of the refine path are tightest and must hand over
     # to the eigensolver.  The refine path requires minimum degree >= 1.
-    from histspec.scan import _Tables, _eig_over
+    # The same rows as int64, the corpus path's dtype, must decide alike.
+    from histspec.scan import _rows_of_masks, _Tables, over_threshold
 
     theta = threshold_connected(n) if mode == "thm1" else threshold_two_connected(n)
-    cfg = ScanConfig(n=n, theta=theta, mode=mode, extremal=extremal)
-    t = _Tables(cfg)
+    t = _Tables(ScanConfig(n=n, theta=theta, mode=mode, extremal=extremal))
     fam = family_L(n) if extremal == "L" else family_B(n)
     copies = {mask_of_graph(fam.relabel(p)) for p in itertools.permutations(range(n))}
     near = set(copies)
     for mk in copies:
         near.update(mk ^ (1 << b) for b in range(t.nbits))
     masks = np.array(sorted(near), dtype=np.uint32)
-    deg = np.stack([np.bitwise_count(masks & t.inc[v]) for v in range(n)], axis=1)
-    keep = deg.min(axis=1) >= 1
-    masks, deg = masks[keep], deg[keep]
+    rows = _rows_of_masks(t, masks)
+    keep = np.bitwise_count(rows).min(axis=1) >= 1
+    masks, rows = masks[keep], rows[keep]
 
-    plain = _eig_over(cfg, t, masks, deg, refine=False)
     solved = []
     real = np.linalg.eigvalsh
 
@@ -161,10 +160,14 @@ def test_sandwich_matches_eigensolve_near_threshold(monkeypatch, n, mode, extrem
         return real(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    refined = _eig_over(cfg, t, masks, deg, refine=True)
-    assert np.array_equal(refined, plain)
-    assert set(copies) <= set(refined.tolist())
-    assert len(copies) <= sum(solved) < len(masks)
+    plain = over_threshold(theta, rows, refine=False)
+    assert sum(solved) == len(masks)
+    assert set(copies) <= set(masks[plain].tolist())
+    for r in (rows, rows.astype(np.int64)):
+        assert np.array_equal(over_threshold(theta, r, refine=False), plain)
+        del solved[:]
+        assert np.array_equal(over_threshold(theta, r, refine=True), plain)
+        assert len(copies) <= sum(solved) < len(masks)
 
 
 def _labeled_copies(g, moved, limit=None, seed=0):
@@ -211,19 +214,18 @@ def test_corpus_batch_matches_power_iteration_near_threshold(monkeypatch, n):
     # a relabeling invariant, so the per-graph verdict of each unlabeled
     # graph is computed once by power iteration.  Every copy of L_n, and
     # of B_n at n = 9, is checked; at n = 10 and 11 a seeded 1,000 of
-    # B_n's 15,120 and 27,720 copies, which all fall to power iteration.
-    from histspec import verification
+    # B_n's 15,120 and 27,720 copies, which all fall to the eigensolver.
     from histspec.spectral import GUARD, spectral_radius
     from histspec.verification import CORPUS_BATCH, _over_threshold
 
-    calls = []
-    real = verification.spectral_radius
+    solved = []
+    real = np.linalg.eigvalsh
 
-    def counted(g):
-        calls.append(g)
-        return real(g)
+    def counted(a):
+        solved.append(len(a))
+        return real(a)
 
-    monkeypatch.setattr(verification, "spectral_radius", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     b_limit = None if n == 9 else 1000
     for fam, theta, moved, limit in (
             (family_L(n), threshold_connected(n), (0, 1, 2), None),
@@ -238,14 +240,14 @@ def test_corpus_batch_matches_power_iteration_near_threshold(monkeypatch, n):
         perms = _labeled_copies(fam, moved, limit, seed=n)
         graphs = _relabeled(base, perms)
         expected = [w for w in want for _ in perms]
-        del calls[:]
+        del solved[:]
         got = []
         for s in range(0, len(graphs), CORPUS_BATCH):
             batch = graphs[s:s + CORPUS_BATCH]
             over = {id(g) for g in _over_threshold(batch, theta)}
             got.extend(id(g) in over for g in batch)
         assert got == expected
-        assert len(perms) <= len(calls) < len(graphs)
+        assert len(perms) <= sum(solved) < len(graphs)
 
 
 def test_corpus_batch_at_order_62(tmp_path):
@@ -259,6 +261,7 @@ def test_corpus_batch_at_order_62(tmp_path):
     for theta in (threshold_connected(n), threshold_two_connected(n)):
         want = [g for g in graphs if spectral_radius(g).rho >= theta - GUARD]
         assert _over_threshold(graphs, theta) == want
+        assert _over_threshold(graphs[:1], theta) == graphs[:1]  # no row left open
     path = tmp_path / "corpus62.g6"
     path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
     for verify in (verify_theorem1, verify_theorem2):
@@ -374,6 +377,16 @@ def test_subsample_must_be_positive():
     for bad in (0, -5):
         with pytest.raises(ValueError, match="subsample must be >= 1"):
             verify_theorem1(7, subsample=bad)
+
+
+def test_threads_must_be_positive():
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            verify_theorem1(7, threads=bad)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            verify_theorem2(8, threads=bad)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            audit_prescreens(7, "thm1", subsample=16, threads=bad)
 
 
 def test_unknown_theorem_rejected():
