@@ -1,7 +1,7 @@
 """Verification outputs pinned byte for byte, `elapsed` removed.
 
-`golden_reports.json` holds the JSON of a few reports and one scan shard.
-Any change to a count, a threshold float or a counterexample string fails
+`golden_reports.json` holds the JSON of a few reports, one scan shard and
+a digest of proof-replay traces.  Any change to a count, a threshold float or a counterexample string fails
 here, so a refactor or a shortcut that is meant to leave outputs alone is
 checked to do so.  Re-record only for an intended change of output:
 
@@ -18,12 +18,19 @@ import sys
 import tempfile
 from dataclasses import asdict
 
-from histspec import Graph, encode_graph6, verify_theorem1, verify_theorem2
+from histspec import (Graph, InvariantViolation, decode_graph6, encode_graph6, make_family,
+                      verify_theorem1, verify_theorem2)
+from histspec.hist import proof_guided_hist
 from histspec.scan import ScanConfig, scan_range
 from histspec.verification import GRAPH6_CORPUS, SHARD_BITS, threshold_two_connected
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_reports.json")
 SHARD = 301  # an n=8 thm2 shard with extremal matches and proof-replay fallbacks
+# Graphs that reach replay cases the seeded inputs below rarely or never hit:
+# adjacent-pair/branch-vertex, nonadjacent-pair/cross-plus-outer,
+# nonadjacent-pair/double-cross, nonadjacent-pair/outside:unresolved and
+# nonadjacent-pair/two-outer.
+REPLAY_WITNESSES = ("G{eORC", "K{aCcQeu`E?a", "H}eVP_K", "Gsa`qG", "IsyDCXOH?")
 
 
 def write_corpus(path):
@@ -38,6 +45,65 @@ def write_corpus(path):
     lines.append("HvsGLqz")
     with open(path, "w", encoding="ascii") as fh:
         fh.writelines(line + "\n" for line in lines)
+
+
+def replay_inputs():
+    """Seeded inputs for `proof_guided_hist`, then REPLAY_WITNESSES.
+
+    Random graphs of order 7..12 whose vertex 0 misses 0-3 others (so the
+    maximum degree lands near n - 1, n - 2 or n - 3), randomly relabeled;
+    then random relabelings of L_n, B_n, K_{2,q} and K_{3,q}, each with 0-3
+    random edge flips.  Under both replay names these reach 20 of the 21
+    case labels; two_connected/max-degree=n-2/outside:no-usable-edge was
+    not reached in 400,000 tries aimed at it, so no input here covers it.
+    """
+    rng = random.Random(6)
+
+    def relabeled(g):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        return g.relabel(perm)
+
+    for _ in range(8000):
+        n = rng.randint(7, 12)
+        missed = set(rng.sample(range(1, n), rng.randint(0, 3)))
+        p = rng.uniform(0.2, 0.9)
+        edges = [(0, v) for v in range(1, n) if v not in missed]
+        edges += [(i, j) for j in range(2, n) for i in range(1, j) if rng.random() < p]
+        yield relabeled(Graph(n, edges))
+    bases = ([make_family("L", n) for n in range(7, 13)]
+             + [make_family("B", n) for n in range(7, 13)]
+             + [make_family("Kpq", 2, q) for q in range(5, 11)]
+             + [make_family("Kpq", 3, q) for q in range(4, 10)])
+    for base in bases:
+        for _ in range(30):
+            g = base
+            for _ in range(rng.randint(0, 3)):
+                u, v = rng.sample(range(g.n), 2)
+                g = g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v)
+            yield relabeled(g)
+    for text in REPLAY_WITNESSES:
+        yield decode_graph6(text)
+
+
+def replay_digest() -> dict:
+    """Per-label counts and one SHA-256 over every replay trace (label,
+    roles in order, tree, family) or error (type, message)."""
+    counts = {}
+    h = hashlib.sha256()
+    for g in replay_inputs():
+        for theorem in ("one_connected", "two_connected"):
+            try:
+                t = proof_guided_hist(g, theorem)
+            except (ValueError, InvariantViolation) as err:
+                key, item = "error:" + type(err).__name__, (type(err).__name__, str(err))
+            else:
+                tree = t.outcome.tree_edges if t.outcome else None
+                key = t.case_label
+                item = (t.case_label, tuple(t.vertex_roles.items()), tree, t.recognized_family)
+            counts[key] = counts.get(key, 0) + 1
+            h.update(repr(item).encode() + b"\n")
+    return {"counts": counts, "sha256": h.hexdigest()}
 
 
 def _report(rep, corpus_path=None):
@@ -64,6 +130,7 @@ def current_reports(tmp_dir) -> dict:
         "corpus_thm2_n9": _report(verify_theorem2(9, source=GRAPH6_CORPUS,
                                                   corpus_path=corpus_path), corpus_path),
         f"scan_range_thm2_n8_shard{SHARD}": shard,
+        "proof_replay": replay_digest(),
     }
 
 
