@@ -99,6 +99,9 @@ def cmd_family(args) -> int:
 
 def cmd_verify(args) -> int:
     what = args.what
+    if args.theorem is not None and what != "audit":
+        print("--theorem applies to verify audit only", file=sys.stderr)
+        return EXIT_USAGE
     if what in ("thm1", "thm2"):
         if args.n is None:
             print("verify thm1/thm2 needs --n", file=sys.stderr)
@@ -120,7 +123,8 @@ def cmd_verify(args) -> int:
         return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
     if what == "audit":
         report = verification.audit_prescreens(
-            8 if args.n is None else args.n, theorem=args.theorem,
+            8 if args.n is None else args.n,
+            theorem="thm2" if args.theorem is None else args.theorem,
             subsample=256 if args.subsample is None else args.subsample,
             threads=args.threads)
         _emit(args, json.loads(report.to_json()),
@@ -187,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="range_from", type=int, default=7)
     p.add_argument("--to", dest="range_to", type=int, default=20)
     p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--theorem", choices=[s.name for s in THEOREMS], default="thm2",
-                   help="which prescreens to audit")
+    p.add_argument("--theorem", choices=[s.name for s in THEOREMS], default=None,
+                   help="which prescreens to audit (audit only; default thm2)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("convert", help="round-trip validate a graph6 file")

@@ -11,7 +11,10 @@ with no vertex of degree exactly 2.  This module provides:
   * an independent brute-force oracle enumerating all spanning trees by
     deletion/contraction (oracle_hist);
   * a deterministic constructor that replays the case analysis of the
-    degree-driven existence proofs (proof_guided_hist).
+    degree-driven existence proofs (proof_guided_hist).  Every tree it
+    builds has one shape: the star of a maximum-degree vertex minus some
+    leaves plus a few edges.  Each case tries such candidates in a fixed
+    order and keeps the first HIST.
 
 Convention for tiny graphs: trees on at most 2 vertices have no degree-2
 vertex, so orders 1 and 2 trivially have HISTs; connected graphs of order
@@ -20,10 +23,11 @@ vertex, so orders 1 and 2 trivially have HISTs; connected graphs of order
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .graphs import Graph, _bits, is_family_B, is_family_L
+from .graphs import Graph, _bits, _is_clique, is_family_B, is_family_L
 from .spectral import THEOREMS, InvariantViolation
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
@@ -116,8 +120,7 @@ def no_hist_certificate(g: Graph) -> Optional[Certificate]:
         if degs[s2] != 2:
             continue
         row = g.rows[s2]
-        s1 = (row & -row).bit_length() - 1
-        s3 = (row ^ (row & -row)).bit_length() - 1
+        s1, s3 = _low(row), row.bit_length() - 1
         if degs[s1] != 2 or degs[s3] != 2:
             continue
         s0 = (g.rows[s1] ^ (1 << s2)).bit_length() - 1
@@ -435,6 +438,12 @@ def proof_guided_hist(g: Graph, theorem: str) -> ProofTrace:
     Returns a trace that either carries an explicit HIST, recognizes the
     extremal family, or reports the configuration as outside the
     constructive cases.
+
+    The hub is the lowest vertex of maximum degree Δ, and the outsiders
+    are the n - 1 - Δ vertices it misses.  Every tree a case builds is the
+    hub's star minus some leaves plus a few edges.  Each case yields such
+    candidates in a fixed order, and _first_hist keeps the first one that
+    is a HIST.
     """
     n = g.n
     spec = next((s for s in THEOREMS if s.replay == theorem), None)
@@ -446,35 +455,52 @@ def proof_guided_hist(g: Graph, theorem: str) -> ProofTrace:
         raise ValueError(f"{theorem} replay needs a {spec.connectivity} graph")
     floor_degree = n - spec.degree_gap
 
-    delta = g.max_degree()
+    degs = g.degrees()
+    delta = max(degs)
     if delta < floor_degree:
         raise ValueError(f"max degree {delta} below the reachable range {floor_degree}")
-    degs = g.degrees()
-    hub = min(v for v in range(n) if degs[v] == delta)
+    hub = degs.index(delta)
 
     if delta == n - 1:
-        tree = [(hub, w) for w in g.neighbors(hub)]
-        return _emit(g, f"{theorem}/max-degree=n-1/star", {"hub": hub}, tree)
+        return _emit(g, hub, f"{theorem}/max-degree=n-1/star", {"hub": hub}, [])
+    outsiders = _bits(((1 << n) - 1) ^ g.rows[hub] ^ (1 << hub))
     if theorem == "one_connected":
-        return _guided_one_connected(g, hub)
+        return _guided_one_connected(g, hub, *outsiders)
     if delta == n - 2:
-        return _guided_two_missing_one(g, hub)
-    return _guided_two_missing_two(g, hub)
+        return _guided_two_missing_one(g, hub, *outsiders)
+    return _guided_two_missing_two(g, hub, *outsiders)
 
 
-def _emit(g, label, roles, tree_edges) -> ProofTrace:
-    if not is_valid_hist(g, tree_edges):
-        raise InvariantViolation(f"case {label} emitted a non-HIST tree {tree_edges}")
-    outcome = HistOutcome(found=True, tree_edges=tuple(sorted(tree_edges)))
-    return ProofTrace(case_label=label, vertex_roles=roles, outcome=outcome)
+def _low(x: int) -> int:
+    """Index of the lowest set bit of x."""
+    return (x & -x).bit_length() - 1
 
 
-def _try_emit(g, label, roles, tree_edges) -> ProofTrace | None:
-    """Emit only if the candidate really is a HIST; else keep searching."""
-    if is_valid_hist(g, tree_edges):
-        outcome = HistOutcome(found=True, tree_edges=tuple(sorted(tree_edges)))
-        return ProofTrace(case_label=label, vertex_roles=roles, outcome=outcome)
+def _star_minus(g, hub, removed) -> list[tuple[int, int]]:
+    return [(hub, w) for w in _bits(g.rows[hub] & ~removed)]
+
+
+def _first_hist(g, hub, candidates) -> ProofTrace | None:
+    """Trace of the first candidate whose tree is a HIST, else None.
+
+    A candidate is (label, roles, removed, extra).  Its tree is the hub's
+    star minus the leaves in the bitmask `removed`, plus the edges `extra`.
+    """
+    for label, roles, removed, extra in candidates:
+        tree = _star_minus(g, hub, removed) + extra
+        if is_valid_hist(g, tree):
+            outcome = HistOutcome(found=True, tree_edges=tuple(sorted(tree)))
+            return ProofTrace(case_label=label, vertex_roles=roles, outcome=outcome)
     return None
+
+
+def _emit(g, hub, label, roles, extra) -> ProofTrace:
+    """The whole star plus `extra`, which the proof guarantees is a HIST."""
+    trace = _first_hist(g, hub, [(label, roles, 0, extra)])
+    if trace is None:
+        tree = _star_minus(g, hub, 0) + extra
+        raise InvariantViolation(f"case {label} emitted a non-HIST tree {tree}")
+    return trace
 
 
 def _roles(**kv) -> dict[str, int]:
@@ -486,277 +512,160 @@ def _roles(**kv) -> dict[str, int]:
     return out
 
 
-def _star_minus(g, hub, removed) -> list[tuple[int, int]]:
-    return [(hub, w) for w in g.neighbors(hub) if not removed >> w & 1]
-
-
-def _guided_one_connected(g: Graph, x: int) -> ProofTrace:
+def _guided_one_connected(g: Graph, x: int, y: int) -> ProofTrace:
     """Connected case with max degree n-2: detour tree or family recognition."""
-    n = g.n
-    full = (1 << n) - 1
-    nx_mask = g.rows[x]
-    y = (full ^ nx_mask ^ (1 << x)).bit_length() - 1
     attach = g.rows[y]  # neighbors of y, all inside N(x)
-    for x_i in _bits(attach):
-        inner = g.rows[x_i] & nx_mask
-        for x_j in _bits(inner):
-            tree = _star_minus(g, x, 1 << x_j) + [(x_i, y), (x_i, x_j)]
-            hit = _try_emit(
-                g, "one_connected/max-degree=n-2/detour",
-                _roles(hub=x, outsider=y, pivot=x_i, detour=x_j), tree,
-            )
-            if hit:
-                return hit
-    if attach.bit_count() == 1:
-        x1 = attach.bit_length() - 1
-        clique_mask = full ^ (1 << y) ^ (1 << x1)
-        from .graphs import _is_clique
-
-        if _is_clique(g, clique_mask):
-            if not is_family_L(g):
-                raise InvariantViolation("pendant chain found but family check failed")
-            return ProofTrace(
-                case_label="one_connected/max-degree=n-2/pendant-chain",
-                vertex_roles=_roles(hub=x, outsider=y, bridge=x1),
-                recognized_family="L",
-            )
-        return ProofTrace(
-            case_label="one_connected/max-degree=n-2/outside:incomplete-clique",
-            vertex_roles=_roles(hub=x, outsider=y, bridge=x1),
-        )
-    return ProofTrace(
-        case_label="one_connected/max-degree=n-2/outside:multiple-attachments",
-        vertex_roles=_roles(hub=x, outsider=y),
-    )
+    hit = _first_hist(g, x, (
+        ("one_connected/max-degree=n-2/detour",
+         _roles(hub=x, outsider=y, pivot=x_i, detour=x_j), 1 << x_j, [(x_i, y), (x_i, x_j)])
+        for x_i in _bits(attach) for x_j in _bits(g.rows[x_i] & g.rows[x])))
+    if hit:
+        return hit
+    if attach.bit_count() != 1:
+        return ProofTrace("one_connected/max-degree=n-2/outside:multiple-attachments",
+                          _roles(hub=x, outsider=y))
+    x1 = attach.bit_length() - 1
+    roles = _roles(hub=x, outsider=y, bridge=x1)
+    if not _is_clique(g, ((1 << g.n) - 1) ^ (1 << y) ^ (1 << x1)):
+        return ProofTrace("one_connected/max-degree=n-2/outside:incomplete-clique", roles)
+    if not is_family_L(g):
+        raise InvariantViolation("pendant chain found but family check failed")
+    return ProofTrace("one_connected/max-degree=n-2/pendant-chain", roles,
+                      recognized_family="L")
 
 
-def _guided_two_missing_one(g: Graph, u: int) -> ProofTrace:
+def _guided_two_missing_one(g: Graph, u: int, v: int) -> ProofTrace:
     """2-connected case with max degree n-2."""
-    n = g.n
-    full = (1 << n) - 1
-    nu = g.rows[u]
-    v = (full ^ nu ^ (1 << u)).bit_length() - 1
-    nv = g.rows[v]  # subset of N(u)
-    for u_r in _bits(nv):
-        inner = g.rows[u_r] & nv
-        for u_s in _bits(inner):
-            tree = _star_minus(g, u, 1 << u_s) + [(u_r, v), (u_r, u_s)]
-            hit = _try_emit(
-                g, "two_connected/max-degree=n-2/neighbor-pair",
-                _roles(hub=u, outsider=v, pivot=u_r, mate=u_s), tree,
-            )
-            if hit:
-                return hit
-    if nv == nu:
-        # N(v) = N(u) independent: complete bipartite, eliminated by counting.
-        return ProofTrace(
-            case_label="two_connected/max-degree=n-2/outside:complete-bipartite",
-            vertex_roles=_roles(hub=u, outsider=v),
-        )
-    rest = nu ^ nv
-    for u_i in _bits(nv):
-        cross = g.rows[u_i] & rest
-        for u_j in _bits(cross):
-            tree = _star_minus(g, u, 1 << u_j) + [(v, u_i), (u_i, u_j)]
-            hit = _try_emit(
-                g, "two_connected/max-degree=n-2/cross-edge",
-                _roles(hub=u, outsider=v, pivot=u_i, detour=u_j), tree,
-            )
-            if hit:
-                return hit
-    return ProofTrace(
-        case_label="two_connected/max-degree=n-2/outside:no-usable-edge",
-        vertex_roles=_roles(hub=u, outsider=v),
-    )
+    nu, nv = g.rows[u], g.rows[v]  # N(v) is inside N(u)
+    neighbor_pairs = (
+        ("two_connected/max-degree=n-2/neighbor-pair",
+         _roles(hub=u, outsider=v, pivot=u_r, mate=u_s), 1 << u_s, [(u_r, v), (u_r, u_s)])
+        for u_r in _bits(nv) for u_s in _bits(g.rows[u_r] & nv))
+    cross_edges = (
+        ("two_connected/max-degree=n-2/cross-edge",
+         _roles(hub=u, outsider=v, pivot=u_i, detour=u_j), 1 << u_j, [(v, u_i), (u_i, u_j)])
+        for u_i in _bits(nv) for u_j in _bits(g.rows[u_i] & (nu ^ nv)))
+    # N(v) = N(u) leaves no cross edge; with N(u) independent the graph is
+    # complete bipartite, a case the proof eliminates by counting.
+    return _first_hist(g, u, itertools.chain(neighbor_pairs, cross_edges)) or ProofTrace(
+        "two_connected/max-degree=n-2/outside:complete-bipartite" if nv == nu
+        else "two_connected/max-degree=n-2/outside:no-usable-edge", _roles(hub=u, outsider=v))
 
 
-def _guided_two_missing_two(g: Graph, u: int) -> ProofTrace:
+def _guided_two_missing_two(g: Graph, u: int, v1: int, v2: int) -> ProofTrace:
     """2-connected case with max degree n-3 (two vertices outside N[u])."""
-    n = g.n
-    full = (1 << n) - 1
-    nu = g.rows[u]
-    missing = full ^ nu ^ (1 << u)
-    v1 = (missing & -missing).bit_length() - 1
-    v2 = (missing ^ (missing & -missing)).bit_length() - 1
-
     common = g.rows[v1] & g.rows[v2]
     if common:
-        u1 = (common & -common).bit_length() - 1
-        tree = _star_minus(g, u, 0) + [(u1, v1), (u1, v2)]
-        return _emit(
-            g, "two_connected/max-degree=n-3/common-neighbor",
-            _roles(hub=u, first=v1, second=v2, anchor=u1), tree,
-        )
-    if g.has_edge(v1, v2):
-        return _guided_adjacent_pair(g, u, v1, v2)
-    return _guided_nonadjacent_pair(g, u, v1, v2)
+        u1 = _low(common)
+        return _emit(g, u, "two_connected/max-degree=n-3/common-neighbor",
+                     _roles(hub=u, first=v1, second=v2, anchor=u1), [(u1, v1), (u1, v2)])
+    base = _roles(hub=u, first=v1, second=v2)
+    if not g.has_edge(v1, v2):
+        return _first_hist(g, u, _nonadjacent_pair(g, u, v1, v2, base)) or ProofTrace(
+            "two_connected/max-degree=n-3/nonadjacent-pair/outside:unresolved", base)
+    hit = _first_hist(g, u, _adjacent_pair(g, u, v1, v2, base))
+    if hit:
+        return hit
+    if is_family_B(g):
+        return ProofTrace("two_connected/max-degree=n-3/adjacent-pair/pendant-chain", base,
+                          recognized_family="B")
+    return ProofTrace("two_connected/max-degree=n-3/adjacent-pair/outside:unresolved", base)
 
 
-def _guided_adjacent_pair(g: Graph, u, v1, v2) -> ProofTrace:
-    n = g.n
-    nu = g.rows[u]
+def _adjacent_pair(g: Graph, u, v1, v2, base):
+    """Candidates when the two outsiders are adjacent."""
     side1 = g.rows[v1] ^ (1 << v2)
     side2 = g.rows[v2] ^ (1 << v1)
-    outer = nu ^ side1 ^ side2
-    base = _roles(hub=u, first=v1, second=v2)
+    outer = g.rows[u] ^ side1 ^ side2
 
     # Cross edge between the two private neighborhoods, with a spare vertex
     # on one side to re-anchor the outsiders.
     for w1 in _bits(side1):
         for w2 in _bits(g.rows[w1] & side2):
             if side1.bit_count() >= 2:
-                alpha = ((side1 ^ (1 << w1)) & -(side1 ^ (1 << w1))).bit_length() - 1
-                tree = _star_minus(g, u, (1 << alpha) | (1 << w2)) + [
-                    (alpha, v1), (w1, v1), (w1, w2), (v1, v2)]
-                hit = _try_emit(
-                    g, "two_connected/max-degree=n-3/adjacent-pair/cross-edge",
-                    {**base, **_roles(near=w1, far=w2, spare=alpha)}, tree)
-                if hit:
-                    return hit
+                alpha = _low(side1 ^ (1 << w1))
+                yield ("two_connected/max-degree=n-3/adjacent-pair/cross-edge",
+                       {**base, **_roles(near=w1, far=w2, spare=alpha)}, (1 << alpha) | (1 << w2),
+                       [(alpha, v1), (w1, v1), (w1, w2), (v1, v2)])
             if side2.bit_count() >= 2:
-                beta = ((side2 ^ (1 << w2)) & -(side2 ^ (1 << w2))).bit_length() - 1
-                tree = _star_minus(g, u, (1 << w1) | (1 << beta)) + [
-                    (w1, w2), (w2, v2), (v1, v2), (v2, beta)]
-                hit = _try_emit(
-                    g, "two_connected/max-degree=n-3/adjacent-pair/cross-edge",
-                    {**base, **_roles(near=w1, far=w2, spare=beta)}, tree)
-                if hit:
-                    return hit
+                beta = _low(side2 ^ (1 << w2))
+                yield ("two_connected/max-degree=n-3/adjacent-pair/cross-edge",
+                       {**base, **_roles(near=w1, far=w2, spare=beta)}, (1 << w1) | (1 << beta),
+                       [(w1, w2), (w2, v2), (v1, v2), (v2, beta)])
 
     # Edge from one side into the shared remainder, again with a spare.
     for side, v_s, v_t in ((side1, v1, v2), (side2, v2, v1)):
         if side.bit_count() < 2:
             continue
         for w in _bits(side):
+            gamma = _low(side ^ (1 << w))
             for z in _bits(g.rows[w] & outer):
-                gamma = ((side ^ (1 << w)) & -(side ^ (1 << w))).bit_length() - 1
-                tree = _star_minus(g, u, (1 << gamma) | (1 << z)) + [
-                    (w, z), (gamma, v_s), (w, v_s), (v_s, v_t)]
-                hit = _try_emit(
-                    g, "two_connected/max-degree=n-3/adjacent-pair/outer-edge",
-                    {**base, **_roles(carrier=w, outer=z, spare=gamma)}, tree)
-                if hit:
-                    return hit
+                yield ("two_connected/max-degree=n-3/adjacent-pair/outer-edge",
+                       {**base, **_roles(carrier=w, outer=z, spare=gamma)}, (1 << gamma) | (1 << z),
+                       [(w, z), (gamma, v_s), (w, v_s), (v_s, v_t)])
 
     # A side vertex with an extra neighbor (degree above 2) gives a detour.
     for side, other, v_s, v_t in ((side1, side2, v1, v2), (side2, side1, v2, v1)):
         for alpha in _bits(side):
-            extra = g.rows[alpha] & ~(1 << u) & ~(1 << v_s)
-            for u_p in _bits(extra):
+            for u_p in _bits(g.rows[alpha] & ~(1 << u) & ~(1 << v_s)):
                 if (other | outer) >> u_p & 1:
                     if side.bit_count() >= 2:
-                        u_c = ((side ^ (1 << alpha)) & -(side ^ (1 << alpha))).bit_length() - 1
-                        tree = _star_minus(g, u, (1 << u_c) | (1 << u_p)) + [
-                            (alpha, u_p), (alpha, v_s), (v_s, v_t), (v_s, u_c)]
-                        hit = _try_emit(
-                            g, "two_connected/max-degree=n-3/adjacent-pair/branch-vertex",
-                            {**base, **_roles(branch=alpha, target=u_p, spare=u_c)}, tree)
-                        if hit:
-                            return hit
-                else:
-                    # target inside the same side: pair with an outer edge
-                    # from the opposite side.
-                    for w in _bits(other):
-                        for z in _bits(g.rows[w] & outer):
-                            tree = _star_minus(g, u, (1 << u_p) | (1 << z)) + [
-                                (alpha, u_p), (alpha, v_s), (w, v_t), (w, z)]
-                            hit = _try_emit(
-                                g, "two_connected/max-degree=n-3/adjacent-pair/branch-vertex",
-                                {**base, **_roles(branch=alpha, target=u_p, carrier=w, outer=z)},
-                                tree)
-                            if hit:
-                                return hit
-
-    if is_family_B(g):
-        return ProofTrace(
-            case_label="two_connected/max-degree=n-3/adjacent-pair/pendant-chain",
-            vertex_roles=base,
-            recognized_family="B",
-        )
-    return ProofTrace(
-        case_label="two_connected/max-degree=n-3/adjacent-pair/outside:unresolved",
-        vertex_roles=base,
-    )
+                        u_c = _low(side ^ (1 << alpha))
+                        yield ("two_connected/max-degree=n-3/adjacent-pair/branch-vertex",
+                               {**base, **_roles(branch=alpha, target=u_p, spare=u_c)},
+                               (1 << u_c) | (1 << u_p),
+                               [(alpha, u_p), (alpha, v_s), (v_s, v_t), (v_s, u_c)])
+                    continue
+                # target inside the same side: pair with an outer edge from
+                # the opposite side.
+                for w in _bits(other):
+                    for z in _bits(g.rows[w] & outer):
+                        yield ("two_connected/max-degree=n-3/adjacent-pair/branch-vertex",
+                               {**base, **_roles(branch=alpha, target=u_p, carrier=w, outer=z)},
+                               (1 << u_p) | (1 << z), [(alpha, u_p), (alpha, v_s), (w, v_t), (w, z)])
 
 
-def _guided_nonadjacent_pair(g: Graph, u, v1, v2) -> ProofTrace:
-    nu = g.rows[u]
-    p_side = g.rows[v1]
-    q_side = g.rows[v2]
-    outer = nu ^ p_side ^ q_side
-    base = _roles(hub=u, first=v1, second=v2)
-
+def _nonadjacent_pair(g: Graph, u, v1, v2, base):
+    """Candidates when the two outsiders are not adjacent."""
+    p_side, q_side = g.rows[v1], g.rows[v2]
+    outer = g.rows[u] ^ p_side ^ q_side
     cross = [(a, b) for a in _bits(p_side) for b in _bits(g.rows[a] & q_side)]
-    if len(cross) >= 2:
-        (i, k), (j, l) = cross[0], cross[1]
-        if i != j and k != l:
-            tree = _star_minus(g, u, (1 << i) | (1 << l)) + [
-                (j, v1), (j, l), (i, k), (k, v2)]
-        elif i == j:
-            tree = _star_minus(g, u, (1 << j) | (1 << l)) + [
-                (j, v1), (j, l), (j, k), (k, v2)]
-        else:
-            tree = _star_minus(g, u, (1 << j) | (1 << l)) + [
-                (i, v1), (i, l), (j, l), (l, v2)]
-        hit = _try_emit(
-            g, "two_connected/max-degree=n-3/nonadjacent-pair/double-cross",
-            {**base, **_roles(a1=i, b1=k, a2=j, b2=l)}, tree)
-        if hit:
-            return hit
 
-    if cross:
-        a_p, b_q = cross[0]
-        # inner edge on the first side
-        for s in _bits(p_side):
-            for t in _bits(g.rows[s] & p_side):
-                tree = _star_minus(g, u, (1 << s) | (1 << a_p)) + [
-                    (t, v1), (s, t), (a_p, b_q), (b_q, v2)]
-                hit = _try_emit(
-                    g, "two_connected/max-degree=n-3/nonadjacent-pair/cross-plus-inner",
-                    {**base, **_roles(inner_a=s, inner_b=t, link_a=a_p, link_b=b_q)}, tree)
-                if hit:
-                    return hit
-        # inner edge on the second side (mirror)
-        for s in _bits(q_side):
-            for t in _bits(g.rows[s] & q_side):
-                tree = _star_minus(g, u, (1 << s) | (1 << b_q)) + [
-                    (t, v2), (s, t), (b_q, a_p), (a_p, v1)]
-                hit = _try_emit(
-                    g, "two_connected/max-degree=n-3/nonadjacent-pair/cross-plus-inner",
-                    {**base, **_roles(inner_a=s, inner_b=t, link_a=b_q, link_b=a_p)}, tree)
-                if hit:
-                    return hit
-        # outer-vertex detour on either side
-        for a_side, b_side, v_a, v_b in ((p_side, q_side, v1, v2), (q_side, p_side, v2, v1)):
-            for alpha in _bits(a_side):
-                for z in _bits(g.rows[alpha] & outer):
-                    for aa in _bits(a_side):
-                        for bb in _bits(g.rows[aa] & b_side):
-                            tree = _star_minus(g, u, (1 << aa) | (1 << z)) + [
-                                (alpha, v_a), (alpha, z), (aa, bb), (bb, v_b)]
-                            hit = _try_emit(
-                                g,
-                                "two_connected/max-degree=n-3/nonadjacent-pair/cross-plus-outer",
-                                {**base, **_roles(branch=alpha, outer=z, link_a=aa, link_b=bb)},
-                                tree)
-                            if hit:
-                                return hit
-    else:
+    if not cross:
         for alpha in _bits(p_side):
             for j in _bits(g.rows[alpha] & outer):
                 for beta in _bits(q_side):
-                    for k in _bits(g.rows[beta] & outer):
-                        if j == k:
-                            continue
-                        tree = _star_minus(g, u, (1 << j) | (1 << k)) + [
-                            (alpha, v1), (alpha, j), (beta, v2), (beta, k)]
-                        hit = _try_emit(
-                            g, "two_connected/max-degree=n-3/nonadjacent-pair/two-outer",
-                            {**base, **_roles(left=alpha, left_out=j, right=beta, right_out=k)},
-                            tree)
-                        if hit:
-                            return hit
-    return ProofTrace(
-        case_label="two_connected/max-degree=n-3/nonadjacent-pair/outside:unresolved",
-        vertex_roles=base,
-    )
+                    for k in _bits(g.rows[beta] & outer & ~(1 << j)):
+                        yield ("two_connected/max-degree=n-3/nonadjacent-pair/two-outer",
+                               {**base, **_roles(left=alpha, left_out=j, right=beta, right_out=k)},
+                               (1 << j) | (1 << k), [(alpha, v1), (alpha, j), (beta, v2), (beta, k)])
+        return
+
+    if len(cross) >= 2:
+        (i, k), (j, l) = cross[0], cross[1]
+        if i != j and k != l:
+            removed, extra = (1 << i) | (1 << l), [(j, v1), (j, l), (i, k), (k, v2)]
+        elif i == j:
+            removed, extra = (1 << j) | (1 << l), [(j, v1), (j, l), (j, k), (k, v2)]
+        else:
+            removed, extra = (1 << j) | (1 << l), [(i, v1), (i, l), (j, l), (l, v2)]
+        yield ("two_connected/max-degree=n-3/nonadjacent-pair/double-cross",
+               {**base, **_roles(a1=i, b1=k, a2=j, b2=l)}, removed, extra)
+
+    a_p, b_q = cross[0]
+    # an inner edge on either side
+    for side, v_a, v_b, link_a, link_b in ((p_side, v1, v2, a_p, b_q), (q_side, v2, v1, b_q, a_p)):
+        for s in _bits(side):
+            for t in _bits(g.rows[s] & side):
+                yield ("two_connected/max-degree=n-3/nonadjacent-pair/cross-plus-inner",
+                       {**base, **_roles(inner_a=s, inner_b=t, link_a=link_a, link_b=link_b)},
+                       (1 << s) | (1 << link_a), [(t, v_a), (s, t), (link_a, link_b), (link_b, v_b)])
+    # an outer-vertex detour on either side
+    for a_side, b_side, v_a, v_b in ((p_side, q_side, v1, v2), (q_side, p_side, v2, v1)):
+        for alpha in _bits(a_side):
+            for z in _bits(g.rows[alpha] & outer):
+                for aa in _bits(a_side):
+                    for bb in _bits(g.rows[aa] & b_side):
+                        yield ("two_connected/max-degree=n-3/nonadjacent-pair/cross-plus-outer",
+                               {**base, **_roles(branch=alpha, outer=z, link_a=aa, link_b=bb)},
+                               (1 << aa) | (1 << z), [(alpha, v_a), (alpha, z), (aa, bb), (bb, v_b)])

@@ -371,8 +371,6 @@ def _classify_over(cfg, t, over_masks, rows, out):
         trace = proof_guided_hist(g, t.spec.replay)
         if trace.found_tree:
             out.hists += 1
-        elif trace.recognized_family is not None:
-            out.extremal += 1
         elif find_hist(g).found:
             out.hists += 1
         else:

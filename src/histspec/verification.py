@@ -187,6 +187,8 @@ def _verify(spec, threshold, n, source, corpus_path, threads,
             raise ValueError("corpus source needs a corpus path")
         if subsample is not None:
             raise ValueError("subsample applies to the labeled source only")
+        if threads != 1:
+            raise ValueError("threads applies to the labeled source only")
         res = _scan_corpus(spec, n, theta, corpus_path)
         scope = f"all {spec.connectivity} graphs of order {n} in {corpus_path}"
     else:
@@ -242,8 +244,6 @@ def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
             trace = proof_guided_hist(g, spec.replay)
             if trace.found_tree:
                 out.hists += 1
-            elif trace.recognized_family is not None:
-                out.extremal += 1
             elif find_hist(g).found:
                 out.hists += 1
             else:

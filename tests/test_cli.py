@@ -127,10 +127,15 @@ def test_bad_verify_options_exit2(capsys, tmp_path):
     assert code == 2 and "subsample must be >= 1" in err
     code, _, _ = run(capsys, "verify", "audit", "--n", "0", "--theorem", "thm1")
     assert code == 2
-    for what in ("thm1", "audit"):
-        code, _, err = run(capsys, "verify", what, "--n", "7", "--theorem", "thm1",
-                           "--threads", "0")
+    for args in (("thm1",), ("audit", "--theorem", "thm1")):
+        code, _, err = run(capsys, "verify", *args, "--n", "7", "--threads", "0")
         assert code == 2 and "threads must be >= 1" in err
+    code, _, err = run(capsys, "verify", "thm1", "--n", "7", "--corpus", str(path),
+                       "--threads", "2")
+    assert code == 2 and "threads applies to the labeled source only" in err
+    for what in ("thm1", "thm2"):
+        code, _, err = run(capsys, "verify", what, "--n", "7", "--theorem", "thm2")
+        assert code == 2 and "--theorem applies to verify audit only" in err
 
 
 def test_nonconvergence_exit4(capsys):

@@ -54,8 +54,11 @@ def replay_inputs():
     maximum degree lands near n - 1, n - 2 or n - 3), randomly relabeled;
     then random relabelings of L_n, B_n, K_{2,q} and K_{3,q}, each with 0-3
     random edge flips.  Under both replay names these reach 20 of the 21
-    case labels; two_connected/max-degree=n-2/outside:no-usable-edge was
-    not reached in 400,000 tries aimed at it, so no input here covers it.
+    case labels.  two_connected/max-degree=n-2/outside:no-usable-edge was
+    not reached in 400,000 tries aimed at it, and no input here covers it:
+    an edge inside N(v), or from N(v) to the rest of N(u), gives a
+    candidate that is always a HIST, and without one every path from v to
+    the rest of N(u) passes through u, so the graph is not 2-connected.
     """
     rng = random.Random(6)
 
