@@ -1,7 +1,8 @@
 """Verification outputs pinned byte for byte, `elapsed` removed.
 
-`golden_reports.json` holds the JSON of a few reports, one scan shard and
-a digest of proof-replay traces.  Any change to a count, a threshold float or a counterexample string fails
+`golden_reports.json` holds the JSON of a few reports, one scan shard, a
+digest of proof-replay traces and the stdout of four `histspec verify`
+commands.  Any change to a count, a threshold float or a counterexample string fails
 here, so a refactor or a shortcut that is meant to leave outputs alone is
 checked to do so.  Re-record only for an intended change of output:
 
@@ -11,13 +12,17 @@ checked to do so.  Re-record only for an intended change of output:
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import random
+import re
 import sys
 import tempfile
+from contextlib import redirect_stdout
 from dataclasses import asdict
 
+from histspec import cli
 from histspec import (Graph, InvariantViolation, decode_graph6, encode_graph6, make_family,
                       verify_theorem1, verify_theorem2)
 from histspec.hist import proof_guided_hist
@@ -31,6 +36,13 @@ SHARD = 301  # an n=8 thm2 shard with extremal matches and proof-replay fallback
 # nonadjacent-pair/double-cross, nonadjacent-pair/outside:unresolved and
 # nonadjacent-pair/two-outer.
 REPLAY_WITNESSES = ("G{eORC", "K{aCcQeu`E?a", "H}eVP_K", "Gsa`qG", "IsyDCXOH?")
+CLI_VERIFY = (
+    ("thm1", "--n", "7", "--subsample", "128"),
+    ("corollaries", "--from", "7", "--to", "12"),
+    ("certificates", "--nmax", "4"),
+    ("audit", "--n", "7", "--theorem", "thm1", "--subsample", "512"),
+)
+ELAPSED = re.compile(r'(elapsed"?:? )[-+.e0-9]+')  # text "elapsed 1.23s", JSON "elapsed": 1.2e-05
 
 
 def write_corpus(path):
@@ -117,6 +129,20 @@ def _report(rep, corpus_path=None):
     return d
 
 
+def cli_verify() -> dict:
+    """Exit code and stdout of each CLI_VERIFY command, in text and in
+    structured format, with the elapsed seconds set to 0."""
+    out = {}
+    for args in CLI_VERIFY:
+        for fmt in ("text", "structured"):
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = cli.main(["--format", fmt, "verify", *args])
+            out[f"{fmt}: {' '.join(args)}"] = {
+                "exit": code, "stdout": ELAPSED.sub(r"\g<1>0", buf.getvalue())}
+    return out
+
+
 def current_reports(tmp_dir) -> dict:
     corpus_path = os.path.join(tmp_dir, "corpus9.g6")
     write_corpus(corpus_path)
@@ -134,6 +160,7 @@ def current_reports(tmp_dir) -> dict:
                                                   corpus_path=corpus_path), corpus_path),
         f"scan_range_thm2_n8_shard{SHARD}": shard,
         "proof_replay": replay_digest(),
+        "cli_verify": cli_verify(),
     }
 
 
