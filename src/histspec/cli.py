@@ -6,6 +6,12 @@ Exit codes: 0 success/verified, 1 counterexample or invariant violation,
 
 Wherever a graph6 string is expected, the shorthand family:NAME:params
 (e.g. family:L:7, family:Kpq:2:8) builds the named construction instead.
+
+Each `verify` target has its own parser that declares only the options
+its driver reads (thm1/thm2: --n, --corpus, --threads, --subsample;
+corollaries: --from, --to; certificates: --nmax; audit: --n, --theorem,
+--subsample, --threads), so argparse rejects any other with exit 2.
+Every driver returns a report with `ok`, `to_json()` and `text()`.
 """
 
 from __future__ import annotations
@@ -98,42 +104,9 @@ def cmd_family(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    what = args.what
-    if args.theorem is not None and what != "audit":
-        print("--theorem applies to verify audit only", file=sys.stderr)
-        return EXIT_USAGE
-    if what in ("thm1", "thm2"):
-        if args.n is None:
-            print("verify thm1/thm2 needs --n", file=sys.stderr)
-            return EXIT_USAGE
-        source = (verification.GRAPH6_CORPUS if args.corpus
-                  else verification.LABELED_EXHAUSTIVE)
-        fn = verification.verify_theorem1 if what == "thm1" else verification.verify_theorem2
-        report = fn(args.n, source=source, corpus_path=args.corpus,
-                    threads=args.threads, subsample=args.subsample)
-        _emit(args, json.loads(report.to_json()), report.text())
-        return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
-    if what == "corollaries":
-        report = verification.verify_corollaries(args.range_from, args.range_to)
-        _emit(args, json.loads(report.to_json()), report.text())
-        return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
-    if what == "certificates":
-        report = verification.verify_certificates(args.nmax)
-        _emit(args, json.loads(report.to_json()), report.text())
-        return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
-    if what == "audit":
-        report = verification.audit_prescreens(
-            8 if args.n is None else args.n,
-            theorem="thm2" if args.theorem is None else args.theorem,
-            subsample=256 if args.subsample is None else args.subsample,
-            threads=args.threads)
-        _emit(args, json.loads(report.to_json()),
-              f"prescreen audit n={report.n}: over with={report.over_with_prescreens} "
-              f"without={report.over_without_prescreens} "
-              f"discrepancies={report.discrepancies}")
-        return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
-    print(f"unknown verify target {what!r}", file=sys.stderr)
-    return EXIT_USAGE
+    report = args.driver(args)
+    _emit(args, json.loads(report.to_json()), report.text())
+    return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
 
 
 def cmd_convert(args) -> int:
@@ -180,20 +153,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", type=int, nargs="+")
     p.set_defaults(fn=cmd_family)
 
+    # Drivers are looked up in `verification` when they run, so a rebinding
+    # of the module attribute takes effect.
     p = sub.add_parser("verify", help="run a verification driver")
-    p.add_argument("what", choices=("thm1", "thm2", "corollaries",
-                                    "certificates", "audit"))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--corpus", default=None, help="graph6 corpus file")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--subsample", type=int, default=None,
-                   help="deterministic 1-in-N mask subsample (labeled source only)")
+    p.set_defaults(fn=cmd_verify)
+    targets = p.add_subparsers(dest="target", required=True)
+    for spec in THEOREMS:
+        p = targets.add_parser(spec.name, allow_abbrev=False,
+                               help=f"exhaustive {spec.connectivity}-threshold check")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--corpus", help="graph6 corpus file")
+        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--subsample", type=int,
+                       help="deterministic 1-in-N mask subsample (labeled source only)")
+        p.set_defaults(driver=lambda a, name=spec.name.replace("thm", "verify_theorem"):
+                       getattr(verification, name)(
+                           a.n, source=(verification.LABELED_EXHAUSTIVE if a.corpus is None
+                                        else verification.GRAPH6_CORPUS),
+                           corpus_path=a.corpus, threads=a.threads, subsample=a.subsample))
+
+    p = targets.add_parser("corollaries", allow_abbrev=False, help="order-only caps")
     p.add_argument("--from", dest="range_from", type=int, default=7)
     p.add_argument("--to", dest="range_to", type=int, default=20)
+    p.set_defaults(driver=lambda a: verification.verify_corollaries(a.range_from, a.range_to))
+
+    p = targets.add_parser("certificates", allow_abbrev=False, help="certificate soundness")
     p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--theorem", choices=[s.name for s in THEOREMS], default=None,
-                   help="which prescreens to audit (audit only; default thm2)")
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(driver=lambda a: verification.verify_certificates(a.nmax))
+
+    p = targets.add_parser("audit", allow_abbrev=False, help="prescreen safety audit")
+    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--theorem", choices=[s.name for s in THEOREMS], default="thm2",
+                   help="whose prescreens to audit")
+    p.add_argument("--subsample", type=int, default=256)
+    p.add_argument("--threads", type=int, default=1)
+    p.set_defaults(driver=lambda a: verification.audit_prescreens(
+        a.n, theorem=a.theorem, subsample=a.subsample, threads=a.threads))
 
     p = sub.add_parser("convert", help="round-trip validate a graph6 file")
     p.add_argument("file")

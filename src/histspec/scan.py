@@ -4,9 +4,9 @@ Graphs of order n are edge bitmasks over the C(n, 2) vertex pairs in
 colexicographic order ((i, j), i < j, ordered by j then i), matching the
 graph6 triangle order.  The scan pipeline per mask block is:
 
-  1. mask-level prescreens (edge count, degrees, Hong-type bound), each
-     justified by an upper bound on rho that is valid for every connected
-     graph, so no graph that could reach the threshold is ever dropped;
+  1. mask-level prescreens (degrees, Hong-type bound), each justified by
+     an upper bound on rho that is valid for every connected graph, so no
+     graph that could reach the threshold is ever dropped;
   2. the spectral decision `over_threshold`, which the graph6 corpus
      path shares: certain classifications that skip the eigensolver
      (Rayleigh quotients of the all-ones and degree vectors are lower
@@ -132,13 +132,6 @@ class _Tables:
         self.inc = inc
         spec = self.spec = theorem_spec(cfg.mode)
         self.min_dmax = n - spec.degree_gap
-        # Smallest edge count whose Hong-type bound can reach the threshold
-        # (the bound is non-increasing in the minimum degree, so the floor
-        # value is the permissive case; a graph of minimum degree d has at
-        # least d n / 2 edges).
-        d = spec.min_degree
-        self.min_m = next((m for m in range((d * n + 1) // 2, self.nbits + 1)
-                           if hong_value(d, n, m) >= cfg.theta - GUARD), 0)
         fam = make_family(spec.family, n)
         self.extremal_degmultiset = np.array(sorted(fam.degrees()), dtype=np.uint8)
         # Looked up per scan, not stored in the spec, so that rebinding
@@ -178,14 +171,14 @@ def _scan_block(cfg: ScanConfig, t: _Tables, masks: np.ndarray, out: ShardOut):
 
 
 def _prescreen(cfg: ScanConfig, t: _Tables, masks: np.ndarray) -> np.ndarray:
-    """Which masks pass the edge-count, degree and Hong-type prescreens."""
+    """Which masks pass the degree and Hong-type prescreens."""
     n = t.n
     m = np.bitwise_count(masks).astype(np.int64)
     deg = np.empty((len(masks), n), dtype=np.uint8)
     for v in range(n):
         deg[:, v] = np.bitwise_count(masks & t.inc[v])
     dmin = deg.min(axis=1)
-    keep = (m >= t.min_m) & (deg.max(axis=1) >= t.min_dmax) & (dmin >= t.spec.min_degree)
+    keep = (deg.max(axis=1) >= t.min_dmax) & (dmin >= t.spec.min_degree)
     keep &= hong_value(dmin.astype(np.float64), n, m) >= cfg.theta - GUARD
     return keep
 

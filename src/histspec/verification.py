@@ -171,8 +171,6 @@ def _verify(spec, threshold, n, source, corpus_path, threads,
     """Body of verify_theorem1/2.  `threshold` is the public threshold
     function as the caller looked it up, so a rebinding of that module
     attribute takes effect."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     theta = threshold(n)
     t0 = time.monotonic()
     if source == LABELED_EXHAUSTIVE:
@@ -208,18 +206,20 @@ def _shards(total: int):
 
 
 def _run_sharded(cfg: _scan.ScanConfig, threads: int) -> _scan.ShardOut:
-    total = 1 << (cfg.n * (cfg.n - 1) // 2)
-    shards = _shards(total)
-    merged = _scan.ShardOut()
-    if threads <= 1 or len(shards) == 1:
-        for lo, hi in shards:
-            merged.merge(_scan.scan_range(cfg, lo, hi))
-        return merged
-    import multiprocessing as mp
+    """Scan every shard of the labeled space on min(threads, shards)
+    worker processes, in this process when that is 1."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    jobs = [(cfg, lo, hi) for lo, hi in _shards(1 << (cfg.n * (cfg.n - 1) // 2))]
+    workers = min(threads, len(jobs))
+    if workers == 1:
+        parts = itertools.starmap(_scan.scan_range, jobs)
+    else:
+        import multiprocessing as mp
 
-    ctx = mp.get_context("fork")
-    with ctx.Pool(processes=threads) as pool:
-        parts = pool.starmap(_scan.scan_range, [(cfg, lo, hi) for lo, hi in shards])
+        with mp.get_context("fork").Pool(processes=workers) as pool:
+            parts = pool.starmap(_scan.scan_range, jobs)
+    merged = _scan.ShardOut()
     for part in parts:  # shard order, so merges are deterministic
         merged.merge(part)
     return merged
@@ -305,10 +305,7 @@ class CorollaryReport:
         return self.violations == 0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"lo": self.lo, "hi": self.hi, "violations": self.violations,
-             "elapsed": self.elapsed, "rows": [asdict(r) for r in self.rows]},
-            sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     def text(self) -> str:
         lines = [f"order-threshold corollaries, n = {self.lo}..{self.hi}"]
@@ -343,14 +340,14 @@ def verify_corollaries(lo: int, hi: int) -> CorollaryReport:
         row = CorollaryRow(n, None, None, None, None, None, None, None)
         sl = slack_bounds("L", n)
         row.rho_L = sl.base + sl.slack
-        row.cap_L = (n - 3) + 1.0 / (n - 3)
+        row.cap_L = sl.base + sl.upper
         row.ok_L = row.rho_L < row.cap_L
         if not row.ok_L:
             violations += 1
         if n >= 8:
             sb = slack_bounds("B", n)
             row.rho_B = sb.base + sb.slack
-            row.cap_B = (n - 4) + 2.0 / (n - 4)
+            row.cap_B = sb.base + sb.upper
             row.ok_B = row.rho_B < row.cap_B
             row.stated_B_cap_holds = sb.slack < 1.0 / (n - 4)
             if not row.ok_B:
@@ -446,6 +443,11 @@ class AuditReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
+    def text(self) -> str:
+        return (f"prescreen audit n={self.n}: over with={self.over_with_prescreens} "
+                f"without={self.over_without_prescreens} "
+                f"discrepancies={self.discrepancies}")
+
 
 def audit_prescreens(n: int, theorem: str = "thm2", subsample: int = 256,
                      threads: int = 1) -> AuditReport:
@@ -456,8 +458,6 @@ def audit_prescreens(n: int, theorem: str = "thm2", subsample: int = 256,
     eigensolver shortcuts, and compares the resulting over-threshold mask
     sets exactly.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     t0 = time.monotonic()
     spec = theorem_spec(theorem)
     common = dict(n=n, theta=_threshold(spec, n), mode=spec.name,

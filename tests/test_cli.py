@@ -133,9 +133,49 @@ def test_bad_verify_options_exit2(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "thm1", "--n", "7", "--corpus", str(path),
                        "--threads", "2")
     assert code == 2 and "threads applies to the labeled source only" in err
+    code, _, err = run(capsys, "verify", "thm1", "--n", "7", "--corpus", "")
+    assert code == 2 and "corpus source needs a corpus path" in err
     for what in ("thm1", "thm2"):
         code, _, err = run(capsys, "verify", what, "--n", "7", "--theorem", "thm2")
-        assert code == 2 and "--theorem applies to verify audit only" in err
+        assert code == 2 and "--theorem" in err
+
+
+# Every verify option with a well-formed value, and the options each target reads.
+VERIFY_OPTIONS = {"--n": "7", "--corpus": "corpus.g6", "--threads": "2", "--subsample": "4",
+                  "--from": "7", "--to": "8", "--nmax": "4", "--theorem": "thm1"}
+VERIFY_TARGETS = {
+    "thm1": ("--n", "--corpus", "--threads", "--subsample"),
+    "thm2": ("--n", "--corpus", "--threads", "--subsample"),
+    "corollaries": ("--from", "--to"),
+    "certificates": ("--nmax",),
+    "audit": ("--n", "--theorem", "--subsample", "--threads"),
+}
+
+
+def test_verify_rejects_options_its_target_does_not_read(capsys):
+    for what, reads in VERIFY_TARGETS.items():
+        required = ("--n", "7") if what in ("thm1", "thm2") else ()
+        for opt, value in VERIFY_OPTIONS.items():
+            if opt in reads:
+                continue
+            code, out, err = run(capsys, "verify", what, *required, opt, value)
+            assert code == 2 and out == "", (what, opt)
+            assert f"unrecognized arguments: {opt} {value}" in err, (what, opt)
+
+
+def test_verify_audit_defaults(capsys, monkeypatch):
+    from histspec import verification
+
+    calls = []
+
+    def fake(n, **kw):
+        calls.append((n, kw))
+        return verification.AuditReport(kw["theorem"], n, kw["subsample"], 0, 0, 0, 0, 0.0)
+
+    monkeypatch.setattr(verification, "audit_prescreens", fake)
+    code, out, _ = run(capsys, "verify", "audit")
+    assert code == 0 and out.startswith("prescreen audit n=8:")
+    assert calls == [(8, {"theorem": "thm2", "subsample": 256, "threads": 1})]
 
 
 def test_nonconvergence_exit4(capsys):

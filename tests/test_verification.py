@@ -389,6 +389,41 @@ def test_threads_must_be_positive():
             audit_prescreens(7, "thm1", subsample=16, threads=bad)
 
 
+def test_workers_capped_at_shard_count(monkeypatch):
+    # A fake pool records how many workers each scan asks for and runs the
+    # shards in process; n=7 has 2^21 masks, so four 2^19-mask shards.
+    import multiprocessing
+
+    started = []
+
+    class Pool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return list(itertools.starmap(fn, args))
+
+    class Context:
+        pass
+
+    Context.Pool = Pool
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
+    serial = json.loads(verify_theorem1(7, subsample=64).to_json())
+    assert started == []
+    for threads, workers in ((2, 2), (4, 4), (64, 4)):
+        rep = json.loads(verify_theorem1(7, subsample=64, threads=threads).to_json())
+        assert started.pop() == workers and not started
+        assert {**rep, "elapsed": 0} == {**serial, "elapsed": 0}
+    audit_prescreens(7, "thm1", subsample=512, threads=64)
+    assert started == [4, 4]
+
+
 def test_unknown_theorem_rejected():
     with pytest.raises(ValueError, match="unknown theorem"):
         audit_prescreens(8, theorem="thm3")
