@@ -1,18 +1,21 @@
 """Reader and writer for the short-form graph6 text format.
 
 One graph per line.  The first byte encodes the order as n + 63 (n <= 62
-only), followed by the upper triangle of the adjacency matrix read column
-by column (pairs (i, j) with i < j ordered by j then i), packed into
-6-bit groups, each group offset by 63, zero-padded at the end.
+only), followed by the upper triangle of the adjacency matrix in the
+colex slot order of `graphs.edge_slots`, packed into 6-bit groups, each
+group offset by 63, zero-padded at the end.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .graphs import Graph
+from .graphs import Graph, edge_slots, graph_from_mask, mask_of_graph
 
 HEADER = ">>graph6<<"
+# Byte k of a record carries data bits 6k..6k+5 from its high bit down,
+# so a 6-bit group read in reverse is that byte's share of the edge mask.
+_REVERSED6 = tuple(int(f"{c:06b}"[::-1], 2) for c in range(64))
 
 
 class Graph6FormatError(ValueError):
@@ -59,49 +62,27 @@ def decode_graph6(line: str) -> Graph:
     if n == 0:
         raise Graph6FormatError("graph of order 0 not supported", base)
 
-    rows = [0] * n
-    bit = 0
-    i, j = 0, 1  # current upper-triangle slot, columns ordered by j then i
+    mask = 0
     for k in range(nbytes):
         c = ord(body[1 + k])
         if not 63 <= c <= 126:
             raise Graph6FormatError(
                 f"byte {c} outside printable range 63..126", base + 1 + k
             )
-        group = c - 63
-        for shift in range(5, -1, -1):
-            b = group >> shift & 1
-            if bit < nbits:
-                if b:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                i += 1
-                if i == j:
-                    i, j = 0, j + 1
-            elif b:
-                raise Graph6FormatError("nonzero padding bits", base + 1 + k)
-            bit += 1
-    return Graph._from_rows_unchecked(n, tuple(rows))
+        mask |= _REVERSED6[c - 63] << 6 * k
+    if mask >> nbits:
+        raise Graph6FormatError("nonzero padding bits", base + nbytes)
+    return graph_from_mask(n, mask)
 
 
 def encode_graph6(g: Graph) -> str:
     """Encode a Graph as a short-form graph6 record (no trailing newline)."""
     if g.n > 62:
         raise ValueError(f"cannot encode order {g.n} > 62 in short form")
-    n = g.n
-    out = [chr(n + 63)]
-    group = 0
-    filled = 0
-    for j in range(1, n):
-        for i in range(j):
-            group = group << 1 | (g.rows[i] >> j & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(group + 63))
-                group, filled = 0, 0
-    if filled:
-        out.append(chr((group << (6 - filled)) + 63))
-    return "".join(out)
+    mask = mask_of_graph(g)
+    nbytes = (len(edge_slots(g.n)) + 5) // 6
+    return chr(g.n + 63) + "".join(chr(_REVERSED6[mask >> 6 * k & 63] + 63)
+                                   for k in range(nbytes))
 
 
 def stream_graph6(

@@ -10,6 +10,8 @@ share across worker processes.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import combinations
 from typing import Iterable, Iterator
 
 
@@ -236,6 +238,41 @@ def _reach(rows, start_mask: int, alive: int) -> int:
     return visited
 
 
+# -- the colex edge-slot code -------------------------------------------------
+
+
+@cache
+def edge_slots(n: int) -> tuple[tuple[int, int], ...]:
+    """The C(n, 2) vertex pairs (i, j), i < j, in colex order (by j, then i).
+
+    Slot b is bit b of an edge mask and data bit b of a graph6 record, so
+    this is the one definition of the order that graph6, the scan engine
+    and labeled enumeration share.
+    """
+    return tuple((i, j) for j in range(n) for i in range(j))
+
+
+def graph_from_mask(n: int, mask: int) -> Graph:
+    """The graph whose edges are the slots of the set bits of `mask`."""
+    slots = edge_slots(n)
+    rows = [0] * n
+    while mask:  # _bits inlined: graph6 decode runs this once per record
+        low = mask & -mask
+        i, j = slots[low.bit_length() - 1]
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+        mask ^= low
+    return Graph._from_rows_unchecked(n, tuple(rows))
+
+
+def mask_of_graph(g: Graph) -> int:
+    """The edge mask of g: bit b is set when slot b is an edge."""
+    mask = 0
+    for b, (i, j) in enumerate(edge_slots(g.n)):
+        mask |= (g.rows[i] >> j & 1) << b
+    return mask
+
+
 # -- named families ---------------------------------------------------------
 
 
@@ -281,7 +318,7 @@ def family_L(n: int) -> Graph:
     if n < 4:
         raise ValueError("this family needs n >= 4")
     edges = [(0, 1), (1, 2)]
-    edges += [(i, j) for i in range(2, n) for j in range(i + 1, n)]
+    edges += combinations(range(2, n), 2)
     return Graph(n, edges)
 
 
@@ -295,7 +332,7 @@ def family_B(n: int) -> Graph:
     if n < 6:
         raise ValueError("this family needs n >= 6")
     edges = [(0, 1), (1, 2), (0, 3), (2, 4)]
-    edges += [(i, j) for i in range(3, n) for j in range(i + 1, n)]
+    edges += combinations(range(3, n), 2)
     return Graph(n, edges)
 
 

@@ -545,11 +545,16 @@ def _guided_two_missing_one(g: Graph, u: int, v: int) -> ProofTrace:
         ("two_connected/max-degree=n-2/cross-edge",
          _roles(hub=u, outsider=v, pivot=u_i, detour=u_j), 1 << u_j, [(v, u_i), (u_i, u_j)])
         for u_i in _bits(nv) for u_j in _bits(g.rows[u_i] & (nu ^ nv)))
-    # N(v) = N(u) leaves no cross edge; with N(u) independent the graph is
-    # complete bipartite, a case the proof eliminates by counting.
-    return _first_hist(g, u, itertools.chain(neighbor_pairs, cross_edges)) or ProofTrace(
-        "two_connected/max-degree=n-2/outside:complete-bipartite" if nv == nu
-        else "two_connected/max-degree=n-2/outside:no-usable-edge", _roles(hub=u, outsider=v))
+    hit = _first_hist(g, u, itertools.chain(neighbor_pairs, cross_edges))
+    if hit:
+        return hit
+    # A candidate, when one exists, is a HIST.  Without one N(v) is
+    # independent and, as u is no cut vertex, equal to N(u): the graph is
+    # K_{2,n-2}, which the proof eliminates by counting.
+    if nv != nu:
+        raise InvariantViolation("no neighbor-pair or cross-edge HIST, yet N(v) != N(u)")
+    return ProofTrace("two_connected/max-degree=n-2/outside:complete-bipartite",
+                      _roles(hub=u, outsider=v))
 
 
 def _guided_two_missing_two(g: Graph, u: int, v1: int, v2: int) -> ProofTrace:

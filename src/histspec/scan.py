@@ -1,8 +1,10 @@
 """Vectorized exhaustive scan over all labeled graphs of a small order.
 
 Graphs of order n are edge bitmasks over the C(n, 2) vertex pairs in
-colexicographic order ((i, j), i < j, ordered by j then i), matching the
-graph6 triangle order.  The scan pipeline per mask block is:
+the colex slot order of `graphs.edge_slots`, which graph6 shares.  The
+order-only arrays of that code (`_codec(n)`) turn mask blocks into
+adjacency bit rows and test their connectivity without any theorem; the
+scan pipeline per mask block is:
 
   1. mask-level prescreens (degrees, Hong-type bound), each justified by
      an upper bound on rho that is valid for every connected graph, so no
@@ -31,40 +33,20 @@ the scan can only over-check.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
+from functools import cache
 
 import numpy as np
 
 from .graph6 import encode_graph6
-from .graphs import Graph, is_family_B, is_family_L, make_family
+from .graphs import Graph, edge_slots, is_family_B, is_family_L, make_family
 from .hist import find_hist, proof_guided_hist
-from .spectral import GUARD, hong_value, theorem_spec
+from .spectral import GUARD, TheoremSpec, hong_value, theorem_spec
 
 BLOCK_BITS = 20
 EIG_BATCH = 1 << 15
 CW_ITERS = 5  # Collatz-Wielandt steps before the eigensolve
 HASH_MULT = 2654435761  # Knuth multiplicative hash, for unbiased subsampling
-
-
-def edge_slots(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(n) for i in range(j)]
-
-
-def graph_from_mask(n: int, mask: int) -> Graph:
-    rows = [0] * n
-    for b, (i, j) in enumerate(edge_slots(n)):
-        if mask >> b & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return Graph._from_rows_unchecked(n, tuple(rows))
-
-
-def mask_of_graph(g: Graph) -> int:
-    mask = 0
-    for b, (i, j) in enumerate(edge_slots(g.n)):
-        if g.has_edge(i, j):
-            mask |= 1 << b
-    return mask
 
 
 @dataclass(frozen=True)
@@ -80,7 +62,7 @@ class ScanConfig:
     collect_over: bool = False     # also return the over-threshold masks
 
     def __post_init__(self, extremal):
-        spec = theorem_spec(self.mode)
+        spec = self.spec
         if extremal not in (None, spec.family):
             raise ValueError(f"{self.mode} has extremal family {spec.family}, not {extremal!r}")
         if self.n > 8:
@@ -89,6 +71,10 @@ class ScanConfig:
                 "adjacency rows are uint8 and edge masks uint32")
         if self.subsample is not None and self.subsample < 1:
             raise ValueError(f"subsample must be >= 1, got {self.subsample}")
+
+    @property
+    def spec(self) -> TheoremSpec:
+        return theorem_spec(self.mode)
 
 
 @dataclass
@@ -105,44 +91,36 @@ class ShardOut:
     over_masks: list = field(default_factory=list)
 
     def merge(self, other: "ShardOut"):
-        self.scanned += other.scanned
-        self.survivors += other.survivors
-        self.over += other.over
-        self.extremal += other.extremal
-        self.hists += other.hists
-        self.counterexamples.extend(other.counterexamples)
-        self.fallback_searches += other.fallback_searches
-        self.over_masks.extend(other.over_masks)
+        for f in fields(self):
+            total = getattr(self, f.name)
+            total += getattr(other, f.name)  # lists extend in place, in shard order
+            setattr(self, f.name, total)
 
 
-class _Tables:
-    """Per-order constant tables shared by all blocks of a scan."""
+class _Codec:
+    """The colex slot code of order n as arrays: the endpoints I[b], J[b]
+    of slot b, the incidence mask inc[v] of the slots at vertex v, and the
+    row of all n vertices.  Independent of any theorem."""
 
-    def __init__(self, cfg: ScanConfig):
-        n = cfg.n
+    def __init__(self, n: int):
         slots = edge_slots(n)
         self.n = n
         self.nbits = len(slots)
-        self.I = np.array([p[0] for p in slots], dtype=np.int64)
-        self.J = np.array([p[1] for p in slots], dtype=np.int64)
-        inc = np.zeros(n, dtype=np.uint32)
+        self.I = np.array([i for i, _ in slots], dtype=np.int64)
+        self.J = np.array([j for _, j in slots], dtype=np.int64)
+        self.inc = np.zeros(n, dtype=np.uint32)
         for b, (i, j) in enumerate(slots):
-            inc[i] |= np.uint32(1 << b)
-            inc[j] |= np.uint32(1 << b)
-        self.inc = inc
-        spec = self.spec = theorem_spec(cfg.mode)
-        self.min_dmax = n - spec.degree_gap
-        fam = make_family(spec.family, n)
-        self.extremal_degmultiset = np.array(sorted(fam.degrees()), dtype=np.uint8)
-        # Looked up per scan, not stored in the spec, so that rebinding
-        # the module attribute takes effect.
-        self.is_extremal = is_family_L if spec.family == "L" else is_family_B
+            self.inc[i] |= np.uint32(1 << b)
+            self.inc[j] |= np.uint32(1 << b)
         self.full_row = np.uint8((1 << n) - 1)
+
+
+_codec = cache(_Codec)
 
 
 def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
     """Scan masks lo..hi-1; deterministic in inputs only."""
-    t = _Tables(cfg)
+    c = _codec(cfg.n)
     out = ShardOut()
     block = 1 << BLOCK_BITS
     for start in range(lo, hi, block):
@@ -153,42 +131,42 @@ def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
             masks = masks[hashed < np.uint32(2**32 // cfg.subsample)]
         out.scanned += stop - start
         if len(masks):
-            _scan_block(cfg, t, masks, out)
+            _scan_block(cfg, c, masks, out)
     return out
 
 
-def _scan_block(cfg: ScanConfig, t: _Tables, masks: np.ndarray, out: ShardOut):
+def _scan_block(cfg: ScanConfig, c: _Codec, masks: np.ndarray, out: ShardOut):
     if cfg.prescreens:
-        masks = masks[_prescreen(cfg, t, masks)]
+        masks = masks[_prescreen(cfg, c, masks)]
     out.survivors += len(masks)
     if not len(masks):
         return
-    rows = _rows_of_masks(t, masks)
+    rows = _rows_of_masks(c, masks)
     over = np.concatenate([over_threshold(cfg.theta, rows[s:s + EIG_BATCH], cfg.prescreens)
                            for s in range(0, len(masks), EIG_BATCH)])
     if over.any():
-        _classify_over(cfg, t, masks[over], rows[over], out)
+        _classify_over(cfg, c, masks[over], rows[over], out)
 
 
-def _prescreen(cfg: ScanConfig, t: _Tables, masks: np.ndarray) -> np.ndarray:
+def _prescreen(cfg: ScanConfig, c: _Codec, masks: np.ndarray) -> np.ndarray:
     """Which masks pass the degree and Hong-type prescreens."""
-    n = t.n
+    n = c.n
     m = np.bitwise_count(masks).astype(np.int64)
     deg = np.empty((len(masks), n), dtype=np.uint8)
     for v in range(n):
-        deg[:, v] = np.bitwise_count(masks & t.inc[v])
+        deg[:, v] = np.bitwise_count(masks & c.inc[v])
     dmin = deg.min(axis=1)
-    keep = (deg.max(axis=1) >= t.min_dmax) & (dmin >= t.spec.min_degree)
+    keep = (deg.max(axis=1) >= n - cfg.spec.degree_gap) & (dmin >= cfg.spec.min_degree)
     keep &= hong_value(dmin.astype(np.float64), n, m) >= cfg.theta - GUARD
     return keep
 
 
-def _rows_of_masks(t: _Tables, masks: np.ndarray) -> np.ndarray:
-    rows = np.zeros((len(masks), t.n), dtype=np.uint8)
-    for b in range(t.nbits):
+def _rows_of_masks(c: _Codec, masks: np.ndarray) -> np.ndarray:
+    rows = np.zeros((len(masks), c.n), dtype=np.uint8)
+    for b in range(c.nbits):
         bit = ((masks >> np.uint32(b)) & np.uint32(1)).astype(np.uint8)
-        rows[:, t.I[b]] |= bit << np.uint8(t.J[b])
-        rows[:, t.J[b]] |= bit << np.uint8(t.I[b])
+        rows[:, c.I[b]] |= bit << np.uint8(c.J[b])
+        rows[:, c.J[b]] |= bit << np.uint8(c.I[b])
     return rows
 
 
@@ -273,14 +251,14 @@ def _sandwich(theta, adj, d):
     return np.concatenate(over), keys[~(sure_over | sure_under)]
 
 
-def _connected_filter(t: _Tables, rows: np.ndarray, two_connected: bool) -> np.ndarray:
+def _connected_filter(c: _Codec, rows: np.ndarray, two_connected: bool) -> np.ndarray:
     """Boolean mask of graphs that are connected (or 2-connected).
 
     2-connectivity for n >= 3 is equivalent to "G - v is connected for
     every v": a disconnected G always has some v whose removal leaves two
     nonempty parts or an isolated vertex behind.
     """
-    n = t.n
+    n = c.n
     if two_connected:
         ok = np.ones(len(rows), dtype=bool)
         for v in range(n):
@@ -288,7 +266,7 @@ def _connected_filter(t: _Tables, rows: np.ndarray, two_connected: bool) -> np.n
             start = np.uint8(2 if v == 0 else 1)
             ok &= _reach_vec(rows, alive, start, n) == alive
         return ok
-    alive = t.full_row
+    alive = c.full_row
     return _reach_vec(rows, alive, np.uint8(1), n) == alive
 
 
@@ -303,20 +281,20 @@ def _reach_vec(rows, alive, start, steps):
     return reach
 
 
-def _double_star_feasible(t: _Tables, masks, rows) -> np.ndarray:
+def _double_star_feasible(c: _Codec, masks, rows) -> np.ndarray:
     """Graphs with an edge (a, b) whose endpoints dominate all vertices and
     admit a leaf split avoiding degree 2 at both centers."""
-    n = t.n
+    n = c.n
     k = len(masks)
     feasible = np.zeros(k, dtype=bool)
-    for b in range(t.nbits):
-        i, j = int(t.I[b]), int(t.J[b])
+    for b in range(c.nbits):
+        i, j = int(c.I[b]), int(c.J[b])
         has = ((masks >> np.uint32(b)) & 1).astype(bool)
         if not has.any():
             continue
         ri, rj = rows[:, i], rows[:, j]
         pair = np.uint8((1 << i) | (1 << j))
-        covers = (ri | rj | pair) == t.full_row
+        covers = (ri | rj | pair) == c.full_row
         excl = np.uint8(0xFF ^ (1 << i) ^ (1 << j))
         a_only = np.bitwise_count(ri & ~rj & excl).astype(np.int16)
         b_only = np.bitwise_count(rj & ~ri & excl).astype(np.int16)
@@ -328,9 +306,9 @@ def _double_star_feasible(t: _Tables, masks, rows) -> np.ndarray:
     return feasible
 
 
-def _classify_over(cfg, t, over_masks, rows, out):
-    n = t.n
-    keep = _connected_filter(t, rows, t.spec.two_connected)
+def _classify_over(cfg, c, over_masks, rows, out):
+    n, spec = c.n, cfg.spec
+    keep = _connected_filter(c, rows, spec.two_connected)
     over_masks, rows = over_masks[keep], rows[keep]
     if not len(over_masks):
         return
@@ -342,10 +320,14 @@ def _classify_over(cfg, t, over_masks, rows, out):
 
     # extremal family candidates, confirmed per graph
     ext = np.zeros(len(over_masks), dtype=bool)
-    cand = (np.sort(deg, axis=1) == t.extremal_degmultiset).all(axis=1)
+    # Looked up per call, not stored in the spec, so that rebinding the
+    # module attribute takes effect.
+    is_extremal = is_family_L if spec.family == "L" else is_family_B
+    fam_degs = np.array(sorted(make_family(spec.family, n).degrees()), dtype=np.uint8)
+    cand = (np.sort(deg, axis=1) == fam_degs).all(axis=1)
     for idx in np.nonzero(cand)[0]:
         g = _graph_of_row(n, rows[idx])
-        if t.is_extremal(g):
+        if is_extremal(g):
             ext[idx] = True
     out.extremal += int(ext.sum())
 
@@ -354,14 +336,14 @@ def _classify_over(cfg, t, over_masks, rows, out):
     rest &= ~star
     dstar = np.zeros(len(over_masks), dtype=bool)
     if rest.any():
-        dstar[rest] = _double_star_feasible(t, over_masks[rest], rows[rest])
+        dstar[rest] = _double_star_feasible(c, over_masks[rest], rows[rest])
     rest &= ~dstar
     out.hists += int(star.sum()) + int(dstar.sum())
 
     for idx in np.nonzero(rest)[0]:
         out.fallback_searches += 1
         g = _graph_of_row(n, rows[idx])
-        trace = proof_guided_hist(g, t.spec.replay)
+        trace = proof_guided_hist(g, spec.replay)
         if trace.found_tree:
             out.hists += 1
         elif find_hist(g).found:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import scan as _scan
 from .graph6 import encode_graph6, read_graph6_file
-from .graphs import family_B, family_L, is_family_B, is_family_L, make_family
+from .graphs import Graph, family_B, family_L, is_family_B, is_family_L, make_family
 from .hist import find_hist, no_hist_certificate, oracle_hist
 from .spectral import (
     GUARD,
@@ -44,8 +44,15 @@ CORPUS_BATCH = 512  # corpus graphs per batched spectral decision; bounds memory
 THRESHOLD_AGREEMENT = 1e-8
 
 
+class _Report:
+    """What every driver report shares: its fields as sorted JSON."""
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), sort_keys=True)
+
+
 @dataclass
-class VerificationReport:
+class VerificationReport(_Report):
     theorem: str
     n: int
     source: str
@@ -71,9 +78,6 @@ class VerificationReport:
     def ok(self) -> bool:
         return not self.counterexamples
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
     def text(self) -> str:
         lines = [
             f"{self.theorem} verification, n={self.n} ({self.source})",
@@ -92,24 +96,29 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-# -- labeled enumeration (scalar path) -----------------------------------------
+# -- labeled enumeration -------------------------------------------------------
 
 
 def enumerate_labeled(n: int, connected: bool = False):
     """Yield all labeled graphs of order n as Graph values, mask order,
     only the connected ones if `connected` is set.
 
-    Edge bitmasks run over the C(n, 2) pairs in colex order.  Bounded to
-    n <= 8 (beyond that use a graph6 corpus).
+    Edge bitmasks run over the C(n, 2) pairs in colex order; each block of
+    masks is decoded and filtered by the scan engine's vectorized rows.
+    Bounded to n <= 8 (beyond that use a graph6 corpus).
     """
     if n > 8:
         raise ValueError("labeled enumeration is bounded to n <= 8; use a corpus")
     if n < 1:
         raise ValueError("order must be >= 1")
-    for mask in range(1 << (n * (n - 1) // 2)):
-        g = _scan.graph_from_mask(n, mask)
-        if not connected or g.is_connected():
-            yield g
+    c = _scan._codec(n)
+    for lo, hi in _shards(1 << c.nbits):
+        rows = _scan._rows_of_masks(c, np.arange(lo, hi, dtype=np.uint32))
+        if connected:
+            rows = rows[_scan._connected_filter(c, rows, False)]
+        data = rows.tobytes()
+        for k in range(0, len(data), n):
+            yield Graph._from_rows_unchecked(n, tuple(data[k:k + n]))
 
 
 # -- thresholds ----------------------------------------------------------------
@@ -259,7 +268,7 @@ def _corpus_survivors(spec, n, theta, corpus_path, out):
         if g.n != n:
             raise ValueError(f"corpus graph of order {g.n}, expected {n}")
         out.scanned += 1
-        if not spec.admits(g) or g.max_degree() < n - spec.degree_gap:
+        if g.max_degree() < n - spec.degree_gap or not spec.admits(g):
             continue
         if hong_bound(g) < theta - GUARD:
             continue
@@ -293,7 +302,7 @@ class CorollaryRow:
 
 
 @dataclass
-class CorollaryReport:
+class CorollaryReport(_Report):
     lo: int
     hi: int
     rows: list[CorollaryRow]
@@ -303,9 +312,6 @@ class CorollaryReport:
     @property
     def ok(self) -> bool:
         return self.violations == 0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     def text(self) -> str:
         lines = [f"order-threshold corollaries, n = {self.lo}..{self.hi}"]
@@ -358,7 +364,7 @@ def verify_corollaries(lo: int, hi: int) -> CorollaryReport:
 
 
 @dataclass
-class CertificateReport:
+class CertificateReport(_Report):
     n_max: int
     graphs_checked: int
     certificates_fired: int
@@ -371,9 +377,6 @@ class CertificateReport:
         if self.soundness_violations:
             return False
         return all(r["certificate"] is not None for r in self.family_rows)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     def text(self) -> str:
         lines = [
@@ -426,7 +429,7 @@ def verify_certificates(n_max: int = 6) -> CertificateReport:
 
 
 @dataclass
-class AuditReport:
+class AuditReport(_Report):
     theorem: str
     n: int
     subsample: int
@@ -439,9 +442,6 @@ class AuditReport:
     @property
     def ok(self) -> bool:
         return self.discrepancies == 0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     def text(self) -> str:
         return (f"prescreen audit n={self.n}: over with={self.over_with_prescreens} "

@@ -9,6 +9,7 @@ from histspec import (
     family_B,
     stream_graph6,
 )
+from histspec.graphs import mask_of_graph
 
 from helpers import all_labeled_graphs
 
@@ -25,6 +26,16 @@ def test_hand_encoded_vectors():
     assert encode_graph6(complete(4)) == "C~"
     # path 0-1-2-3: bits (0,1),(1,2),(2,3) -> 101001 -> 'h'
     assert encode_graph6(Graph(4, [(0, 1), (1, 2), (2, 3)])) == "Ch"
+    # Every order-5 graph against the format's own statement of the bit
+    # order, spelled out here: columns j, then rows i < j.  Round trips
+    # cannot see an order error that encode and decode share; this can.
+    pairs = [(i, j) for j in range(1, 5) for i in range(j)]
+    for g in all_labeled_graphs(5):
+        bits = "".join("1" if g.has_edge(i, j) else "0" for i, j in pairs) + "00"
+        packed = "".join(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, 12, 6))
+        assert encode_graph6(g) == chr(5 + 63) + packed
+        mask = mask_of_graph(g)
+        assert [mask >> b & 1 for b in range(10)] == [g.has_edge(i, j) for i, j in pairs]
 
 
 def test_header_tolerated():

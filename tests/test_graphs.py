@@ -15,7 +15,7 @@ from histspec import (
     path_graph,
     star,
 )
-from histspec.scan import edge_slots, graph_from_mask
+from histspec.graphs import edge_slots, graph_from_mask
 
 from helpers import brute_cut_vertices, brute_isomorphic, random_connected
 

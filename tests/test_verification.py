@@ -20,7 +20,8 @@ from histspec import (
     verify_theorem2,
 )
 from histspec import audit_prescreens
-from histspec.scan import ScanConfig, graph_from_mask, mask_of_graph, scan_range
+from histspec.graphs import graph_from_mask, mask_of_graph
+from histspec.scan import ScanConfig, scan_range
 from histspec.verification import GRAPH6_CORPUS, VerificationReport
 
 from helpers import connected_labeled_count, random_connected
@@ -33,6 +34,13 @@ def test_enumerate_counts_small():
     for n in (3, 5, 6):
         got = sum(1 for _ in enumerate_labeled(n, connected=True))
         assert got == connected_labeled_count(n)
+    # The vectorized blocks yield exactly the scalar decode of each mask,
+    # in mask order, and keep exactly the graphs Graph.is_connected keeps.
+    for n in range(1, 6):
+        every = [graph_from_mask(n, mk) for mk in range(1 << (n * (n - 1) // 2))]
+        assert list(enumerate_labeled(n)) == every
+        assert list(enumerate_labeled(n, connected=True)) == [
+            g for g in every if g.is_connected()]
 
 
 def test_enumerate_count_n7_matches_recurrence():
@@ -138,10 +146,10 @@ def test_sandwich_matches_eigensolve_near_threshold(monkeypatch, n, mode, extrem
     # where the bounds of the refine path are tightest and must hand over
     # to the eigensolver.  The refine path requires minimum degree >= 1.
     # The same rows as int64, the corpus path's dtype, must decide alike.
-    from histspec.scan import _rows_of_masks, _Tables, over_threshold
+    from histspec.scan import _codec, _rows_of_masks, over_threshold
 
     theta = threshold_connected(n) if mode == "thm1" else threshold_two_connected(n)
-    t = _Tables(ScanConfig(n=n, theta=theta, mode=mode, extremal=extremal))
+    t = _codec(n)
     fam = family_L(n) if extremal == "L" else family_B(n)
     copies = {mask_of_graph(fam.relabel(p)) for p in itertools.permutations(range(n))}
     near = set(copies)
@@ -303,10 +311,9 @@ def test_double_star_shortcut_is_sound():
     # The vectorized spanning-double-star test counts a graph as having a
     # HIST without materializing the tree; wherever it fires, the exact
     # search must agree (find_hist itself is oracle-checked elsewhere).
-    from histspec.scan import _Tables, _double_star_feasible, _rows_of_masks
+    from histspec.scan import _codec, _double_star_feasible, _rows_of_masks
 
-    cfg = ScanConfig(n=8, theta=4.0, mode="thm2", extremal="B")
-    t = _Tables(cfg)
+    t = _codec(8)
     rng = np.random.default_rng(31)
     masks = rng.integers(0, 1 << 28, size=4000, dtype=np.uint32)
     rows = _rows_of_masks(t, masks)
