@@ -7,7 +7,7 @@ with no vertex of degree exactly 2.  This module provides:
     whose three interior vertices have degree 2 and whose ends have
     degree >= 3);
   * a complete backtracking search over spanning trees with degree
-    constraints (find_hist);
+    constraints (find_hist), reduced by the degree-2 leaf rule below;
   * an independent brute-force oracle enumerating all spanning trees by
     deletion/contraction (oracle_hist);
   * a deterministic constructor that replays the case analysis of the
@@ -19,6 +19,14 @@ with no vertex of degree exactly 2.  This module provides:
 Convention for tiny graphs: trees on at most 2 vertices have no degree-2
 vertex, so orders 1 and 2 trivially have HISTs; connected graphs of order
 3 never do (every spanning tree is a 3-vertex path).
+
+Degree-2 leaf rule: for n >= 3 let D be the vertices of degree 2.  A
+vertex of D has tree degree 1 or 2 in any spanning tree, so it is a leaf
+of every HIST; its tree neighbour is not a leaf too, or the two would form
+a component of their own.  Deleting leaves from a tree leaves a tree, so
+a HIST minus D is a spanning tree of G - D.  Hence no HIST exists when
+G - D is empty or disconnected, or when some vertex of D has no neighbour
+outside D, and no HIST uses an edge with both ends in D.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .graphs import Graph, _bits, _is_clique, is_family_B, is_family_L
+from .graphs import Graph, _bits, _is_clique, _reach, is_family_B, is_family_L
 from .spectral import THEOREMS, InvariantViolation
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
@@ -143,6 +151,13 @@ def find_hist(g: Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> HistOutcome:
     incident edge left, or when the excluded edges disconnect what remains.
     Branching always picks the highest-degree vertex with an undecided
     edge (ties to the lowest id), so runs are deterministic.
+
+    Degree-2 vertices are leaves of every HIST (module docstring), so the
+    search first rejects graphs whose non-degree-2 core is empty or
+    disconnected or misses some degree-2 vertex, excludes every edge
+    between two degree-2 vertices, and excludes the second edge of a
+    degree-2 vertex as soon as its first enters the tree.  The reduced
+    search still covers every HIST, so its "no" is EXHAUSTED_SEARCH.
     """
     if not g.is_connected():
         raise ValueError("find_hist requires a connected graph")
@@ -162,6 +177,12 @@ def find_hist(g: Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> HistOutcome:
 
 def _backtrack_hist(g: Graph, budget: int):
     n = g.n
+    full = (1 << n) - 1
+    leaves = sum(1 << v for v in range(n) if g.degree(v) == 2)
+    core = full & ~leaves
+    if (not core or _reach(g.rows, core & -core, core) != core
+            or any(not g.rows[v] & core for v in _bits(leaves))):
+        return None
     edge_list = list(g.edges())
     m = len(edge_list)
     incident = [[] for _ in range(n)]
@@ -177,7 +198,6 @@ def _backtrack_hist(g: Graph, budget: int):
     parent = list(range(n))
     size = [1] * n
     state = {"included": 0, "nodes": 0}
-    full = (1 << n) - 1
     by_degree = sorted(range(n), key=lambda v: (-g.degree(v), v))
     trail = []
 
@@ -257,6 +277,11 @@ def _backtrack_hist(g: Graph, budget: int):
                 return best[1]
         return None
 
+    # Two adjacent leaves would form a component of their own.
+    for idx, (u, v) in enumerate(edge_list):
+        if leaves >> u & leaves >> v & 1:
+            exclude(idx)
+
     def rec():
         state["nodes"] += 1
         if state["nodes"] > budget:
@@ -274,6 +299,12 @@ def _backtrack_hist(g: Graph, budget: int):
         mark = len(trail)
         if find(u) != find(v):
             include(idx)
+            # A degree-2 vertex stays a leaf: its other edge is out.
+            for w in (u, v):
+                if leaves >> w & 1:
+                    for j in incident[w]:
+                        if status[j] == UND:
+                            exclude(j)
             # Edges now joining a single component can never enter the tree.
             for j in range(m):
                 if status[j] == UND:

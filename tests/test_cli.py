@@ -42,6 +42,13 @@ def test_hist_found(capsys):
     assert code == 0 and out.startswith("HIST found")
 
 
+def test_hist_k2q_settled_by_degree2_leaves(capsys):
+    code, out, _ = run(capsys, "hist", "family:Kpq:2:40")
+    assert code == 0 and out == "no HIST: exhausted search space\n"
+    code, out, _ = run(capsys, "--format", "structured", "hist", "family:Kpq:2:40")
+    assert code == 0 and json.loads(out)["certificate"] == "exhausted_search"
+
+
 def test_charpoly(capsys):
     code, out, _ = run(capsys, "charpoly", "L", "7")
     assert code == 0

@@ -122,6 +122,49 @@ def test_search_budget():
         find_hist(complete(8), budget=3)
 
 
+def test_degree2_leaves_settle_structured_no_hist_graphs_without_search():
+    # Without the degree-2 leaf rule both families cost exponential search
+    # (K_{2,40} did not finish in 60 s), so budget=1 would raise.
+    graphs = [complete_bipartite(2, q) for q in (4, 12, 40)]
+    graphs += [cycle(n) for n in range(4, 13)]
+    for g in graphs:
+        out = find_hist(g, budget=1)
+        assert not out.found and out.certificate.kind == EXHAUSTED_SEARCH
+
+
+def _subdivide(g, edges):
+    """g with each of the given edges replaced by a path of length 2."""
+    kept = [e for e in g.edges() if e not in edges]
+    new = [(e[0], g.n + i) for i, e in enumerate(edges)]
+    new += [(g.n + i, e[1]) for i, e in enumerate(edges)]
+    return Graph(g.n + len(edges), kept + new)
+
+
+def test_degree2_leaf_rule_agrees_with_oracle():
+    # Orders 7..10, rich in degree-2 vertices: random connected graphs
+    # with some edges subdivided, and sparse G(n, 2.6/n).
+    rng = np.random.default_rng(31)
+    tally = {True: 0, False: 0}
+    for i in range(400):
+        if i % 2:
+            base = random_connected(rng, int(rng.integers(4, 8)), 0.5)
+            edges = list(base.edges())
+            k = int(rng.integers(max(1, 7 - base.n), min(len(edges), 10 - base.n) + 1))
+            picked = rng.choice(len(edges), size=k, replace=False)
+            g = _subdivide(base, [edges[j] for j in sorted(picked)])
+        else:
+            n = int(rng.integers(7, 11))
+            g = random_connected(rng, n, 2.6 / n)
+        out = find_hist(g)
+        assert out.found == oracle_hist(g).found
+        if out.found:
+            assert is_valid_hist(g, out.tree_edges)
+        if 2 in g.degrees() and no_hist_certificate(g) is None:
+            tally[out.found] += 1
+    # The rule acts on both verdicts, past the structural certificates.
+    assert min(tally.values()) >= 20, tally
+
+
 def test_found_trees_validate():
     rng = np.random.default_rng(17)
     for _ in range(200):
