@@ -1,4 +1,4 @@
-"""HIST search in action: certificates, backtracking, oracle, replay.
+"""HIST search in action: certificates, tree-growth search, oracle, replay.
 
 A HIST is a spanning tree with no vertex of degree exactly 2.  The
 decision problem is NP-complete in general; at desk scale we decide it

@@ -6,8 +6,9 @@ with no vertex of degree exactly 2.  This module provides:
   * fast no-HIST certificates (a degree-2 cut vertex, or a 5-vertex path
     whose three interior vertices have degree 2 and whose ends have
     degree >= 3);
-  * a complete backtracking search over spanning trees with degree
-    constraints (find_hist), reduced by the degree-2 leaf rule below;
+  * a complete search that grows spanning trees from a root, each vertex
+    choosing all its children at once so that none has tree degree 2
+    (find_hist), after the degree-2 leaf rule below;
   * an independent brute-force oracle enumerating all spanning trees by
     deletion/contraction (oracle_hist);
   * a deterministic constructor that replays the case analysis of the
@@ -26,7 +27,9 @@ of every HIST; its tree neighbour is not a leaf too, or the two would form
 a component of their own.  Deleting leaves from a tree leaves a tree, so
 a HIST minus D is a spanning tree of G - D.  Hence no HIST exists when
 G - D is empty or disconnected, or when some vertex of D has no neighbour
-outside D, and no HIST uses an edge with both ends in D.
+outside D.  Inside the growth search the rule needs no code of its own: a
+placed vertex of D has at most one unplaced neighbour, and a non-root
+vertex may not take exactly one child, so it always stays a leaf.
 """
 
 from __future__ import annotations
@@ -140,24 +143,28 @@ def no_hist_certificate(g: Graph) -> Optional[Certificate]:
     return None
 
 
-# -- complete backtracking search ---------------------------------------------
+# -- complete tree-growth search ----------------------------------------------
 
 
 def find_hist(g: Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> HistOutcome:
-    """Exact HIST decision: certificate first, then complete backtracking.
+    """Exact HIST decision: certificate first, then a complete tree-growth search.
 
-    The search grows a spanning forest edge by edge.  A branch is pruned
-    when some vertex is frozen at tree degree exactly 2 with no undecided
-    incident edge left, or when the excluded edges disconnect what remains.
-    Branching always picks the highest-degree vertex with an undecided
-    edge (ties to the lowest id), so runs are deterministic.
+    The search first rejects graphs whose non-degree-2 core G - D is empty
+    or disconnected or misses some degree-2 vertex (module docstring).
+    Otherwise it grows a tree from the root, the lowest vertex of maximum
+    degree in the core, taking placed vertices first in, first out.  Each
+    vertex chooses its whole set of children at once among its unplaced
+    neighbours, larger sets first; a set that would give it tree degree 2
+    (one child, or for the root zero or two) is skipped.  A branch is
+    pruned when some unplaced vertex can no longer be reached from a
+    queued core vertex through unplaced vertices.
 
-    Degree-2 vertices are leaves of every HIST (module docstring), so the
-    search first rejects graphs whose non-degree-2 core is empty or
-    disconnected or misses some degree-2 vertex, excludes every edge
-    between two degree-2 vertices, and excludes the second edge of a
-    degree-2 vertex as soon as its first enters the tree.  The reduced
-    search still covers every HIST, so its "no" is EXHAUSTED_SEARCH.
+    Complete: a vertex is placed only by its tree parent, so when a vertex
+    chooses, all of its tree children are still unplaced.  Every spanning
+    tree rooted at the root is therefore the outcome of exactly one branch,
+    and the search's "no" is EXHAUSTED_SEARCH.  The budget counts the child
+    sets examined; exceeding it raises SearchBudgetError.  Runs are
+    deterministic.
     """
     if not g.is_connected():
         raise ValueError("find_hist requires a connected graph")
@@ -183,148 +190,39 @@ def _backtrack_hist(g: Graph, budget: int):
     if (not core or _reach(g.rows, core & -core, core) != core
             or any(not g.rows[v] & core for v in _bits(leaves))):
         return None
-    edge_list = list(g.edges())
-    m = len(edge_list)
-    incident = [[] for _ in range(n)]
-    for idx, (u, v) in enumerate(edge_list):
-        incident[u].append(idx)
-        incident[v].append(idx)
+    root = max(_bits(core), key=lambda v: (g.degree(v), -v))
+    nodes = 0
 
-    UND, IN, OUT = 0, 1, 2
-    status = [UND] * m
-    tdeg = [0] * n
-    avail = [len(incident[v]) for v in range(n)]
-    cur_rows = list(g.rows)
-    parent = list(range(n))
-    size = [1] * n
-    state = {"included": 0, "nodes": 0}
-    by_degree = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    trail = []
+    def grow(queue, waiting, placed, edges):
+        # queue: placed vertices yet to choose their children, first in
+        # first out; waiting: the same vertices as a bitmask.
+        nonlocal nodes
+        if placed == full:
+            return edges
+        v, rest = queue[0], queue[1:]
+        free = g.rows[v] & ~placed
+        banned = (0, 2) if v == root else (1,)  # child counts giving tree degree 2
+        kids = free
+        while True:
+            if kids.bit_count() not in banned:
+                nodes += 1
+                if nodes > budget:
+                    raise SearchBudgetError(
+                        f"HIST search exceeded budget of {budget} nodes"
+                    )
+                now, after = placed | kids, waiting ^ (1 << v) | kids
+                starts = after & core
+                if _reach(g.rows, starts, starts | (full ^ now)) | now == full:
+                    born = tuple(_bits(kids))
+                    tree = grow(rest + born, after, now, edges + [(v, w) for w in born])
+                    if tree is not None:
+                        return tree
+            if not kids:
+                return None
+            kids = (kids - 1) & free
 
-    def find(a):
-        while parent[a] != a:
-            a = parent[a]
-        return a
-
-    def exclude(idx):
-        u, v = edge_list[idx]
-        status[idx] = OUT
-        avail[u] -= 1
-        avail[v] -= 1
-        cur_rows[u] &= ~(1 << v)
-        cur_rows[v] &= ~(1 << u)
-        trail.append((OUT, idx, 0))
-
-    def include(idx):
-        u, v = edge_list[idx]
-        ru, rv = find(u), find(v)
-        small, big = (ru, rv) if size[ru] < size[rv] else (rv, ru)
-        parent[small] = big
-        size[big] += size[small]
-        status[idx] = IN
-        avail[u] -= 1
-        avail[v] -= 1
-        tdeg[u] += 1
-        tdeg[v] += 1
-        state["included"] += 1
-        trail.append((IN, idx, small))
-
-    def undo_to(mark):
-        while len(trail) > mark:
-            op, idx, small = trail.pop()
-            u, v = edge_list[idx]
-            status[idx] = UND
-            avail[u] += 1
-            avail[v] += 1
-            if op == OUT:
-                cur_rows[u] |= 1 << v
-                cur_rows[v] |= 1 << u
-            else:
-                big = parent[small]
-                parent[small] = small
-                size[big] -= size[small]
-                tdeg[u] -= 1
-                tdeg[v] -= 1
-                state["included"] -= 1
-
-    def feasible():
-        for v in range(n):
-            if tdeg[v] == 2 and avail[v] == 0:
-                return False
-        visited = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= cur_rows[b.bit_length() - 1]
-            frontier = nxt & ~visited
-            visited |= frontier
-        return visited == full
-
-    def pick():
-        for v in by_degree:
-            if avail[v]:
-                best = None
-                for idx in incident[v]:
-                    if status[idx] == UND:
-                        u2, v2 = edge_list[idx]
-                        other = v2 if u2 == v else u2
-                        if best is None or other < best[0]:
-                            best = (other, idx)
-                return best[1]
-        return None
-
-    # Two adjacent leaves would form a component of their own.
-    for idx, (u, v) in enumerate(edge_list):
-        if leaves >> u & leaves >> v & 1:
-            exclude(idx)
-
-    def rec():
-        state["nodes"] += 1
-        if state["nodes"] > budget:
-            raise SearchBudgetError(
-                f"HIST search exceeded budget of {budget} nodes"
-            )
-        if state["included"] == n - 1:
-            if all(t != 2 for t in tdeg):
-                return [edge_list[i] for i in range(m) if status[i] == IN]
-            return None
-        idx = pick()
-        if idx is None:
-            return None
-        u, v = edge_list[idx]
-        mark = len(trail)
-        if find(u) != find(v):
-            include(idx)
-            # A degree-2 vertex stays a leaf: its other edge is out.
-            for w in (u, v):
-                if leaves >> w & 1:
-                    for j in incident[w]:
-                        if status[j] == UND:
-                            exclude(j)
-            # Edges now joining a single component can never enter the tree.
-            for j in range(m):
-                if status[j] == UND:
-                    a, b = edge_list[j]
-                    if find(a) == find(b):
-                        exclude(j)
-            if feasible():
-                res = rec()
-                if res is not None:
-                    return res
-            undo_to(mark)
-        exclude(idx)
-        if feasible():
-            res = rec()
-            if res is not None:
-                return res
-        undo_to(mark)
-        return None
-
-    return rec()
+    tree = grow((root,), 1 << root, 1 << root, [])
+    return None if tree is None else sorted((min(e), max(e)) for e in tree)
 
 
 # -- spanning tree enumeration (independent oracle) ----------------------------

@@ -10,6 +10,7 @@ from histspec import (
     complete,
     complete_bipartite,
     cycle,
+    decode_graph6,
     enumerate_labeled,
     family_B,
     family_L,
@@ -117,9 +118,27 @@ def test_tree_cap():
     assert not oracle_hist(complete_bipartite(2, 6)).found
 
 
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
 def test_search_budget():
     with pytest.raises(SearchBudgetError):
-        find_hist(complete(8), budget=3)
+        find_hist(_petersen(), budget=3)
+    # The root's full star settles K_8 at the first child set.
+    assert find_hist(complete(8), budget=1).found
+
+
+def test_sparse_n20_found_within_small_budget():
+    # A search deciding edge by edge spends 5,000,000 nodes on this
+    # sparse graph (about 80 s) without a verdict.
+    g = decode_graph6("S_KPU?E_?AHoIGaG_?G_?_?E?OCLIGG`W")
+    assert (g.n, g.m) == (20, 41)
+    out = find_hist(g, budget=1_000)
+    assert out.found and is_valid_hist(g, out.tree_edges)
 
 
 def test_degree2_leaves_settle_structured_no_hist_graphs_without_search():
@@ -163,6 +182,15 @@ def test_degree2_leaf_rule_agrees_with_oracle():
             tally[out.found] += 1
     # The rule acts on both verdicts, past the structural certificates.
     assert min(tally.values()) >= 20, tally
+    # Orders 11..13, as sparse as the hist_search benchmark's graphs.
+    verdicts = set()
+    for _ in range(40):
+        n = int(rng.integers(11, 14))
+        g = random_connected(rng, n, 2.6 / n + rng.uniform(0, 0.1))
+        out = find_hist(g)
+        assert out.found == oracle_hist(g).found
+        verdicts.add(out.found)
+    assert verdicts == {True, False}
 
 
 def test_found_trees_validate():
