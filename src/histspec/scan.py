@@ -21,7 +21,7 @@ scan pipeline per mask block is:
      dense eigensolves for the few graphs left, which include every
      labeled copy of the extremal family (rho exactly theta);
   3. vectorized connectivity (or 2-connectivity) by bitset BFS over all
-     graphs at once;
+     graphs at once, stopped as soon as a step reaches no new vertex;
   4. classification of the over-threshold graphs: extremal family match,
      star or spanning-double-star HIST constructions (vectorized), then a
      per-graph proof-guided constructor with full backtracking as the
@@ -152,11 +152,13 @@ def _prescreen(cfg: ScanConfig, c: _Codec, masks: np.ndarray) -> np.ndarray:
     """Which masks pass the degree and Hong-type prescreens."""
     n = c.n
     m = np.bitwise_count(masks).astype(np.int64)
-    deg = np.empty((len(masks), n), dtype=np.uint8)
+    dmax = np.zeros(len(masks), dtype=np.uint8)
+    dmin = np.full(len(masks), n, dtype=np.uint8)
     for v in range(n):
-        deg[:, v] = np.bitwise_count(masks & c.inc[v])
-    dmin = deg.min(axis=1)
-    keep = (deg.max(axis=1) >= n - cfg.spec.degree_gap) & (dmin >= cfg.spec.min_degree)
+        deg = np.bitwise_count(masks & c.inc[v])
+        np.maximum(dmax, deg, out=dmax)
+        np.minimum(dmin, deg, out=dmin)
+    keep = (dmax >= n - cfg.spec.degree_gap) & (dmin >= cfg.spec.min_degree)
     keep &= hong_value(dmin.astype(np.float64), n, m) >= cfg.theta - GUARD
     return keep
 
@@ -271,37 +273,42 @@ def _connected_filter(c: _Codec, rows: np.ndarray, two_connected: bool) -> np.nd
 
 
 def _reach_vec(rows, alive, start, steps):
-    reach = np.full(len(rows), start & alive, dtype=np.uint8)
+    """Vertices of `alive` reachable from `start` inside `alive`, per row,
+    after at most `steps` BFS steps; a step that adds no vertex to any row
+    is a fixed point, so the loop stops there."""
+    reach = np.full(len(rows), start & alive, dtype=rows.dtype)
     for _ in range(steps):
         acc = np.zeros_like(reach)
         for w in range(rows.shape[1]):
-            sel = ((reach >> np.uint8(w)) & np.uint8(1)).astype(bool)
-            acc |= np.where(sel, rows[:, w], np.uint8(0))
-        reach |= acc & alive
+            acc |= -((reach >> w) & 1) & rows[:, w]  # all ones where w is reached
+        grown = reach | (acc & alive)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
     return reach
 
 
 def _double_star_feasible(c: _Codec, masks, rows) -> np.ndarray:
     """Graphs with an edge (a, b) whose endpoints dominate all vertices and
     admit a leaf split avoiding degree 2 at both centers."""
-    n = c.n
-    k = len(masks)
-    feasible = np.zeros(k, dtype=bool)
+    feasible = np.zeros(len(masks), dtype=bool)
     for b in range(c.nbits):
         i, j = int(c.I[b]), int(c.J[b])
         has = ((masks >> np.uint32(b)) & 1).astype(bool)
         if not has.any():
             continue
         ri, rj = rows[:, i], rows[:, j]
-        pair = np.uint8((1 << i) | (1 << j))
+        pair = (1 << i) | (1 << j)
         covers = (ri | rj | pair) == c.full_row
-        excl = np.uint8(0xFF ^ (1 << i) ^ (1 << j))
-        a_only = np.bitwise_count(ri & ~rj & excl).astype(np.int16)
-        b_only = np.bitwise_count(rj & ~ri & excl).astype(np.int16)
-        both = np.bitwise_count(ri & rj & excl).astype(np.int16)
-        split = np.zeros(k, dtype=bool)
-        for x in range(n - 1):
-            split |= (x <= both) & (a_only + x != 1) & (b_only + both - x != 1)
+        excl = c.full_row ^ pair
+        a_only = np.bitwise_count(ri & ~rj & excl)
+        b_only = np.bitwise_count(rj & ~ri & excl)
+        both = np.bitwise_count(ri & rj & excl)
+        # a takes x of the common neighbours, b the rest: some x in 0..both
+        # gives neither centre degree 2 (a_only + x != 1, b_only + both - x
+        # != 1) iff two or more are shared, or x = 0 works, or x = 1 does.
+        split = ((both >= 2) | ((a_only != 1) & (b_only + both != 1))
+                 | ((both == 1) & (a_only != 0) & (b_only != 1)))
         feasible |= has & covers & split
     return feasible
 

@@ -51,6 +51,32 @@ def brute_cut_vertices(g: Graph) -> frozenset[int]:
     return frozenset(out)
 
 
+def bfs_connected(g: Graph) -> bool:
+    """Breadth-first search from vertex 0 over has_edge."""
+    seen = [0]
+    for u in seen:
+        seen.extend(v for v in range(g.n) if v not in seen and g.has_edge(u, v))
+    return len(seen) == g.n
+
+
+def brute_double_star(g: Graph) -> bool:
+    """Whether some edge ab is the centre of a spanning double star with no
+    vertex of degree 2: a and b dominate every vertex, and some split of
+    their common neighbours between them leaves neither centre degree 2."""
+    for a, b in g.edges():
+        rest = [v for v in range(g.n) if v not in (a, b)]
+        if not all(g.has_edge(a, v) or g.has_edge(b, v) for v in rest):
+            continue
+        common = [v for v in rest if g.has_edge(a, v) and g.has_edge(b, v)]
+        for k in range(len(common) + 1):
+            for to_a in itertools.combinations(common, k):
+                edges = [(a, b)] + [
+                    (a, v) if v in to_a or not g.has_edge(b, v) else (b, v) for v in rest]
+                if not tree_has_degree_two(g.n, edges):
+                    return True
+    return False
+
+
 def connected_labeled_count(n: int) -> int:
     """Standard recurrence for the number of connected labeled graphs."""
     c = {}

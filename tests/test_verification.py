@@ -24,7 +24,14 @@ from histspec.graphs import graph_from_mask, mask_of_graph
 from histspec.scan import ScanConfig, scan_range
 from histspec.verification import GRAPH6_CORPUS, VerificationReport
 
-from helpers import connected_labeled_count, random_connected
+from helpers import (
+    all_labeled_graphs,
+    bfs_connected,
+    brute_cut_vertices,
+    brute_double_star,
+    connected_labeled_count,
+    random_connected,
+)
 
 
 def test_enumerate_counts_small():
@@ -326,6 +333,84 @@ def test_double_star_shortcut_is_sound():
         connected += 1
         assert find_hist(g).found
     assert connected > 100  # the sample actually exercised the shortcut
+
+
+def _rows_of_graphs(graphs):
+    return np.array([g.rows for g in graphs], dtype=np.uint8)
+
+
+def test_connected_filter_matches_bfs_and_cut_vertices():
+    # Both modes of the bitset BFS against a per-graph BFS and cut-vertex
+    # removal: every labeled graph of order 3..6, uniform random masks of
+    # order 7 and 8, and labeled paths and cycles, whose BFS from vertex 0
+    # (with one vertex removed, for a cycle) takes up to n - 1 steps.
+    from histspec.scan import _codec, _connected_filter
+
+    rng = np.random.default_rng(41)
+    for n in range(3, 9):
+        if n <= 6:
+            graphs = list(all_labeled_graphs(n))
+        else:
+            graphs = [graph_from_mask(n, int(mk))
+                      for mk in rng.integers(0, 1 << (n * (n - 1) // 2), 5000)]
+            path = [(v, v + 1) for v in range(n - 1)]
+            for perm in [range(n)] + [rng.permutation(n) for _ in range(20)]:
+                graphs += [Graph(n, path).relabel(perm),
+                           Graph(n, path + [(n - 1, 0)]).relabel(perm)]
+        connected = [bfs_connected(g) for g in graphs]
+        two = [ok and not brute_cut_vertices(g) for g, ok in zip(graphs, connected)]
+        assert 0 < sum(two) < sum(connected) < len(graphs)
+        rows = _rows_of_graphs(graphs)
+        assert _connected_filter(_codec(n), rows, False).tolist() == connected
+        assert _connected_filter(_codec(n), rows, True).tolist() == two
+
+
+def test_double_star_feasible_matches_brute_force():
+    # Both directions: the vectorized split rule fires exactly where some
+    # edge's endpoints dominate the graph and a split of their common
+    # neighbours avoids degree 2, on every labeled graph of order 4..6 and
+    # on uniform random order-8 masks.
+    from histspec.scan import _codec, _double_star_feasible
+
+    rng = np.random.default_rng(47)
+    for n in (4, 5, 6, 8):
+        if n <= 6:
+            graphs = list(all_labeled_graphs(n))
+        else:
+            graphs = [graph_from_mask(8, int(mk)) for mk in rng.integers(0, 1 << 28, 2000)]
+        masks = np.array([mask_of_graph(g) for g in graphs], dtype=np.uint32)
+        want = [brute_double_star(g) for g in graphs]
+        assert 0 < sum(want) < len(want)
+        got = _double_star_feasible(_codec(n), masks, _rows_of_graphs(graphs))
+        assert got.tolist() == want
+
+
+def test_prescreen_matches_per_graph_reference():
+    # The vectorized degree and Hong prescreens keep exactly the masks a
+    # per-graph check keeps, for both theorems, on every order-6 mask and
+    # on uniform random order-8 masks, at thresholds that split them.
+    from histspec.scan import _codec, _prescreen
+    from histspec.spectral import GUARD, hong_value, theorem_spec
+
+    rng = np.random.default_rng(43)
+    cases = (
+        (6, np.arange(1 << 15, dtype=np.uint32), (2.5, 3.0, 3.5)),
+        (8, rng.integers(0, 1 << 28, 20000).astype(np.uint32),
+         (threshold_connected(8), threshold_two_connected(8))),
+    )
+    for n, masks, thetas in cases:
+        graphs = [graph_from_mask(n, int(mk)) for mk in masks]
+        for mode in ("thm1", "thm2"):
+            spec = theorem_spec(mode)
+            for theta in thetas:
+                want = []
+                for g in graphs:
+                    d = g.degrees()
+                    want.append(max(d) >= n - spec.degree_gap and min(d) >= spec.min_degree
+                                and hong_value(min(d), n, g.m) >= theta - GUARD)
+                assert 0 < sum(want) < len(want)
+                cfg = ScanConfig(n=n, theta=theta, mode=mode)
+                assert _prescreen(cfg, _codec(n), masks).tolist() == want
 
 
 def test_corollaries_range():
