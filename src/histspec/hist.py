@@ -7,8 +7,10 @@ with no vertex of degree exactly 2.  This module provides:
     whose three interior vertices have degree 2 and whose ends have
     degree >= 3);
   * a complete search that grows spanning trees from a root, each vertex
-    choosing all its children at once so that none has tree degree 2
-    (find_hist), after the degree-2 leaf rule below;
+    choosing all its children at once so that none has tree degree 2,
+    and that cuts a branch once some unplaced vertex can no longer get a
+    parent that takes two or more children (find_hist), after the
+    degree-2 leaf rule below;
   * an independent brute-force oracle enumerating all spanning trees by
     deletion/contraction (oracle_hist);
   * a deterministic constructor that replays the case analysis of the
@@ -123,10 +125,16 @@ def no_hist_certificate(g: Graph) -> Optional[Certificate]:
         raise ValueError("certificates are defined for n >= 3")
     if not g.is_connected():
         raise ValueError("certificates require a connected graph")
-    for v in sorted(g.cut_vertices()):
-        if g.degree(v) == 2:
-            return Certificate(CUT_VERTEX_DEG2, (v,))
     degs = g.degrees()
+    full = (1 << g.n) - 1
+    # Every vertex of G - v reaches v through one of v's two neighbours,
+    # so a degree-2 vertex v is a cut vertex iff they are apart in G - v.
+    for v in range(g.n):
+        row = g.rows[v]
+        if degs[v] == 2:
+            low, high = row & -row, row & (row - 1)
+            if not _reach(g.rows, low, full ^ (1 << v)) & high:
+                return Certificate(CUT_VERTEX_DEG2, (v,))
     for s2 in range(g.n):
         if degs[s2] != 2:
             continue
@@ -155,16 +163,25 @@ def find_hist(g: Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> HistOutcome:
     degree in the core, taking placed vertices first in, first out.  Each
     vertex chooses its whole set of children at once among its unplaced
     neighbours, larger sets first; a set that would give it tree degree 2
-    (one child, or for the root zero or two) is skipped.  A branch is
-    pruned when some unplaced vertex can no longer be reached from a
-    queued core vertex through unplaced vertices.
+    (one child, or for the root zero or two) is skipped.  Call a core
+    vertex an adopter when it is queued or unplaced and has two or more
+    unplaced neighbours.  A branch is pruned unless every unplaced vertex
+    is adjacent to an adopter that a path of adopters joins to a queued
+    adopter.
 
     Complete: a vertex is placed only by its tree parent, so when a vertex
     chooses, all of its tree children are still unplaced.  Every spanning
-    tree rooted at the root is therefore the outcome of exactly one branch,
-    and the search's "no" is EXHAUSTED_SEARCH.  The budget counts the child
-    sets examined; exceeding it raises SearchBudgetError.  Runs are
-    deterministic.
+    tree rooted at the root is therefore the outcome of exactly one branch.
+    The prune cuts only branches with no HIST below them.  In a completion,
+    the parent of an unplaced vertex chooses later (if queued) or is
+    itself unplaced; either way all its children are unplaced now, it
+    takes at least two of them, as no non-root vertex takes exactly one,
+    and it is not of degree 2, as those stay leaves.  So it is an adopter,
+    and so is every ancestor up to the first queued one.  The prune keeps
+    the depth-first order, so the first HIST found is the one the search
+    without it would find, and the search's "no" is EXHAUSTED_SEARCH.
+    The budget counts the child sets examined; exceeding it raises
+    SearchBudgetError.  Runs are deterministic.
     """
     if not g.is_connected():
         raise ValueError("find_hist requires a connected graph")
@@ -211,8 +228,7 @@ def _backtrack_hist(g: Graph, budget: int):
                         f"HIST search exceeded budget of {budget} nodes"
                     )
                 now, after = placed | kids, waiting ^ (1 << v) | kids
-                starts = after & core
-                if _reach(g.rows, starts, starts | (full ^ now)) | now == full:
+                if _covered(g.rows, core, now, after) == full:
                     born = tuple(_bits(kids))
                     tree = grow(rest + born, after, now, edges + [(v, w) for w in born])
                     if tree is not None:
@@ -223,6 +239,30 @@ def _backtrack_hist(g: Graph, budget: int):
 
     tree = grow((root,), 1 << root, 1 << root, [])
     return None if tree is None else sorted((min(e), max(e)) for e in tree)
+
+
+def _covered(rows, core, placed, queued) -> int:
+    """The placed vertices plus those that can still get a tree parent.
+
+    An adopter is a queued or unplaced core vertex with at least two
+    unplaced neighbours.  Every parent of an unplaced vertex is one
+    (find_hist's docstring), so every unplaced vertex of a completion is
+    adjacent to an adopter that a chain of adopters joins to a queued one.
+    The search walks those chains from the queued core vertices.
+    """
+    free = ~placed
+    covered = placed
+    seen = frontier = queued & core
+    while frontier:
+        nxt = 0
+        for u in _bits(frontier):
+            kids = rows[u] & free
+            if kids & (kids - 1):  # an adopter: two or more unplaced neighbours
+                nxt |= kids
+        covered |= nxt
+        frontier = nxt & core & ~seen
+        seen |= frontier
+    return covered
 
 
 # -- spanning tree enumeration (independent oracle) ----------------------------

@@ -44,7 +44,7 @@ from .hist import find_hist, proof_guided_hist
 from .spectral import GUARD, TheoremSpec, hong_value, theorem_spec
 
 BLOCK_BITS = 20
-EIG_BATCH = 1 << 15
+EIG_BATCH = 1 << 12  # rows per slice of over_threshold
 CW_ITERS = 5  # Collatz-Wielandt steps before the eigensolve
 HASH_MULT = 2654435761  # Knuth multiplicative hash, for unbiased subsampling
 
@@ -142,8 +142,7 @@ def _scan_block(cfg: ScanConfig, c: _Codec, masks: np.ndarray, out: ShardOut):
     if not len(masks):
         return
     rows = _rows_of_masks(c, masks)
-    over = np.concatenate([over_threshold(cfg.theta, rows[s:s + EIG_BATCH], cfg.prescreens)
-                           for s in range(0, len(masks), EIG_BATCH)])
+    over = over_threshold(cfg.theta, rows, cfg.prescreens)
     if over.any():
         _classify_over(cfg, c, masks[over], rows[over], out)
 
@@ -207,7 +206,17 @@ def over_threshold(theta: float, rows: np.ndarray, refine: bool = True) -> np.nd
     symmetric eigensolver is backward stable, so its largest eigenvalue is
     within about n eps rho <= 62 * 2.2e-16 * 61, roughly 1e-12, of rho,
     far inside GUARD = 1e-9.
+
+    The rows go through in slices of EIG_BATCH, which bounds the float64
+    copies each slice makes.
     """
+    over = np.zeros(len(rows), dtype=bool)
+    for s in range(0, len(rows), EIG_BATCH):
+        over[s:s + EIG_BATCH] = _over_slice(theta, rows[s:s + EIG_BATCH], refine)
+    return over
+
+
+def _over_slice(theta, rows, refine):
     n = rows.shape[1]
     over = np.zeros(len(rows), dtype=bool)
     open_ = np.arange(len(rows))

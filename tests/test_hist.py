@@ -141,6 +141,18 @@ def test_sparse_n20_found_within_small_budget():
     assert out.found and is_valid_hist(g, out.tree_edges)
 
 
+@pytest.mark.parametrize("code, budget", [
+    ("RY?eA?Gh?G_S??O???JfAAJ?o_A?UG", 100),
+    ("T_agB??P?K[?OGO?a???_CEGX_????O?D??@", 2_500),
+])
+def test_sparse_graphs_found_within_small_budget(code, budget):
+    # Without the adopter prune the search examines 64,204 (n=19) and
+    # 17,304 (n=21) child sets before its first HIST; with it, 78 and 1,922.
+    g = decode_graph6(code)
+    out = find_hist(g, budget=budget)
+    assert out.found and is_valid_hist(g, out.tree_edges)
+
+
 def test_degree2_leaves_settle_structured_no_hist_graphs_without_search():
     # Without the degree-2 leaf rule both families cost exponential search
     # (K_{2,40} did not finish in 60 s), so budget=1 would raise.
@@ -202,10 +214,23 @@ def test_found_trees_validate():
             assert is_valid_hist(g, out.tree_edges)
 
 
-def test_oracle_equivalence_exhaustive_n5():
-    for n in range(1, 6):
+def test_oracle_equivalence_exhaustive_n6():
+    for n in range(1, 7):
         for g in enumerate_labeled(n, connected=True):
             assert find_hist(g).found == oracle_hist(g).found
+
+
+def test_cut_vertex_certificate_is_lowest_degree2_cut_vertex():
+    rng = np.random.default_rng(5)
+    graphs = [g for n in range(3, 7) for g in enumerate_labeled(n, connected=True)]
+    graphs += [random_connected(rng, int(rng.integers(7, 16)), 0.2) for _ in range(300)]
+    for g in graphs:
+        cuts = [v for v in sorted(g.cut_vertices()) if g.degree(v) == 2]
+        cert = no_hist_certificate(g)
+        if cuts:
+            assert cert == Certificate(CUT_VERTEX_DEG2, (cuts[0],))
+        else:
+            assert cert is None or cert.kind != CUT_VERTEX_DEG2
 
 
 def test_certificate_soundness_small():
