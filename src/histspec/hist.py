@@ -181,12 +181,12 @@ def find_hist(g: Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> HistOutcome:
     the depth-first order, so the first HIST found is the one the search
     without it would find, and the search's "no" is EXHAUSTED_SEARCH.
     The budget counts the child sets examined; exceeding it raises
-    SearchBudgetError.  Runs are deterministic.
+    SearchBudgetError.  Runs are deterministic.  A disconnected graph
+    raises ValueError; from n = 3 on, no_hist_certificate makes that check.
     """
-    if not g.is_connected():
-        raise ValueError("find_hist requires a connected graph")
-    n = g.n
-    if n <= 2:
+    if g.n <= 2:
+        if not g.is_connected():
+            raise ValueError("find_hist requires a connected graph")
         return HistOutcome(found=True, tree_edges=tuple(g.edges()))
     cert = no_hist_certificate(g)
     if cert is not None:

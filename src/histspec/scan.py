@@ -3,8 +3,8 @@
 Graphs of order n are edge bitmasks over the C(n, 2) vertex pairs in
 the colex slot order of `graphs.edge_slots`, which graph6 shares.  The
 order-only arrays of that code (`_codec(n)`) turn mask blocks into
-adjacency bit rows and test their connectivity without any theorem; the
-scan pipeline per mask block is:
+adjacency bit rows, whose connectivity is then tested on the rows alone,
+without any theorem; the scan pipeline per mask block is:
 
   1. mask-level prescreens (degrees, Hong-type bound), each justified by
      an upper bound on rho that is valid for every connected graph, so no
@@ -21,7 +21,8 @@ scan pipeline per mask block is:
      dense eigensolves for the few graphs left, which include every
      labeled copy of the extremal family (rho exactly theta);
   3. vectorized connectivity (or 2-connectivity) by bitset BFS over all
-     graphs at once, stopped as soon as a step reaches no new vertex;
+     graphs at once, stopped as soon as a step reaches no new vertex,
+     which the graph6 corpus filter shares on int64 rows;
   4. classification of the over-threshold graphs: extremal family match,
      star or spanning-double-star HIST constructions (vectorized), then a
      per-graph proof-guided constructor with full backtracking as the
@@ -262,23 +263,28 @@ def _sandwich(theta, adj, d):
     return np.concatenate(over), keys[~(sure_over | sure_under)]
 
 
-def _connected_filter(c: _Codec, rows: np.ndarray, two_connected: bool) -> np.ndarray:
+def _connected_filter(rows: np.ndarray, two_connected: bool) -> np.ndarray:
     """Boolean mask of graphs that are connected (or 2-connected).
+
+    `rows` holds one graph per row as adjacency bit rows of one order n,
+    which it takes from the row length, in any integer word wide enough
+    for n bits: uint8 from the scan engine and `enumerate_labeled`,
+    little-endian int64 from the graph6 corpus filter
+    (`verification._corpus_survivors`), whose short form caps n at 62.
 
     2-connectivity for n >= 3 is equivalent to "G - v is connected for
     every v": a disconnected G always has some v whose removal leaves two
     nonempty parts or an isolated vertex behind.
     """
-    n = c.n
+    n, word = rows.shape[1], rows.dtype.type
+    full = (1 << n) - 1
     if two_connected:
         ok = np.ones(len(rows), dtype=bool)
         for v in range(n):
-            alive = np.uint8(((1 << n) - 1) ^ (1 << v))
-            start = np.uint8(2 if v == 0 else 1)
-            ok &= _reach_vec(rows, alive, start, n) == alive
+            alive = word(full ^ (1 << v))
+            ok &= _reach_vec(rows, alive, word(2 if v == 0 else 1), n) == alive
         return ok
-    alive = c.full_row
-    return _reach_vec(rows, alive, np.uint8(1), n) == alive
+    return _reach_vec(rows, word(full), word(1), n) == full
 
 
 def _reach_vec(rows, alive, start, steps):
@@ -324,7 +330,7 @@ def _double_star_feasible(c: _Codec, masks, rows) -> np.ndarray:
 
 def _classify_over(cfg, c, over_masks, rows, out):
     n, spec = c.n, cfg.spec
-    keep = _connected_filter(c, rows, spec.two_connected)
+    keep = _connected_filter(rows, spec.two_connected)
     over_masks, rows = over_masks[keep], rows[keep]
     if not len(over_masks):
         return

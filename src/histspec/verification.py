@@ -40,7 +40,7 @@ LABELED_EXHAUSTIVE = "labeled_exhaustive"
 GRAPH6_CORPUS = "graph6_corpus"
 
 SHARD_BITS = 19  # fixed shard size keeps reports independent of worker count
-CORPUS_BATCH = 512  # corpus graphs per batched spectral decision; bounds memory
+CORPUS_BATCH = 512  # corpus graphs per batched filter or spectral decision; bounds memory
 THRESHOLD_AGREEMENT = 1e-8
 
 
@@ -115,7 +115,7 @@ def enumerate_labeled(n: int, connected: bool = False):
     for lo, hi in _shards(1 << c.nbits):
         rows = _scan._rows_of_masks(c, np.arange(lo, hi, dtype=np.uint32))
         if connected:
-            rows = rows[_scan._connected_filter(c, rows, False)]
+            rows = rows[_scan._connected_filter(rows, False)]
         data = rows.tobytes()
         for k in range(0, len(data), n):
             yield Graph._from_rows_unchecked(n, tuple(data[k:k + n]))
@@ -261,19 +261,31 @@ def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
 
 
 def _corpus_survivors(spec, n, theta, corpus_path, out):
-    """The corpus graphs with the theorem's connectivity, maximum degree
+    """The corpus graphs with the theorem's maximum degree, connectivity
     and Hong bound, in corpus order; counts them and the scanned graphs
-    in `out`."""
-    for _, g in read_graph6_file(corpus_path):
-        if g.n != n:
-            raise ValueError(f"corpus graph of order {g.n}, expected {n}")
-        out.scanned += 1
-        if g.max_degree() < n - spec.degree_gap or not spec.admits(g):
-            continue
-        if hong_bound(g) < theta - GUARD:
-            continue
-        out.survivors += 1
-        yield g
+    in `out`.
+
+    Records are decoded one at a time and decided CORPUS_BATCH at a time
+    on their bit rows, packed as little-endian int64 (graph6's short form
+    caps n at 62): the maximum-degree floor by `np.bitwise_count`, then
+    the connectivity by the bitset BFS that the scan engine and
+    `enumerate_labeled` use (`scan._connected_filter`).  `hong_bound`
+    needs a connected graph, so it runs per graph on what is left.
+    """
+    graphs = (g for _, g in read_graph6_file(corpus_path))
+    while chunk := list(itertools.islice(graphs, CORPUS_BATCH)):
+        for g in chunk:
+            if g.n != n:
+                raise ValueError(f"corpus graph of order {g.n}, expected {n}")
+        out.scanned += len(chunk)
+        rows = np.array([g.rows for g in chunk], dtype="<i8")
+        keep = np.bitwise_count(rows).max(axis=1) >= n - spec.degree_gap
+        keep[keep] = _scan._connected_filter(rows[keep], spec.two_connected)
+        for g in itertools.compress(chunk, keep):
+            if hong_bound(g) < theta - GUARD:
+                continue
+            out.survivors += 1
+            yield g
 
 
 def _over_threshold(graphs, theta) -> list:

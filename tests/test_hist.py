@@ -79,6 +79,37 @@ def test_find_hist_small_cases():
         find_hist(Graph(4, [(0, 1), (2, 3)]))
 
 
+def test_find_hist_checks_connectivity_once(monkeypatch):
+    # Disconnected graphs raise at every order; from n = 3 on the check is
+    # the certificate's alone, so a connected graph costs one BFS.
+    from histspec import hist
+
+    for g in (Graph(2), Graph(3, [(0, 1)]), Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+              Graph(9, [(v, v + 1) for v in range(7)])):
+        with pytest.raises(ValueError, match="connected graph"):
+            find_hist(g)
+    calls = []
+    real_connected, real_cert = Graph.is_connected, hist.no_hist_certificate
+
+    def connected(g):
+        calls.append("is_connected")
+        return real_connected(g)
+
+    def certificate(g):
+        calls.append("no_hist_certificate")
+        return real_cert(g)
+
+    monkeypatch.setattr(Graph, "is_connected", connected)
+    monkeypatch.setattr(hist, "no_hist_certificate", certificate)
+    for g in (complete(4), cycle(5), family_B(9), complete_bipartite(2, 5)):
+        del calls[:]
+        find_hist(g)
+        assert calls == ["no_hist_certificate", "is_connected"]
+    del calls[:]
+    assert find_hist(complete(2)).found
+    assert calls == ["is_connected"]
+
+
 def test_oracle_small_cases():
     assert not oracle_hist(path_graph(4)).found
     assert oracle_hist(complete(4)).found

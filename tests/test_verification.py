@@ -344,7 +344,7 @@ def test_connected_filter_matches_bfs_and_cut_vertices():
     # removal: every labeled graph of order 3..6, uniform random masks of
     # order 7 and 8, and labeled paths and cycles, whose BFS from vertex 0
     # (with one vertex removed, for a cycle) takes up to n - 1 steps.
-    from histspec.scan import _codec, _connected_filter
+    from histspec.scan import _connected_filter
 
     rng = np.random.default_rng(41)
     for n in range(3, 9):
@@ -361,8 +361,34 @@ def test_connected_filter_matches_bfs_and_cut_vertices():
         two = [ok and not brute_cut_vertices(g) for g, ok in zip(graphs, connected)]
         assert 0 < sum(two) < sum(connected) < len(graphs)
         rows = _rows_of_graphs(graphs)
-        assert _connected_filter(_codec(n), rows, False).tolist() == connected
-        assert _connected_filter(_codec(n), rows, True).tolist() == two
+        assert _connected_filter(rows, False).tolist() == connected
+        assert _connected_filter(rows, True).tolist() == two
+
+
+def test_connected_filter_on_int64_rows():
+    # The corpus filter's rows: little-endian int64, any order up to
+    # graph6's 62.  Every labeled graph of order 3..6, seeded random graphs
+    # of order 9..16 over a spread of edge densities, and at n = 62 the
+    # path (whose BFS from vertex 0 takes all 61 steps), cycle, complete
+    # graph and L_62, each also with one edge removed.
+    from histspec import cycle, path_graph
+    from histspec.scan import _connected_filter
+
+    rng = np.random.default_rng(43)
+    cases = [list(all_labeled_graphs(n)) for n in range(3, 7)]
+    for n in range(9, 17):
+        pairs = list(itertools.combinations(range(n), 2))
+        cases.append([Graph(n, [pairs[i] for i in np.flatnonzero(rng.random(len(pairs)) < p)])
+                      for p in rng.uniform(1.5 / n, 4.0 / n, 300)])
+    big = [path_graph(62), cycle(62), complete(62), family_L(62)]
+    cases.append(big + [g.remove_edge(*next(g.edges())) for g in big])
+    for graphs in cases:
+        connected = [g.is_connected() for g in graphs]
+        two = [ok and g.is_2_connected() for g, ok in zip(graphs, connected)]
+        assert 0 < sum(two) < sum(connected) < len(graphs)
+        rows = np.array([g.rows for g in graphs], dtype="<i8")
+        assert _connected_filter(rows, False).tolist() == connected
+        assert _connected_filter(rows, True).tolist() == two
 
 
 def test_double_star_feasible_matches_brute_force():
@@ -454,6 +480,97 @@ def test_corpus_wrong_order_rejected(tmp_path):
     path.write_text(encode_graph6(complete(5)) + "\n")
     with pytest.raises(ValueError):
         verify_theorem2(9, source=GRAPH6_CORPUS, corpus_path=str(path))
+
+
+def _mixed_corpus(n, count, seed):
+    """Seeded graphs of order n, edge densities from sparse to complete,
+    with a labeled copy of L_n or B_n every 40 records."""
+    rng = np.random.default_rng(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    graphs = []
+    for k in range(count):
+        if k % 40 == 0:
+            fam = family_L(n) if k % 80 == 0 else family_B(n)
+            graphs.append(fam.relabel(rng.permutation(n)))
+        else:
+            keep = rng.random(len(pairs)) < rng.uniform(0.2, 0.95)
+            graphs.append(Graph(n, [pairs[i] for i in np.flatnonzero(keep)]))
+    return graphs
+
+
+def _per_graph_corpus_report(spec, theta, graphs):
+    """What the corpus driver must report, graph by graph: the theorem's
+    connectivity, degree floor and Hong bound, then power iteration, the
+    extremal recognizer and the exact HIST search."""
+    from histspec import hong_bound, is_family_B, is_family_L, spectral_radius
+    from histspec.spectral import GUARD
+
+    is_extremal = is_family_L if spec.family == "L" else is_family_B
+    survivors, over, hists, counterexamples = 0, [], 0, []
+    for g in graphs:
+        if g.max_degree() < g.n - spec.degree_gap or not spec.admits(g):
+            continue
+        if hong_bound(g) < theta - GUARD:
+            continue
+        survivors += 1
+        if spectral_radius(g).rho < theta - GUARD:
+            continue
+        over.append(g)
+        if is_extremal(g):
+            continue
+        if find_hist(g).found:
+            hists += 1
+        else:
+            counterexamples.append(encode_graph6(g))
+    return survivors, over, hists, counterexamples
+
+
+def test_corpus_filter_matches_per_graph_reference(tmp_path):
+    # Three chunks of the batched corpus filter, the last one partial,
+    # against a per-graph reference, for both drivers.  The corpus mixes
+    # disconnected graphs, connected ones with a cut vertex, connected
+    # ones below the degree floor and over-threshold ones.
+    from histspec.spectral import THM1, THM2
+    from histspec.verification import CORPUS_BATCH
+
+    n = 9
+    graphs = _mixed_corpus(n, 2 * CORPUS_BATCH + 100, seed=7)
+    path = tmp_path / "mixed9.g6"
+    path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+    connected = [g.is_connected() for g in graphs]
+    assert 0 < sum(connected) < len(graphs)
+    assert any(ok and not g.is_2_connected() for g, ok in zip(graphs, connected))
+    for spec, verify, theta in ((THM1, verify_theorem1, threshold_connected(n)),
+                                (THM2, verify_theorem2, threshold_two_connected(n))):
+        assert any(ok and g.max_degree() < n - spec.degree_gap
+                   for g, ok in zip(graphs, connected))
+        survivors, over, hists, counterexamples = _per_graph_corpus_report(spec, theta, graphs)
+        over_ids = {id(g) for g in over}
+        chunks = {k // CORPUS_BATCH for k, g in enumerate(graphs) if id(g) in over_ids}
+        assert chunks == {0, 1, 2}
+        rep = verify(n, source=GRAPH6_CORPUS, corpus_path=str(path))
+        assert rep.scanned == len(graphs)
+        assert (rep.prescreen_survivors, rep.over_threshold, rep.hists_found,
+                rep.counterexamples) == (survivors, len(over), hists, counterexamples)
+        assert 0 < rep.extremal_matches < rep.over_threshold
+
+
+def test_corpus_errors_in_a_later_chunk(tmp_path):
+    # A wrong-order record or a malformed one past the first chunk still
+    # stops the driver, the malformed one with its line number.
+    from histspec import Graph6FormatError
+    from histspec.verification import CORPUS_BATCH
+
+    lines = [encode_graph6(g) + "\n" for g in _mixed_corpus(9, CORPUS_BATCH + 10, seed=8)]
+    path = tmp_path / "late.g6"
+    path.write_text("".join(lines[:-5] + [encode_graph6(complete(8)) + "\n"] + lines[-5:]))
+    with pytest.raises(ValueError, match="order 8, expected 9"):
+        verify_theorem1(9, source=GRAPH6_CORPUS, corpus_path=str(path))
+    bad = lines[-5][:-2] + "\n"  # one data byte short
+    path.write_text("".join(lines[:-5] + [bad] + lines[-4:]))
+    with pytest.raises(Graph6FormatError) as err:
+        verify_theorem2(9, source=GRAPH6_CORPUS, corpus_path=str(path))
+    assert err.value.lineno == CORPUS_BATCH + 6
 
 
 def test_corpus_source_rejects_subsample(tmp_path):
