@@ -8,7 +8,9 @@ without any theorem; the scan pipeline per mask block is:
 
   1. mask-level prescreens (degrees, Hong-type bound), each justified by
      an upper bound on rho that is valid for every connected graph, so no
-     graph that could reach the threshold is ever dropped;
+     graph that could reach the threshold is ever dropped; the Hong test
+     is a lookup in a table over (minimum degree, edge count) whose
+     entries equal the per-mask test bit for bit;
   2. the spectral decision `over_threshold`, which the graph6 corpus
      path shares: certain classifications that skip the eigensolver
      (Rayleigh quotients of the all-ones and degree vectors are lower
@@ -17,12 +19,15 @@ without any theorem; the scan pipeline per mask block is:
      then bracket rho between the Rayleigh quotient x'Ax/x'x and
      max_v (Ax)_v/x_v, positive because the prescreens enforce minimum
      degree >= 1; a bound settles a graph only with the GUARD margin
-     below, so no verdict differs from the eigensolver's), then batched
-     dense eigensolves for the few graphs left, which include every
-     labeled copy of the extremal family (rho exactly theta);
+     below, so no verdict differs from the eigensolver's), all computed
+     on the adjacency bit rows, then batched dense eigensolves for the
+     few graphs left, which include every labeled copy of the extremal
+     family (rho exactly theta) and are the only rows unpacked into a
+     float adjacency;
   3. vectorized connectivity (or 2-connectivity) by bitset BFS over all
-     graphs at once, stopped as soon as a step reaches no new vertex,
-     which the graph6 corpus filter shares on int64 rows;
+     graphs at once, stopped as soon as a step reaches no new vertex or
+     every graph has reached every vertex, which the graph6 corpus
+     filter shares on int64 rows;
   4. classification of the over-threshold graphs: extremal family match,
      star or spanning-double-star HIST constructions (vectorized), then a
      per-graph proof-guided constructor with full backtracking as the
@@ -48,6 +53,8 @@ BLOCK_BITS = 20
 EIG_BATCH = 1 << 12  # rows per slice of over_threshold
 CW_ITERS = 5  # Collatz-Wielandt steps before the eigensolve
 HASH_MULT = 2654435761  # Knuth multiplicative hash, for unbiased subsampling
+# _SUBSETS[i, s] is bit i of s: x[:, 4g:4g+4] @ _SUBSETS sums x over each subset s
+_SUBSETS = ((np.arange(16) >> np.arange(4)[:, None]) & 1).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -151,16 +158,31 @@ def _scan_block(cfg: ScanConfig, c: _Codec, masks: np.ndarray, out: ShardOut):
 def _prescreen(cfg: ScanConfig, c: _Codec, masks: np.ndarray) -> np.ndarray:
     """Which masks pass the degree and Hong-type prescreens."""
     n = c.n
-    m = np.bitwise_count(masks).astype(np.int64)
+    m = np.bitwise_count(masks)
     dmax = np.zeros(len(masks), dtype=np.uint8)
     dmin = np.full(len(masks), n, dtype=np.uint8)
     for v in range(n):
         deg = np.bitwise_count(masks & c.inc[v])
         np.maximum(dmax, deg, out=dmax)
         np.minimum(dmin, deg, out=dmin)
-    keep = (dmax >= n - cfg.spec.degree_gap) & (dmin >= cfg.spec.min_degree)
-    keep &= hong_value(dmin.astype(np.float64), n, m) >= cfg.theta - GUARD
-    return keep
+    ok = _hong_table(cfg, n)
+    # ok[dmin, m] as one flat take; the offsets fit uint16 (at most 9 * 29 - 1)
+    return (dmax >= n - cfg.spec.degree_gap) & ok.ravel().take(dmin * np.uint16(ok.shape[1]) + m)
+
+
+def _hong_table(cfg: ScanConfig, n: int) -> np.ndarray:
+    """ok[d, m]: whether a graph of minimum degree d and m edges passes
+    the minimum-degree and Hong prescreens.  The Hong entries come from
+    hong_value on float64 d and int64 m, the operand types of a per-mask
+    test, so each equals that test bit for bit.  Entries with 2m < d n
+    belong to no graph, and are left False rather than taking the square
+    root of a negative number."""
+    d = np.arange(n + 1, dtype=np.float64)[:, None]
+    m = np.arange(n * (n - 1) // 2 + 1, dtype=np.int64)
+    d, m = np.broadcast_arrays(d, m)
+    ok = (d >= cfg.spec.min_degree) & (2 * m >= d * n)
+    ok[ok] = hong_value(d[ok], n, m[ok]) >= cfg.theta - GUARD
+    return ok
 
 
 def _rows_of_masks(c: _Codec, masks: np.ndarray) -> np.ndarray:
@@ -208,6 +230,16 @@ def over_threshold(theta: float, rows: np.ndarray, refine: bool = True) -> np.nd
     within about n eps rho <= 62 * 2.2e-16 * 61, roughly 1e-12, of rho,
     far inside GUARD = 1e-9.
 
+    The bounds never build a float adjacency: A x comes from the bit rows
+    (`_adj_times`) as sums of x over subsets of each group of four
+    vertices, and the row sums of products and the row maxima are taken
+    column by column.  Only the summation order differs from a dense
+    A @ x; the degree and two-walk bounds sum small integers and are
+    exact either way, and in the Collatz-Wielandt steps reordering moves
+    a sum of at most 62 positive terms by a few ulps, a relative 1e-14,
+    which the 1e-12 and GUARD margins above absorb.  The adjacency is
+    unpacked to float64 only for the rows handed to eigvalsh.
+
     The rows go through in slices of EIG_BATCH, which bounds the float64
     copies each slice makes.
     """
@@ -225,42 +257,75 @@ def _over_slice(theta, rows, refine):
         deg = np.bitwise_count(rows).astype(np.float64)
         over = deg @ np.ones(n) / n >= theta  # all-ones quotient 2m/n, exact sums
         open_ = np.flatnonzero(~over)
-    adj = np.unpackbits(rows[open_].view(np.uint8), axis=1, bitorder="little").reshape(
-        len(open_), n, 8 * rows.itemsize)[:, :, :n].astype(np.float64)
-    if refine:
-        sure, rest = _sandwich(theta, adj, deg[open_])
+        sure, rest = _sandwich(theta, rows[open_], deg[open_])
         over[open_[sure]] = True
-        open_, adj = open_[rest], adj[rest]
+        open_ = open_[rest]
     if len(open_):
+        adj = np.unpackbits(rows[open_].view(np.uint8), axis=1, bitorder="little").reshape(
+            len(open_), n, 8 * rows.itemsize)[:, :, :n].astype(np.float64)
         over[open_] = np.linalg.eigvalsh(adj)[:, -1] >= theta - GUARD
     return over
 
 
-def _sandwich(theta, adj, d):
+def _sandwich(theta, rows, d):
     """The degree, two-walk and Collatz-Wielandt bounds of
-    over_threshold on float64 adjacency matrices `adj` with degree vectors
-    `d`, all >= 1.  Returns the indices of the rows certainly over and of
-    the rows still undecided."""
+    over_threshold on adjacency bit rows `rows` with degree vectors `d`,
+    all >= 1.  Returns the indices of the rows certainly over and of the
+    rows still undecided."""
     over = []
     under = theta - GUARD - 1e-12
-    keys = np.arange(len(adj))
-    walk = np.matmul(adj, d[:, :, None])[:, :, 0]
-    sure_over = (walk * d).sum(axis=1) >= theta * (d * d).sum(axis=1)
-    sure_under = walk.max(axis=1) < under * under
+    keys = np.arange(len(rows))
+    nibbles = _nibbles(rows)
+    walk = _adj_times(nibbles, d)
+    sure_over = _dot(walk, d) >= theta * _dot(d, d)
+    sure_under = _row_max(walk) < under * under
     x = walk + d
     for _ in range(CW_ITERS):
         over.append(keys[sure_over])
-        keep = ~(sure_over | sure_under)
-        keys, adj, x = keys[keep], adj[keep], x[keep]
+        keep = np.flatnonzero(~(sure_over | sure_under))
+        keys, x = keys[keep], x.take(keep, axis=0)
+        nibbles = [nib.take(keep, axis=0) for nib in nibbles]
         if not len(keys):
             return np.concatenate(over), keys
-        x /= x.max(axis=1, keepdims=True)
-        y = np.matmul(adj, x[:, :, None])[:, :, 0]
-        sure_over = (x * y).sum(axis=1) >= theta * (x * x).sum(axis=1)
-        sure_under = (y / x).max(axis=1) < under
+        x /= _row_max(x)[:, None]
+        y = _adj_times(nibbles, x)
+        sure_over = _dot(x, y) >= theta * _dot(x, x)
+        sure_under = _row_max(y / x) < under
         x += y
     over.append(keys[sure_over])
     return np.concatenate(over), keys[~(sure_over | sure_under)]
+
+
+def _nibbles(rows):
+    """The 4-bit groups of adjacency bit rows: entry [k, v] of array g
+    holds the edges from v to vertices 4g..4g+3 of graph k."""
+    return [((rows >> 4 * g) & 15).astype(np.uint8) for g in range(-(-rows.shape[1] // 4))]
+
+
+def _adj_times(nibbles, x):
+    """A x per row from the 4-bit groups of A's bit rows: for each group,
+    the sums of x over every subset of its four vertices (one small
+    GEMM), gathered at each vertex's nibble."""
+    y = 0
+    base = np.arange(0, 16 * len(x), 16)[:, None]
+    for g, nib in enumerate(nibbles):
+        part = x[:, 4 * g:4 * g + 4]
+        y = y + np.take(part @ _SUBSETS[:part.shape[1]], nib + base)
+    return y
+
+
+def _dot(a, b):
+    """Row-wise dot products of two (k, n) arrays."""
+    return np.einsum("kv,kv->k", a, b)
+
+
+def _row_max(a):
+    """Row-wise maxima of a (k, n) array, by a running maximum over its
+    columns."""
+    top = a[:, 0].copy()
+    for v in range(1, a.shape[1]):
+        np.maximum(top, a[:, v], out=top)
+    return top
 
 
 def _connected_filter(rows: np.ndarray, two_connected: bool) -> np.ndarray:
@@ -289,8 +354,9 @@ def _connected_filter(rows: np.ndarray, two_connected: bool) -> np.ndarray:
 
 def _reach_vec(rows, alive, start, steps):
     """Vertices of `alive` reachable from `start` inside `alive`, per row,
-    after at most `steps` BFS steps; a step that adds no vertex to any row
-    is a fixed point, so the loop stops there."""
+    after at most `steps` BFS steps.  The loop stops at a fixed point (a
+    step that adds no vertex to any row) or once every row has reached
+    all of `alive`, since a full row cannot grow."""
     reach = np.full(len(rows), start & alive, dtype=rows.dtype)
     for _ in range(steps):
         acc = np.zeros_like(reach)
@@ -300,6 +366,8 @@ def _reach_vec(rows, alive, start, steps):
         if np.array_equal(grown, reach):
             break
         reach = grown
+        if (reach == alive).all():
+            break
     return reach
 
 
@@ -345,16 +413,19 @@ def _classify_over(cfg, c, over_masks, rows, out):
     # Looked up per call, not stored in the spec, so that rebinding the
     # module attribute takes effect.
     is_extremal = is_family_L if spec.family == "L" else is_family_B
-    fam_degs = np.array(sorted(make_family(spec.family, n).degrees()), dtype=np.uint8)
-    cand = (np.sort(deg, axis=1) == fam_degs).all(axis=1)
-    for idx in np.nonzero(cand)[0]:
+    fam = make_family(spec.family, n)
+    # the edge count first, then the sorted degrees of the rows that match
+    cand = np.flatnonzero(np.bitwise_count(over_masks) == fam.m)
+    fam_degs = np.array(sorted(fam.degrees()), dtype=np.uint8)
+    cand = cand[(np.sort(deg[cand], axis=1) == fam_degs).all(axis=1)]
+    for idx in cand:
         g = _graph_of_row(n, rows[idx])
         if is_extremal(g):
             ext[idx] = True
     out.extremal += int(ext.sum())
 
     rest = ~ext
-    star = rest & (deg.max(axis=1) == n - 1)
+    star = rest & (_row_max(deg) == n - 1)
     rest &= ~star
     dstar = np.zeros(len(over_masks), dtype=bool)
     if rest.any():
@@ -375,4 +446,4 @@ def _classify_over(cfg, c, over_masks, rows, out):
 
 
 def _graph_of_row(n, row) -> Graph:
-    return Graph._from_rows_unchecked(n, tuple(int(x) for x in row))
+    return Graph._from_rows_unchecked(n, tuple(row.tolist()))

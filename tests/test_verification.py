@@ -185,6 +185,63 @@ def test_sandwich_matches_eigensolve_near_threshold(monkeypatch, n, mode, extrem
         assert len(copies) <= sum(solved) < len(masks)
 
 
+def _random_rows(rng, n, count, dtype=np.int64):
+    """Adjacency bit rows of `count` seeded random graphs of order n, each
+    with its own edge probability, and their dense 0/1 adjacency."""
+    adj = np.zeros((count, n, n), dtype=np.int64)
+    iu = np.triu_indices(n, 1)
+    for k in range(count):
+        adj[k][iu] = rng.random(len(iu[0])) < rng.uniform(0.2, 0.9)
+    adj |= adj.transpose(0, 2, 1)
+    rows = [[sum(int(b) << w for w, b in enumerate(r)) for r in a] for a in adj]
+    return np.array(rows, dtype=dtype), adj
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 62])
+def test_bit_row_product_matches_dense(n):
+    # The sandwich's A x, from subset-sum tables of each 4-bit group of x
+    # gathered at the bit rows' nibbles, equals the dense product: exactly
+    # on integer x, to rounding on float x.  uint8 rows (the scan engine's)
+    # for n <= 8, int64 rows (the corpus path's) for every n.
+    from histspec.scan import _adj_times, _nibbles
+
+    rng = np.random.default_rng(100 + n)
+    rows, adj = _random_rows(rng, n, 300)
+    dtypes = (np.uint8, np.int64) if n <= 8 else (np.int64,)
+    for x in (rng.integers(0, 1000, (300, n)).astype(np.float64), rng.random((300, n))):
+        want = np.matmul(adj.astype(np.float64), x[:, :, None])[:, :, 0]
+        for dtype in dtypes:
+            got = _adj_times(_nibbles(rows.astype(dtype)), x)
+            assert got.shape == want.shape
+            if x[0, 0] == int(x[0, 0]):
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
+def test_refined_over_threshold_matches_eigensolve_on_random_rows():
+    # On seeded random rows with minimum degree >= 1, the bounds of the
+    # refine path decide exactly as the plain eigensolve, at thresholds
+    # that split the sample and at the exact spectral radius of some of
+    # its graphs (a tie with the eigensolve, settled by GUARD).
+    from histspec.scan import over_threshold
+
+    rng = np.random.default_rng(44)
+    for n in range(3, 13):
+        rows, adj = _random_rows(rng, n, 1500)
+        rows = rows[adj.sum(axis=2).min(axis=1) >= 1]
+        rho = np.sort(np.linalg.eigvalsh(
+            np.array([[[(r >> w) & 1 for w in range(n)] for r in row] for row in rows],
+                     dtype=np.float64))[:, -1])
+        split = set()
+        for theta in (*np.quantile(rho, [0.1, 0.5, 0.9]), rho[len(rho) // 3]):
+            plain = over_threshold(theta, rows, refine=False)
+            split.update(plain.tolist())
+            for r in (rows, rows.astype(np.uint8)) if n <= 8 else (rows,):
+                assert np.array_equal(over_threshold(theta, r, refine=True), plain)
+        assert split == {False, True}
+
+
 def _labeled_copies(g, moved, limit=None, seed=0):
     """Permutations giving distinct labeled copies of g, whose automorphisms
     permute the vertices outside `moved` freely: every injective image of
@@ -437,6 +494,59 @@ def test_prescreen_matches_per_graph_reference():
                 assert 0 < sum(want) < len(want)
                 cfg = ScanConfig(n=n, theta=theta, mode=mode)
                 assert _prescreen(cfg, _codec(n), masks).tolist() == want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_prescreen_table_matches_elementwise_hong():
+    # The table lookup keeps exactly the masks that the element-wise
+    # degree and Hong test keeps (hong_value on float64 d and int64 m per
+    # mask), for both theorems, on every order-6 mask and on one 2^16 range
+    # of order-8 masks.  The thresholds include Hong values themselves
+    # (plus GUARD), where the >= test is a tie that only a bit-identical
+    # table decides alike; neither side may raise a RuntimeWarning.
+    from histspec.scan import _codec, _prescreen
+    from histspec.spectral import GUARD, hong_value, theorem_spec
+
+    lo8 = 0x0F0F0000
+    for n, masks, thetas in (
+            (6, np.arange(1 << 15, dtype=np.uint32), (2.5, 3.0, 3.5)),
+            (8, np.arange(lo8, lo8 + (1 << 16), dtype=np.uint32),
+             (threshold_connected(8), threshold_two_connected(8)))):
+        c = _codec(n)
+        m = np.bitwise_count(masks).astype(np.int64)
+        deg = np.stack([np.bitwise_count(masks & c.inc[v]) for v in range(n)], axis=1)
+        dmax, dmin = deg.max(axis=1), deg.min(axis=1)
+        hong = hong_value(dmin.astype(np.float64), n, m)
+        ties = [hong_value(float(d), n, mm) + GUARD for d, mm in ((1, n + 2), (2, 2 * n), (3, 2 * n))]
+        for mode in ("thm1", "thm2"):
+            spec = theorem_spec(mode)
+            for theta in (*thetas, *ties):
+                want = ((dmax >= n - spec.degree_gap) & (dmin >= spec.min_degree)
+                        & (hong >= theta - GUARD))
+                assert 0 < want.sum() < len(masks)
+                cfg = ScanConfig(n=n, theta=theta, mode=mode)
+                assert np.array_equal(_prescreen(cfg, c, masks), want)
+
+
+def test_extremal_prefilter_calls_recognizer_on_degree_matches(monkeypatch):
+    # The recognizer runs once per over-threshold graph whose sorted
+    # degrees equal the family's, the edge-count prefilter aside.
+    from histspec import scan
+
+    for n, mode, fam, name in ((7, "thm1", family_L(7), "is_family_L"),
+                               (8, "thm2", family_B(8), "is_family_B")):
+        calls = []
+        real = getattr(scan, name)
+        monkeypatch.setattr(scan, name, lambda g, real=real: calls.append(g) or real(g))
+        theta = threshold_connected(n) if mode == "thm1" else threshold_two_connected(n)
+        cfg = ScanConfig(n=n, theta=theta, mode=mode, subsample=16 if n == 7 else 2048,
+                         collect_over=True)
+        out = scan_range(cfg, 0, 1 << (n * (n - 1) // 2))
+        fam_degs = sorted(fam.degrees())
+        want = [mk for mk in out.over_masks if sorted(graph_from_mask(n, mk).degrees()) == fam_degs]
+        assert len(calls) == len(want) > 0
+        assert [mask_of_graph(g) for g in calls] == want
+        assert out.extremal == sum(1 for g in calls if real(g))
 
 
 def test_corollaries_range():
