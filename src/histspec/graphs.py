@@ -137,48 +137,17 @@ class Graph:
         return _reach(self.rows, 1, full) == full
 
     def cut_vertices(self) -> frozenset[int]:
-        """Articulation vertices, by iterative low-link DFS.
+        """Articulation vertices: the v for which G - v is disconnected.
 
-        Input must be connected; the DFS from vertex 0 checks that by
-        reaching every vertex.
+        Input must be connected (checked by one `_reach` from vertex 0).
+        Then v is a cut vertex iff `_reach` inside G - v, started at its
+        lowest vertex, misses part of G - v; `scan._connected_filter`
+        makes the same test on many graphs at once.
         """
-        n = self.n
-        disc = [-1] * n
-        low = [0] * n
-        parent = [-1] * n
-        ap = [False] * n
-        timer = 0
-        # Explicit stack of (vertex, iterator over remaining neighbor bits).
-        disc[0] = low[0] = timer
-        timer += 1
-        stack = [(0, self.rows[0])]
-        root_children = 0
-        while stack:
-            v, rest = stack[-1]
-            if rest:
-                w = (rest & -rest).bit_length() - 1
-                stack[-1] = (v, rest & (rest - 1))
-                if disc[w] == -1:
-                    parent[w] = v
-                    if v == 0:
-                        root_children += 1
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, self.rows[w]))
-                elif w != parent[v]:
-                    low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                p = parent[v]
-                if p != -1:
-                    low[p] = min(low[p], low[v])
-                    if p != 0 and low[v] >= disc[p]:
-                        ap[p] = True
-        if timer != n:
+        full = (1 << self.n) - 1
+        if _reach(self.rows, 1, full) != full:
             raise ValueError("cut_vertices requires a connected graph")
-        if root_children > 1:
-            ap[0] = True
-        return frozenset(v for v in range(n) if ap[v])
+        return frozenset(v for v in range(self.n) if _separates(self.rows, v, full))
 
     def is_2_connected(self) -> bool:
         """Connected with no cut vertex.  Defined only for n >= 3."""
@@ -230,12 +199,20 @@ def _reach(rows, start_mask: int, alive: int) -> int:
     frontier = visited
     while frontier:
         nxt = 0
-        for v in _bits(frontier):
-            nxt |= rows[v]
-        nxt &= alive & ~visited
-        visited |= nxt
-        frontier = nxt
+        while frontier:  # _bits inlined: cut_vertices runs this n + 1 times
+            low = frontier & -frontier
+            nxt |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & alive & ~visited
+        visited |= frontier
     return visited
+
+
+def _separates(rows, v: int, full: int) -> bool:
+    """Whether removing v disconnects the rest of the vertex set `full`:
+    the reach from the lowest other vertex misses part of full - v."""
+    alive = full ^ (1 << v)
+    return _reach(rows, 2 if v == 0 else 1, alive) != alive
 
 
 # -- the colex edge-slot code -------------------------------------------------

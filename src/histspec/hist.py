@@ -40,7 +40,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .graphs import Graph, _bits, _is_clique, _reach, is_family_B, is_family_L
+from .graphs import Graph, _bits, _is_clique, _reach, _separates, is_family_B, is_family_L
 from .spectral import THEOREMS, InvariantViolation
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
@@ -127,14 +127,9 @@ def no_hist_certificate(g: Graph) -> Optional[Certificate]:
         raise ValueError("certificates require a connected graph")
     degs = g.degrees()
     full = (1 << g.n) - 1
-    # Every vertex of G - v reaches v through one of v's two neighbours,
-    # so a degree-2 vertex v is a cut vertex iff they are apart in G - v.
     for v in range(g.n):
-        row = g.rows[v]
-        if degs[v] == 2:
-            low, high = row & -row, row & (row - 1)
-            if not _reach(g.rows, low, full ^ (1 << v)) & high:
-                return Certificate(CUT_VERTEX_DEG2, (v,))
+        if degs[v] == 2 and _separates(g.rows, v, full):
+            return Certificate(CUT_VERTEX_DEG2, (v,))
     for s2 in range(g.n):
         if degs[s2] != 2:
             continue

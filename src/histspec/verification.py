@@ -183,6 +183,8 @@ def _verify(spec, threshold, n, source, corpus_path, threads,
     theta = threshold(n)
     t0 = time.monotonic()
     if source == LABELED_EXHAUSTIVE:
+        if corpus_path is not None:
+            raise ValueError("corpus path applies to the corpus source only")
         cfg = _scan.ScanConfig(n=n, theta=theta, mode=spec.name, subsample=subsample)
         res = _run_sharded(cfg, threads)
         scope = (f"exhaustive over all labeled {spec.connectivity} graphs of order "

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,7 @@ def test_cut_vertices_against_brute_force_families():
 
 
 def test_cut_vertices_rejects_disconnected_input():
-    # The DFS's own visit count is the connectivity check, down to n = 2.
+    # The reach from vertex 0 is the connectivity check, down to n = 2.
     for g in (Graph(2), Graph(5, [(0, 1), (1, 2), (3, 4)]), Graph(5, [(1, 2), (2, 3), (3, 4)])):
         with pytest.raises(ValueError, match="connected"):
             g.cut_vertices()
@@ -93,14 +95,42 @@ def test_two_connectivity_examples():
 
 
 def test_two_connectivity_equivalence_exhaustive_small():
-    # For every connected graph up to order 6: Tarjan cut vertices agree
-    # with single-vertex-removal brute force, and 2-connectivity is
-    # exactly "connected and no cut vertex".
+    # For every connected graph up to order 6: cut vertices agree with
+    # brute force over induced subgraphs, and 2-connectivity is exactly
+    # "connected and no cut vertex".
     for n in range(3, 7):
         for g in enumerate_labeled(n, connected=True):
             cuts = g.cut_vertices()
             assert cuts == brute_cut_vertices(g)
             assert g.is_2_connected() == (len(cuts) == 0)
+
+
+def test_cut_vertices_at_wide_rows():
+    # Orders up to 62, where each Python-int row spans several digits:
+    # families with known cut vertices, then sparse random connected graphs
+    # (a random tree plus a few chords), all against brute force.
+    k31 = list(combinations(range(31), 2))
+    known = {
+        path_graph(62): frozenset(range(1, 61)),
+        cycle(62): frozenset(),
+        family_L(62): frozenset({1, 2}),
+        family_B(62): frozenset(),
+        star(62): frozenset({0}),
+        Graph(61, k31 + [(30 + u, 30 + v) for u, v in k31]): frozenset({30}),
+    }
+    rng = np.random.default_rng(15)
+    graphs = list(known)
+    for _ in range(40):
+        n = int(rng.integers(20, 63))
+        perm = rng.permutation(n)
+        edges = [(perm[v], perm[rng.integers(v)]) for v in range(1, n)]
+        edges += [tuple(rng.choice(n, 2, replace=False)) for _ in range(n // 8)]
+        graphs.append(Graph(n, edges))
+    for g in graphs:
+        cuts = brute_cut_vertices(g)
+        assert cuts == known.get(g, cuts)
+        assert g.cut_vertices() == cuts
+        assert g.is_2_connected() == (not cuts)
 
 
 def test_induced_subgraph():

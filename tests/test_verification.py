@@ -441,7 +441,7 @@ def test_connected_filter_on_int64_rows():
     cases.append(big + [g.remove_edge(*next(g.edges())) for g in big])
     for graphs in cases:
         connected = [g.is_connected() for g in graphs]
-        two = [ok and g.is_2_connected() for g, ok in zip(graphs, connected)]
+        two = [ok and not brute_cut_vertices(g) for g, ok in zip(graphs, connected)]
         assert 0 < sum(two) < sum(connected) < len(graphs)
         rows = np.array([g.rows for g in graphs], dtype="<i8")
         assert _connected_filter(rows, False).tolist() == connected
@@ -766,3 +766,6 @@ def test_driver_preconditions():
         verify_theorem1(9)  # labeled exhaustive beyond n=8
     with pytest.raises(ValueError):
         verify_theorem2(9, source=GRAPH6_CORPUS)  # corpus path missing
+    for n in (7, 9):  # a corpus path on the labeled source, never read
+        with pytest.raises(ValueError, match="corpus source only"):
+            verify_theorem1(n, corpus_path="/nonexistent.g6")

@@ -7,10 +7,12 @@ function of `histspec.scan` (and `numpy.linalg.eigvalsh`), wrapped with
 `time.perf_counter` at the name its callers resolve, so a stage's time
 includes the stages it calls: `over_threshold` holds `_sandwich` and
 `eigvalsh`, `_classify_over` holds `_connected_filter` and the rest of
-classification.  BLAS and OpenMP pools are pinned to 1 thread before
-numpy loads.  Every figure is the minimum over the passes; call counts do
-not depend on the pass.  Stage names missing from the checkout are
-skipped, so the tool runs on older trees too.
+classification.  `Graph.is_2_connected` and `Graph.cut_vertices` are
+wrapped the same way as class attributes, so the n=8 pass shows what the
+proof replay's 2-connectivity re-check costs.  BLAS and OpenMP pools are
+pinned to 1 thread before numpy loads.  Every figure is the minimum over
+the passes; call counts do not depend on the pass.  Stage names missing
+from the checkout are skipped, so the tool runs on older trees too.
 
     python3 tools/stage_times.py [--passes N] [--out BENCH_stages.json]
 """
@@ -31,6 +33,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 import numpy as np  # noqa: E402
 
 from histspec import scan, verification  # noqa: E402
+from histspec.graphs import Graph  # noqa: E402
 
 STAGES = ("_prescreen", "_rows_of_masks", "over_threshold", "_sandwich", "_connected_filter",
           "_classify_over", "_double_star_feasible", "proof_guided_hist", "find_hist",
@@ -67,7 +70,7 @@ def _n8_pass():
 def measure(run_pass, passes: int) -> dict:
     """Per-stage minimum seconds over `passes` passes, and call counts."""
     sites = [(scan, name) for name in STAGES if hasattr(scan, name)]
-    sites.append((np.linalg, "eigvalsh"))
+    sites += [(np.linalg, "eigvalsh"), (Graph, "is_2_connected"), (Graph, "cut_vertices")]
     best, calls = {}, {}
     for _ in range(passes):
         seconds = {name: 0.0 for _, name in sites}
