@@ -397,11 +397,13 @@ def proof_guided_hist(g: Graph, theorem: str) -> ProofTrace:
     """Deterministically replay the applicable existence-proof case.
 
     theorem is the replay name of a TheoremSpec: "one_connected" (THM1)
-    or "two_connected" (THM2).  The graph needs the spec's connectivity,
-    order >= its order floor and max degree >= n - its degree gap.
-    Returns a trace that either carries an explicit HIST, recognizes the
-    extremal family, or reports the configuration as outside the
-    constructive cases.
+    or "two_connected" (THM2).  The graph needs the spec's connectivity
+    and order >= its order floor.  Returns a trace that either carries an
+    explicit HIST, recognizes the extremal family, or reports the
+    configuration as outside the constructive cases.  The cases cover
+    max degree n - degree_gap and up; a graph below that, which only a
+    threshold under the theorem's lets through, gets the outside trace
+    "<theorem>/max-degree<n-<gap>/outside:below-range".
 
     The hub is the lowest vertex of maximum degree Δ, and the outsiders
     are the n - 1 - Δ vertices it misses.  Every tree a case builds is the
@@ -417,12 +419,10 @@ def proof_guided_hist(g: Graph, theorem: str) -> ProofTrace:
         raise ValueError(f"{theorem} replay needs n >= {spec.order_floor}")
     if not spec.admits(g):
         raise ValueError(f"{theorem} replay needs a {spec.connectivity} graph")
-    floor_degree = n - spec.degree_gap
-
     degs = g.degrees()
     delta = max(degs)
-    if delta < floor_degree:
-        raise ValueError(f"max degree {delta} below the reachable range {floor_degree}")
+    if delta < n - spec.degree_gap:
+        return ProofTrace(f"{theorem}/max-degree<n-{spec.degree_gap}/outside:below-range")
     hub = degs.index(delta)
 
     if delta == n - 1:

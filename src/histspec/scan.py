@@ -8,9 +8,12 @@ without any theorem; the scan pipeline per mask block is:
 
   1. mask-level prescreens (degrees, Hong-type bound), each justified by
      an upper bound on rho that is valid for every connected graph, so no
-     graph that could reach the threshold is ever dropped; the Hong test
-     is a lookup in a table over (minimum degree, edge count) whose
-     entries equal the per-mask test bit for bit;
+     graph that could reach the threshold is ever dropped: the maximum
+     degree floor `degree_floor(theta)`, which the graph6 corpus path
+     shares, and the Hong test, a lookup in a table over (minimum degree,
+     edge count) whose entries equal the per-mask test bit for bit; the
+     masks then become adjacency bit rows, and nothing after this step
+     sees a mask;
   2. the spectral decision `over_threshold`, which the graph6 corpus
      path shares: certain classifications that skip the eigensolver
      (Rayleigh quotients of the all-ones and degree vectors are lower
@@ -28,10 +31,10 @@ without any theorem; the scan pipeline per mask block is:
      graphs at once, stopped as soon as a step reaches no new vertex or
      every graph has reached every vertex, which the graph6 corpus
      filter shares on int64 rows;
-  4. classification of the over-threshold graphs: extremal family match,
-     star or spanning-double-star HIST constructions (vectorized), then a
-     per-graph proof-guided constructor with full backtracking as the
-     final fallback.
+  4. classification of the over-threshold graphs on their bit rows alone
+     (`_classify`): extremal family match, star or spanning-double-star
+     HIST constructions (vectorized), then a per-graph proof-guided
+     constructor with full backtracking as the final fallback.
 
 Everything is deterministic; threshold tests use rho >= theta - GUARD so
 the scan can only over-check.
@@ -39,6 +42,7 @@ the scan can only over-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field, fields
 from functools import cache
 
@@ -107,8 +111,8 @@ class ShardOut:
 
 class _Codec:
     """The colex slot code of order n as arrays: the endpoints I[b], J[b]
-    of slot b, the incidence mask inc[v] of the slots at vertex v, and the
-    row of all n vertices.  Independent of any theorem."""
+    of slot b and the incidence mask inc[v] of the slots at vertex v.
+    Independent of any theorem."""
 
     def __init__(self, n: int):
         slots = edge_slots(n)
@@ -120,7 +124,6 @@ class _Codec:
         for b, (i, j) in enumerate(slots):
             self.inc[i] |= np.uint32(1 << b)
             self.inc[j] |= np.uint32(1 << b)
-        self.full_row = np.uint8((1 << n) - 1)
 
 
 _codec = cache(_Codec)
@@ -151,8 +154,12 @@ def _scan_block(cfg: ScanConfig, c: _Codec, masks: np.ndarray, out: ShardOut):
         return
     rows = _rows_of_masks(c, masks)
     over = over_threshold(cfg.theta, rows, cfg.prescreens)
-    if over.any():
-        _classify_over(cfg, c, masks[over], rows[over], out)
+    over[over] = _connected_filter(rows[over], cfg.spec.two_connected)
+    if not over.any():
+        return
+    if cfg.collect_over:
+        out.over_masks.extend(masks[over].tolist())
+    _classify(cfg.spec, rows[over], out)
 
 
 def _prescreen(cfg: ScanConfig, c: _Codec, masks: np.ndarray) -> np.ndarray:
@@ -167,7 +174,18 @@ def _prescreen(cfg: ScanConfig, c: _Codec, masks: np.ndarray) -> np.ndarray:
         np.minimum(dmin, deg, out=dmin)
     ok = _hong_table(cfg, n)
     # ok[dmin, m] as one flat take; the offsets fit uint16 (at most 9 * 29 - 1)
-    return (dmax >= n - cfg.spec.degree_gap) & ok.ravel().take(dmin * np.uint16(ok.shape[1]) + m)
+    return (dmax >= degree_floor(cfg.theta)) & ok.ravel().take(dmin * np.uint16(ok.shape[1]) + m)
+
+
+def degree_floor(theta: float) -> int:
+    """The least maximum degree of a graph with rho >= theta - GUARD.
+
+    rho <= Δ for every graph, so such a graph has Δ >= ceil(theta - GUARD).
+    At either theorem's threshold this is the bottom of the range proof
+    replay covers (n - 2 for thm1, n - 3 for thm2); at any other theta it
+    is still sound.
+    """
+    return math.ceil(theta - GUARD)
 
 
 def _hong_table(cfg: ScanConfig, n: int) -> np.ndarray:
@@ -334,8 +352,8 @@ def _connected_filter(rows: np.ndarray, two_connected: bool) -> np.ndarray:
     `rows` holds one graph per row as adjacency bit rows of one order n,
     which it takes from the row length, in any integer word wide enough
     for n bits: uint8 from the scan engine and `enumerate_labeled`,
-    little-endian int64 from the graph6 corpus filter
-    (`verification._corpus_survivors`), whose short form caps n at 62.
+    little-endian int64 from the graph6 corpus scan
+    (`verification._scan_corpus`), whose short form caps n at 62.
 
     2-connectivity for n >= 3 is equivalent to "G - v is connected for
     every v": a disconnected G always has some v whose removal leaves two
@@ -371,22 +389,25 @@ def _reach_vec(rows, alive, start, steps):
     return reach
 
 
-def _double_star_feasible(c: _Codec, masks, rows) -> np.ndarray:
+def _double_star_feasible(rows) -> np.ndarray:
     """Graphs with an edge (a, b) whose endpoints dominate all vertices and
-    admit a leaf split avoiding degree 2 at both centers."""
-    feasible = np.zeros(len(masks), dtype=bool)
-    for b in range(c.nbits):
-        i, j = int(c.I[b]), int(c.J[b])
-        has = ((masks >> np.uint32(b)) & 1).astype(bool)
+    admit a leaf split avoiding degree 2 at both centers.  `rows` are
+    adjacency bit rows of one order n in any integer word wide enough for
+    n bits."""
+    n, word = rows.shape[1], rows.dtype.type
+    full = word((1 << n) - 1)
+    feasible = np.zeros(len(rows), dtype=bool)
+    for a, b in edge_slots(n):
+        has = (rows[:, a] >> b & 1).astype(bool)
         if not has.any():
             continue
-        ri, rj = rows[:, i], rows[:, j]
-        pair = (1 << i) | (1 << j)
-        covers = (ri | rj | pair) == c.full_row
-        excl = c.full_row ^ pair
-        a_only = np.bitwise_count(ri & ~rj & excl)
-        b_only = np.bitwise_count(rj & ~ri & excl)
-        both = np.bitwise_count(ri & rj & excl)
+        ra, rb = rows[:, a], rows[:, b]
+        pair = word((1 << a) | (1 << b))
+        covers = (ra | rb | pair) == full
+        excl = full ^ pair
+        a_only = np.bitwise_count(ra & ~rb & excl)
+        b_only = np.bitwise_count(rb & ~ra & excl)
+        both = np.bitwise_count(ra & rb & excl)
         # a takes x of the common neighbours, b the rest: some x in 0..both
         # gives neither centre degree 2 (a_only + x != 1, b_only + both - x
         # != 1) iff two or more are shared, or x = 0 works, or x = 1 does.
@@ -396,26 +417,22 @@ def _double_star_feasible(c: _Codec, masks, rows) -> np.ndarray:
     return feasible
 
 
-def _classify_over(cfg, c, over_masks, rows, out):
-    n, spec = c.n, cfg.spec
-    keep = _connected_filter(rows, spec.two_connected)
-    over_masks, rows = over_masks[keep], rows[keep]
-    if not len(over_masks):
-        return
-    out.over += len(over_masks)
-    if cfg.collect_over:
-        out.over_masks.extend(int(x) for x in over_masks)
-
+def _classify(spec: TheoremSpec, rows: np.ndarray, out: ShardOut):
+    """Classify over-threshold graphs of the theorem's connectivity, given
+    as adjacency bit rows of one order n in any integer word, into
+    extremal matches, HISTs and counterexamples, counted in `out`."""
+    n = rows.shape[1]
+    out.over += len(rows)
     deg = np.bitwise_count(rows)
 
     # extremal family candidates, confirmed per graph
-    ext = np.zeros(len(over_masks), dtype=bool)
+    ext = np.zeros(len(rows), dtype=bool)
     # Looked up per call, not stored in the spec, so that rebinding the
     # module attribute takes effect.
     is_extremal = is_family_L if spec.family == "L" else is_family_B
     fam = make_family(spec.family, n)
     # the edge count first, then the sorted degrees of the rows that match
-    cand = np.flatnonzero(np.bitwise_count(over_masks) == fam.m)
+    cand = np.flatnonzero(deg.sum(axis=1) == 2 * fam.m)
     fam_degs = np.array(sorted(fam.degrees()), dtype=np.uint8)
     cand = cand[(np.sort(deg[cand], axis=1) == fam_degs).all(axis=1)]
     for idx in cand:
@@ -427,9 +444,9 @@ def _classify_over(cfg, c, over_masks, rows, out):
     rest = ~ext
     star = rest & (_row_max(deg) == n - 1)
     rest &= ~star
-    dstar = np.zeros(len(over_masks), dtype=bool)
+    dstar = np.zeros(len(rows), dtype=bool)
     if rest.any():
-        dstar[rest] = _double_star_feasible(c, over_masks[rest], rows[rest])
+        dstar[rest] = _double_star_feasible(rows[rest])
     rest &= ~dstar
     out.hists += int(star.sum()) + int(dstar.sum())
 

@@ -164,9 +164,12 @@ def charpoly_B(n: int) -> QuarticPoly:
 class TheoremSpec:
     """Everything that follows from one of the paper's two thresholds.
 
-    Over-threshold graphs covered by the theorem have maximum degree at
-    least n - degree_gap, and the largest root of the family quartic lies
-    in bracket(n) = [n - degree_gap - 1, n - degree_gap].
+    degree_gap serves two things only: the largest root of the family
+    quartic lies in bracket(n) = [n - degree_gap - 1, n - degree_gap],
+    and proof replay's cases cover maximum degree n - degree_gap and up.
+    The scan's maximum-degree floor comes from the threshold itself
+    (`scan.degree_floor`), which equals n - degree_gap at the theorem's
+    threshold.
     """
 
     name: str          # "thm1" | "thm2"

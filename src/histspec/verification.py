@@ -40,7 +40,7 @@ LABELED_EXHAUSTIVE = "labeled_exhaustive"
 GRAPH6_CORPUS = "graph6_corpus"
 
 SHARD_BITS = 19  # fixed shard size keeps reports independent of worker count
-CORPUS_BATCH = 512  # corpus graphs per batched filter or spectral decision; bounds memory
+CORPUS_BATCH = 512  # corpus records per chunk of the batched scan; bounds memory
 THRESHOLD_AGREEMENT = 1e-8
 
 
@@ -237,16 +237,37 @@ def _run_sharded(cfg: _scan.ScanConfig, threads: int) -> _scan.ShardOut:
 
 
 def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
-    """Decide the spectral test of the filtered corpus graphs in batches
-    of CORPUS_BATCH and classify the over-threshold graphs in corpus
-    order."""
+    """Scan the corpus CORPUS_BATCH records at a time, in corpus order.
+
+    Records are decoded one at a time.  Each chunk is order-checked and
+    packed once as little-endian int64 bit rows (graph6's short form caps
+    n at 62), and then decided on those rows: the maximum-degree floor
+    `scan.degree_floor` by `np.bitwise_count`, the theorem's connectivity
+    by the bitset BFS that the scan engine and `enumerate_labeled` use
+    (`scan._connected_filter`), `hong_bound` per connected graph, and
+    `scan.over_threshold`, whose bounds need every degree >= 1, as
+    connected graphs have.  The over-threshold graphs are classified in
+    corpus order by extremal match, proof replay and the tree-growth
+    search.
+    """
     from .hist import proof_guided_hist  # looked up per call, so a rebinding takes effect
 
     out = _scan.ShardOut()
     is_extremal = is_family_L if spec.family == "L" else is_family_B
-    survivors = _corpus_survivors(spec, n, theta, corpus_path, out)
-    while batch := list(itertools.islice(survivors, CORPUS_BATCH)):
-        for g in _over_threshold(batch, theta):
+    floor = _scan.degree_floor(theta)
+    graphs = (g for _, g in read_graph6_file(corpus_path))
+    while chunk := list(itertools.islice(graphs, CORPUS_BATCH)):
+        for g in chunk:
+            if g.n != n:
+                raise ValueError(f"corpus graph of order {g.n}, expected {n}")
+        out.scanned += len(chunk)
+        rows = np.array([g.rows for g in chunk], dtype="<i8")
+        keep = np.bitwise_count(rows).max(axis=1) >= floor
+        keep[keep] = _scan._connected_filter(rows[keep], spec.two_connected)
+        keep[keep] = [hong_bound(g) >= theta - GUARD for g in itertools.compress(chunk, keep)]
+        out.survivors += int(keep.sum())
+        keep[keep] = _scan.over_threshold(theta, rows[keep])
+        for g in itertools.compress(chunk, keep):
             out.over += 1
             if is_extremal(g):
                 out.extremal += 1
@@ -260,44 +281,6 @@ def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
             else:
                 out.counterexamples.append(encode_graph6(g))
     return out
-
-
-def _corpus_survivors(spec, n, theta, corpus_path, out):
-    """The corpus graphs with the theorem's maximum degree, connectivity
-    and Hong bound, in corpus order; counts them and the scanned graphs
-    in `out`.
-
-    Records are decoded one at a time and decided CORPUS_BATCH at a time
-    on their bit rows, packed as little-endian int64 (graph6's short form
-    caps n at 62): the maximum-degree floor by `np.bitwise_count`, then
-    the connectivity by the bitset BFS that the scan engine and
-    `enumerate_labeled` use (`scan._connected_filter`).  `hong_bound`
-    needs a connected graph, so it runs per graph on what is left.
-    """
-    graphs = (g for _, g in read_graph6_file(corpus_path))
-    while chunk := list(itertools.islice(graphs, CORPUS_BATCH)):
-        for g in chunk:
-            if g.n != n:
-                raise ValueError(f"corpus graph of order {g.n}, expected {n}")
-        out.scanned += len(chunk)
-        rows = np.array([g.rows for g in chunk], dtype="<i8")
-        keep = np.bitwise_count(rows).max(axis=1) >= n - spec.degree_gap
-        keep[keep] = _scan._connected_filter(rows[keep], spec.two_connected)
-        for g in itertools.compress(chunk, keep):
-            if hong_bound(g) < theta - GUARD:
-                continue
-            out.survivors += 1
-            yield g
-
-
-def _over_threshold(graphs, theta) -> list:
-    """The graphs, all connected and of one order, whose spectral radius
-    reaches theta - GUARD, in their given order: `scan.over_threshold` on
-    their bit rows, packed as little-endian int64 (graph6's short form caps
-    n at 62).  Connected graphs have every degree >= 1, as its bounds
-    require."""
-    over = _scan.over_threshold(theta, np.array([g.rows for g in graphs], dtype="<i8"))
-    return [g for g, o in zip(graphs, over) if o]
 
 
 # -- corollaries and certificates ----------------------------------------------

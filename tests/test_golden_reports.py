@@ -65,8 +65,8 @@ def replay_inputs():
     Random graphs of order 7..12 whose vertex 0 misses 0-3 others (so the
     maximum degree lands near n - 1, n - 2 or n - 3), randomly relabeled;
     then random relabelings of L_n, B_n, K_{2,q} and K_{3,q}, each with 0-3
-    random edge flips.  Under both replay names these reach 20 of the 21
-    case labels.  two_connected/max-degree=n-2/outside:no-usable-edge was
+    random edge flips.  Under both replay names these reach 22 of the 23
+    case labels, the two below-range outside labels included.  two_connected/max-degree=n-2/outside:no-usable-edge was
     not reached in 400,000 tries aimed at it, and no input here covers it:
     an edge inside N(v), or from N(v) to the rest of N(u), gives a
     candidate that is always a HIST, and without one every path from v to

@@ -327,11 +327,15 @@ def test_proof_guided_outside_cases():
     t = proof_guided_hist(complete_bipartite(2, 8), "two_connected")
     assert t.outside and "complete-bipartite" in t.case_label
     assert not find_hist(complete_bipartite(2, 8)).found
+    # Max degree below the cases' range, which only a threshold under the
+    # theorem's lets through: an outside trace, so the search decides.
+    t = proof_guided_hist(path_graph(8), "one_connected")
+    assert t.outside and t.case_label == "one_connected/max-degree<n-2/outside:below-range"
+    t = proof_guided_hist(cycle(8), "two_connected")
+    assert t.outside and t.case_label == "two_connected/max-degree<n-3/outside:below-range"
 
 
 def test_proof_guided_preconditions():
-    with pytest.raises(ValueError):
-        proof_guided_hist(path_graph(8), "one_connected")  # max degree 2
     with pytest.raises(ValueError):
         proof_guided_hist(family_L(7), "two_connected")    # not 2-connected
     with pytest.raises(ValueError):

@@ -99,13 +99,17 @@ def test_largest_root_cross_checks():
 
 def test_theorem_specs_consistent():
     # Each spec's quartic, bracket, degree gap and minimum degree must
-    # describe its own extremal family.
+    # describe its own extremal family, and the scan's degree floor at the
+    # threshold must be the bottom of proof replay's range.
+    from histspec.scan import degree_floor
+
     for spec in (THM1, THM2):
         for n in range(spec.order_floor, 31):
             fam = make_family(spec.family, n)
             root = largest_root(spec.quartic(n), *spec.bracket(n))
-            assert abs(root - spectral_radius(fam).rho) <= 1e-8, (spec.name, n)
-            assert fam.max_degree() == n - spec.degree_gap
+            rho = spectral_radius(fam).rho
+            assert abs(root - rho) <= 1e-8, (spec.name, n)
+            assert fam.max_degree() == degree_floor(rho) == n - spec.degree_gap
             assert fam.min_degree() == spec.min_degree
             assert spec.admits(fam)
 

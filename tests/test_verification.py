@@ -7,11 +7,13 @@ import pytest
 from histspec import (
     Graph,
     complete,
+    decode_graph6,
     encode_graph6,
     enumerate_labeled,
     family_B,
     family_L,
     find_hist,
+    is_family_L,
     threshold_connected,
     threshold_two_connected,
     verify_certificates,
@@ -112,15 +114,39 @@ def test_report_arithmetic_enforced():
 
 def test_scan_artificially_low_threshold_is_more_inclusive():
     # Lowering the threshold to the clique bound must add over-threshold
-    # graphs (thresholding is monotone).
+    # graphs (thresholding is monotone), and the prescreens must still
+    # keep every one of them: their maximum-degree floor follows theta.
     true_cfg = ScanConfig(n=7, theta=threshold_connected(7), mode="thm1",
                           extremal="L", subsample=32)
-    low_cfg = ScanConfig(n=7, theta=4.0, mode="thm1",
-                         extremal="L", subsample=32)
+    low = dict(n=7, theta=4.0, mode="thm1", subsample=32, collect_over=True)
     hi = 1 << 21
     true_out = scan_range(true_cfg, 0, hi)
-    low_out = scan_range(low_cfg, 0, hi)
+    low_out = scan_range(ScanConfig(**low), 0, hi)
     assert low_out.over > true_out.over
+    bare = scan_range(ScanConfig(prescreens=False, **low), 0, hi)
+    assert low_out.over_masks == bare.over_masks
+
+
+def test_scan_below_threshold_reports_real_counterexamples():
+    # A negative control: at theta' = 3.7, under rho(L_7), the theorem's
+    # conclusion fails, and the scan must report graphs without a HIST.
+    # With and without the prescreens it finds the same over-threshold
+    # graphs and the same counterexamples; each has no HIST by the
+    # spanning-tree oracle and is not L_7.  Graphs of maximum degree 4
+    # are over here, below proof replay's range, so replay hands them to
+    # the search instead of raising.
+    from histspec import oracle_hist
+
+    common = dict(n=7, theta=3.7, mode="thm1", subsample=16, collect_over=True)
+    pre = scan_range(ScanConfig(**common), 0, 1 << 21)
+    bare = scan_range(ScanConfig(prescreens=False, **common), 0, 1 << 21)
+    assert pre.over_masks == bare.over_masks
+    assert pre.counterexamples == bare.counterexamples
+    assert (pre.over, pre.extremal, len(pre.counterexamples)) == (33133, 10, 120)
+    for text in pre.counterexamples:
+        g = decode_graph6(text)
+        assert not oracle_hist(g).found
+        assert not is_family_L(g)
 
 
 def test_family_members_survive_prescreens_and_match():
@@ -268,27 +294,28 @@ def _labeled_copies(g, moved, limit=None, seed=0):
 
 
 def _relabeled(base, perms):
-    """Every graph of `base` under every permutation, as Graph values:
+    """Every graph of `base` under every permutation, as int64 bit rows:
     vertex v of a base graph becomes perms[c][v]."""
     n = base[0].n
     adj = np.array([[[r >> w & 1 for w in range(n)] for r in g.rows] for g in base])
     inv = np.argsort(perms, axis=1)
     out = adj[:, inv[:, :, None], inv[:, None, :]]  # (base, copy, n, n)
-    rows = (out.astype(np.int64) << np.arange(n)).sum(axis=3).reshape(-1, n)
-    return [Graph._from_rows_unchecked(n, tuple(r)) for r in rows.tolist()]
+    return (out.astype(np.int64) << np.arange(n)).sum(axis=3).reshape(-1, n)
 
 
 @pytest.mark.parametrize("n", [9, 10, 11])
 def test_corpus_batch_matches_power_iteration_near_threshold(monkeypatch, n):
     # Labeled copies of L_n and B_n (rho exactly theta) and their one-edge
     # additions and deletions that stay connected (rho just above or below)
-    # are where the batched bounds of the corpus path are tightest.  rho is
-    # a relabeling invariant, so the per-graph verdict of each unlabeled
+    # are where the batched bounds of the corpus path are tightest; they
+    # go through `over_threshold` as int64 rows, one chunk at a time.  rho
+    # is a relabeling invariant, so the per-graph verdict of each unlabeled
     # graph is computed once by power iteration.  Every copy of L_n, and
     # of B_n at n = 9, is checked; at n = 10 and 11 a seeded 1,000 of
     # B_n's 15,120 and 27,720 copies, which all fall to the eigensolver.
+    from histspec.scan import over_threshold
     from histspec.spectral import GUARD, spectral_radius
-    from histspec.verification import CORPUS_BATCH, _over_threshold
+    from histspec.verification import CORPUS_BATCH
 
     solved = []
     real = np.linalg.eigvalsh
@@ -310,30 +337,29 @@ def test_corpus_batch_matches_power_iteration_near_threshold(monkeypatch, n):
         want = [spectral_radius(h).rho >= theta - GUARD for h in base]
         assert want[0] and not all(want)
         perms = _labeled_copies(fam, moved, limit, seed=n)
-        graphs = _relabeled(base, perms)
+        rows = _relabeled(base, perms)
         expected = [w for w in want for _ in perms]
         del solved[:]
         got = []
-        for s in range(0, len(graphs), CORPUS_BATCH):
-            batch = graphs[s:s + CORPUS_BATCH]
-            over = {id(g) for g in _over_threshold(batch, theta)}
-            got.extend(id(g) in over for g in batch)
+        for s in range(0, len(rows), CORPUS_BATCH):
+            got.extend(over_threshold(theta, rows[s:s + CORPUS_BATCH]).tolist())
         assert got == expected
-        assert len(perms) <= sum(solved) < len(graphs)
+        assert len(perms) <= sum(solved) < len(rows)
 
 
 def test_corpus_batch_at_order_62(tmp_path):
     # graph6's short form stops at n = 62; the corpus path packs rows into
     # int64, so bit 61 is the highest it must read.
+    from histspec.scan import over_threshold
     from histspec.spectral import GUARD, spectral_radius
-    from histspec.verification import _over_threshold
 
     n = 62
     graphs = [complete(n), complete(n).remove_edge(0, n - 1), family_L(n), family_B(n)]
+    rows = np.array([g.rows for g in graphs], dtype="<i8")
     for theta in (threshold_connected(n), threshold_two_connected(n)):
-        want = [g for g in graphs if spectral_radius(g).rho >= theta - GUARD]
-        assert _over_threshold(graphs, theta) == want
-        assert _over_threshold(graphs[:1], theta) == graphs[:1]  # no row left open
+        want = [spectral_radius(g).rho >= theta - GUARD for g in graphs]
+        assert over_threshold(theta, rows).tolist() == want
+        assert over_threshold(theta, rows[:1]).tolist() == [True]  # no row left open
     path = tmp_path / "corpus62.g6"
     path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
     for verify in (verify_theorem1, verify_theorem2):
@@ -345,11 +371,15 @@ def test_corpus_batch_at_order_62(tmp_path):
 def test_corpus_and_scan_share_one_spectral_decision(tmp_path, monkeypatch):
     # Every connected graph of one n=7 mask range, written as graph6, goes
     # through the corpus driver; its over-threshold graphs must be exactly
-    # those of scan_range on the same range.
+    # those of scan_range on the same range.  Also at theta' = 3.7, under
+    # the true threshold, against the scan without prescreens: both
+    # degree floors follow theta, and replay hands the graphs below its
+    # range to the search.
     from histspec import verification
+    from histspec.scan import ShardOut, _classify, _codec, _rows_of_masks
+    from histspec.spectral import THM1
 
     n, lo, hi = 7, 29 << 16, 30 << 16
-    theta = threshold_connected(n)
     graphs = [g for g in (graph_from_mask(n, mk) for mk in range(lo, hi)) if g.is_connected()]
     path = tmp_path / "range7.g6"
     path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
@@ -362,13 +392,24 @@ def test_corpus_and_scan_share_one_spectral_decision(tmp_path, monkeypatch):
         return real(g)
 
     monkeypatch.setattr(verification, "is_family_L", recorded)
-    rep = verify_theorem1(n, source=GRAPH6_CORPUS, corpus_path=str(path))
-    shard = scan_range(ScanConfig(n=n, theta=theta, mode="thm1", collect_over=True), lo, hi)
-    assert rep.scanned == len(graphs)
-    assert rep.over_threshold == shard.over == len(seen) > 0
-    assert sorted(seen) == sorted(shard.over_masks)
-    assert (rep.extremal_matches, rep.hists_found, rep.counterexamples) == (
-        shard.extremal, shard.hists, shard.counterexamples)
+    for theta, prescreens in ((threshold_connected(n), True), (3.7, False)):
+        monkeypatch.setattr(verification, "threshold_connected", lambda n, theta=theta: theta)
+        del seen[:]
+        rep = verify_theorem1(n, source=GRAPH6_CORPUS, corpus_path=str(path))
+        cfg = ScanConfig(n=n, theta=theta, mode="thm1", prescreens=prescreens,
+                         collect_over=True)
+        shard = scan_range(cfg, lo, hi)
+        assert rep.scanned == len(graphs)
+        assert rep.over_threshold == shard.over == len(seen) > 0
+        assert sorted(seen) == sorted(shard.over_masks)
+        assert (rep.extremal_matches, rep.hists_found, rep.counterexamples) == (
+            shard.extremal, shard.hists, shard.counterexamples)
+        # the engine's classification decides alike on the corpus's int64 rows
+        rows = _rows_of_masks(_codec(n), np.array(shard.over_masks, dtype=np.uint32))
+        again = ShardOut()
+        _classify(THM1, rows.astype("<i8"), again)
+        assert (again.over, again.extremal, again.hists, again.counterexamples) == (
+            shard.over, shard.extremal, shard.hists, shard.counterexamples)
 
 
 def test_double_star_shortcut_is_sound():
@@ -377,11 +418,9 @@ def test_double_star_shortcut_is_sound():
     # search must agree (find_hist itself is oracle-checked elsewhere).
     from histspec.scan import _codec, _double_star_feasible, _rows_of_masks
 
-    t = _codec(8)
     rng = np.random.default_rng(31)
     masks = rng.integers(0, 1 << 28, size=4000, dtype=np.uint32)
-    rows = _rows_of_masks(t, masks)
-    feas = _double_star_feasible(t, masks, rows)
+    feas = _double_star_feasible(_rows_of_masks(_codec(8), masks))
     connected = 0
     for mk in masks[feas][:400]:
         g = graph_from_mask(8, int(mk))
@@ -452,26 +491,29 @@ def test_double_star_feasible_matches_brute_force():
     # Both directions: the vectorized split rule fires exactly where some
     # edge's endpoints dominate the graph and a split of their common
     # neighbours avoids degree 2, on every labeled graph of order 4..6 and
-    # on uniform random order-8 masks.
-    from histspec.scan import _codec, _double_star_feasible
+    # on uniform random order-8 masks (uint8 rows, the engine's), and on
+    # random order-9 graphs (int64 rows, the corpus path's).
+    from histspec.scan import _double_star_feasible
 
     rng = np.random.default_rng(47)
-    for n in (4, 5, 6, 8):
+    for n in (4, 5, 6, 8, 9):
         if n <= 6:
             graphs = list(all_labeled_graphs(n))
         else:
-            graphs = [graph_from_mask(8, int(mk)) for mk in rng.integers(0, 1 << 28, 2000)]
-        masks = np.array([mask_of_graph(g) for g in graphs], dtype=np.uint32)
+            graphs = [graph_from_mask(n, int(mk))
+                      for mk in rng.integers(0, 1 << (n * (n - 1) // 2), 2000)]
         want = [brute_double_star(g) for g in graphs]
         assert 0 < sum(want) < len(want)
-        got = _double_star_feasible(_codec(n), masks, _rows_of_graphs(graphs))
-        assert got.tolist() == want
+        rows = np.array([g.rows for g in graphs], dtype=np.uint8 if n <= 8 else "<i8")
+        assert _double_star_feasible(rows).tolist() == want
 
 
 def test_prescreen_matches_per_graph_reference():
     # The vectorized degree and Hong prescreens keep exactly the masks a
     # per-graph check keeps, for both theorems, on every order-6 mask and
-    # on uniform random order-8 masks, at thresholds that split them.
+    # on uniform random order-8 masks, at thresholds that split them.  The
+    # degree check is rho <= Δ itself: the order-6 thresholds lie under
+    # both theorems', where Δ >= n - degree_gap would drop graphs.
     from histspec.scan import _codec, _prescreen
     from histspec.spectral import GUARD, hong_value, theorem_spec
 
@@ -489,7 +531,7 @@ def test_prescreen_matches_per_graph_reference():
                 want = []
                 for g in graphs:
                     d = g.degrees()
-                    want.append(max(d) >= n - spec.degree_gap and min(d) >= spec.min_degree
+                    want.append(max(d) >= theta - GUARD and min(d) >= spec.min_degree
                                 and hong_value(min(d), n, g.m) >= theta - GUARD)
                 assert 0 < sum(want) < len(want)
                 cfg = ScanConfig(n=n, theta=theta, mode=mode)
@@ -521,7 +563,7 @@ def test_prescreen_table_matches_elementwise_hong():
         for mode in ("thm1", "thm2"):
             spec = theorem_spec(mode)
             for theta in (*thetas, *ties):
-                want = ((dmax >= n - spec.degree_gap) & (dmin >= spec.min_degree)
+                want = ((dmax >= theta - GUARD) & (dmin >= spec.min_degree)
                         & (hong >= theta - GUARD))
                 assert 0 < want.sum() < len(masks)
                 cfg = ScanConfig(n=n, theta=theta, mode=mode)

@@ -6,13 +6,15 @@ fixed 2^19-mask shards of the n=8 `thm2` scan (shards 136, 338, 414 and
 function of `histspec.scan` (and `numpy.linalg.eigvalsh`), wrapped with
 `time.perf_counter` at the name its callers resolve, so a stage's time
 includes the stages it calls: `over_threshold` holds `_sandwich` and
-`eigvalsh`, `_classify_over` holds `_connected_filter` and the rest of
-classification.  `Graph.is_2_connected` and `Graph.cut_vertices` are
+`eigvalsh`, and `_classify` holds `_double_star_feasible`, proof replay
+and the search; `_connected_filter` runs before `_classify`, on the
+over-threshold rows.  `Graph.is_2_connected` and `Graph.cut_vertices` are
 wrapped the same way as class attributes, so the n=8 pass shows what the
 proof replay's 2-connectivity re-check costs.  BLAS and OpenMP pools are
 pinned to 1 thread before numpy loads.  Every figure is the minimum over
 the passes; call counts do not depend on the pass.  Stage names missing
-from the checkout are skipped, so the tool runs on older trees too.
+from the checkout are skipped, so the tool runs on older trees too, and
+named on stderr, so a renamed stage does not drop out unseen.
 
     python3 tools/stage_times.py [--passes N] [--out BENCH_stages.json]
 """
@@ -36,7 +38,7 @@ from histspec import scan, verification  # noqa: E402
 from histspec.graphs import Graph  # noqa: E402
 
 STAGES = ("_prescreen", "_rows_of_masks", "over_threshold", "_sandwich", "_connected_filter",
-          "_classify_over", "_double_star_feasible", "proof_guided_hist", "find_hist",
+          "_classify", "_double_star_feasible", "proof_guided_hist", "find_hist",
           "_graph_of_row")
 N8_SHARDS = (136, 338, 414, 255)
 SHARD_BITS = 19
@@ -95,6 +97,9 @@ def main(argv=None) -> None:
     ap.add_argument("--passes", type=int, default=3)
     ap.add_argument("--out", default="BENCH_stages.json")
     args = ap.parse_args(argv)
+    skipped = [name for name in STAGES if not hasattr(scan, name)]
+    if skipped:
+        print(f"skipped stages not in histspec.scan: {', '.join(skipped)}", file=sys.stderr)
     result = {"passes": args.passes, "numpy": np.__version__, "python": sys.version.split()[0],
               "n7_thm1_full": measure(_n7_pass, args.passes),
               "n8_thm2_shards": measure(_n8_pass, args.passes)}
