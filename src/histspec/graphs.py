@@ -90,6 +90,8 @@ class Graph:
         return total // 2
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
         return bool(self.rows[u] >> v & 1)
 
     def neighbors(self, v: int) -> Iterator[int]:

@@ -12,7 +12,9 @@ with no vertex of degree exactly 2.  This module provides:
     parent that takes two or more children (find_hist), after the
     degree-2 leaf rule below;
   * an independent brute-force oracle enumerating all spanning trees by
-    deletion/contraction (oracle_hist);
+    deletion/contraction (oracle_hist): an edge is taken when one `_reach`
+    over the taken edges' bit rows misses its far end, and skipped when
+    one `_reach` over the edges not yet skipped still spans the graph;
   * a deterministic constructor that replays the case analysis of the
     degree-driven existence proofs (proof_guided_hist).  Every tree it
     builds has one shape: the star of a maximum-degree vertex minus some
@@ -87,7 +89,13 @@ class HistOutcome:
 
 
 def is_valid_hist(g: Graph, edges) -> bool:
-    """Independent validation: spanning, acyclic, connected, no degree 2."""
+    """Independent validation: spanning, acyclic, connected, no degree 2.
+
+    Every edge must join two vertices 0..n-1 of g.  It keeps a union-find
+    of its own rather than the `_reach` that `spanning_trees` and
+    `find_hist` share, so a fault in that routine cannot pass a tree the
+    search or proof replay returns.
+    """
     edges = list(edges)
     n = g.n
     if len(edges) != n - 1:
@@ -102,7 +110,7 @@ def is_valid_hist(g: Graph, edges) -> bool:
         return a
 
     for u, v in edges:
-        if not g.has_edge(u, v):
+        if not (0 <= u < n and 0 <= v < n and g.has_edge(u, v)):
             return False
         ru, rv = find(u), find(v)
         if ru == rv:
@@ -266,73 +274,51 @@ def _covered(rows, core, placed, queued) -> int:
 def spanning_trees(g: Graph) -> Iterator[tuple[tuple[int, int], ...]]:
     """Lazily enumerate all spanning trees by edge deletion/contraction.
 
-    Deterministic order.  Each yielded tree is a tuple of edges of g.
+    Edges are decided in the order of g.edges().  Two lists of bit rows
+    follow the current branch: `taken`, the edges taken, and `usable`,
+    every edge of g not skipped.  The next edge ab that joins two parts of
+    `taken` (one `_reach` from a misses b) is first taken, then skipped
+    if `usable` without ab still reaches every vertex.  An edge passed
+    over because it closes a cycle in `taken` stays in `usable`; it lies
+    inside one part of `taken`, so it changes no reachability answer.
+    Every branch thus ends in a tree.  Deterministic order; each yielded
+    tree is a tuple of edges of g, and a disconnected graph yields none.
     """
     if not g.is_connected():
         return
     n = g.n
+    full = (1 << n) - 1
     edge_list = list(g.edges())
     m = len(edge_list)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            a = parent[a]
-        return a
-
+    taken = [0] * n
+    usable = list(g.rows)
     chosen = []
 
-    def connected_without(start_idx) -> bool:
-        # Would the remaining edges still connect all current components?
-        probe = {v: find(v) for v in range(n)}
-        groups = {}
-        for v, r in probe.items():
-            groups.setdefault(r, []).append(v)
-        label = {}
-        for i, vs in enumerate(groups.values()):
-            for v in vs:
-                label[v] = i
-        k = len(groups)
-        dsu = list(range(k))
-
-        def f2(a):
-            while dsu[a] != a:
-                a = dsu[a]
-            return a
-
-        comps = k
-        for j in range(start_idx, m):
-            a, b = edge_list[j]
-            ra, rb = f2(label[a]), f2(label[b])
-            if ra != rb:
-                dsu[ra] = rb
-                comps -= 1
-                if comps == 1:
-                    return True
-        return comps == 1
-
-    def rec(idx):
+    def rec(j):
         if len(chosen) == n - 1:
             yield tuple(chosen)
             return
-        j = idx
         while j < m:
             a, b = edge_list[j]
-            ra, rb = find(a), find(b)
-            if ra != rb:
+            if not _reach(taken, 1 << a, full) >> b & 1:
                 break
             j += 1
         else:
             return
-        # include edge j
-        parent[ra] = rb
-        chosen.append(edge_list[j])
+        bit_a, bit_b = 1 << a, 1 << b
+        taken[a] |= bit_b
+        taken[b] |= bit_a
+        chosen.append((a, b))
         yield from rec(j + 1)
         chosen.pop()
-        parent[ra] = ra
-        # skip edge j, but only if the rest still connects everything
-        if connected_without(j + 1):
+        taken[a] ^= bit_b
+        taken[b] ^= bit_a
+        usable[a] ^= bit_b
+        usable[b] ^= bit_a
+        if _reach(usable, 1, full) == full:
             yield from rec(j + 1)
+        usable[a] |= bit_b
+        usable[b] |= bit_a
 
     yield from rec(0)
 

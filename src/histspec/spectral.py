@@ -10,6 +10,7 @@ Rayleigh quotient, which is quadratically accurate in the residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,9 +55,14 @@ def spectral_radius(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SpectralResult:
-    """Spectral radius and Perron vector by shifted power iteration."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    """Spectral radius and Perron vector by shifted power iteration.
+
+    Raises ValueError unless tol is finite and positive and max_iter >= 0.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     if not g.is_connected():
         raise ValueError("spectral_radius requires a connected graph")
     a = adjacency_matrix(g)

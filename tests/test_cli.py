@@ -192,6 +192,15 @@ def test_nonconvergence_exit4(capsys):
     assert "numeric" in err
 
 
+@pytest.mark.parametrize("argv", [("family:K:4", "--max-iter", "-1"),
+                                  ("family:K:4", "--tol", "nan"),
+                                  ("family:P:4", "--tol", "inf")])
+def test_bad_power_iteration_settings_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, "rho", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_missing_corpus_is_usage_error(capsys):
     code, _, _ = run(capsys, "verify", "thm2", "--n", "9")
     assert code == 2

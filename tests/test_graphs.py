@@ -31,6 +31,10 @@ def test_degree_basics():
     assert p3.degree(1) == 2
     with pytest.raises(ValueError):
         p3.degree(3)
+    assert p3.has_edge(0, 1) and not p3.has_edge(0, 2)
+    for u, v in ((-1, 0), (0, -1), (3, 0), (0, 3)):
+        with pytest.raises(ValueError):
+            p3.has_edge(u, v)
 
 
 def test_edge_count_and_handshake():

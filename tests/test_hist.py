@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -141,6 +142,52 @@ def test_spanning_trees_match_combination_oracle():
         mine = set(spanning_trees(g))
         ref = {tuple(sorted(t)) for t in combo_spanning_trees(g)}
         assert {tuple(sorted(t)) for t in mine} == ref
+
+
+# SHA-256 of repr(list(spanning_trees(g))): oracle_hist returns the first
+# HIST in this order, and tree_cap counts trees in it.
+PINNED_TREE_ORDER = {
+    "K5": "d6b6f11fedc8a8e63e3b6afe047d9bf55fa372d3e0ea9ce9bc598fb9571c70c9",
+    "K33": "a8c45a744b003ef5e4bbabc7c8c0cfe133f4d09b0a5cf8002052c43737f10c92",
+    "L7": "a16d8b50758e63b8288e1e67ec96f5a8a9235b37a1ecd43dd1b6bec42e7493bd",
+    "B8": "3bc2e9bad51eeb681c811e693262a732c978e06e3ae831f511dac9b0ae30a9ed",
+    "G6_0": "5b56933cd27ec43d01742ac425de687cae80e6f97ffe125bb8c963d1b5bc6ca3",
+    "G7_1": "099e9a962347c0a20672345f825e9960abcf98c5f6dc3e3b74838e6b6f3ad713",
+    "G8_2": "d438c3351abf587868fe4facacc1be9fb851c5f17b9b495c8a2a11ff532eb0cd",
+    "G7_3": "61ce6adaa8b77ecc8e8a77c08df8af7708890d51a7f529d81330d9619617109d",
+    "G8_4": "0daf90c7f0cf9b21c4d56f24a4038fc8e0f83f9eba43a778ba72fb4e95667280",
+}
+
+
+def test_spanning_tree_order_is_pinned():
+    graphs = {"K5": complete(5), "K33": complete_bipartite(3, 3),
+              "L7": family_L(7), "B8": family_B(8)}
+    for seed, n in zip(range(5), (6, 7, 8, 7, 8)):
+        graphs[f"G{n}_{seed}"] = random_connected(np.random.default_rng(seed), n)
+    digests = {name: hashlib.sha256(repr(list(spanning_trees(g))).encode()).hexdigest()
+               for name, g in graphs.items()}
+    assert digests == PINNED_TREE_ORDER
+
+
+def test_spanning_trees_skip_only_edges_the_rest_can_spare(monkeypatch):
+    # Every branch ends in a tree, so the work is polynomial per tree: at
+    # most n - 1 branch points per tree, each scanning at most m edges.
+    # Skipping an edge the remaining ones cannot spare would, on a tree,
+    # open 2^(n-1) dead branches.
+    from histspec import hist
+
+    calls = [0]
+    real = hist._reach
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(hist, "_reach", counted)
+    for g in (path_graph(16), star(16), family_L(7), complete_bipartite(2, 5)):
+        calls[0] = 0
+        trees = sum(1 for _ in spanning_trees(g))
+        assert 0 < calls[0] <= trees * g.n * (g.m + 1)
 
 
 def test_tree_cap():
@@ -289,6 +336,9 @@ def test_is_valid_hist_rejects():
     assert not is_valid_hist(k4, [(0, 1), (2, 3)])           # too few
     assert not is_valid_hist(k4, [(0, 1), (0, 2), (1, 2)])   # cycle
     assert is_valid_hist(k4, [(0, 1), (0, 2), (0, 3)])
+    s4 = star(4)
+    for bad in ((-1, 0), (0, -1), (4, 0)):                    # not a vertex
+        assert not is_valid_hist(s4, [(0, 1), (0, 2), bad])
 
 
 # -- proof-guided construction ---------------------------------------------------

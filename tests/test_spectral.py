@@ -68,6 +68,15 @@ def test_non_convergence_error():
         spectral_radius(path_graph(4), tol=1e-12, max_iter=2)
 
 
+def test_power_iteration_settings_validated():
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            spectral_radius(path_graph(4), tol=tol)
+    with pytest.raises(ValueError, match="max_iter"):
+        spectral_radius(complete(4), max_iter=-1)
+    assert spectral_radius(complete(4), max_iter=0).rho == pytest.approx(3.0)
+
+
 def test_quartic_coefficients():
     assert charpoly_L(7).coefficients() == (1, -3, -6, 6, 4)
     assert charpoly_B(8).coefficients() == (1, -3, -7, 8, 8)

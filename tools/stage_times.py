@@ -11,10 +11,21 @@ and the search; `_connected_filter` runs before `_classify`, on the
 over-threshold rows.  `Graph.is_2_connected` and `Graph.cut_vertices` are
 wrapped the same way as class attributes, so the n=8 pass shows what the
 proof replay's 2-connectivity re-check costs.  BLAS and OpenMP pools are
-pinned to 1 thread before numpy loads.  Every figure is the minimum over
-the passes; call counts do not depend on the pass.  Stage names missing
-from the checkout are skipped, so the tool runs on older trees too, and
-named on stderr, so a renamed stage does not drop out unseen.
+pinned to 1 thread before numpy loads, and `histspec` is imported from
+this checkout's `src/` (both by `perfbench/common.py`).
+
+A reference chunk of fixed work (`perfbench/reference.py`) runs before
+and after each pass.  The pass's speed factor is the mean of the two chunk
+times over `REF_NOMINAL_S`, and each of the pass's stage and pass seconds
+is divided by it, as `perfbench/run.py` does with unit times: on a shared
+machine identical passes swing between speeds up to 1.6x apart.  Every
+figure is the minimum of these corrected seconds over the passes, and the
+factors are written out beside them; call counts do not depend on the
+pass.
+
+Stage names missing from the checkout are skipped, so the tool runs on
+older trees too, and named on stderr, so a renamed stage does not drop
+out unseen.
 
     python3 tools/stage_times.py [--passes N] [--out BENCH_stages.json]
 """
@@ -27,12 +38,14 @@ import os
 import sys
 import time
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-    os.environ[_var] = "1"
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+import common  # noqa: E402
+
+common.pin_threads()
+common.import_histspec()
 
 import numpy as np  # noqa: E402
+import reference  # noqa: E402
 
 from histspec import scan, verification  # noqa: E402
 from histspec.graphs import Graph  # noqa: E402
@@ -69,14 +82,16 @@ def _n8_pass():
         scan.scan_range(cfg, s << SHARD_BITS, (s + 1) << SHARD_BITS)
 
 
-def measure(run_pass, passes: int) -> dict:
-    """Per-stage minimum seconds over `passes` passes, and call counts."""
+def measure(run_pass, passes: int) -> tuple[dict, list[float]]:
+    """Per-stage minimum speed-corrected seconds over `passes` passes, call
+    counts, and the speed factor of each pass."""
     sites = [(scan, name) for name in STAGES if hasattr(scan, name)]
     sites += [(np.linalg, "eigvalsh"), (Graph, "is_2_connected"), (Graph, "cut_vertices")]
-    best, calls = {}, {}
+    best, calls, factors = {}, {}, []
     for _ in range(passes):
         seconds = {name: 0.0 for _, name in sites}
         counts = {name: 0 for _, name in sites}
+        ref_before = reference.chunk_seconds()
         reals = [(owner, name, _wrap(owner, name, seconds, counts)) for owner, name in sites]
         try:
             t0 = time.perf_counter()
@@ -85,11 +100,14 @@ def measure(run_pass, passes: int) -> dict:
         finally:
             for owner, name, real in reals:
                 setattr(owner, name, real)
+        factor = (ref_before + reference.chunk_seconds()) / (2 * reference.REF_NOMINAL_S)
+        factors.append(round(factor, 4))
         for name, s in seconds.items():
-            best[name] = min(best.get(name, s), s)
+            best[name] = min(best.get(name, float("inf")), s / factor)
         calls = counts
-    return {name: {"s": round(best[name], 4), "calls": calls.get(name, 1),
-                   "share": round(best[name] / best["pass"], 3)} for name in best}
+    stages = {name: {"s": round(best[name], 4), "calls": calls.get(name, 1),
+                     "share": round(best[name] / best["pass"], 3)} for name in best}
+    return stages, factors
 
 
 def main(argv=None) -> None:
@@ -100,13 +118,16 @@ def main(argv=None) -> None:
     skipped = [name for name in STAGES if not hasattr(scan, name)]
     if skipped:
         print(f"skipped stages not in histspec.scan: {', '.join(skipped)}", file=sys.stderr)
+    reference.chunk_seconds()  # the first chunk of a process runs cold
     result = {"passes": args.passes, "numpy": np.__version__, "python": sys.version.split()[0],
-              "n7_thm1_full": measure(_n7_pass, args.passes),
-              "n8_thm2_shards": measure(_n8_pass, args.passes)}
+              "speed_factors": {}}
+    for workload, run_pass in (("n7_thm1_full", _n7_pass), ("n8_thm2_shards", _n8_pass)):
+        result[workload], result["speed_factors"][workload] = measure(run_pass, args.passes)
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
     for workload in ("n7_thm1_full", "n8_thm2_shards"):
-        print(workload)
+        factors = ", ".join(f"{f:.2f}" for f in result["speed_factors"][workload])
+        print(f"{workload} (speed factors {factors})")
         for name, row in result[workload].items():
             print(f"  {name:<24} {row['s']:>8.3f} s {row['share']:>6.1%} {row['calls']:>8}")
 
