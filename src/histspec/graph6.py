@@ -115,6 +115,11 @@ def stream_graph6(
 
 
 def read_graph6_file(path: str, strict: bool = True, bad: list | None = None):
-    """Stream a graph6 corpus file lazily."""
-    with open(path, "r", encoding="ascii") as fh:
+    """Stream a graph6 corpus file lazily.
+
+    latin-1 reads each byte as one character and only "\\n" ends a line,
+    so a byte above 126 or a lone carriage return fails decode_graph6's
+    checks with its line and offset like any other bad byte.
+    """
+    with open(path, "r", encoding="latin-1", newline="\n") as fh:
         yield from stream_graph6(fh, strict=strict, bad=bad)

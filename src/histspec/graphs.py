@@ -195,6 +195,11 @@ def _bits(x: int) -> Iterator[int]:
         x ^= b
 
 
+def _low(x: int) -> int:
+    """Index of the lowest set bit of x."""
+    return (x & -x).bit_length() - 1
+
+
 def _reach(rows, start_mask: int, alive: int) -> int:
     """Vertices reachable from start_mask inside alive, as a bitmask."""
     visited = start_mask & alive
@@ -348,52 +353,52 @@ def make_family(name: str, *params: int) -> Graph:
 
 
 def is_family_L(g: Graph) -> bool:
-    """Whether g is isomorphic to the pendant-path family of its order."""
-    n = g.n
-    if n < 4:
+    """Whether g is isomorphic to the pendant-path family of its order:
+    some degree-1 vertex p has a degree-2 neighbour q, and V - {p, q} is
+    a clique."""
+    if g.n < 4:
         return False
-    for p in range(n):
-        if g.rows[p].bit_count() != 1:
-            continue
-        q = g.rows[p].bit_length() - 1
-        if g.rows[q].bit_count() != 2:
-            continue
-        r = g.rows[q] ^ (1 << p)
-        r = r.bit_length() - 1
-        rest = ((1 << n) - 1) ^ (1 << p) ^ (1 << q)
-        if not rest >> r & 1:
-            continue
-        # p and q have exactly the path edges; all other edges must form a
-        # clique on the remaining n - 2 vertices.
-        if _is_clique(g, rest):
+    full = (1 << g.n) - 1
+    for p, row in enumerate(g.rows):
+        if (row.bit_count() == 1 and g.rows[row.bit_length() - 1].bit_count() == 2
+                and _is_clique(g, full ^ row ^ (1 << p))):
             return True
     return False
 
 
 def is_family_B(g: Graph) -> bool:
-    """Whether g is isomorphic to the attached-3-path family of its order."""
-    n = g.n
-    if n < 6:
+    """Whether g is isomorphic to the attached-3-path family of its order:
+    n >= 6 and removing the inner vertices s1, s2, s3 of some ear (see
+    `_ears`) leaves a clique."""
+    if g.n < 6:
         return False
-    for w in range(n):
-        if g.rows[w].bit_count() != 2:
-            continue
-        a = (g.rows[w] & -g.rows[w]).bit_length() - 1
-        c = (g.rows[w] ^ (1 << a)).bit_length() - 1
-        if g.rows[a].bit_count() != 2 or g.rows[c].bit_count() != 2:
-            continue
-        x = g.rows[a] ^ (1 << w)
-        y = g.rows[c] ^ (1 << w)
-        if x == 0 or y == 0:
-            continue
-        x = x.bit_length() - 1
-        y = y.bit_length() - 1
-        if x == y or x in (a, w, c) or y in (a, w, c):
-            continue
-        rest = ((1 << n) - 1) ^ (1 << a) ^ (1 << w) ^ (1 << c)
-        if _is_clique(g, rest):
+    full = (1 << g.n) - 1
+    for _, s1, s2, s3, _ in _ears(g, g.degrees()):
+        if _is_clique(g, full ^ (1 << s1) ^ (1 << s2) ^ (1 << s3)):
             return True
     return False
+
+
+def _ears(g: Graph, degs) -> Iterator[tuple[int, int, int, int, int]]:
+    """The degree-2 ears s0-s1-s2-s3-s4 of g, given its degree list.
+
+    For each degree-2 vertex s2 in increasing order, s1 and s3 are its
+    lower and higher neighbours.  When both also have degree 2, s0 and s4
+    are their other neighbours, and the ear is yielded if the five
+    vertices are distinct.  The B_n recognizer and the P5 no-HIST
+    certificate (`hist.no_hist_certificate`) share this walk.
+    """
+    rows = g.rows
+    for s2, d in enumerate(degs):
+        if d != 2:
+            continue
+        s1, s3 = _low(rows[s2]), rows[s2].bit_length() - 1
+        if degs[s1] != 2 or degs[s3] != 2:
+            continue
+        s0 = (rows[s1] ^ (1 << s2)).bit_length() - 1
+        s4 = (rows[s3] ^ (1 << s2)).bit_length() - 1
+        if len({s0, s1, s2, s3, s4}) == 5:
+            yield s0, s1, s2, s3, s4
 
 
 def _is_clique(g: Graph, member_mask: int) -> bool:

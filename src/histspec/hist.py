@@ -5,7 +5,8 @@ with no vertex of degree exactly 2.  This module provides:
 
   * fast no-HIST certificates (a degree-2 cut vertex, or a 5-vertex path
     whose three interior vertices have degree 2 and whose ends have
-    degree >= 3);
+    degree >= 3; the path is a `graphs._ears` ear, the walk the B_n
+    recognizer shares);
   * a complete search that grows spanning trees from a root, each vertex
     choosing all its children at once so that none has tree degree 2,
     and that cuts a branch once some unplaced vertex can no longer get a
@@ -42,7 +43,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .graphs import Graph, _bits, _is_clique, _reach, _separates, is_family_B, is_family_L
+from .graphs import (Graph, _bits, _ears, _is_clique, _low, _reach, _separates, is_family_B,
+                     is_family_L)
 from .spectral import THEOREMS, InvariantViolation
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
@@ -138,19 +140,9 @@ def no_hist_certificate(g: Graph) -> Optional[Certificate]:
     for v in range(g.n):
         if degs[v] == 2 and _separates(g.rows, v, full):
             return Certificate(CUT_VERTEX_DEG2, (v,))
-    for s2 in range(g.n):
-        if degs[s2] != 2:
-            continue
-        row = g.rows[s2]
-        s1, s3 = _low(row), row.bit_length() - 1
-        if degs[s1] != 2 or degs[s3] != 2:
-            continue
-        s0 = (g.rows[s1] ^ (1 << s2)).bit_length() - 1
-        s4 = (g.rows[s3] ^ (1 << s2)).bit_length() - 1
-        if len({s0, s1, s2, s3, s4}) != 5:
-            continue
-        if degs[s0] >= 3 and degs[s4] >= 3:
-            return Certificate(P5_PATTERN, (s0, s1, s2, s3, s4))
+    for ear in _ears(g, degs):
+        if degs[ear[0]] >= 3 and degs[ear[4]] >= 3:
+            return Certificate(P5_PATTERN, ear)
     return None
 
 
@@ -419,11 +411,6 @@ def proof_guided_hist(g: Graph, theorem: str) -> ProofTrace:
     if delta == n - 2:
         return _guided_two_missing_one(g, hub, *outsiders)
     return _guided_two_missing_two(g, hub, *outsiders)
-
-
-def _low(x: int) -> int:
-    """Index of the lowest set bit of x."""
-    return (x & -x).bit_length() - 1
 
 
 def _star_minus(g, hub, removed) -> list[tuple[int, int]]:

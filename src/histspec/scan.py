@@ -77,9 +77,9 @@ class ScanConfig:
         spec = self.spec
         if extremal not in (None, spec.family):
             raise ValueError(f"{self.mode} has extremal family {spec.family}, not {extremal!r}")
-        if self.n > 8:
+        if not 1 <= self.n <= 8:
             raise ValueError(
-                f"the scan engine is limited to n <= 8 (got n={self.n}): "
+                f"the scan engine takes 1 <= n <= 8 (got n={self.n}): "
                 "adjacency rows are uint8 and edge masks uint32")
         if self.subsample is not None and self.subsample < 1:
             raise ValueError(f"subsample must be >= 1, got {self.subsample}")
@@ -132,6 +132,8 @@ _codec = cache(_Codec)
 def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
     """Scan masks lo..hi-1; deterministic in inputs only."""
     c = _codec(cfg.n)
+    if not 0 <= lo <= hi <= 1 << c.nbits:
+        raise ValueError(f"mask range [{lo}, {hi}) is outside 0..2^{c.nbits} for n={cfg.n}")
     out = ShardOut()
     block = 1 << BLOCK_BITS
     for start in range(lo, hi, block):

@@ -107,6 +107,15 @@ def test_convert_format_error_exit3(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_non_ascii_byte_exit3(tmp_path, capsys):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(encode_graph6(family_L(9)).encode() + b"\nD?\xff\n")
+    for argv in (("convert", str(path)), ("verify", "thm1", "--n", "9", "--corpus", str(path))):
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "byte 255" in err and "line 2, byte 2" in err
+
+
 def test_format_error_exit3(capsys):
     code, _, err = run(capsys, "hist", "\x01bad")
     assert code == 3

@@ -7,6 +7,7 @@ from histspec import (
     decode_graph6,
     encode_graph6,
     family_B,
+    read_graph6_file,
     stream_graph6,
 )
 from histspec.graphs import mask_of_graph
@@ -105,3 +106,20 @@ def test_stream_skip_and_count():
     got = list(stream_graph6(["A_", "~bad", "C~"], strict=False, bad=bad))
     assert len(got) == 2
     assert len(bad) == 1 and bad[0][0] == 2
+
+
+def test_file_byte_above_ascii_is_a_format_error(tmp_path):
+    # Each byte of a file is one character, so 0xff and a lone CR meet the
+    # same checks as any other bad byte and report their line and offset.
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"A_\nD?\xff\n")
+    with pytest.raises(Graph6FormatError, match="byte 255 outside") as exc:
+        list(read_graph6_file(str(path)))
+    assert (exc.value.lineno, exc.value.offset) == (2, 2)
+    path.write_bytes(b"A_\r\nC~\rC~\n")  # a lone CR is a byte, not a line break
+    with pytest.raises(Graph6FormatError, match="trailing bytes") as exc:
+        list(read_graph6_file(str(path)))
+    assert (exc.value.lineno, exc.value.offset) == (2, 2)
+    good = [encode_graph6(family_B(n)) for n in (6, 7, 8)]
+    path.write_text(">>graph6<<" + "\n".join(good) + "\n")
+    assert [encode_graph6(g) for _, g in read_graph6_file(str(path))] == good

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import numpy as np
@@ -175,30 +176,54 @@ def test_family_recognizers_on_relabelings():
 
 
 def test_family_recognizer_vs_brute_iso_on_degree_twins():
-    # All connected order-7 graphs sharing the pendant-path family's degree
-    # multiset: the fingerprint must agree with brute-force isomorphism.
-    n = 7
-    target = sorted(family_L(7).degrees())
-    slots = edge_slots(n)
-    inc = np.zeros(n, dtype=np.uint32)
-    for b, (i, j) in enumerate(slots):
-        inc[i] |= np.uint32(1 << b)
-        inc[j] |= np.uint32(1 << b)
-    masks = np.arange(1 << len(slots), dtype=np.uint32)
-    deg = np.empty((len(masks), n), dtype=np.uint8)
-    for v in range(n):
-        deg[:, v] = np.bitwise_count(masks & inc[v])
-    cand = (np.sort(deg, axis=1) == np.array(target, dtype=np.uint8)).all(axis=1)
-    l7 = family_L(7)
-    copies = 0
-    for mk in masks[cand]:
-        g = graph_from_mask(n, int(mk))
-        if not g.is_connected():
-            continue
-        iso = brute_isomorphic(g, l7)
-        assert is_family_L(g) == iso
-        copies += iso
-    assert copies == 210  # 7!/|Aut|, cross-checked in test_acceptance
+    # All connected graphs sharing L_7's or B_6's degree multiset (twins):
+    # each recognizer must agree with brute-force isomorphism, and the
+    # copies number n!/|Aut| (L_7's 210 is cross-checked in test_acceptance).
+    # B_7's 52,290 twins take minutes of brute force, so B stops at order 6.
+    for n, family, recognize, twins, copies in (
+            (7, family_L, is_family_L, 4830, 210), (6, family_B, is_family_B, 810, 360)):
+        target = sorted(family(n).degrees())
+        slots = edge_slots(n)
+        inc = np.zeros(n, dtype=np.uint32)
+        for b, (i, j) in enumerate(slots):
+            inc[i] |= np.uint32(1 << b)
+            inc[j] |= np.uint32(1 << b)
+        masks = np.arange(1 << len(slots), dtype=np.uint32)
+        deg = np.empty((len(masks), n), dtype=np.uint8)
+        for v in range(n):
+            deg[:, v] = np.bitwise_count(masks & inc[v])
+        cand = (np.sort(deg, axis=1) == np.array(target, dtype=np.uint8)).all(axis=1)
+        h = family(n)
+        seen = found = 0
+        for mk in masks[cand]:
+            g = graph_from_mask(n, int(mk))
+            if not g.is_connected():
+                continue
+            iso = brute_isomorphic(g, h)
+            assert recognize(g) == iso
+            seen += 1
+            found += iso
+        assert (seen, found) == (twins, copies)
+
+
+# SHA-256 of the "LB" bits ("1" when is_family_L / is_family_B holds) of
+# every labeled graph of each order in mask order: the verdict of each
+# recognizer on each graph is pinned, not only on the families' copies.
+PINNED_RECOGNIZERS = {
+    1: "f1534392279bddbf9d43dde8701cb5be14b82f76ec6607bf8d6ad557f60f304e",
+    2: "9af15b336e6a9619928537df30b2e6a2376569fcf9d7e773eccede65606529a0",
+    3: "fcdb4b423f4e5283afa249d762ef6aef150e91fccd810d43e5e719d14512dec7",
+    4: "a0ec4889e5df5c3582b9bba93d20b397306d36d32c9465cf4b06e578659f38f3",
+    5: "ef41d56bf335d03bb4cd46dff989b7167eec576fca014df0b9d475739f31ea39",
+    6: "6eeb5c3869dfbf2edf2dc6c18aedbbad8dfce53760f87ff5db7def32b4367ab5",
+}
+
+
+def test_family_recognizers_are_pinned():
+    digests = {n: hashlib.sha256("".join(
+        f"{is_family_L(g):d}{is_family_B(g):d}" for g in enumerate_labeled(n)).encode()
+    ).hexdigest() for n in PINNED_RECOGNIZERS}
+    assert digests == PINNED_RECOGNIZERS
 
 
 def test_graph_validation():

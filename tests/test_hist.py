@@ -169,6 +169,27 @@ def test_spanning_tree_order_is_pinned():
     assert digests == PINNED_TREE_ORDER
 
 
+# SHA-256 of repr([(kind, vertices) or None]) of no_hist_certificate on the
+# connected labeled graphs of each order in mask order: reports and
+# `histspec hist` print the first certificate found, so its vertices and the
+# order of the walks that find it are part of the output.
+PINNED_CERTIFICATES = {
+    3: "c043798544c3d5c70c5b4c68f215d5117efffadae03f9fb89407faf51d6c8c95",
+    4: "83fd68d088ffa02bda4f792f7d1abd0e16da2fab2cf4480be86158cf79d15aeb",
+    5: "6783eaafe7a482a237fa609318c6fd28ba7382095587bca16f9f1c100844c7b8",
+    6: "e47a0c0eb5b9e7e8b6a35a600196f9f00ee78541f35a76006caa0124f9353c8a",
+}
+
+
+def test_certificates_are_pinned():
+    digests = {}
+    for n in PINNED_CERTIFICATES:
+        certs = map(no_hist_certificate, enumerate_labeled(n, connected=True))
+        digests[n] = hashlib.sha256(repr(
+            [None if c is None else (c.kind, c.vertices) for c in certs]).encode()).hexdigest()
+    assert digests == PINNED_CERTIFICATES
+
+
 def test_spanning_trees_skip_only_edges_the_rest_can_spare(monkeypatch):
     # Every branch ends in a tree, so the work is polynomial per tree: at
     # most n - 1 branch points per tree, each scanning at most m edges.

@@ -170,6 +170,18 @@ def test_scan_engine_order_limit():
         ScanConfig(n=9, theta=5.0, mode="thm2", extremal="B")
     with pytest.raises(ValueError, match="uint32"):
         audit_prescreens(9, "thm2")
+    with pytest.raises(ValueError, match="got n=0"):
+        ScanConfig(n=0, theta=1.0, mode="thm1")
+
+
+def test_scan_range_rejects_masks_outside_the_order():
+    # n = 7 has 2^21 masks; a mask with bit 21 set is no graph of order 7.
+    cfg = ScanConfig(n=7, theta=threshold_connected(7), mode="thm1")
+    for lo, hi in ((1 << 21, 1 << 22), (0, (1 << 21) + 1), (-5, 3), (3, 2)):
+        with pytest.raises(ValueError, match="outside"):
+            scan_range(cfg, lo, hi)
+    assert scan_range(cfg, 1 << 21, 1 << 21).scanned == 0
+    assert scan_range(cfg, (1 << 21) - 4, 1 << 21).scanned == 4
 
 
 @pytest.mark.parametrize("n,mode,extremal", [(7, "thm1", "L"), (8, "thm2", "B")])
