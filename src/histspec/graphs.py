@@ -141,21 +141,46 @@ class Graph:
     def cut_vertices(self) -> frozenset[int]:
         """Articulation vertices: the v for which G - v is disconnected.
 
-        Input must be connected (checked by one `_reach` from vertex 0).
-        Then v is a cut vertex iff `_reach` inside G - v, started at its
-        lowest vertex, misses part of G - v; `scan._connected_filter`
-        makes the same test on many graphs at once.
+        Input must be connected.  Let h be a vertex of maximum degree (the
+        lowest, on ties).  Starting from N(h), admit in turn each vertex
+        with at least two neighbours already admitted (the hub test when
+        one round admits every vertex outside N[h]).  If every vertex
+        other than h is admitted, then G is connected, and so is G - v for
+        every v != h: h reaches N(h) - v directly, and each later vertex
+        other than v keeps an earlier neighbour other than v, which
+        reaches h by induction.  Only h can then be a cut vertex, decided
+        by one `_reach` inside G - h.  Otherwise connectivity is checked
+        by one `_reach` from vertex 0, and v is a cut vertex iff `_reach`
+        inside G - v, started at its lowest vertex, misses part of G - v.
+        `scan._connected_filter` makes the same tests on many graphs at
+        once, with one round of admissions.
         """
-        full = (1 << self.n) - 1
-        if _reach(self.rows, 1, full) != full:
+        rows, full = self.rows, (1 << self.n) - 1
+        degs = self.degrees()
+        h = degs.index(max(degs))
+        inner, outer = rows[h], full ^ rows[h] ^ (1 << h)
+        grew = True
+        while outer and grew:
+            grew = False
+            for u in _bits(outer):
+                if (rows[u] & inner).bit_count() >= 2:
+                    inner |= 1 << u
+                    outer ^= 1 << u
+                    grew = True
+        if not outer:
+            return frozenset({h}) if _separates(rows, h, full) else frozenset()
+        if _reach(rows, 1, full) != full:
             raise ValueError("cut_vertices requires a connected graph")
-        return frozenset(v for v in range(self.n) if _separates(self.rows, v, full))
+        return frozenset(v for v in range(self.n) if _separates(rows, v, full))
 
     def is_2_connected(self) -> bool:
         """Connected with no cut vertex.  Defined only for n >= 3."""
         if self.n < 3:
             raise ValueError("2-connectivity is defined for n >= 3")
-        return self.is_connected() and not self.cut_vertices()
+        try:
+            return not self.cut_vertices()
+        except ValueError:  # cut_vertices rejects a disconnected graph
+            return False
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Subgraph induced by the given vertex set, relabelled 0..k-1."""
@@ -206,7 +231,7 @@ def _reach(rows, start_mask: int, alive: int) -> int:
     frontier = visited
     while frontier:
         nxt = 0
-        while frontier:  # _bits inlined: cut_vertices runs this n + 1 times
+        while frontier:  # _bits inlined: cut_vertices runs this up to n + 1 times
             low = frontier & -frontier
             nxt |= rows[low.bit_length() - 1]
             frontier ^= low

@@ -30,7 +30,11 @@ without any theorem; the scan pipeline per mask block is:
   3. vectorized connectivity (or 2-connectivity) by bitset BFS over all
      graphs at once, stopped as soon as a step reaches no new vertex or
      every graph has reached every vertex, which the graph6 corpus
-     filter shares on int64 rows;
+     filter shares on int64 rows; for 2-connectivity, a graph in which
+     every vertex outside N[h], h of maximum degree, has two neighbours
+     in N(h) has no cut vertex other than h, so one BFS in G - h decides
+     it, and only the graphs failing that hub test take one BFS per
+     vertex;
   4. classification of the over-threshold graphs on their bit rows alone
      (`_classify`): extremal family match, star or spanning-double-star
      HIST constructions (vectorized), then a per-graph proof-guided
@@ -110,20 +114,24 @@ class ShardOut:
 
 
 class _Codec:
-    """The colex slot code of order n as arrays: the endpoints I[b], J[b]
-    of slot b and the incidence mask inc[v] of the slots at vertex v.
-    Independent of any theorem."""
+    """The colex slot code of order n as arrays: the incidence mask inc[v]
+    of the slots at vertex v, and the byte table byte_rows[i, x, v], the
+    part of vertex v's adjacency bit row held by byte i of a mask when
+    that byte has value x.  Independent of any theorem."""
 
     def __init__(self, n: int):
         slots = edge_slots(n)
         self.n = n
         self.nbits = len(slots)
-        self.I = np.array([i for i, _ in slots], dtype=np.int64)
-        self.J = np.array([j for _, j in slots], dtype=np.int64)
         self.inc = np.zeros(n, dtype=np.uint32)
+        self.byte_rows = np.zeros((-(-self.nbits // 8), 256, n), dtype=np.uint8)
+        values = np.arange(256)
         for b, (i, j) in enumerate(slots):
             self.inc[i] |= np.uint32(1 << b)
             self.inc[j] |= np.uint32(1 << b)
+            on = (values >> b % 8 & 1).astype(bool)
+            self.byte_rows[b // 8, on, i] |= np.uint8(1 << j)
+            self.byte_rows[b // 8, on, j] |= np.uint8(1 << i)
 
 
 _codec = cache(_Codec)
@@ -206,11 +214,13 @@ def _hong_table(cfg: ScanConfig, n: int) -> np.ndarray:
 
 
 def _rows_of_masks(c: _Codec, masks: np.ndarray) -> np.ndarray:
+    """Adjacency bit rows of edge masks: the OR over the mask's bytes of
+    the whole rows that `c.byte_rows` holds for each byte value, one
+    gather per byte."""
+    data = np.ascontiguousarray(masks, dtype="<u4").view(np.uint8).reshape(len(masks), 4)
     rows = np.zeros((len(masks), c.n), dtype=np.uint8)
-    for b in range(c.nbits):
-        bit = ((masks >> np.uint32(b)) & np.uint32(1)).astype(np.uint8)
-        rows[:, c.I[b]] |= bit << np.uint8(c.J[b])
-        rows[:, c.J[b]] |= bit << np.uint8(c.I[b])
+    for i, table in enumerate(c.byte_rows):
+        rows |= table.take(data[:, i], axis=0)
     return rows
 
 
@@ -355,33 +365,76 @@ def _connected_filter(rows: np.ndarray, two_connected: bool) -> np.ndarray:
     which it takes from the row length, in any integer word wide enough
     for n bits: uint8 from the scan engine and `enumerate_labeled`,
     little-endian int64 from the graph6 corpus scan
-    (`verification._scan_corpus`), whose short form caps n at 62.
+    (`verification._scan_corpus`), whose short form caps n at 62.  The
+    searches read them transposed, vertex by vertex over all graphs.
 
     2-connectivity for n >= 3 is equivalent to "G - v is connected for
     every v": a disconnected G always has some v whose removal leaves two
-    nonempty parts or an isolated vertex behind.
+    nonempty parts or an isolated vertex behind.  Most graphs need one of
+    these n searches only.  Let h be a vertex of maximum degree (the
+    lowest, on ties), and suppose every vertex outside N[h] has at least
+    two neighbours in N(h) (the hub test).  Then for every v != h, G - v
+    is connected: h reaches N(h) - v directly, and each vertex outside
+    N[h] other than v keeps a neighbour there.  G itself is connected the
+    same way.  So G is 2-connected iff G - h is connected.  That search
+    runs on every graph; a disconnected G - h rules G out whatever the
+    hub test says, so only the graphs with G - h connected that fail the
+    hub test are copied out for all n searches.
     """
     n, word = rows.shape[1], rows.dtype.type
-    full = (1 << n) - 1
-    if two_connected:
-        ok = np.ones(len(rows), dtype=bool)
+    full = word((1 << n) - 1)
+    cols = np.ascontiguousarray(rows.T)
+    if not two_connected:
+        return _reach_vec(cols, full, word(1)) == full
+    hub, nbr = _hubs(cols)
+    alive = full ^ hub
+    # the lowest vertex of G - h: vertex 1 when h = 0, else vertex 0
+    ok = _reach_vec(cols, alive, word(1) << (hub & word(1))) == alive
+    closed = nbr | hub
+    held = np.ones(len(rows), dtype=bool)
+    for u, col in enumerate(cols):
+        held &= ((closed & word(1 << u)) != 0) | (np.bitwise_count(col & nbr) >= 2)
+    rest = ok & ~held
+    if rest.any():
+        sub = cols[:, rest]
+        every = np.ones(sub.shape[1], dtype=bool)
         for v in range(n):
-            alive = word(full ^ (1 << v))
-            ok &= _reach_vec(rows, alive, word(2 if v == 0 else 1), n) == alive
-        return ok
-    return _reach_vec(rows, word(full), word(1), n) == full
+            alive = full ^ word(1 << v)
+            every &= _reach_vec(sub, alive, word(2 if v == 0 else 1)) == alive
+        ok[rest] = every
+    return ok
 
 
-def _reach_vec(rows, alive, start, steps):
-    """Vertices of `alive` reachable from `start` inside `alive`, per row,
-    after at most `steps` BFS steps.  The loop stops at a fixed point (a
-    step that adds no vertex to any row) or once every row has reached
-    all of `alive`, since a full row cannot grow."""
-    reach = np.full(len(rows), start & alive, dtype=rows.dtype)
-    for _ in range(steps):
+def _hubs(cols):
+    """Per graph, the bit of its lowest vertex h of maximum degree and the
+    neighbourhood N(h), both in the row dtype, kept as running maxima
+    over the vertices so that no index array is built.  `cols[v]` holds
+    vertex v's adjacency bit row in every graph."""
+    word = cols.dtype.type
+    deg = np.bitwise_count(cols[0])
+    hub = np.full(cols.shape[1], 1, dtype=cols.dtype)
+    nbr = cols[0].copy()
+    for v in range(1, len(cols)):
+        d = np.bitwise_count(cols[v])
+        better = d > deg
+        np.copyto(deg, d, where=better)
+        np.copyto(hub, word(1 << v), where=better)
+        np.copyto(nbr, cols[v], where=better)
+    return hub, nbr
+
+
+def _reach_vec(cols, alive, start):
+    """Vertices of `alive` reachable from `start` inside `alive`, per
+    graph, by bitset BFS.  `cols[w]` holds vertex w's adjacency bit row in
+    every graph; `alive` and `start` are words, one for all graphs or one
+    per graph.  The loop stops at a fixed point (a step that adds no
+    vertex to any graph) or once every graph has reached all of its
+    `alive`, since a full graph cannot grow, and after at most n steps."""
+    reach = np.full(cols.shape[1], start & alive, dtype=cols.dtype)
+    for _ in range(len(cols)):
         acc = np.zeros_like(reach)
-        for w in range(rows.shape[1]):
-            acc |= -((reach >> w) & 1) & rows[:, w]  # all ones where w is reached
+        for w, col in enumerate(cols):
+            acc |= -((reach >> w) & 1) & col  # all ones where w is reached
         grown = reach | (acc & alive)
         if np.array_equal(grown, reach):
             break

@@ -51,6 +51,35 @@ def brute_cut_vertices(g: Graph) -> frozenset[int]:
     return frozenset(out)
 
 
+def hub_test_cases(n: int, rng: np.random.Generator) -> list[Graph]:
+    """Graphs of order n >= 6 on both sides of the hub test (every vertex
+    outside N[h], for h a vertex of maximum degree, has two neighbours in
+    N(h)), each also under two random relabelings.
+
+    The test holds with h a cut vertex for two cliques sharing one vertex
+    and for the star, and with h not a cut vertex for K_n and K_{2,n-2}.
+    It fails for C_n and B_n (2-connected), L_n and the path (connected,
+    with cut vertices) and two disjoint cliques (disconnected).  K_n, C_n
+    and the path have many vertices of maximum degree, K_{2,n-2} two.
+    """
+    a = n // 2 + 1
+    cases = [
+        Graph(n, list(itertools.combinations(range(a), 2))
+              + list(itertools.combinations(range(a - 1, n), 2))),
+        Graph(n, [(0, v) for v in range(1, n)]),
+        Graph(n, list(itertools.combinations(range(n), 2))),
+        Graph(n, [(u, v) for u in range(2) for v in range(2, n)]),
+        Graph(n, [(v, (v + 1) % n) for v in range(n)]),
+        Graph(n, [(0, 1), (1, 2), (0, 3), (2, 4)]
+              + list(itertools.combinations(range(3, n), 2))),
+        Graph(n, [(0, 1), (1, 2)] + list(itertools.combinations(range(2, n), 2))),
+        Graph(n, [(v, v + 1) for v in range(n - 1)]),
+        Graph(n, list(itertools.combinations(range(a), 2))
+              + list(itertools.combinations(range(a, n), 2))),
+    ]
+    return cases + [g.relabel(rng.permutation(n)) for g in cases for _ in range(2)]
+
+
 def bfs_connected(g: Graph) -> bool:
     """Breadth-first search from vertex 0 over has_edge."""
     seen = [0]

@@ -212,13 +212,20 @@ def test_criterion_2_theorem2_exhaustive_n8():
     rep = verify_theorem2(8, threads=1)
     copies = labeled_copy_count(family_B(8))
     elapsed = time.monotonic() - t0
+    # The survivor, over-threshold and HIST counts pin every stage's
+    # verdicts: a connectivity filter that dropped a 2-connected graph, or
+    # kept one that is not, would move them while ok and extremal held.
     ok = (rep.ok and rep.scanned == 2**28
-          and rep.extremal_matches == copies and elapsed < 3600)
+          and rep.extremal_matches == copies and elapsed < 3600
+          and rep.prescreen_survivors == 125_811_193
+          and rep.over_threshold == 74_986_629
+          and rep.hists_found == 74_983_269)
     _report(
         "criterion 2 (2-connected threshold, n=8, all 2^28 labeled graphs)",
         ok,
         f"counterexamples={len(rep.counterexamples)}, "
         f"extremal={rep.extremal_matches} (brute copy count {copies}), "
         f"over={rep.over_threshold}, survivors={rep.prescreen_survivors}, "
+        f"hists={rep.hists_found}, "
         f"elapsed={elapsed:.0f}s",
     )

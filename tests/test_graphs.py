@@ -20,7 +20,7 @@ from histspec import (
 )
 from histspec.graphs import edge_slots, graph_from_mask
 
-from helpers import brute_cut_vertices, brute_isomorphic, random_connected
+from helpers import brute_cut_vertices, brute_isomorphic, hub_test_cases, random_connected
 
 
 def test_degree_basics():
@@ -108,6 +108,47 @@ def test_two_connectivity_equivalence_exhaustive_small():
             cuts = g.cut_vertices()
             assert cuts == brute_cut_vertices(g)
             assert g.is_2_connected() == (len(cuts) == 0)
+
+
+def test_cut_vertices_hub_path_matches_brute_force(monkeypatch):
+    # A graph whose vertices are all admitted from N(h) takes one
+    # _separates call (for its hub h), any other one per vertex.  At every
+    # order both paths run, and both agree with brute force on hand-made
+    # graphs that include a hub that is itself the cut vertex and ties in
+    # maximum degree.
+    from histspec import graphs
+
+    calls = []
+    real = graphs._separates
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(graphs, "_separates", counted)
+    # Vertex 5 has one neighbour in N(0) = {1, 2, 3}, and a second once
+    # vertex 4 (neighbours 1, 2) is admitted; the pendant 6 makes 0 a cut
+    # vertex.
+    edges = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 5), (4, 5)]
+    for g, cuts in ((Graph(6, edges), frozenset()), (Graph(7, edges + [(0, 6)]), frozenset({0}))):
+        calls.clear()
+        assert g.cut_vertices() == brute_cut_vertices(g) == cuts
+        assert calls == [0]
+    rng = np.random.default_rng(19)
+    for n in [*range(6, 17), 62]:
+        hub_path = set()
+        for g in hub_test_cases(n, rng):
+            cuts = brute_cut_vertices(g)
+            if not g.is_connected():
+                with pytest.raises(ValueError, match="connected"):
+                    g.cut_vertices()
+                assert not g.is_2_connected()
+                continue
+            calls.clear()
+            assert g.cut_vertices() == cuts
+            hub_path.add(len(calls) == 1)
+            assert g.is_2_connected() == (not cuts)
+        assert hub_path == {True, False}
 
 
 def test_cut_vertices_at_wide_rows():

@@ -32,6 +32,7 @@ from helpers import (
     brute_cut_vertices,
     brute_double_star,
     connected_labeled_count,
+    hub_test_cases,
     random_connected,
 )
 
@@ -497,6 +498,84 @@ def test_connected_filter_on_int64_rows():
         rows = np.array([g.rows for g in graphs], dtype="<i8")
         assert _connected_filter(rows, False).tolist() == connected
         assert _connected_filter(rows, True).tolist() == two
+
+
+def _two_connected_reference(rows):
+    """2-connectivity as "G - v is connected for every v", each decided by
+    n sweeps of a plain bitset BFS from the lowest vertex of G - v."""
+    n, word = rows.shape[1], rows.dtype.type
+    full = (1 << n) - 1
+    ok = np.ones(len(rows), dtype=bool)
+    for v in range(n):
+        alive = word(full ^ (1 << v))
+        reach = np.full(len(rows), word(2 if v == 0 else 1) & alive, dtype=rows.dtype)
+        for _ in range(n):
+            for w in range(n):
+                reach |= np.where((reach >> w) & 1 == 1, rows[:, w] & alive, word(0))
+        ok &= reach == alive
+    return ok
+
+
+def test_connected_filter_hub_path_matches_n_search_reference(monkeypatch):
+    # Every labeled graph of order 7, then the hand-made graphs of
+    # hub_test_cases as uint8 and int64 rows at n = 6..8 and int64 rows at
+    # n = 9..16 and 62.  The search in G - h runs on all graphs of a call
+    # and the n-search path on some of those that fail the hub test, so
+    # both paths ran when the second _reach_vec call gets some graphs but
+    # not all.
+    from histspec import scan
+
+    sizes = []
+    real = scan._reach_vec
+
+    def counted(cols, *args):
+        sizes.append(cols.shape[1])  # graphs searched
+        return real(cols, *args)
+
+    monkeypatch.setattr(scan, "_reach_vec", counted)
+    rng = np.random.default_rng(47)
+    c = scan._codec(7)
+    groups = [scan._rows_of_masks(c, np.arange(1 << c.nbits, dtype=np.uint32))]
+    for n in [*range(6, 17), 62]:
+        graphs = hub_test_cases(n, rng)
+        expect = [g.is_connected() and not brute_cut_vertices(g) for g in graphs]
+        for dtype in (np.uint8, "<i8") if n <= 8 else ("<i8",):
+            rows = np.array([g.rows for g in graphs], dtype=dtype)
+            assert _two_connected_reference(rows).tolist() == expect
+            groups.append(rows)
+    for rows in groups:
+        sizes.clear()
+        assert np.array_equal(scan._connected_filter(rows, True), _two_connected_reference(rows))
+        assert sizes[0] == len(rows) and 0 < sizes[1] < len(rows)
+
+
+def test_rows_of_masks_matches_per_slot_reference():
+    # The byte-table gathers against the per-slot loop they replace: every
+    # mask of order 7, a boolean-indexed subsample of them, random masks
+    # of order 8, and random masks of every order 1..8 (order 1 has no
+    # edge slot), these also against the scalar decode graph_from_mask.
+    from histspec.graphs import edge_slots
+    from histspec.scan import _codec, _rows_of_masks
+
+    def per_slot(n, masks):
+        rows = np.zeros((len(masks), n), dtype=np.uint8)
+        for b, (i, j) in enumerate(edge_slots(n)):
+            bit = ((masks >> np.uint32(b)) & np.uint32(1)).astype(np.uint8)
+            rows[:, i] |= bit << np.uint8(j)
+            rows[:, j] |= bit << np.uint8(i)
+        return rows
+
+    rng = np.random.default_rng(53)
+    every = np.arange(1 << 21, dtype=np.uint32)
+    cases = [(7, every), (7, every[rng.random(len(every)) < 0.3]),
+             (8, rng.integers(0, 1 << 28, 200_000).astype(np.uint32))]
+    for n in range(1, 9):
+        masks = rng.integers(0, 1 << (n * (n - 1) // 2), 500).astype(np.uint32)
+        cases += [(n, masks), (n, masks[:0])]
+        assert ([tuple(r) for r in _rows_of_masks(_codec(n), masks).tolist()]
+                == [graph_from_mask(n, int(mk)).rows for mk in masks])
+    for n, masks in cases:
+        assert np.array_equal(_rows_of_masks(_codec(n), masks), per_slot(n, masks))
 
 
 def test_double_star_feasible_matches_brute_force():

@@ -8,11 +8,13 @@ function of `histspec.scan` (and `numpy.linalg.eigvalsh`), wrapped with
 includes the stages it calls: `over_threshold` holds `_sandwich` and
 `eigvalsh`, and `_classify` holds `_double_star_feasible`, proof replay
 and the search; `_connected_filter` runs before `_classify`, on the
-over-threshold rows.  `Graph.is_2_connected` and `Graph.cut_vertices` are
-wrapped the same way as class attributes, so the n=8 pass shows what the
-proof replay's 2-connectivity re-check costs.  BLAS and OpenMP pools are
-pinned to 1 thread before numpy loads, and `histspec` is imported from
-this checkout's `src/` (both by `perfbench/common.py`).
+over-threshold rows, and holds `_reach_vec`, the bitset BFS, whose call
+count is the number of BFS runs.  `Graph.is_2_connected` and
+`Graph.cut_vertices` are wrapped the same way as class attributes, so the
+n=8 pass shows what the proof replay's 2-connectivity re-check costs.
+BLAS and OpenMP pools are pinned to 1 thread before numpy loads, and
+`histspec` is imported from this checkout's `src/` (both by
+`perfbench/common.py`).
 
 A reference chunk of fixed work (`perfbench/reference.py`) runs before
 and after each pass.  The pass's speed factor is the mean of the two chunk
@@ -51,7 +53,7 @@ from histspec import scan, verification  # noqa: E402
 from histspec.graphs import Graph  # noqa: E402
 
 STAGES = ("_prescreen", "_rows_of_masks", "over_threshold", "_sandwich", "_connected_filter",
-          "_classify", "_double_star_feasible", "proof_guided_hist", "find_hist",
+          "_reach_vec", "_classify", "_double_star_feasible", "proof_guided_hist", "find_hist",
           "_graph_of_row")
 N8_SHARDS = (136, 338, 414, 255)
 SHARD_BITS = 19
