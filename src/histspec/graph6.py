@@ -4,6 +4,11 @@ One graph per line.  The first byte encodes the order as n + 63 (n <= 62
 only), followed by the upper triangle of the adjacency matrix in the
 colex slot order of `graphs.edge_slots`, packed into 6-bit groups, each
 group offset by 63, zero-padded at the end.
+
+Decoding checks every byte, gathers the record's edge mask and hands it
+to `graphs.graph_from_mask`, which turns it into adjacency rows through
+per-order lookup tables (one per 6-bit group of the mask), built the
+first time an order is decoded.
 """
 
 from __future__ import annotations

@@ -59,6 +59,7 @@ from .spectral import GUARD, TheoremSpec, hong_value, theorem_spec
 
 BLOCK_BITS = 20
 EIG_BATCH = 1 << 12  # rows per slice of over_threshold
+DSTAR_BATCH = 1 << 16  # rows per slice of _double_star_feasible
 CW_ITERS = 5  # Collatz-Wielandt steps before the eigensolve
 HASH_MULT = 2654435761  # Knuth multiplicative hash, for unbiased subsampling
 # _SUBSETS[i, s] is bit i of s: x[:, 4g:4g+4] @ _SUBSETS sums x over each subset s
@@ -448,18 +449,32 @@ def _double_star_feasible(rows) -> np.ndarray:
     """Graphs with an edge (a, b) whose endpoints dominate all vertices and
     admit a leaf split avoiding degree 2 at both centers.  `rows` are
     adjacency bit rows of one order n in any integer word wide enough for
-    n bits."""
+    n bits.  They go through in slices of DSTAR_BATCH, read transposed,
+    one contiguous array per vertex; the slices bound the copies each one
+    makes.
+
+    An edge ab is tried only on the graphs that hold it, are not yet
+    feasible and have d_a + d_b >= n: a and b lie in each other's
+    neighbourhoods, so N[a] | N[b] = N(a) | N(b) has at most d_a + d_b
+    vertices and cannot cover V below that sum."""
+    feasible = np.zeros(len(rows), dtype=bool)
+    for s in range(0, len(rows), DSTAR_BATCH):
+        feasible[s:s + DSTAR_BATCH] = _double_star_slice(rows[s:s + DSTAR_BATCH])
+    return feasible
+
+
+def _double_star_slice(rows):
     n, word = rows.shape[1], rows.dtype.type
     full = word((1 << n) - 1)
+    cols = np.ascontiguousarray(rows.T)
+    deg = np.bitwise_count(cols)
     feasible = np.zeros(len(rows), dtype=bool)
     for a, b in edge_slots(n):
-        has = (rows[:, a] >> b & 1).astype(bool)
-        if not has.any():
+        live = np.flatnonzero(((cols[a] >> b & 1) != 0) & (deg[a] + deg[b] >= n) & ~feasible)
+        if not len(live):
             continue
-        ra, rb = rows[:, a], rows[:, b]
-        pair = word((1 << a) | (1 << b))
-        covers = (ra | rb | pair) == full
-        excl = full ^ pair
+        ra, rb = cols[a][live], cols[b][live]
+        excl = full ^ word((1 << a) | (1 << b))
         a_only = np.bitwise_count(ra & ~rb & excl)
         b_only = np.bitwise_count(rb & ~ra & excl)
         both = np.bitwise_count(ra & rb & excl)
@@ -468,7 +483,7 @@ def _double_star_feasible(rows) -> np.ndarray:
         # != 1) iff two or more are shared, or x = 0 works, or x = 1 does.
         split = ((both >= 2) | ((a_only != 1) & (b_only + both != 1))
                  | ((both == 1) & (a_only != 0) & (b_only != 1)))
-        feasible |= has & covers & split
+        feasible[live[((ra | rb) == full) & split]] = True
     return feasible
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from histspec import (
@@ -10,7 +12,7 @@ from histspec import (
     read_graph6_file,
     stream_graph6,
 )
-from histspec.graphs import mask_of_graph
+from histspec.graphs import graph_from_mask, mask_of_graph
 
 from helpers import all_labeled_graphs
 
@@ -37,6 +39,29 @@ def test_hand_encoded_vectors():
         assert encode_graph6(g) == chr(5 + 63) + packed
         mask = mask_of_graph(g)
         assert [mask >> b & 1 for b in range(10)] == [g.has_edge(i, j) for i, j in pairs]
+
+
+def test_round_trip_every_order_against_spelled_out_bits():
+    # Random graphs of every short-form order, the word-size boundaries
+    # 8/9, 16/17 and 32/33 of the decode tables among them, against a
+    # record and an edge mask spelled out pair by pair in the format's bit
+    # order: columns j, then rows i < j, zero-padded to whole 6-bit groups.
+    rng = random.Random(62)
+    for n in range(1, 63):
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            edges = {e for e in pairs if rng.random() < p}
+            g = Graph(n, edges)
+            bits = "".join("1" if e in edges else "0" for e in pairs)
+            bits += "0" * (-len(bits) % 6)
+            record = chr(n + 63) + "".join(
+                chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6))
+            mask = sum(1 << b for b, e in enumerate(pairs) if e in edges)
+            assert encode_graph6(g) == record
+            assert decode_graph6(record) == g
+            assert mask_of_graph(g) == mask
+            assert graph_from_mask(n, mask) == g
+            assert all(type(row) is int for row in decode_graph6(record).rows)
 
 
 def test_header_tolerated():
@@ -85,6 +110,13 @@ def test_format_errors_carry_offsets():
         decode_graph6("A" + chr(63 + 1))
     assert exc.value.offset == 1
     assert "padding" in str(exc.value)
+
+    # order 7 has 21 data bits in four bytes, order 62 has 1,891 in 316:
+    # the low bit of the last byte is padding, reported at that byte
+    for n, nbytes in ((7, 4), (62, 316)):
+        with pytest.raises(Graph6FormatError, match="nonzero padding bits") as exc:
+            decode_graph6(chr(n + 63) + "?" * (nbytes - 1) + chr(63 + 1))
+        assert exc.value.offset == nbytes
 
 
 def test_stream_reads_with_line_numbers():

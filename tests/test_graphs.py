@@ -179,6 +179,17 @@ def test_cut_vertices_at_wide_rows():
         assert g.is_2_connected() == (not cuts)
 
 
+def test_graph_from_mask_rejects_masks_outside_its_order():
+    # Order 4 has six slots: bit 6 and a negative mask name no edge set.
+    assert graph_from_mask(4, (1 << 6) - 1) == complete(4)
+    for mask in (1 << 6, -1):
+        with pytest.raises(ValueError, match="outside"):
+            graph_from_mask(4, mask)
+    for n in (0, 65):
+        with pytest.raises(ValueError, match="orders"):
+            graph_from_mask(n, 0)
+
+
 def test_induced_subgraph():
     k5 = complete(5)
     assert k5.induced_subgraph([0, 2, 4]) == complete(3)
