@@ -247,8 +247,12 @@ def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
     (`scan._connected_filter`), `hong_bound` per connected graph, and
     `scan.over_threshold`, whose bounds need every degree >= 1, as
     connected graphs have.  The over-threshold graphs are classified in
-    corpus order by extremal match, proof replay and the tree-growth
-    search.
+    corpus order: extremal match first; then a graph of maximum degree
+    n - 1, read from the degree maxima the floor already took, counts as
+    a HIST with no tree built, since its spanning star is one (the
+    engine's star test; n >= 7, so the centre has degree >= 3); only the
+    rest go to proof replay and then the tree-growth search, and only
+    they count in `fallback_searches`.
     """
     from .hist import proof_guided_hist  # looked up per call, so a rebinding takes effect
 
@@ -262,15 +266,19 @@ def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
                 raise ValueError(f"corpus graph of order {g.n}, expected {n}")
         out.scanned += len(chunk)
         rows = np.array([g.rows for g in chunk], dtype="<i8")
-        keep = np.bitwise_count(rows).max(axis=1) >= floor
+        dmax = np.bitwise_count(rows).max(axis=1)
+        keep = dmax >= floor
         keep[keep] = _scan._connected_filter(rows[keep], spec.two_connected)
         keep[keep] = [hong_bound(g) >= theta - GUARD for g in itertools.compress(chunk, keep)]
         out.survivors += int(keep.sum())
         keep[keep] = _scan.over_threshold(theta, rows[keep])
-        for g in itertools.compress(chunk, keep):
+        for g, star in zip(itertools.compress(chunk, keep), dmax[keep] == n - 1):
             out.over += 1
             if is_extremal(g):
                 out.extremal += 1
+                continue
+            if star:  # the spanning star at a vertex of degree n - 1 >= 3
+                out.hists += 1
                 continue
             out.fallback_searches += 1
             trace = proof_guided_hist(g, spec.replay)

@@ -744,14 +744,16 @@ def _mixed_corpus(n, count, seed):
 def _per_graph_corpus_report(spec, theta, graphs):
     """What the corpus driver must report, graph by graph: the theorem's
     connectivity, degree floor and Hong bound, then power iteration, the
-    extremal recognizer and the exact HIST search."""
+    extremal recognizer and the exact HIST search.  The degree floor is
+    Δ >= theta - GUARD, from rho <= Δ; at the theorem's threshold that is
+    Δ >= n - degree_gap."""
     from histspec import hong_bound, is_family_B, is_family_L, spectral_radius
     from histspec.spectral import GUARD
 
     is_extremal = is_family_L if spec.family == "L" else is_family_B
     survivors, over, hists, counterexamples = 0, [], 0, []
     for g in graphs:
-        if g.max_degree() < g.n - spec.degree_gap or not spec.admits(g):
+        if g.max_degree() < theta - GUARD or not spec.admits(g):
             continue
         if hong_bound(g) < theta - GUARD:
             continue
@@ -796,6 +798,48 @@ def test_corpus_filter_matches_per_graph_reference(tmp_path):
         assert (rep.prescreen_survivors, rep.over_threshold, rep.hists_found,
                 rep.counterexamples) == (survivors, len(over), hists, counterexamples)
         assert 0 < rep.extremal_matches < rep.over_threshold
+
+
+def test_corpus_star_settle_is_sound_below_threshold(tmp_path, monkeypatch):
+    # At the true thresholds every non-extremal over-threshold graph has a
+    # HIST, so counts cannot tell a sound HIST settle from one that claims
+    # too much.  At theta' = 3.5 the mixed corpus has over-threshold graphs
+    # without a HIST, one of them (thm1) of maximum degree n - 2.  Both
+    # reports must equal the per-graph reference, counterexamples included,
+    # and only graphs of maximum degree below n - 1 may reach proof
+    # replay.  Settling maximum degree >= n - 2 without replay, instead of
+    # exactly n - 1, makes this test fail.
+    from histspec import decode_graph6, hist, verification
+    from histspec.spectral import THM1, THM2
+    from histspec.verification import CORPUS_BATCH
+
+    n, theta = 9, 3.5
+    graphs = _mixed_corpus(n, CORPUS_BATCH + 100, seed=9)
+    path = tmp_path / "mixed9.g6"
+    path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+    replayed = []
+    real = hist.proof_guided_hist
+
+    def recorded(g, theorem):
+        replayed.append(g.max_degree())
+        return real(g, theorem)
+
+    monkeypatch.setattr(hist, "proof_guided_hist", recorded)
+    missed = []
+    for spec, verify, name in ((THM1, verify_theorem1, "threshold_connected"),
+                               (THM2, verify_theorem2, "threshold_two_connected")):
+        monkeypatch.setattr(verification, name, lambda n: theta)
+        del replayed[:]
+        survivors, over, hists, counterexamples = _per_graph_corpus_report(spec, theta, graphs)
+        rep = verify(n, source=GRAPH6_CORPUS, corpus_path=str(path))
+        assert rep.threshold == theta and counterexamples
+        assert (rep.prescreen_survivors, rep.over_threshold, rep.hists_found,
+                rep.counterexamples) == (survivors, len(over), hists, counterexamples)
+        assert rep.extremal_matches == len(over) - hists - len(counterexamples)
+        assert any(g.max_degree() == n - 1 for g in over)
+        assert replayed and max(replayed) < n - 1
+        missed += [decode_graph6(c).max_degree() for c in counterexamples]
+    assert n - 2 in missed
 
 
 def test_corpus_errors_in_a_later_chunk(tmp_path):
