@@ -197,12 +197,13 @@ def find_hist(g: Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> HistOutcome:
 def _backtrack_hist(g: Graph, budget: int):
     n = g.n
     full = (1 << n) - 1
-    leaves = sum(1 << v for v in range(n) if g.degree(v) == 2)
+    degs = g.degrees()
+    leaves = sum(1 << v for v in range(n) if degs[v] == 2)
     core = full & ~leaves
     if (not core or _reach(g.rows, core & -core, core) != core
             or any(not g.rows[v] & core for v in _bits(leaves))):
         return None
-    root = max(_bits(core), key=lambda v: (g.degree(v), -v))
+    root = max(_bits(core), key=lambda v: (degs[v], -v))
     nodes = 0
 
     def grow(queue, waiting, placed, edges):
@@ -250,10 +251,12 @@ def _covered(rows, core, placed, queued) -> int:
     seen = frontier = queued & core
     while frontier:
         nxt = 0
-        for u in _bits(frontier):
-            kids = rows[u] & free
+        while frontier:  # _bits inlined, as in graphs._reach: once per child set tried
+            low = frontier & -frontier
+            kids = rows[low.bit_length() - 1] & free
             if kids & (kids - 1):  # an adopter: two or more unplaced neighbours
                 nxt |= kids
+            frontier ^= low
         covered |= nxt
         frontier = nxt & core & ~seen
         seen |= frontier

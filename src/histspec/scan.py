@@ -359,6 +359,15 @@ def _row_max(a):
     return top
 
 
+def _row_sum(deg):
+    """Row-wise sums of a (k, n) uint8 degree array, by a running uint16
+    sum over its columns (n <= 62, so at most 62 * 61)."""
+    total = deg[:, 0].astype(np.uint16)
+    for v in range(1, deg.shape[1]):
+        np.add(total, deg[:, v], out=total)
+    return total
+
+
 def _connected_filter(rows: np.ndarray, two_connected: bool) -> np.ndarray:
     """Boolean mask of graphs that are connected (or 2-connected).
 
@@ -502,7 +511,7 @@ def _classify(spec: TheoremSpec, rows: np.ndarray, out: ShardOut):
     is_extremal = is_family_L if spec.family == "L" else is_family_B
     fam = make_family(spec.family, n)
     # the edge count first, then the sorted degrees of the rows that match
-    cand = np.flatnonzero(deg.sum(axis=1) == 2 * fam.m)
+    cand = np.flatnonzero(_row_sum(deg) == 2 * fam.m)
     fam_degs = np.array(sorted(fam.degrees()), dtype=np.uint8)
     cand = cand[(np.sort(deg[cand], axis=1) == fam_degs).all(axis=1)]
     for idx in cand:

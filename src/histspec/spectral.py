@@ -111,12 +111,18 @@ def hong_value(d, n, m):
 
 
 def hong_bound(g: Graph) -> float:
-    """hong_value of a connected graph of order n >= 2."""
+    """hong_value of a connected graph of order n >= 2.
+
+    The minimum degree and the edge count are read from one degree list,
+    not from two walks of the rows; the corpus path calls this once per
+    connected graph at or above its degree floor.
+    """
     if g.n < 2:
         raise ValueError("hong_bound needs n >= 2")
     if not g.is_connected():
         raise ValueError("hong_bound requires a connected graph")
-    return float(hong_value(g.min_degree(), g.n, g.m))
+    degs = g.degrees()
+    return float(hong_value(min(degs), g.n, sum(degs) // 2))
 
 
 # -- family characteristic quartics ------------------------------------------

@@ -40,7 +40,7 @@ LABELED_EXHAUSTIVE = "labeled_exhaustive"
 GRAPH6_CORPUS = "graph6_corpus"
 
 SHARD_BITS = 19  # fixed shard size keeps reports independent of worker count
-CORPUS_BATCH = 512  # corpus records per chunk of the batched scan; bounds memory
+CORPUS_BATCH = 1 << 12  # corpus records per chunk of the batched scan; bounds memory
 THRESHOLD_AGREEMENT = 1e-8
 
 
@@ -239,10 +239,16 @@ def _run_sharded(cfg: _scan.ScanConfig, threads: int) -> _scan.ShardOut:
 def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
     """Scan the corpus CORPUS_BATCH records at a time, in corpus order.
 
+    CORPUS_BATCH is 2^12, the slice width of `scan.over_threshold`, so
+    each batched stage below runs once per 4,096 records and numpy's
+    per-call overhead stays small next to the work on the rows; a chunk
+    of int64 rows is 4,096 * n * 8 bytes (288 KiB at n = 9).
+
     Records are decoded one at a time.  Each chunk is order-checked and
     packed once as little-endian int64 bit rows (graph6's short form caps
     n at 62), and then decided on those rows: the maximum-degree floor
-    `scan.degree_floor` by `np.bitwise_count`, the theorem's connectivity
+    `scan.degree_floor` on the degree maxima (`np.bitwise_count`, then a
+    running maximum over the vertex columns), the theorem's connectivity
     by the bitset BFS that the scan engine and `enumerate_labeled` use
     (`scan._connected_filter`), `hong_bound` per connected graph, and
     `scan.over_threshold`, whose bounds need every degree >= 1, as
@@ -266,7 +272,7 @@ def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
                 raise ValueError(f"corpus graph of order {g.n}, expected {n}")
         out.scanned += len(chunk)
         rows = np.array([g.rows for g in chunk], dtype="<i8")
-        dmax = np.bitwise_count(rows).max(axis=1)
+        dmax = _scan._row_max(np.bitwise_count(rows))
         keep = dmax >= floor
         keep[keep] = _scan._connected_filter(rows[keep], spec.two_connected)
         keep[keep] = [hong_bound(g) >= theta - GUARD for g in itertools.compress(chunk, keep)]

@@ -770,14 +770,18 @@ def _per_graph_corpus_report(spec, theta, graphs):
     return survivors, over, hists, counterexamples
 
 
-def test_corpus_filter_matches_per_graph_reference(tmp_path):
+def test_corpus_filter_matches_per_graph_reference(tmp_path, monkeypatch):
     # Three chunks of the batched corpus filter, the last one partial,
     # against a per-graph reference, for both drivers.  The corpus mixes
     # disconnected graphs, connected ones with a cut vertex, connected
-    # ones below the degree floor and over-threshold ones.
+    # ones below the degree floor and over-threshold ones.  Chunks of 256
+    # records keep the corpus small; the chunk-width test below covers the
+    # driver's own width.
+    from histspec import verification
     from histspec.spectral import THM1, THM2
-    from histspec.verification import CORPUS_BATCH
 
+    CORPUS_BATCH = 256
+    monkeypatch.setattr(verification, "CORPUS_BATCH", CORPUS_BATCH)
     n = 9
     graphs = _mixed_corpus(n, 2 * CORPUS_BATCH + 100, seed=7)
     path = tmp_path / "mixed9.g6"
@@ -811,8 +815,9 @@ def test_corpus_star_settle_is_sound_below_threshold(tmp_path, monkeypatch):
     # exactly n - 1, makes this test fail.
     from histspec import decode_graph6, hist, verification
     from histspec.spectral import THM1, THM2
-    from histspec.verification import CORPUS_BATCH
 
+    CORPUS_BATCH = 256  # a full chunk and a partial one
+    monkeypatch.setattr(verification, "CORPUS_BATCH", CORPUS_BATCH)
     n, theta = 9, 3.5
     graphs = _mixed_corpus(n, CORPUS_BATCH + 100, seed=9)
     path = tmp_path / "mixed9.g6"
@@ -842,12 +847,13 @@ def test_corpus_star_settle_is_sound_below_threshold(tmp_path, monkeypatch):
     assert n - 2 in missed
 
 
-def test_corpus_errors_in_a_later_chunk(tmp_path):
+def test_corpus_errors_in_a_later_chunk(tmp_path, monkeypatch):
     # A wrong-order record or a malformed one past the first chunk still
     # stops the driver, the malformed one with its line number.
-    from histspec import Graph6FormatError
-    from histspec.verification import CORPUS_BATCH
+    from histspec import Graph6FormatError, verification
 
+    CORPUS_BATCH = 256
+    monkeypatch.setattr(verification, "CORPUS_BATCH", CORPUS_BATCH)
     lines = [encode_graph6(g) + "\n" for g in _mixed_corpus(9, CORPUS_BATCH + 10, seed=8)]
     path = tmp_path / "late.g6"
     path.write_text("".join(lines[:-5] + [encode_graph6(complete(8)) + "\n"] + lines[-5:]))
@@ -858,6 +864,38 @@ def test_corpus_errors_in_a_later_chunk(tmp_path):
     with pytest.raises(Graph6FormatError) as err:
         verify_theorem2(9, source=GRAPH6_CORPUS, corpus_path=str(path))
     assert err.value.lineno == CORPUS_BATCH + 6
+
+
+def test_corpus_reports_do_not_depend_on_the_chunk_width(tmp_path, monkeypatch):
+    # One mixed n = 9 corpus, longer than the driver's own chunk, through
+    # both drivers at chunk widths from one record to CORPUS_BATCH: the
+    # reports must be equal, and a malformed record past the first chunk
+    # must stop each width with the same error and line number.
+    from histspec import Graph6FormatError, verification
+    from histspec.verification import CORPUS_BATCH
+
+    widths = (1, 7, 512, CORPUS_BATCH)
+    lines = [encode_graph6(g) + "\n"
+             for g in _mixed_corpus(9, CORPUS_BATCH + 100, seed=12)]
+    path = tmp_path / "mixed9.g6"
+    path.write_text("".join(lines))
+    bad = tmp_path / "bad9.g6"
+    cut = CORPUS_BATCH + 50
+    bad.write_text("".join(lines[:cut] + [lines[cut][:-2] + "\n"] + lines[cut + 1:]))
+    for verify in (verify_theorem1, verify_theorem2):
+        reports, errors = set(), set()
+        for width in widths:
+            monkeypatch.setattr(verification, "CORPUS_BATCH", width)
+            rep = json.loads(verify(9, source=GRAPH6_CORPUS, corpus_path=str(path)).to_json())
+            del rep["elapsed"]
+            reports.add(json.dumps(rep, sort_keys=True))
+            with pytest.raises(Graph6FormatError) as err:
+                verify(9, source=GRAPH6_CORPUS, corpus_path=str(bad))
+            assert err.value.lineno == cut + 1
+            errors.add(str(err.value))
+        assert len(reports) == len(errors) == 1
+        assert 0 < rep["extremal_matches"] < rep["over_threshold"]
+        assert rep["scanned"] == len(lines) and rep["counterexamples"] == []
 
 
 def test_corpus_source_rejects_subsample(tmp_path):
