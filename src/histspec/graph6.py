@@ -5,22 +5,21 @@ only), followed by the upper triangle of the adjacency matrix in the
 colex slot order of `graphs.edge_slots`, packed into 6-bit groups, each
 group offset by 63, zero-padded at the end.
 
-Decoding checks every byte, gathers the record's edge mask and hands it
-to `graphs.graph_from_mask`, which turns it into adjacency rows through
-per-order lookup tables (one per 6-bit group of the mask), built the
-first time an order is decoded.
+Decoding reads each data byte's share of the adjacency rows straight from
+the per-order tables of `graphs._row_tables`, indexed by the byte's raw
+value, and ORs them; no edge mask is built.  An entry is None for a byte
+outside 63..126 or a last byte with padding bits set, and only then does
+decoding work out which error to raise.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .graphs import Graph, edge_slots, graph_from_mask, mask_of_graph
+from .graphs import _REVERSED6, Graph, _row_tables, edge_slots, mask_of_graph
 
 HEADER = ">>graph6<<"
-# Byte k of a record carries data bits 6k..6k+5 from its high bit down,
-# so a 6-bit group read in reverse is that byte's share of the edge mask.
-_REVERSED6 = tuple(int(f"{c:06b}"[::-1], 2) for c in range(64))
+_PRINTABLE = "".join(map(chr, range(63, 127)))
 
 
 class Graph6FormatError(ValueError):
@@ -40,11 +39,15 @@ def decode_graph6(line: str) -> Graph:
     A leading ">>graph6<<" header is tolerated and stripped; byte offsets
     in errors refer to the line as given.
     """
-    base = 0
     body = line.rstrip("\r\n")
     if body.startswith(HEADER):
-        base = len(HEADER)
-        body = body[base:]
+        return _decode(body[len(HEADER):], len(HEADER))
+    return _decode(body, 0)
+
+
+def _decode(body: str, base: int) -> Graph:
+    """Decode a record with no header and no line end; error offsets are
+    base plus the offset into body."""
     if not body:
         raise Graph6FormatError("empty record", base)
     first = ord(body[0])
@@ -53,8 +56,7 @@ def decode_graph6(line: str) -> Graph:
     if not 63 <= first <= 126:
         raise Graph6FormatError(f"byte {first} outside printable range 63..126", base)
     n = first - 63
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
+    nbytes = (n * (n - 1) // 2 + 5) // 6
     if len(body) - 1 < nbytes:
         raise Graph6FormatError(
             f"truncated record: order {n} needs {nbytes} data bytes, got {len(body) - 1}",
@@ -67,17 +69,19 @@ def decode_graph6(line: str) -> Graph:
     if n == 0:
         raise Graph6FormatError("graph of order 0 not supported", base)
 
-    mask = 0
-    for k in range(nbytes):
-        c = ord(body[1 + k])
-        if not 63 <= c <= 126:
+    tables, width, unpack = _row_tables(n)
+    packed = 0
+    try:
+        # latin-1 maps characters 0..255 to bytes of the same value
+        for table, c in zip(tables, body[1:].encode("latin-1")):
+            packed |= table[c]
+    except (TypeError, UnicodeEncodeError):  # a None entry, or a character above 255
+        k = len(body) - len(body[1:].lstrip(_PRINTABLE))  # the first byte outside 63..126
+        if k < len(body):
             raise Graph6FormatError(
-                f"byte {c} outside printable range 63..126", base + 1 + k
-            )
-        mask |= _REVERSED6[c - 63] << 6 * k
-    if mask >> nbits:
-        raise Graph6FormatError("nonzero padding bits", base + nbytes)
-    return graph_from_mask(n, mask)
+                f"byte {ord(body[k])} outside printable range 63..126", base + k) from None
+        raise Graph6FormatError("nonzero padding bits", base + nbytes) from None
+    return Graph._from_rows_unchecked(n, unpack.unpack(packed.to_bytes(width, "little")))
 
 
 def encode_graph6(g: Graph) -> str:
@@ -98,9 +102,11 @@ def stream_graph6(
     """Yield (lineno, graph) for each nonblank line of a graph6 stream.
 
     The optional ">>graph6<<" header is accepted at the start of the
-    stream only.  With strict=True a malformed line raises Graph6FormatError
-    carrying its line number; with strict=False bad lines are skipped and
-    appended to `bad` as (lineno, error) when a list is supplied.
+    stream only, and byte offsets on that line count from after it; on a
+    later line it is a format error at byte 0.  With strict=True a
+    malformed line raises Graph6FormatError carrying its line number; with
+    strict=False bad lines are skipped and appended to `bad` as
+    (lineno, error) when a list is supplied.
     """
     first = True
     for lineno, raw in enumerate(lines, start=1):
@@ -111,7 +117,9 @@ def stream_graph6(
         if not body:
             continue
         try:
-            yield lineno, decode_graph6(body)
+            # decode_graph6, the per-record decode, would strip a header
+            # again; past the start of the stream it is a malformed record
+            yield lineno, _decode(body, 0) if body.startswith(HEADER) else decode_graph6(body)
         except Graph6FormatError as err:
             if strict:
                 raise Graph6FormatError(err.message, err.offset, lineno) from None

@@ -262,29 +262,40 @@ def edge_slots(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for j in range(n) for i in range(j))
 
 
+# Byte k of a graph6 record carries data bits 6k..6k+5 from its high bit down,
+# so a 6-bit group read in reverse is that byte's share of the edge mask.
+_REVERSED6 = tuple(int(f"{c:06b}"[::-1], 2) for c in range(64))
+
+
 @cache
 def _row_tables(n: int):
-    """The lookup tables of `graph_from_mask` for order n, built on first use.
+    """The row tables of graph6 decode and `graph_from_mask` for order n,
+    built on first use.
 
     All n adjacency rows are packed into one int, row v at bit v * 8w with
-    w = 1, 2, 4 or 8 bytes per row, the least that holds n bits.  Entry x
-    of table k is the packed rows of the edges in slots 6k..6k+5 whose
-    bits x sets, so a mask's rows are the OR of one entry per 6-bit group.
-    Returns the tables, the packed length in bytes and the `struct.Struct`
-    that unpacks those bytes into the row tuple.  The tables take about
-    18 KB at n = 9 and 7.7 MB at n = 62, built in 0.1-0.5 ms and 11-40 ms
-    on a shared 2-vCPU Xeon VM; being built on first use, they cost
-    nothing at import.
+    w = 1, 2, 4 or 8 bytes per row, the least that holds n bits.  Table k
+    is indexed by the raw value c = 0..255 of data byte k of a graph6
+    record, which carries slots 6k..6k+5 from its high bit down: entry c
+    is the packed rows of the edges whose bits c - 63 sets, or None when c
+    is outside 63..126 or, in the last table, sets a padding bit.  So a
+    record's rows are the OR of one entry per data byte, and the entries
+    are disjoint.  Returns the tables, the packed length in bytes and the
+    `struct.Struct` that unpacks those bytes into the row tuple.  The
+    tables take about 27 KB at n = 9 and 8.2 MB at n = 62, built in
+    0.1-0.5 ms and 11-40 ms on a shared 2-vCPU Xeon VM; being built on
+    first use, they cost nothing at import.
     """
     w = next(w for w in (1, 2, 4, 8) if n <= 8 * w)
     slots = edge_slots(n)
     tables = []
     for k in range(0, len(slots), 6):
-        table = [0]
-        for i, j in slots[k:k + 6]:
+        group = slots[k:k + 6]
+        # the low 6 - len(group) bits of the last byte are padding
+        table = [0] + [None] * ((1 << 6 - len(group)) - 1)
+        for i, j in reversed(group):
             edge = 1 << (8 * w * i + j) | 1 << (8 * w * j + i)
-            table += [packed | edge for packed in table]
-        tables.append(tuple(table))
+            table += [None if packed is None else packed | edge for packed in table]
+        tables.append((None,) * 63 + tuple(table) + (None,) * 129)
     return tuple(tables), n * w, struct.Struct(f"<{n}{'BHIQ'[w.bit_length() - 1]}")
 
 
@@ -293,7 +304,8 @@ def graph_from_mask(n: int, mask: int) -> Graph:
 
     Takes 1 <= n <= 64 and 0 <= mask < 2^C(n, 2), and raises ValueError
     otherwise.  One lookup per 6-bit group of the mask in the order's
-    `_row_tables`, then one unpack of the packed rows.
+    `_row_tables`, at the graph6 byte that carries the group, then one
+    unpack of the packed rows.
     """
     if not 1 <= n <= 64:
         raise ValueError(f"graph_from_mask takes orders 1..64, got {n}")
@@ -302,7 +314,7 @@ def graph_from_mask(n: int, mask: int) -> Graph:
     tables, nbytes, unpack = _row_tables(n)
     packed = 0
     for table in tables:
-        packed |= table[mask & 63]
+        packed |= table[_REVERSED6[mask & 63] + 63]
         mask >>= 6
     return Graph._from_rows_unchecked(n, unpack.unpack(packed.to_bytes(nbytes, "little")))
 

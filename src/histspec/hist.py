@@ -93,34 +93,33 @@ class HistOutcome:
 def is_valid_hist(g: Graph, edges) -> bool:
     """Independent validation: spanning, acyclic, connected, no degree 2.
 
-    Every edge must join two vertices 0..n-1 of g.  It keeps a union-find
-    of its own rather than the `_reach` that `spanning_trees` and
-    `find_hist` share, so a fault in that routine cannot pass a tree the
-    search or proof replay returns.
+    Every edge must join two vertices 0..n-1 of g, adjacent by g's row
+    bit.  It runs a union-find of its own, inline, rather than the
+    `_reach` that `spanning_trees` and `find_hist` share, so a fault in
+    that routine cannot pass a tree the search or proof replay returns:
+    n - 1 edges that never close a cycle form a spanning tree.
     """
     edges = list(edges)
     n = g.n
     if len(edges) != n - 1:
         return False
+    rows = g.rows
     deg = [0] * n
     parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n and g.has_edge(u, v)):
+        if not (0 <= u < n and 0 <= v < n and rows[u] >> v & 1):
             return False
-        ru, rv = find(u), find(v)
+        ru, rv = u, v
+        while parent[ru] != ru:  # path halving
+            parent[ru] = ru = parent[parent[ru]]
+        while parent[rv] != rv:
+            parent[rv] = rv = parent[parent[rv]]
         if ru == rv:
             return False
         parent[ru] = rv
         deg[u] += 1
         deg[v] += 1
-    return all(d != 2 for d in deg)
+    return 2 not in deg
 
 
 # -- certificates -------------------------------------------------------------
@@ -374,6 +373,9 @@ class ProofTrace:
         return self.outcome is None and self.recognized_family is None
 
 
+_REPLAY_SPECS = {spec.replay: spec for spec in THEOREMS}
+
+
 def proof_guided_hist(g: Graph, theorem: str) -> ProofTrace:
     """Deterministically replay the applicable existence-proof case.
 
@@ -393,7 +395,7 @@ def proof_guided_hist(g: Graph, theorem: str) -> ProofTrace:
     is a HIST.
     """
     n = g.n
-    spec = next((s for s in THEOREMS if s.replay == theorem), None)
+    spec = _REPLAY_SPECS.get(theorem)
     if spec is None:
         raise ValueError("theorem must be 'one_connected' or 'two_connected'")
     if n < spec.order_floor:

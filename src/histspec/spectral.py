@@ -106,8 +106,13 @@ def hong_value(d, n, m):
     m edges and minimum degree d: (d - 1 + sqrt((d + 1)^2 + 4(2m - d n))) / 2.
 
     Takes scalars or numpy arrays; at d = 1 it equals sqrt(2m - n + 1).
+    The square root is `math.sqrt` on a scalar, which skips numpy's
+    per-call cost on the corpus path's one call per graph, and `np.sqrt`
+    on an array.  Both are correctly rounded, so a scalar and an array
+    entry with the same operands give the same value bit for bit.
     """
-    return (d - 1 + np.sqrt((d + 1) ** 2 + 4 * (2 * m - d * n))) / 2
+    s = (d + 1) ** 2 + 4 * (2 * m - d * n)
+    return (d - 1 + (np.sqrt(s) if isinstance(s, np.ndarray) else math.sqrt(s))) / 2
 
 
 def hong_bound(g: Graph) -> float:
@@ -122,7 +127,7 @@ def hong_bound(g: Graph) -> float:
     if not g.is_connected():
         raise ValueError("hong_bound requires a connected graph")
     degs = g.degrees()
-    return float(hong_value(min(degs), g.n, sum(degs) // 2))
+    return hong_value(min(degs), g.n, sum(degs) // 2)
 
 
 # -- family characteristic quartics ------------------------------------------

@@ -116,6 +116,16 @@ def test_non_ascii_byte_exit3(tmp_path, capsys):
         assert "byte 255" in err and "line 2, byte 2" in err
 
 
+def test_header_after_first_line_exit3(tmp_path, capsys):
+    # The header is accepted once, at the start of the stream; on a later
+    # line its first byte ">" (62) is a bad record byte.
+    path = tmp_path / "twice.g6"
+    path.write_text(">>graph6<<Bw\n>>graph6<<Bw\n")
+    code, _, err = run(capsys, "convert", str(path))
+    assert code == 3
+    assert "byte 62 outside printable range 63..126 (line 2, byte 0)" in err
+
+
 def test_format_error_exit3(capsys):
     code, _, err = run(capsys, "hist", "\x01bad")
     assert code == 3

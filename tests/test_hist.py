@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -360,6 +361,37 @@ def test_is_valid_hist_rejects():
     s4 = star(4)
     for bad in ((-1, 0), (0, -1), (4, 0)):                    # not a vertex
         assert not is_valid_hist(s4, [(0, 1), (0, 2), bad])
+    k5 = complete(5)
+    for bad in ((0, 3),                                       # duplicate edge
+                (3, 0),                                       # reversed duplicate
+                (4, 4),                                       # loop
+                (5, 0), (0, 5), (-1, 4)):                     # not a vertex
+        assert not is_valid_hist(k5, [(0, 1), (0, 2), (0, 3), bad])
+    assert not is_valid_hist(k5.remove_edge(0, 4), [(0, 1), (0, 2), (0, 3), (0, 4)])  # non-edge
+    assert is_valid_hist(k5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    # numpy-integer endpoints, as rows of an int64 array or as scalars
+    assert is_valid_hist(k5, np.array([(0, 1), (0, 2), (0, 3), (4, 0)]))
+    assert is_valid_hist(k5, [(np.int32(0), np.int8(v)) for v in range(1, 5)])
+    assert not is_valid_hist(k5, np.array([(0, 1), (1, 2), (2, 3), (3, 4)]))
+
+
+def test_is_valid_hist_matches_spanning_tree_enumeration():
+    # Every (n - 1)-edge subset of K_5 and K_6, in either orientation, is
+    # accepted iff the deletion/contraction enumeration yields it as a
+    # spanning tree and no vertex has degree 2 in it.
+    for n in (5, 6):
+        g = complete(n)
+        trees = {frozenset(t) for t in spanning_trees(g)}
+        assert len(trees) == n ** (n - 2)
+        accepted = 0
+        for edges in itertools.combinations(g.edges(), n - 1):
+            degs = [sum(v in e for e in edges) for v in range(n)]
+            want = frozenset(edges) in trees and 2 not in degs
+            accepted += want
+            assert is_valid_hist(g, edges) == want
+            assert is_valid_hist(g, [(v, u) for u, v in reversed(edges)]) == want
+        # K_5: the 5 stars; K_6: 6 stars and 15 * 6 double stars (3, 3)
+        assert accepted == {5: 5, 6: 96}[n]
 
 
 # -- proof-guided construction ---------------------------------------------------

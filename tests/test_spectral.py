@@ -145,6 +145,40 @@ def test_hong_bound_values():
         hong_bound(Graph(4, [(0, 1), (2, 3)]))
 
 
+def test_hong_value_scalar_and_array_paths_agree_bit_for_bit():
+    # hong_bound's operands (Python ints, math.sqrt) against the prescreen
+    # table's (float64 d, int64 m, np.sqrt) on every feasible (d, m) of
+    # orders 2..62: 0 <= d <= n - 1 and d n <= 2m <= n(n - 1).
+    from histspec.spectral import hong_value
+
+    assert type(hong_value(2, 5, 6)) is float
+    for n in range(2, 63):
+        pairs = [(d, m) for d in range(n) for m in range(-(-d * n // 2), n * (n - 1) // 2 + 1)]
+        d, m = np.array(pairs).T
+        array = hong_value(d.astype(np.float64), n, m.astype(np.int64))
+        assert [hong_value(dd, n, mm).hex() for dd, mm in pairs] == [x.hex() for x in array.tolist()]
+
+
+def test_hong_bound_decides_as_the_prescreen_table():
+    # On every connected graph of order 2..6, hong_bound(g) >= theta - GUARD
+    # (with the minimum-degree floor) is the scan engine's _hong_table
+    # entry at (min degree, edge count), at thresholds that include Hong
+    # values themselves plus GUARD, where only equal bits decide alike.
+    from histspec import enumerate_labeled
+    from histspec.scan import ScanConfig, _hong_table
+    from histspec.spectral import GUARD, hong_value
+
+    for n in range(2, 7):
+        graphs = [(min(g.degrees()), g.m, hong_bound(g))
+                  for g in enumerate_labeled(n, connected=True)]
+        ties = {hong_value(d, n, m) + GUARD for d, m, _ in graphs}
+        for mode, spec in (("thm1", THM1), ("thm2", THM2)):
+            for theta in (n - 2.5, n - 1.5, *ties):
+                ok = _hong_table(ScanConfig(n=n, theta=theta, mode=mode), n)
+                assert [bool(ok[d, m]) for d, m, _ in graphs] == \
+                    [d >= spec.min_degree and hong >= theta - GUARD for d, m, hong in graphs]
+
+
 def test_hong_bound_dominates_exhaustively():
     from histspec import enumerate_labeled
 

@@ -1,9 +1,12 @@
-"""Seconds and call counts per stage of the labeled scan, written to JSON.
+"""Seconds and call counts per stage of the labeled scan and the graph6
+corpus path, written to JSON.
 
-Times one in-process `verify_theorem1(7)` pass and one pass over four
+Times one in-process `verify_theorem1(7)` pass, one pass over four
 fixed 2^19-mask shards of the n=8 `thm2` scan (shards 136, 338, 414 and
-255, the `n8_thm2_shards` benchmark shards).  Each stage is a module
-function of `histspec.scan` (and `numpy.linalg.eigvalsh`), wrapped with
+255, the `n8_thm2_shards` benchmark shards), and one n=9 corpus pass: the
+seed-1 file of the `n9_corpus` benchmark workload (2,000 records, written
+by `perfbench/workloads.py`) through both corpus drivers.  Each stage is a
+module function (and `numpy.linalg.eigvalsh`), wrapped with
 `time.perf_counter` at the name its callers resolve, so a stage's time
 includes the stages it calls: `over_threshold` holds `_sandwich` and
 `eigvalsh`, and `_classify` holds `_double_star_feasible`, proof replay
@@ -12,7 +15,10 @@ over-threshold rows, and holds `_reach_vec`, the bitset BFS, whose call
 count is the number of BFS runs.  `Graph.is_2_connected` and
 `Graph.cut_vertices` are wrapped the same way as class attributes, so the
 n=8 pass shows what the proof replay's 2-connectivity re-check costs.
-BLAS and OpenMP pools are pinned to 1 thread before numpy loads, and
+The corpus pass wraps the per-record decode, `hong_bound`, proof replay
+and the `is_valid_hist` check inside it, the two recognizers, and the
+chunk stages `_connected_filter` and `over_threshold`.  BLAS and OpenMP
+pools are pinned to 1 thread before numpy loads, and
 `histspec` is imported from this checkout's `src/` (both by
 `perfbench/common.py`).
 
@@ -48,14 +54,20 @@ common.import_histspec()
 
 import numpy as np  # noqa: E402
 import reference  # noqa: E402
+import workloads  # noqa: E402
 
-from histspec import scan, verification  # noqa: E402
+from histspec import graph6, hist, scan, verification  # noqa: E402
 from histspec.graphs import Graph  # noqa: E402
 
 STAGES = ("_prescreen", "_rows_of_masks", "over_threshold", "_sandwich", "_connected_filter",
           "_reach_vec", "_classify", "_double_star_feasible", "proof_guided_hist", "find_hist",
           "_graph_of_row")
+CORPUS_STAGES = ((graph6, "decode_graph6"), (verification, "hong_bound"),
+                 (hist, "proof_guided_hist"), (hist, "is_valid_hist"),
+                 (verification, "is_family_L"), (verification, "is_family_B"),
+                 (scan, "_connected_filter"), (scan, "over_threshold"))
 N8_SHARDS = (136, 338, 414, 255)
+CORPUS_SEED = 1
 SHARD_BITS = 19
 
 
@@ -84,11 +96,16 @@ def _n8_pass():
         scan.scan_range(cfg, s << SHARD_BITS, (s + 1) << SHARD_BITS)
 
 
-def measure(run_pass, passes: int) -> tuple[dict, list[float]]:
+def _corpus_pass(path):
+    def run_pass():
+        for driver in (verification.verify_theorem1, verification.verify_theorem2):
+            driver(9, source="graph6_corpus", corpus_path=path)
+    return run_pass
+
+
+def measure(run_pass, passes: int, sites) -> tuple[dict, list[float]]:
     """Per-stage minimum speed-corrected seconds over `passes` passes, call
     counts, and the speed factor of each pass."""
-    sites = [(scan, name) for name in STAGES if hasattr(scan, name)]
-    sites += [(np.linalg, "eigvalsh"), (Graph, "is_2_connected"), (Graph, "cut_vertices")]
     best, calls, factors = {}, {}, []
     for _ in range(passes):
         seconds = {name: 0.0 for _, name in sites}
@@ -117,17 +134,31 @@ def main(argv=None) -> None:
     ap.add_argument("--passes", type=int, default=3)
     ap.add_argument("--out", default="BENCH_stages.json")
     args = ap.parse_args(argv)
-    skipped = [name for name in STAGES if not hasattr(scan, name)]
+    skipped = [f"scan.{name}" for name in STAGES if not hasattr(scan, name)]
+    skipped += [f"{owner.__name__}.{name}" for owner, name in CORPUS_STAGES
+                if not hasattr(owner, name)]
     if skipped:
-        print(f"skipped stages not in histspec.scan: {', '.join(skipped)}", file=sys.stderr)
+        print(f"skipped stages not in histspec: {', '.join(skipped)}", file=sys.stderr)
     reference.chunk_seconds()  # the first chunk of a process runs cold
     result = {"passes": args.passes, "numpy": np.__version__, "python": sys.version.split()[0],
               "speed_factors": {}}
-    for workload, run_pass in (("n7_thm1_full", _n7_pass), ("n8_thm2_shards", _n8_pass)):
-        result[workload], result["speed_factors"][workload] = measure(run_pass, args.passes)
+    labeled = [(scan, name) for name in STAGES if hasattr(scan, name)]
+    labeled += [(np.linalg, "eigvalsh"), (Graph, "is_2_connected"), (Graph, "cut_vertices")]
+    corpus = workloads.N9Corpus()
+    corpus.setup(CORPUS_SEED, small=False)
+    try:
+        for workload, run_pass, sites in (
+                ("n7_thm1_full", _n7_pass, labeled),
+                ("n8_thm2_shards", _n8_pass, labeled),
+                ("n9_corpus", _corpus_pass(corpus.path),
+                 [(owner, name) for owner, name in CORPUS_STAGES if hasattr(owner, name)])):
+            result[workload], result["speed_factors"][workload] = measure(
+                run_pass, args.passes, sites)
+    finally:
+        corpus.close()
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
-    for workload in ("n7_thm1_full", "n8_thm2_shards"):
+    for workload in ("n7_thm1_full", "n8_thm2_shards", "n9_corpus"):
         factors = ", ".join(f"{f:.2f}" for f in result["speed_factors"][workload])
         print(f"{workload} (speed factors {factors})")
         for name, row in result[workload].items():
