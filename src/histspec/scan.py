@@ -38,7 +38,13 @@ without any theorem; the scan pipeline per mask block is:
   4. classification of the over-threshold graphs on their bit rows alone
      (`_classify`): extremal family match, star or spanning-double-star
      HIST constructions (vectorized), then a per-graph proof-guided
-     constructor with full backtracking as the final fallback.
+     constructor with full backtracking as the final fallback.  The
+     graphs left for that fallback are first grouped by `_class_keys`,
+     each graph relabeled by a stable sort of its vertices on (degree,
+     sum of neighbour degrees); equal keys are one graph under two
+     labelings, hence isomorphic, and having a HIST is an isomorphism
+     invariant, so the fallback runs once per key, on its first copy,
+     and every copy takes that verdict.
 
 Everything is deterministic; threshold tests use rho >= theta - GUARD so
 the scan can only over-check.
@@ -496,10 +502,42 @@ def _double_star_slice(rows):
     return feasible
 
 
+def _class_keys(rows: np.ndarray) -> np.ndarray:
+    """Each graph relabeled by a stable descending sort of its vertices on
+    (degree, sum of neighbour degrees), as adjacency bit rows of the
+    input's order n and integer word.
+
+    Each key row is its graph under some permutation, so two graphs with
+    equal keys are isomorphic; isomorphic graphs may still get different
+    keys when the sort meets a tie, which costs a repeated verdict, never
+    a wrong one.  The work runs column by column on (k, n) arrays."""
+    n, word = rows.shape[1], rows.dtype.type
+    deg = np.bitwise_count(rows).astype(np.int64)
+    score = deg * (n * n)  # a sum of neighbour degrees is at most (n - 1)^2
+    for w in range(n):
+        score += (rows >> word(w) & word(1)) * deg[:, w:w + 1]
+    order = np.argsort(-score, axis=1, kind="stable").astype(rows.dtype)
+    picked = np.take_along_axis(rows, order, axis=1)
+    keys = np.zeros_like(rows)
+    for j in range(n):
+        keys |= (picked >> order[:, j:j + 1] & word(1)) << word(j)
+    return keys
+
+
 def _classify(spec: TheoremSpec, rows: np.ndarray, out: ShardOut):
     """Classify over-threshold graphs of the theorem's connectivity, given
     as adjacency bit rows of one order n in any integer word, into
-    extremal matches, HISTs and counterexamples, counted in `out`."""
+    extremal matches, HISTs and counterexamples, counted in `out`.
+
+    The graphs that no vectorized test settles go to proof replay, then
+    to the complete search, once per `_class_keys` key: replay returns
+    only trees that pass `is_valid_hist` and the search is complete, so
+    the verdict is exactly whether the graph has a HIST, which does not
+    depend on the labeling, and graphs with equal keys are isomorphic.
+    The representatives run in row order and every copy takes its
+    verdict, so `fallback_searches` counts every graph and
+    `counterexamples` holds one graph6 string per copy, in row order.
+    The grouping lives in this call alone."""
     n = rows.shape[1]
     out.over += len(rows)
     deg = np.bitwise_count(rows)
@@ -529,16 +567,20 @@ def _classify(spec: TheoremSpec, rows: np.ndarray, out: ShardOut):
     rest &= ~dstar
     out.hists += int(star.sum()) + int(dstar.sum())
 
-    for idx in np.nonzero(rest)[0]:
-        out.fallback_searches += 1
-        g = _graph_of_row(n, rows[idx])
-        trace = proof_guided_hist(g, spec.replay)
-        if trace.found_tree:
-            out.hists += 1
-        elif find_hist(g).found:
-            out.hists += 1
-        else:
-            out.counterexamples.append(encode_graph6(g))
+    left = np.flatnonzero(rest)
+    if not len(left):
+        return
+    out.fallback_searches += len(left)
+    _, first, copies = np.unique(_class_keys(rows[left]), axis=0,
+                                 return_index=True, return_inverse=True)
+    found = np.zeros(len(first), dtype=bool)
+    for cls in np.argsort(first):  # representatives in row order
+        g = _graph_of_row(n, rows[left[first[cls]]])
+        found[cls] = proof_guided_hist(g, spec.replay).found_tree or find_hist(g).found
+    found = found[copies.ravel()]
+    out.hists += int(found.sum())
+    out.counterexamples.extend(encode_graph6(_graph_of_row(n, rows[idx]))
+                               for idx in left[~found])
 
 
 def _graph_of_row(n, row) -> Graph:

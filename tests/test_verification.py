@@ -444,6 +444,153 @@ def test_double_star_shortcut_is_sound():
     assert connected > 100  # the sample actually exercised the shortcut
 
 
+N8_THM2_SHARDS = (136, 338, 414, 301)  # the benchmark's dense shards and the golden one
+
+
+def _per_graph_classify(spec, rows, out):
+    """`_classify` with its fallback run on every graph in row order: the
+    vectorized extremal, star and double-star tests, then replay and the
+    search per graph, through the names `scan` resolves."""
+    from histspec import scan
+
+    n = rows.shape[1]
+    out.over += len(rows)
+    deg = np.bitwise_count(rows)
+    fam = scan.make_family(spec.family, n)
+    is_extremal = scan.is_family_L if spec.family == "L" else scan.is_family_B
+    ext = np.zeros(len(rows), dtype=bool)
+    for idx in np.flatnonzero((np.sort(deg, axis=1) == sorted(fam.degrees())).all(axis=1)):
+        ext[idx] = is_extremal(Graph._from_rows_unchecked(n, tuple(rows[idx].tolist())))
+    out.extremal += int(ext.sum())
+    rest = ~ext & (deg.max(axis=1) < n - 1)
+    rest[rest] = ~scan._double_star_feasible(rows[rest])
+    out.hists += int((~ext & ~rest).sum())
+    for row in rows[rest]:
+        g = Graph._from_rows_unchecked(n, tuple(row.tolist()))
+        out.fallback_searches += 1
+        if scan.proof_guided_hist(g, spec.replay).found_tree or scan.find_hist(g).found:
+            out.hists += 1
+        else:
+            out.counterexamples.append(encode_graph6(g))
+
+
+def _shard(cfg, s):
+    return scan_range(cfg, s << 19, (s + 1) << 19)
+
+
+def test_grouped_fallback_matches_per_graph_reference(monkeypatch):
+    # Each dense n=8 thm2 shard gives the same ShardOut, every field, with
+    # the fallback decided once per class key as with it run per graph;
+    # the grouped run replays fewer graphs than it counts.
+    from histspec import scan
+
+    cfg = ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2", collect_over=True)
+    replays = []
+    real = scan.proof_guided_hist
+    monkeypatch.setattr(scan, "proof_guided_hist", lambda g, r: replays.append(g) or real(g, r))
+    for s in N8_THM2_SHARDS:
+        del replays[:]
+        grouped = _shard(cfg, s)
+        assert 0 < len(replays) < grouped.fallback_searches
+        with monkeypatch.context() as m:
+            m.setattr(scan, "_classify", _per_graph_classify)
+            del replays[:]
+            reference = _shard(cfg, s)
+        assert len(replays) == reference.fallback_searches
+        assert grouped == reference
+    assert grouped.fallback_searches == 1489  # the golden shard 301
+
+
+def _canonical_mask(g):
+    """The least edge mask over the labelings that list g's vertices by
+    ascending degree, an isomorphism invariant by brute force."""
+    degs = g.degrees()
+    cells = [[v for v in range(g.n) if degs[v] == d] for d in sorted(set(degs))]
+    best = None
+    for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
+        order = [v for part in parts for v in part]
+        pos = [0] * g.n
+        for i, v in enumerate(order):
+            pos[v] = i
+        mask = mask_of_graph(g.relabel(pos))
+        best = mask if best is None else min(best, mask)
+    return best
+
+
+def test_grouped_fallback_lists_every_copy_of_a_no_hist_class(monkeypatch):
+    # With replay and the search told that one isomorphism class has no
+    # HIST, every labeled copy of it is its own counterexample, in row
+    # order, exactly as the per-graph reference lists them.
+    from types import SimpleNamespace
+
+    from histspec import scan
+
+    cfg = ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2")
+    seen = []
+    real_replay, real_search = scan.proof_guided_hist, scan.find_hist
+    monkeypatch.setattr(scan, "proof_guided_hist", lambda g, r: seen.append(g) or real_replay(g, r))
+    monkeypatch.setattr(scan, "_classify", _per_graph_classify)
+    _shard(cfg, 136)
+    monkeypatch.undo()
+    canon = [_canonical_mask(g) for g in seen]
+    target = max(set(canon), key=canon.count)
+    copies = [encode_graph6(g) for g, c in zip(seen, canon) if c == target]
+    assert len(copies) >= 2
+
+    def replay(g, r):
+        return SimpleNamespace(found_tree=False) if _canonical_mask(g) == target else real_replay(g, r)
+
+    def search(g):
+        return SimpleNamespace(found=False) if _canonical_mask(g) == target else real_search(g)
+
+    monkeypatch.setattr(scan, "proof_guided_hist", replay)
+    monkeypatch.setattr(scan, "find_hist", search)
+    grouped = _shard(cfg, 136)
+    monkeypatch.setattr(scan, "_classify", _per_graph_classify)
+    reference = _shard(cfg, 136)
+    assert grouped.counterexamples == copies == reference.counterexamples
+    assert grouped == reference
+
+
+def test_grouping_keeps_no_state_between_blocks(monkeypatch):
+    # Blocks of 2^16 masks, eight calls of _classify per shard, give the
+    # shard's ShardOut unchanged.
+    from histspec import scan
+
+    cfg = ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2", collect_over=True)
+    whole = _shard(cfg, 301)
+    monkeypatch.setattr(scan, "BLOCK_BITS", 16)
+    assert _shard(cfg, 301) == whole
+
+
+@pytest.mark.parametrize("dtype, orders", [(np.uint8, range(1, 9)), (np.int64, range(1, 21))])
+def test_class_keys_are_relabelings(dtype, orders):
+    # Each key row is its graph under the permutation that sorts the
+    # vertices by descending (degree, sum of neighbour degrees), ties in
+    # label order, recovered here by Python's stable sort: key vertex i is
+    # vertex order[i] of the graph, and key bit j of row i is its edge
+    # order[i] order[j].
+    from histspec.scan import _class_keys
+
+    rng = np.random.default_rng(83)
+    for n in orders:
+        rows, adj = _random_rows(rng, n, 60, dtype)
+        keys = _class_keys(rows)
+        assert keys.dtype == rows.dtype and keys.shape == rows.shape
+        for key, a in zip(keys.tolist(), adj):
+            deg = a.sum(axis=1)
+            nsum = a @ deg
+            order = sorted(range(n), key=lambda v: (-deg[v], -nsum[v]))
+            assert key == [sum(int(a[order[i], order[j]]) << j for j in range(n))
+                           for i in range(n)]
+    # one graph in several labelings, all with distinct sort keys, gets
+    # one key
+    g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 5), (3, 4), (4, 5)])
+    copies = [g.relabel(rng.permutation(6)) for _ in range(5)]
+    keys = _class_keys(np.array([c.rows for c in copies], dtype=dtype))
+    assert (keys == keys[0]).all()
+
+
 def _rows_of_graphs(graphs):
     return np.array([g.rows for g in graphs], dtype=np.uint8)
 
