@@ -36,15 +36,17 @@ without any theorem; the scan pipeline per mask block is:
      it, and only the graphs failing that hub test take one BFS per
      vertex;
   4. classification of the over-threshold graphs on their bit rows alone
-     (`_classify`): extremal family match, star or spanning-double-star
-     HIST constructions (vectorized), then a per-graph proof-guided
-     constructor with full backtracking as the final fallback.  The
-     graphs left for that fallback are first grouped by `_class_keys`,
-     each graph relabeled by a stable sort of its vertices on (degree,
-     sum of neighbour degrees); equal keys are one graph under two
-     labelings, hence isomorphic, and having a HIST is an isomorphism
-     invariant, so the fallback runs once per key, on its first copy,
-     and every copy takes that verdict.
+     (`_classify`), in the order the graph6 corpus path shares: the star
+     and spanning-double-star HIST tests (vectorized) first, then, per
+     graph they leave, extremal family match, the proof-guided
+     constructor and full backtracking.  The extremal graph has no HIST,
+     so the first tests settle none of its copies.  The graphs left are
+     grouped by `_class_keys`, each graph relabeled by a stable sort of
+     its vertices on (degree, sum of neighbour degrees); equal keys are
+     one graph under two labelings, hence isomorphic, and both being the
+     extremal graph and having a HIST are isomorphism invariants, so the
+     per-graph chain runs once per key, on its first copy, and every
+     copy takes that verdict.
 
 Everything is deterministic; threshold tests use rho >= theta - GUARD so
 the scan can only over-check.
@@ -59,7 +61,7 @@ from functools import cache
 import numpy as np
 
 from .graph6 import encode_graph6
-from .graphs import Graph, edge_slots, is_family_B, is_family_L, make_family
+from .graphs import Graph, edge_slots, is_family_B, is_family_L
 from .hist import find_hist, proof_guided_hist
 from .spectral import GUARD, TheoremSpec, hong_value, theorem_spec
 
@@ -365,15 +367,6 @@ def _row_max(a):
     return top
 
 
-def _row_sum(deg):
-    """Row-wise sums of a (k, n) uint8 degree array, by a running uint16
-    sum over its columns (n <= 62, so at most 62 * 61)."""
-    total = deg[:, 0].astype(np.uint16)
-    for v in range(1, deg.shape[1]):
-        np.add(total, deg[:, v], out=total)
-    return total
-
-
 def _connected_filter(rows: np.ndarray, two_connected: bool) -> np.ndarray:
     """Boolean mask of graphs that are connected (or 2-connected).
 
@@ -529,58 +522,44 @@ def _classify(spec: TheoremSpec, rows: np.ndarray, out: ShardOut):
     as adjacency bit rows of one order n in any integer word, into
     extremal matches, HISTs and counterexamples, counted in `out`.
 
-    The graphs that no vectorized test settles go to proof replay, then
-    to the complete search, once per `_class_keys` key: replay returns
-    only trees that pass `is_valid_hist` and the search is complete, so
-    the verdict is exactly whether the graph has a HIST, which does not
-    depend on the labeling, and graphs with equal keys are isomorphic.
-    The representatives run in row order and every copy takes its
-    verdict, so `fallback_searches` counts every graph and
-    `counterexamples` holds one graph6 string per copy, in row order.
-    The grouping lives in this call alone."""
+    The vectorized HIST tests run first, on every row: a vertex of degree
+    n - 1 gives a spanning star, and `_double_star_feasible` a spanning
+    double star.  The extremal graph has no HIST, so no extremal graph is
+    settled there.  The graphs left are decided once per `_class_keys`
+    key, in the order extremal match, proof replay, complete search:
+    graphs with equal keys are isomorphic, the recognizer decides
+    isomorphism to the extremal graph, replay returns only trees that
+    pass `is_valid_hist` and the search is complete, so each verdict
+    holds for every copy of its key.  The representatives run in row
+    order and every copy takes its verdict, so `extremal` and
+    `fallback_searches` (the copies that are not extremal) count every
+    graph and `counterexamples` holds one graph6 string per copy, in row
+    order.  The grouping lives in this call alone."""
     n = rows.shape[1]
     out.over += len(rows)
-    deg = np.bitwise_count(rows)
-
-    # extremal family candidates, confirmed per graph
-    ext = np.zeros(len(rows), dtype=bool)
+    rest = np.flatnonzero(_row_max(np.bitwise_count(rows)) < n - 1)
+    left = rest[~_double_star_feasible(rows[rest])]
+    out.hists += len(rows) - len(left)
+    if not len(left):
+        return
     # Looked up per call, not stored in the spec, so that rebinding the
     # module attribute takes effect.
     is_extremal = is_family_L if spec.family == "L" else is_family_B
-    fam = make_family(spec.family, n)
-    # the edge count first, then the sorted degrees of the rows that match
-    cand = np.flatnonzero(_row_sum(deg) == 2 * fam.m)
-    fam_degs = np.array(sorted(fam.degrees()), dtype=np.uint8)
-    cand = cand[(np.sort(deg[cand], axis=1) == fam_degs).all(axis=1)]
-    for idx in cand:
-        g = _graph_of_row(n, rows[idx])
-        if is_extremal(g):
-            ext[idx] = True
-    out.extremal += int(ext.sum())
-
-    rest = ~ext
-    star = rest & (_row_max(deg) == n - 1)
-    rest &= ~star
-    dstar = np.zeros(len(rows), dtype=bool)
-    if rest.any():
-        dstar[rest] = _double_star_feasible(rows[rest])
-    rest &= ~dstar
-    out.hists += int(star.sum()) + int(dstar.sum())
-
-    left = np.flatnonzero(rest)
-    if not len(left):
-        return
-    out.fallback_searches += len(left)
     _, first, copies = np.unique(_class_keys(rows[left]), axis=0,
                                  return_index=True, return_inverse=True)
+    ext = np.zeros(len(first), dtype=bool)
     found = np.zeros(len(first), dtype=bool)
     for cls in np.argsort(first):  # representatives in row order
         g = _graph_of_row(n, rows[left[first[cls]]])
-        found[cls] = proof_guided_hist(g, spec.replay).found_tree or find_hist(g).found
-    found = found[copies.ravel()]
+        ext[cls] = is_extremal(g)
+        found[cls] = not ext[cls] and (proof_guided_hist(g, spec.replay).found_tree
+                                       or find_hist(g).found)
+    ext, found = ext[copies.ravel()], found[copies.ravel()]
+    out.extremal += int(ext.sum())
+    out.fallback_searches += len(left) - int(ext.sum())
     out.hists += int(found.sum())
     out.counterexamples.extend(encode_graph6(_graph_of_row(n, rows[idx]))
-                               for idx in left[~found])
+                               for idx in left[~(ext | found)])
 
 
 def _graph_of_row(n, row) -> Graph:

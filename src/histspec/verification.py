@@ -253,12 +253,14 @@ def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
     (`scan._connected_filter`), `hong_bound` per connected graph, and
     `scan.over_threshold`, whose bounds need every degree >= 1, as
     connected graphs have.  The over-threshold graphs are classified in
-    corpus order: extremal match first; then a graph of maximum degree
-    n - 1, read from the degree maxima the floor already took, counts as
-    a HIST with no tree built, since its spanning star is one (the
-    engine's star test; n >= 7, so the centre has degree >= 3); only the
-    rest go to proof replay and then the tree-growth search, and only
-    they count in `fallback_searches`.
+    the engine's order (`scan._classify`).  First the spanning stars, for
+    the whole chunk at once: a graph of maximum degree n - 1, read from
+    the degree maxima the floor already took, counts as a HIST with no
+    tree built (n >= 7, so the centre has degree >= 3).  The extremal
+    graph has no HIST, so no extremal graph is settled there.  Then, in
+    corpus order, each graph left goes to the extremal match, proof
+    replay and the tree-growth search; the ones that are not extremal
+    count in `fallback_searches`.
     """
     from .hist import proof_guided_hist  # looked up per call, so a rebinding takes effect
 
@@ -278,19 +280,15 @@ def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
         keep[keep] = [hong_bound(g) >= theta - GUARD for g in itertools.compress(chunk, keep)]
         out.survivors += int(keep.sum())
         keep[keep] = _scan.over_threshold(theta, rows[keep])
-        for g, star in zip(itertools.compress(chunk, keep), dmax[keep] == n - 1):
-            out.over += 1
+        out.over += int(keep.sum())
+        star = keep & (dmax == n - 1)
+        out.hists += int(star.sum())
+        for g in itertools.compress(chunk, keep & ~star):
             if is_extremal(g):
                 out.extremal += 1
                 continue
-            if star:  # the spanning star at a vertex of degree n - 1 >= 3
-                out.hists += 1
-                continue
             out.fallback_searches += 1
-            trace = proof_guided_hist(g, spec.replay)
-            if trace.found_tree:
-                out.hists += 1
-            elif find_hist(g).found:
+            if proof_guided_hist(g, spec.replay).found_tree or find_hist(g).found:
                 out.hists += 1
             else:
                 out.counterexamples.append(encode_graph6(g))
@@ -404,9 +402,12 @@ class CertificateReport(_Report):
 
 def verify_certificates(n_max: int = 6) -> CertificateReport:
     """Whenever a no-HIST certificate fires, the spanning-tree oracle must
-    agree; and both extremal families must carry certificates up to n=10."""
-    if n_max < 3:
-        raise ValueError("certificate sweep needs n_max >= 3")
+    agree; and both extremal families must carry certificates up to n=10.
+    The sweep enumerates every labeled graph of orders 3..n_max, so
+    n_max is checked against the enumeration's bound of 8 before any of
+    it runs."""
+    if not 3 <= n_max <= 8:
+        raise ValueError(f"certificate sweep needs 3 <= n_max <= 8, got {n_max}")
     t0 = time.monotonic()
     checked = 0
     fired = 0

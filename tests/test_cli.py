@@ -68,6 +68,9 @@ def test_verify_certificates(capsys):
     code, out, _ = run(capsys, "verify", "certificates", "--nmax", "4")
     assert code == 0
     assert "soundness violations  0" in out
+    code, _, err = run(capsys, "verify", "certificates", "--nmax", "9")
+    assert code == 2
+    assert "3 <= n_max <= 8" in err
 
 
 def test_verify_corollaries(capsys):

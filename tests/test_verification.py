@@ -388,7 +388,7 @@ def test_corpus_and_scan_share_one_spectral_decision(tmp_path, monkeypatch):
     # the true threshold, against the scan without prescreens: both
     # degree floors follow theta, and replay hands the graphs below its
     # range to the search.
-    from histspec import verification
+    from histspec import scan, verification
     from histspec.scan import ShardOut, _classify, _codec, _rows_of_masks
     from histspec.spectral import THM1
 
@@ -398,23 +398,26 @@ def test_corpus_and_scan_share_one_spectral_decision(tmp_path, monkeypatch):
     path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
 
     seen = []
-    real = verification.is_family_L
+    real = scan.over_threshold
 
-    def recorded(g):  # every over-threshold corpus graph is tested first
-        seen.append(mask_of_graph(g))
-        return real(g)
+    def recorded(theta, rows, refine=True):  # the last spectral step of the corpus
+        over = real(theta, rows, refine)
+        seen.extend(mask_of_graph(Graph._from_rows_unchecked(n, tuple(row)))
+                    for row in rows[over].tolist())
+        return over
 
-    monkeypatch.setattr(verification, "is_family_L", recorded)
+    monkeypatch.setattr(scan, "over_threshold", recorded)
     for theta, prescreens in ((threshold_connected(n), True), (3.7, False)):
         monkeypatch.setattr(verification, "threshold_connected", lambda n, theta=theta: theta)
         del seen[:]
         rep = verify_theorem1(n, source=GRAPH6_CORPUS, corpus_path=str(path))
+        corpus_over = sorted(seen)  # before scan_range adds the engine's calls
         cfg = ScanConfig(n=n, theta=theta, mode="thm1", prescreens=prescreens,
                          collect_over=True)
         shard = scan_range(cfg, lo, hi)
         assert rep.scanned == len(graphs)
-        assert rep.over_threshold == shard.over == len(seen) > 0
-        assert sorted(seen) == sorted(shard.over_masks)
+        assert rep.over_threshold == shard.over == len(corpus_over) > 0
+        assert corpus_over == sorted(shard.over_masks)
         assert (rep.extremal_matches, rep.hists_found, rep.counterexamples) == (
             shard.extremal, shard.hists, shard.counterexamples)
         # the engine's classification decides alike on the corpus's int64 rows
@@ -445,18 +448,22 @@ def test_double_star_shortcut_is_sound():
 
 
 N8_THM2_SHARDS = (136, 338, 414, 301)  # the benchmark's dense shards and the golden one
+N7_THM1_SHARDS = range(4)  # all of verify_theorem1(7)
 
 
 def _per_graph_classify(spec, rows, out):
-    """`_classify` with its fallback run on every graph in row order: the
-    vectorized extremal, star and double-star tests, then replay and the
-    search per graph, through the names `scan` resolves."""
+    """`_classify` in its earlier order, with its fallback run on every
+    graph in row order: the extremal match on every graph with the
+    family's sorted degrees, then the vectorized star and double-star
+    tests, then replay and the search per graph, through the names `scan`
+    resolves."""
     from histspec import scan
+    from histspec.graphs import make_family
 
     n = rows.shape[1]
     out.over += len(rows)
     deg = np.bitwise_count(rows)
-    fam = scan.make_family(spec.family, n)
+    fam = make_family(spec.family, n)
     is_extremal = scan.is_family_L if spec.family == "L" else scan.is_family_B
     ext = np.zeros(len(rows), dtype=bool)
     for idx in np.flatnonzero((np.sort(deg, axis=1) == sorted(fam.degrees())).all(axis=1)):
@@ -479,26 +486,41 @@ def _shard(cfg, s):
 
 
 def test_grouped_fallback_matches_per_graph_reference(monkeypatch):
-    # Each dense n=8 thm2 shard gives the same ShardOut, every field, with
-    # the fallback decided once per class key as with it run per graph;
-    # the grouped run replays fewer graphs than it counts.
+    # Each dense n=8 thm2 shard and each n=7 thm1 shard gives the same
+    # ShardOut, every field, with the extremal match, replay and search
+    # decided once per class key as with the earlier order run per graph.
+    # The grouped run decides fewer graphs than it counts: on n=8 by
+    # replay, on n=7, where every fallback row is a copy of L_7, by the
+    # recognizer.
     from histspec import scan
 
-    cfg = ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2", collect_over=True)
-    replays = []
-    real = scan.proof_guided_hist
-    monkeypatch.setattr(scan, "proof_guided_hist", lambda g, r: replays.append(g) or real(g, r))
-    for s in N8_THM2_SHARDS:
-        del replays[:]
-        grouped = _shard(cfg, s)
-        assert 0 < len(replays) < grouped.fallback_searches
-        with monkeypatch.context() as m:
-            m.setattr(scan, "_classify", _per_graph_classify)
-            del replays[:]
-            reference = _shard(cfg, s)
-        assert len(replays) == reference.fallback_searches
-        assert grouped == reference
-    assert grouped.fallback_searches == 1489  # the golden shard 301
+    replays, recognized, fallbacks = [], [], {}
+    for name, seen in (("proof_guided_hist", replays), ("is_family_L", recognized),
+                       ("is_family_B", recognized)):
+        real = getattr(scan, name)
+        monkeypatch.setattr(scan, name,
+                            lambda g, *a, real=real, seen=seen: seen.append(g) or real(g, *a))
+    for n, mode, threshold, shards in (
+            (8, "thm2", threshold_two_connected, N8_THM2_SHARDS),
+            (7, "thm1", threshold_connected, N7_THM1_SHARDS)):
+        cfg = ScanConfig(n=n, theta=threshold(n), mode=mode, collect_over=True)
+        for s in shards:
+            del replays[:], recognized[:]
+            grouped = _shard(cfg, s)
+            if mode == "thm2":
+                assert 0 < len(replays) < grouped.fallback_searches
+            else:
+                assert not replays and grouped.fallback_searches == 0
+                assert 0 < len(recognized) < grouped.extremal
+                assert all(map(is_family_L, recognized))
+            with monkeypatch.context() as m:
+                m.setattr(scan, "_classify", _per_graph_classify)
+                del replays[:]
+                reference = _shard(cfg, s)
+            assert len(replays) == reference.fallback_searches
+            assert grouped == reference
+            fallbacks[n, s] = grouped.fallback_searches
+    assert fallbacks[8, 301] == 1489  # the golden shard 301
 
 
 def _canonical_mask(g):
@@ -808,25 +830,31 @@ def test_prescreen_table_matches_elementwise_hong():
                 assert np.array_equal(_prescreen(cfg, c, masks), want)
 
 
-def test_extremal_prefilter_calls_recognizer_on_degree_matches(monkeypatch):
-    # The recognizer runs once per over-threshold graph whose sorted
-    # degrees equal the family's, the edge-count prefilter aside.
-    from histspec import scan
+def test_extremal_check_runs_once_per_fallback_key(monkeypatch):
+    # The recognizer runs once per class key of the graphs the star and
+    # double-star tests leave, never on a graph they settle, and every
+    # labeled copy of the extremal graph still counts: out.extremal equals
+    # the recognizer's count over all over-threshold graphs.
+    from histspec import graphs, scan
 
-    for n, mode, fam, name in ((7, "thm1", family_L(7), "is_family_L"),
-                               (8, "thm2", family_B(8), "is_family_B")):
-        calls = []
-        real = getattr(scan, name)
+    for n, mode, name in ((7, "thm1", "is_family_L"), (8, "thm2", "is_family_B")):
+        calls, keys = [], []
+        real, real_keys = getattr(scan, name), scan._class_keys
         monkeypatch.setattr(scan, name, lambda g, real=real: calls.append(g) or real(g))
+        monkeypatch.setattr(scan, "_class_keys",
+                            lambda rows: keys.append(real_keys(rows)) or keys[-1])
         theta = threshold_connected(n) if mode == "thm1" else threshold_two_connected(n)
         cfg = ScanConfig(n=n, theta=theta, mode=mode, subsample=16 if n == 7 else 2048,
                          collect_over=True)
         out = scan_range(cfg, 0, 1 << (n * (n - 1) // 2))
-        fam_degs = sorted(fam.degrees())
-        want = [mk for mk in out.over_masks if sorted(graph_from_mask(n, mk).degrees()) == fam_degs]
-        assert len(calls) == len(want) > 0
-        assert [mask_of_graph(g) for g in calls] == want
-        assert out.extremal == sum(1 for g in calls if real(g))
+        monkeypatch.undo()
+        assert len(calls) == sum(len(np.unique(k, axis=0)) for k in keys) > 0
+        for g in calls:
+            assert max(g.degrees()) < n - 1 and not brute_double_star(g)
+        is_extremal = getattr(graphs, name)
+        want = sum(is_extremal(graph_from_mask(n, mk)) for mk in out.over_masks)
+        assert out.extremal == want
+        assert len(out.over_masks) == out.over > want
 
 
 def test_corollaries_range():
@@ -847,6 +875,21 @@ def test_certificates_driver():
     kinds = {(r["family"], r["n"]): r["certificate"] for r in rep.family_rows}
     assert kinds[("L", 10)] == "cut_vertex_deg2"
     assert kinds[("B", 10)] == "p5_pattern"
+
+
+def test_certificates_driver_rejects_large_nmax_before_enumerating(monkeypatch):
+    # Above n_max = 8 the sweep would first enumerate every labeled graph
+    # of orders 3..8 (2^28 masks at n = 8) before enumerate_labeled(9)
+    # raised; the bound is checked before any enumeration starts.
+    from histspec import verification
+
+    def enumerate_labeled(*args, **kwargs):
+        raise AssertionError("enumerate_labeled called")
+
+    monkeypatch.setattr(verification, "enumerate_labeled", enumerate_labeled)
+    for n_max in (2, 9, 20):
+        with pytest.raises(ValueError, match="3 <= n_max <= 8"):
+            verify_certificates(n_max)
 
 
 def test_corpus_source(tmp_path):

@@ -9,10 +9,12 @@ by `perfbench/workloads.py`) through both corpus drivers.  Each stage is a
 module function (and `numpy.linalg.eigvalsh`), wrapped with
 `time.perf_counter` at the name its callers resolve, so a stage's time
 includes the stages it calls: `over_threshold` holds `_sandwich` and
-`eigvalsh`, and `_classify` holds `_double_star_feasible`, `_class_keys`
-(the key that groups the fallback graphs by isomorphism class), proof
-replay, once per key, and the search, once per key that replay leaves
-open; `_connected_filter` runs before `_classify`, on the
+`eigvalsh`, and `_classify` holds, in its order, `_double_star_feasible`,
+`_class_keys` (the key that groups the graphs the star and double-star
+tests leave by isomorphism class), the recognizer `is_family_L` or
+`is_family_B`, once per key, proof replay, once per key that is not
+extremal, and the search, once per key that replay leaves open;
+`_connected_filter` runs before `_classify`, on the
 over-threshold rows, and holds `_reach_vec`, the bitset BFS, whose call
 count is the number of BFS runs.  `Graph.is_2_connected` and
 `Graph.cut_vertices` are wrapped the same way as class attributes, so the
@@ -62,8 +64,8 @@ from histspec import graph6, hist, scan, verification  # noqa: E402
 from histspec.graphs import Graph  # noqa: E402
 
 STAGES = ("_prescreen", "_rows_of_masks", "over_threshold", "_sandwich", "_connected_filter",
-          "_reach_vec", "_classify", "_double_star_feasible", "_class_keys", "proof_guided_hist",
-          "find_hist", "_graph_of_row")
+          "_reach_vec", "_classify", "_double_star_feasible", "_class_keys", "is_family_L",
+          "is_family_B", "proof_guided_hist", "find_hist", "_graph_of_row")
 CORPUS_STAGES = ((graph6, "decode_graph6"), (verification, "hong_bound"),
                  (hist, "proof_guided_hist"), (hist, "is_valid_hist"),
                  (verification, "is_family_L"), (verification, "is_family_B"),
