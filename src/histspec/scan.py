@@ -14,7 +14,16 @@ without any theorem; the scan pipeline per mask block is:
      edge count) whose entries equal the per-mask test bit for bit; the
      masks then become adjacency bit rows, and nothing after this step
      sees a mask;
-  2. the spectral decision `over_threshold`, which the graph6 corpus
+  2. grouping by class key: the rows go on in groups of GROUP_ROWS, and
+     within a group `_class_keys` relabels each graph by a stable sort of
+     its vertices on (degree, sum of neighbour degrees); equal keys are
+     one graph under two labelings, hence isomorphic, and rho,
+     connectivity, 2-connectivity, being the extremal graph and having a
+     HIST are isomorphism invariants, so steps 3-5 run once per distinct
+     key, on the key rows, and every copy of a key takes its verdict:
+     the counts add each key's copy count, and the over-threshold masks
+     and counterexamples list every copy, in row order;
+  3. the spectral decision `over_threshold`, which the graph6 corpus
      path shares: certain classifications that skip the eigensolver
      (Rayleigh quotients of the all-ones and degree vectors are lower
      bounds on rho, the maximum two-walk count bounds rho^2 from above,
@@ -22,12 +31,12 @@ without any theorem; the scan pipeline per mask block is:
      then bracket rho between the Rayleigh quotient x'Ax/x'x and
      max_v (Ax)_v/x_v, positive because the prescreens enforce minimum
      degree >= 1; a bound settles a graph only with the GUARD margin
-     below, so no verdict differs from the eigensolver's), all computed
-     on the adjacency bit rows, then batched dense eigensolves for the
-     few graphs left, which include every labeled copy of the extremal
-     family (rho exactly theta) and are the only rows unpacked into a
-     float adjacency;
-  3. vectorized connectivity (or 2-connectivity) by bitset BFS over all
+     below, so no verdict differs from the eigensolver's on any
+     labeling), all computed on the adjacency bit rows, then batched
+     dense eigensolves for the few graphs left, which include every
+     extremal key (rho exactly theta) and are the only rows unpacked
+     into a float adjacency;
+  4. vectorized connectivity (or 2-connectivity) by bitset BFS over all
      graphs at once, stopped as soon as a step reaches no new vertex or
      every graph has reached every vertex, which the graph6 corpus
      filter shares on int64 rows; for 2-connectivity, a graph in which
@@ -35,18 +44,12 @@ without any theorem; the scan pipeline per mask block is:
      in N(h) has no cut vertex other than h, so one BFS in G - h decides
      it, and only the graphs failing that hub test take one BFS per
      vertex;
-  4. classification of the over-threshold graphs on their bit rows alone
+  5. classification of the over-threshold keys on their bit rows alone
      (`_classify`), in the order the graph6 corpus path shares: the star
      and spanning-double-star HIST tests (vectorized) first, then, per
-     graph they leave, extremal family match, the proof-guided
+     key they leave, extremal family match, the proof-guided
      constructor and full backtracking.  The extremal graph has no HIST,
-     so the first tests settle none of its copies.  The graphs left are
-     grouped by `_class_keys`, each graph relabeled by a stable sort of
-     its vertices on (degree, sum of neighbour degrees); equal keys are
-     one graph under two labelings, hence isomorphic, and both being the
-     extremal graph and having a HIST are isomorphism invariants, so the
-     per-graph chain runs once per key, on its first copy, and every
-     copy takes that verdict.
+     so the first tests settle none of its keys.
 
 Everything is deterministic; threshold tests use rho >= theta - GUARD so
 the scan can only over-check.
@@ -67,7 +70,7 @@ from .spectral import GUARD, TheoremSpec, hong_value, theorem_spec
 
 BLOCK_BITS = 20
 EIG_BATCH = 1 << 12  # rows per slice of over_threshold
-DSTAR_BATCH = 1 << 16  # rows per slice of _double_star_feasible
+GROUP_ROWS = 1 << 16  # rows per class-key group of _scan_block
 CW_ITERS = 5  # Collatz-Wielandt steps before the eigensolve
 HASH_MULT = 2654435761  # Knuth multiplicative hash, for unbiased subsampling
 # _SUBSETS[i, s] is bit i of s: x[:, 4g:4g+4] @ _SUBSETS sums x over each subset s
@@ -166,19 +169,32 @@ def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
 
 
 def _scan_block(cfg: ScanConfig, c: _Codec, masks: np.ndarray, out: ShardOut):
+    """Steps 1-5 of the pipeline on one block of masks.  Steps 2-5 take
+    the survivors GROUP_ROWS at a time; each distinct key of a group (a
+    uint8 key row of `_class_keys`, padded to 8 bytes and read as one
+    uint64) is decided once, and its verdict goes to every copy."""
     if cfg.prescreens:
         masks = masks[_prescreen(cfg, c, masks)]
     out.survivors += len(masks)
-    if not len(masks):
-        return
-    rows = _rows_of_masks(c, masks)
-    over = over_threshold(cfg.theta, rows, cfg.prescreens)
-    over[over] = _connected_filter(rows[over], cfg.spec.two_connected)
-    if not over.any():
-        return
-    if cfg.collect_over:
-        out.over_masks.extend(masks[over].tolist())
-    _classify(cfg.spec, rows[over], out)
+    n = c.n
+    for s in range(0, len(masks), GROUP_ROWS):
+        group = masks[s:s + GROUP_ROWS]
+        rows = _rows_of_masks(c, group)
+        padded = np.zeros((len(rows), 8), dtype=np.uint8)
+        padded[:, :n] = _class_keys(rows)
+        keys, inv, copies = np.unique(padded.view(np.uint64).ravel(),
+                                      return_inverse=True, return_counts=True)
+        keys = np.ascontiguousarray(keys.view(np.uint8).reshape(-1, 8)[:, :n])
+        over = over_threshold(cfg.theta, keys, cfg.prescreens)
+        over[over] = _connected_filter(keys[over], cfg.spec.two_connected)
+        if not over.any():
+            continue
+        if cfg.collect_over:
+            out.over_masks.extend(group[over[inv]].tolist())
+        bad = np.zeros_like(over)
+        bad[over] = _classify(cfg.spec, keys[over], copies[over], out)
+        out.counterexamples.extend(encode_graph6(_graph_of_row(n, row))
+                                   for row in rows[bad[inv]])
 
 
 def _prescreen(cfg: ScanConfig, c: _Codec, masks: np.ndarray) -> np.ndarray:
@@ -457,21 +473,12 @@ def _double_star_feasible(rows) -> np.ndarray:
     """Graphs with an edge (a, b) whose endpoints dominate all vertices and
     admit a leaf split avoiding degree 2 at both centers.  `rows` are
     adjacency bit rows of one order n in any integer word wide enough for
-    n bits.  They go through in slices of DSTAR_BATCH, read transposed,
-    one contiguous array per vertex; the slices bound the copies each one
-    makes.
+    n bits, read transposed, one contiguous array per vertex.
 
     An edge ab is tried only on the graphs that hold it, are not yet
     feasible and have d_a + d_b >= n: a and b lie in each other's
     neighbourhoods, so N[a] | N[b] = N(a) | N(b) has at most d_a + d_b
     vertices and cannot cover V below that sum."""
-    feasible = np.zeros(len(rows), dtype=bool)
-    for s in range(0, len(rows), DSTAR_BATCH):
-        feasible[s:s + DSTAR_BATCH] = _double_star_slice(rows[s:s + DSTAR_BATCH])
-    return feasible
-
-
-def _double_star_slice(rows):
     n, word = rows.shape[1], rows.dtype.type
     full = word((1 << n) - 1)
     cols = np.ascontiguousarray(rows.T)
@@ -503,63 +510,79 @@ def _class_keys(rows: np.ndarray) -> np.ndarray:
     Each key row is its graph under some permutation, so two graphs with
     equal keys are isomorphic; isomorphic graphs may still get different
     keys when the sort meets a tie, which costs a repeated verdict, never
-    a wrong one.  The work runs column by column on (k, n) arrays."""
+    a wrong one.  `_scan_block` calls it on every prescreen survivor,
+    ahead of the spectral decision.
+
+    The work runs on the transposed rows, one array per vertex, with no
+    sort: a vertex's neighbour-degree sum counts the walks v-w-u, so it is
+    the sum over u of |N(v) & N(u)|; the score (degree, sum, n - 1 - v),
+    packed in one integer, is distinct within a graph, so a vertex's rank
+    is the number of vertices that outscore it, and the key row at rank_v
+    is q_v, the OR over w in N(v) of 1 << rank_w."""
     n, word = rows.shape[1], rows.dtype.type
-    deg = np.bitwise_count(rows).astype(np.int64)
-    score = deg * (n * n)  # a sum of neighbour degrees is at most (n - 1)^2
-    for w in range(n):
-        score += (rows >> word(w) & word(1)) * deg[:, w:w + 1]
-    order = np.argsort(-score, axis=1, kind="stable").astype(rows.dtype)
-    picked = np.take_along_axis(rows, order, axis=1)
-    keys = np.zeros_like(rows)
-    for j in range(n):
-        keys |= (picked >> order[:, j:j + 1] & word(1)) << word(j)
-    return keys
+    cols = np.ascontiguousarray(rows.T)
+    deg = np.bitwise_count(cols)
+    st = np.min_scalar_type(n ** 4)  # every score is below n^4
+    score = deg.astype(st) * st.type(n * n + 1)  # u = v adds |N(v)| = deg_v
+    for v, w in edge_slots(n):
+        common = np.bitwise_count(cols[v] & cols[w])
+        score[v] += common
+        score[w] += common
+    score = score * st.type(n) + np.arange(n - 1, -1, -1, dtype=st)[:, None]
+    rank = np.zeros(cols.shape, dtype=np.uint8)
+    for v, w in edge_slots(n):
+        ahead = score[v] > score[w]
+        rank[w] += ahead
+        rank[v] += ~ahead
+    bit = word(1) << rank.astype(rows.dtype)
+    keys = np.zeros_like(cols)
+    for v in range(n):
+        q = np.zeros_like(cols[v])
+        for w in range(n):
+            if w != v:
+                q |= (cols[v] >> word(w) & word(1)) * bit[w]
+        for i in range(n):
+            keys[i] |= q * (rank[v] == i)
+    return keys.T
 
 
-def _classify(spec: TheoremSpec, rows: np.ndarray, out: ShardOut):
+def _classify(spec: TheoremSpec, rows: np.ndarray, copies: np.ndarray,
+              out: ShardOut) -> np.ndarray:
     """Classify over-threshold graphs of the theorem's connectivity, given
-    as adjacency bit rows of one order n in any integer word, into
-    extremal matches, HISTs and counterexamples, counted in `out`.
+    as adjacency bit rows of one order n in any integer word, each
+    standing for `copies` labeled graphs, into extremal matches, HISTs and
+    counterexamples.  `out` counts every copy; the result marks the rows
+    that are counterexamples, whose copies the caller lists.
 
     The vectorized HIST tests run first, on every row: a vertex of degree
     n - 1 gives a spanning star, and `_double_star_feasible` a spanning
     double star.  The extremal graph has no HIST, so no extremal graph is
-    settled there.  The graphs left are decided once per `_class_keys`
-    key, in the order extremal match, proof replay, complete search:
-    graphs with equal keys are isomorphic, the recognizer decides
-    isomorphism to the extremal graph, replay returns only trees that
-    pass `is_valid_hist` and the search is complete, so each verdict
-    holds for every copy of its key.  The representatives run in row
-    order and every copy takes its verdict, so `extremal` and
-    `fallback_searches` (the copies that are not extremal) count every
-    graph and `counterexamples` holds one graph6 string per copy, in row
-    order.  The grouping lives in this call alone."""
+    settled there.  Each row left is decided in the order extremal match,
+    proof replay, complete search: the recognizer decides isomorphism to
+    the extremal graph, replay returns only trees that pass
+    `is_valid_hist` and the search is complete, so each verdict holds for
+    every copy.  `fallback_searches` counts the copies that are not
+    extremal."""
     n = rows.shape[1]
-    out.over += len(rows)
-    rest = np.flatnonzero(_row_max(np.bitwise_count(rows)) < n - 1)
-    left = rest[~_double_star_feasible(rows[rest])]
-    out.hists += len(rows) - len(left)
-    if not len(left):
-        return
+    out.over += int(copies.sum())
+    left = np.flatnonzero(_row_max(np.bitwise_count(rows)) < n - 1)
+    left = left[~_double_star_feasible(rows[left])]
+    out.hists += int(copies.sum() - copies[left].sum())
     # Looked up per call, not stored in the spec, so that rebinding the
     # module attribute takes effect.
     is_extremal = is_family_L if spec.family == "L" else is_family_B
-    _, first, copies = np.unique(_class_keys(rows[left]), axis=0,
-                                 return_index=True, return_inverse=True)
-    ext = np.zeros(len(first), dtype=bool)
-    found = np.zeros(len(first), dtype=bool)
-    for cls in np.argsort(first):  # representatives in row order
-        g = _graph_of_row(n, rows[left[first[cls]]])
-        ext[cls] = is_extremal(g)
-        found[cls] = not ext[cls] and (proof_guided_hist(g, spec.replay).found_tree
-                                       or find_hist(g).found)
-    ext, found = ext[copies.ravel()], found[copies.ravel()]
-    out.extremal += int(ext.sum())
-    out.fallback_searches += len(left) - int(ext.sum())
-    out.hists += int(found.sum())
-    out.counterexamples.extend(encode_graph6(_graph_of_row(n, rows[idx]))
-                               for idx in left[~(ext | found)])
+    bad = np.zeros(len(rows), dtype=bool)
+    for idx in left:
+        g, count = _graph_of_row(n, rows[idx]), int(copies[idx])
+        if is_extremal(g):
+            out.extremal += count
+            continue
+        out.fallback_searches += count
+        if proof_guided_hist(g, spec.replay).found_tree or find_hist(g).found:
+            out.hists += count
+        else:
+            bad[idx] = True
+    return bad
 
 
 def _graph_of_row(n, row) -> Graph:

@@ -468,7 +468,9 @@ def audit_prescreens(n: int, theorem: str = "thm2", subsample: int = 256,
     Runs the scan twice on a deterministic 1-in-`subsample` hash subsample
     of the labeled space, with and without the mask-level prescreens and
     eigensolver shortcuts, and compares the resulting over-threshold mask
-    sets exactly.
+    sets exactly.  Both runs group their rows by class key alike, so this
+    audit does not check the grouping; the tests that compare the scan
+    with an ungrouped reference, every labeled graph its own key, do.
     """
     t0 = time.monotonic()
     spec = theorem_spec(theorem)

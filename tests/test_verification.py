@@ -420,11 +420,14 @@ def test_corpus_and_scan_share_one_spectral_decision(tmp_path, monkeypatch):
         assert corpus_over == sorted(shard.over_masks)
         assert (rep.extremal_matches, rep.hists_found, rep.counterexamples) == (
             shard.extremal, shard.hists, shard.counterexamples)
-        # the engine's classification decides alike on the corpus's int64 rows
+        # the engine's classification decides alike on the corpus's int64
+        # rows, each row one copy
         rows = _rows_of_masks(_codec(n), np.array(shard.over_masks, dtype=np.uint32))
         again = ShardOut()
-        _classify(THM1, rows.astype("<i8"), again)
-        assert (again.over, again.extremal, again.hists, again.counterexamples) == (
+        bad = _classify(THM1, rows.astype("<i8"), np.ones(len(rows), dtype=np.int64), again)
+        listed = [encode_graph6(Graph._from_rows_unchecked(n, tuple(row)))
+                  for row in rows[bad].tolist()]
+        assert (again.over, again.extremal, again.hists, listed) == (
             shard.over, shard.extremal, shard.hists, shard.counterexamples)
 
 
@@ -451,34 +454,10 @@ N8_THM2_SHARDS = (136, 338, 414, 301)  # the benchmark's dense shards and the go
 N7_THM1_SHARDS = range(4)  # all of verify_theorem1(7)
 
 
-def _per_graph_classify(spec, rows, out):
-    """`_classify` in its earlier order, with its fallback run on every
-    graph in row order: the extremal match on every graph with the
-    family's sorted degrees, then the vectorized star and double-star
-    tests, then replay and the search per graph, through the names `scan`
-    resolves."""
-    from histspec import scan
-    from histspec.graphs import make_family
-
-    n = rows.shape[1]
-    out.over += len(rows)
-    deg = np.bitwise_count(rows)
-    fam = make_family(spec.family, n)
-    is_extremal = scan.is_family_L if spec.family == "L" else scan.is_family_B
-    ext = np.zeros(len(rows), dtype=bool)
-    for idx in np.flatnonzero((np.sort(deg, axis=1) == sorted(fam.degrees())).all(axis=1)):
-        ext[idx] = is_extremal(Graph._from_rows_unchecked(n, tuple(rows[idx].tolist())))
-    out.extremal += int(ext.sum())
-    rest = ~ext & (deg.max(axis=1) < n - 1)
-    rest[rest] = ~scan._double_star_feasible(rows[rest])
-    out.hists += int((~ext & ~rest).sum())
-    for row in rows[rest]:
-        g = Graph._from_rows_unchecked(n, tuple(row.tolist()))
-        out.fallback_searches += 1
-        if scan.proof_guided_hist(g, spec.replay).found_tree or scan.find_hist(g).found:
-            out.hists += 1
-        else:
-            out.counterexamples.append(encode_graph6(g))
+def _unchanged(rows):
+    """A `_class_keys` that keys every labeled graph by itself, so that a
+    scan decides each graph on its own rows: the ungrouped reference."""
+    return rows
 
 
 def _shard(cfg, s):
@@ -487,11 +466,11 @@ def _shard(cfg, s):
 
 def test_grouped_fallback_matches_per_graph_reference(monkeypatch):
     # Each dense n=8 thm2 shard and each n=7 thm1 shard gives the same
-    # ShardOut, every field, with the extremal match, replay and search
-    # decided once per class key as with the earlier order run per graph.
-    # The grouped run decides fewer graphs than it counts: on n=8 by
-    # replay, on n=7, where every fallback row is a copy of L_7, by the
-    # recognizer.
+    # ShardOut, every field, as the ungrouped reference, in which the
+    # spectral decision, connectivity and classification run on every
+    # labeled graph.  The grouped run decides fewer graphs than it counts:
+    # on n=8 by replay, on n=7, where every fallback row is a copy of L_7,
+    # by the recognizer.
     from histspec import scan
 
     replays, recognized, fallbacks = [], [], {}
@@ -514,7 +493,7 @@ def test_grouped_fallback_matches_per_graph_reference(monkeypatch):
                 assert 0 < len(recognized) < grouped.extremal
                 assert all(map(is_family_L, recognized))
             with monkeypatch.context() as m:
-                m.setattr(scan, "_classify", _per_graph_classify)
+                m.setattr(scan, "_class_keys", _unchanged)
                 del replays[:]
                 reference = _shard(cfg, s)
             assert len(replays) == reference.fallback_searches
@@ -542,7 +521,8 @@ def _canonical_mask(g):
 def test_grouped_fallback_lists_every_copy_of_a_no_hist_class(monkeypatch):
     # With replay and the search told that one isomorphism class has no
     # HIST, every labeled copy of it is its own counterexample, in row
-    # order, exactly as the per-graph reference lists them.
+    # order (ascending mask order within a shard), exactly as the
+    # ungrouped reference lists them.
     from types import SimpleNamespace
 
     from histspec import scan
@@ -550,13 +530,14 @@ def test_grouped_fallback_lists_every_copy_of_a_no_hist_class(monkeypatch):
     cfg = ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2")
     seen = []
     real_replay, real_search = scan.proof_guided_hist, scan.find_hist
-    monkeypatch.setattr(scan, "proof_guided_hist", lambda g, r: seen.append(g) or real_replay(g, r))
-    monkeypatch.setattr(scan, "_classify", _per_graph_classify)
-    _shard(cfg, 136)
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(scan, "proof_guided_hist", lambda g, r: seen.append(g) or real_replay(g, r))
+        m.setattr(scan, "_class_keys", _unchanged)
+        _shard(cfg, 136)
     canon = [_canonical_mask(g) for g in seen]
     target = max(set(canon), key=canon.count)
-    copies = [encode_graph6(g) for g, c in zip(seen, canon) if c == target]
+    copies = [encode_graph6(g) for g in sorted(
+        (g for g, c in zip(seen, canon) if c == target), key=mask_of_graph)]
     assert len(copies) >= 2
 
     def replay(g, r):
@@ -568,7 +549,7 @@ def test_grouped_fallback_lists_every_copy_of_a_no_hist_class(monkeypatch):
     monkeypatch.setattr(scan, "proof_guided_hist", replay)
     monkeypatch.setattr(scan, "find_hist", search)
     grouped = _shard(cfg, 136)
-    monkeypatch.setattr(scan, "_classify", _per_graph_classify)
+    monkeypatch.setattr(scan, "_class_keys", _unchanged)
     reference = _shard(cfg, 136)
     assert grouped.counterexamples == copies == reference.counterexamples
     assert grouped == reference
@@ -831,30 +812,79 @@ def test_prescreen_table_matches_elementwise_hong():
 
 
 def test_extremal_check_runs_once_per_fallback_key(monkeypatch):
-    # The recognizer runs once per class key of the graphs the star and
-    # double-star tests leave, never on a graph they settle, and every
-    # labeled copy of the extremal graph still counts: out.extremal equals
-    # the recognizer's count over all over-threshold graphs.
+    # Per group of rows, the recognizer runs exactly once on each distinct
+    # key that is over the threshold and left by the star and double-star
+    # tests, on the key row itself, and never on a graph those tests
+    # settle; every labeled copy of the extremal graph still counts:
+    # out.extremal equals the recognizer's count over all over-threshold
+    # graphs, and the ungrouped reference gives the same ShardOut with one
+    # recognizer call per over-threshold graph the tests leave.
     from histspec import graphs, scan
 
     for n, mode, name in ((7, "thm1", "is_family_L"), (8, "thm2", "is_family_B")):
-        calls, keys = [], []
+        calls, groups = [], []
         real, real_keys = getattr(scan, name), scan._class_keys
         monkeypatch.setattr(scan, name, lambda g, real=real: calls.append(g) or real(g))
-        monkeypatch.setattr(scan, "_class_keys",
-                            lambda rows: keys.append(real_keys(rows)) or keys[-1])
+
+        def keyed(rows):
+            keys = real_keys(rows)
+            groups.append((rows, keys, len(calls)))
+            return keys
+
+        monkeypatch.setattr(scan, "_class_keys", keyed)
         theta = threshold_connected(n) if mode == "thm1" else threshold_two_connected(n)
         cfg = ScanConfig(n=n, theta=theta, mode=mode, subsample=16 if n == 7 else 2048,
                          collect_over=True)
-        out = scan_range(cfg, 0, 1 << (n * (n - 1) // 2))
+        hi = 1 << (n * (n - 1) // 2)
+        out = scan_range(cfg, 0, hi)
+        grouped = len(calls)
+        monkeypatch.setattr(scan, "_class_keys", _unchanged)
+        reference = scan_range(cfg, 0, hi)
         monkeypatch.undo()
-        assert len(calls) == sum(len(np.unique(k, axis=0)) for k in keys) > 0
-        for g in calls:
-            assert max(g.degrees()) < n - 1 and not brute_double_star(g)
+        assert reference == out
+        assert len(calls) - grouped == out.extremal + out.fallback_searches > grouped
+        over = set(out.over_masks)
+        bounds = [first for *_, first in groups[1:]] + [grouped]
+        for (rows, keys, first), last in zip(groups, bounds):
+            left = set()
+            for row, key in zip(rows.tolist(), keys.tolist()):
+                g = Graph._from_rows_unchecked(n, tuple(key))
+                if (mask_of_graph(Graph._from_rows_unchecked(n, tuple(row))) in over
+                        and max(g.degrees()) < n - 1 and not brute_double_star(g)):
+                    left.add(g.rows)
+            assert sorted(g.rows for g in calls[first:last]) == sorted(left)
+        assert grouped > 0
         is_extremal = getattr(graphs, name)
         want = sum(is_extremal(graph_from_mask(n, mk)) for mk in out.over_masks)
         assert out.extremal == want
         assert len(out.over_masks) == out.over > want
+
+
+def test_scan_decides_each_key_once_per_group(monkeypatch):
+    # verify_theorem1(7) hands over_threshold key rows only: the rows of
+    # each call are pairwise distinct, and all calls together hold as many
+    # rows as the groups hold distinct keys, 3,719 for the 387,388
+    # prescreen survivors.
+    from histspec import scan
+
+    decided, distinct = [], []
+    real_over, real_keys = scan.over_threshold, scan._class_keys
+
+    def over(theta, rows, refine=True):
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        decided.append(len(rows))
+        return real_over(theta, rows, refine)
+
+    def keyed(rows):
+        keys = real_keys(rows)
+        distinct.append(len(np.unique(keys, axis=0)))
+        return keys
+
+    monkeypatch.setattr(scan, "over_threshold", over)
+    monkeypatch.setattr(scan, "_class_keys", keyed)
+    rep = verify_theorem1(7)
+    assert rep.prescreen_survivors == 387_388
+    assert sum(decided) == sum(distinct) == 3_719
 
 
 def test_corollaries_range():

@@ -8,15 +8,17 @@ seed-1 file of the `n9_corpus` benchmark workload (2,000 records, written
 by `perfbench/workloads.py`) through both corpus drivers.  Each stage is a
 module function (and `numpy.linalg.eigvalsh`), wrapped with
 `time.perf_counter` at the name its callers resolve, so a stage's time
-includes the stages it calls: `over_threshold` holds `_sandwich` and
-`eigvalsh`, and `_classify` holds, in its order, `_double_star_feasible`,
-`_class_keys` (the key that groups the graphs the star and double-star
-tests leave by isomorphism class), the recognizer `is_family_L` or
-`is_family_B`, once per key, proof replay, once per key that is not
-extremal, and the search, once per key that replay leaves open;
-`_connected_filter` runs before `_classify`, on the
-over-threshold rows, and holds `_reach_vec`, the bitset BFS, whose call
-count is the number of BFS runs.  `Graph.is_2_connected` and
+includes the stages it calls.  In both labeled passes `_class_keys` runs
+first on every prescreen survivor, in groups of `scan.GROUP_ROWS` rows,
+before `over_threshold`: the key that groups the rows by isomorphism
+class, so that every later stage sees each distinct key of a group once.
+`over_threshold` holds `_sandwich` and `eigvalsh`; `_connected_filter`
+runs next, on the over-threshold keys, and holds `_reach_vec`, the bitset
+BFS, whose call count is the number of BFS runs; `_classify` holds, in
+its order, `_double_star_feasible`, the recognizer `is_family_L` or
+`is_family_B`, once per key the star and double-star tests leave, proof
+replay, once per such key that is not extremal, and the search, once per
+key that replay leaves open.  `Graph.is_2_connected` and
 `Graph.cut_vertices` are wrapped the same way as class attributes, so the
 n=8 pass shows what the proof replay's 2-connectivity re-check costs.
 The corpus pass wraps the per-record decode, `hong_bound`, proof replay
@@ -63,8 +65,8 @@ import workloads  # noqa: E402
 from histspec import graph6, hist, scan, verification  # noqa: E402
 from histspec.graphs import Graph  # noqa: E402
 
-STAGES = ("_prescreen", "_rows_of_masks", "over_threshold", "_sandwich", "_connected_filter",
-          "_reach_vec", "_classify", "_double_star_feasible", "_class_keys", "is_family_L",
+STAGES = ("_prescreen", "_rows_of_masks", "_class_keys", "over_threshold", "_sandwich",
+          "_connected_filter", "_reach_vec", "_classify", "_double_star_feasible", "is_family_L",
           "is_family_B", "proof_guided_hist", "find_hist", "_graph_of_row")
 CORPUS_STAGES = ((graph6, "decode_graph6"), (verification, "hong_bound"),
                  (hist, "proof_guided_hist"), (hist, "is_valid_hist"),
