@@ -407,10 +407,13 @@ def proof_guided_hist(g: Graph, theorem: str) -> ProofTrace:
     if delta < n - spec.degree_gap:
         return ProofTrace(f"{theorem}/max-degree<n-{spec.degree_gap}/outside:below-range")
     hub = degs.index(delta)
+    outsiders = tuple(_bits(((1 << n) - 1) ^ g.rows[hub] ^ (1 << hub)))
+    if len(outsiders) != n - 1 - delta:  # the hub's row holds its own bit, a loop
+        raise ValueError(f"{theorem} replay needs a simple graph: vertex {hub} has "
+                         f"degree {delta} but misses {len(outsiders)} vertices")
 
     if delta == n - 1:
         return _emit(g, hub, f"{theorem}/max-degree=n-1/star", {"hub": hub}, [])
-    outsiders = _bits(((1 << n) - 1) ^ g.rows[hub] ^ (1 << hub))
     if theorem == "one_connected":
         return _guided_one_connected(g, hub, *outsiders)
     if delta == n - 2:

@@ -20,9 +20,12 @@ without any theorem; the scan pipeline per mask block is:
      one graph under two labelings, hence isomorphic, and rho,
      connectivity, 2-connectivity, being the extremal graph and having a
      HIST are isomorphism invariants, so steps 3-5 run once per distinct
-     key, on the key rows, and every copy of a key takes its verdict:
-     the counts add each key's copy count, and the over-threshold masks
-     and counterexamples list every copy, in row order;
+     key per `scan_range` call, on the key rows: a verdict table of the
+     call (`_Verdicts`) keeps each decided key's code, later groups and
+     blocks look their keys up there, and every copy of a key takes its
+     verdict: the counts add each key's copy count, and the
+     over-threshold masks and counterexamples list every copy, in row
+     order;
   3. the spectral decision `over_threshold`, which the graph6 corpus
      path shares: certain classifications that skip the eigensolver
      (Rayleigh quotients of the all-ones and degree vectors are lower
@@ -48,8 +51,9 @@ without any theorem; the scan pipeline per mask block is:
      (`_classify`), in the order the graph6 corpus path shares: the star
      and spanning-double-star HIST tests (vectorized) first, then, per
      key they leave, extremal family match, the proof-guided
-     constructor and full backtracking.  The extremal graph has no HIST,
-     so the first tests settle none of its keys.
+     constructor (at orders from the theorem's floor up) and full
+     backtracking.  The extremal graph has no HIST, so the first tests
+     settle none of its keys.
 
 Everything is deterministic; threshold tests use rho >= theta - GUARD so
 the scan can only over-check.
@@ -73,6 +77,10 @@ EIG_BATCH = 1 << 12  # rows per slice of over_threshold
 GROUP_ROWS = 1 << 16  # rows per class-key group of _scan_block
 CW_ITERS = 5  # Collatz-Wielandt steps before the eigensolve
 HASH_MULT = 2654435761  # Knuth multiplicative hash, for unbiased subsampling
+# Verdict codes of a class key: under the threshold or without the
+# theorem's connectivity, a HIST by the vectorized tests, a HIST by replay
+# or the search, the extremal graph, a counterexample.
+UNDER, HIST, SEARCHED, EXTREMAL, BAD = range(5)
 # _SUBSETS[i, s] is bit i of s: x[:, 4g:4g+4] @ _SUBSETS sums x over each subset s
 _SUBSETS = ((np.arange(16) >> np.arange(4)[:, None]) & 1).astype(np.float64)
 
@@ -155,6 +163,7 @@ def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
     if not 0 <= lo <= hi <= 1 << c.nbits:
         raise ValueError(f"mask range [{lo}, {hi}) is outside 0..2^{c.nbits} for n={cfg.n}")
     out = ShardOut()
+    verdicts = _Verdicts()
     block = 1 << BLOCK_BITS
     for start in range(lo, hi, block):
         stop = min(start + block, hi)
@@ -164,15 +173,28 @@ def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
             masks = masks[hashed < np.uint32(2**32 // cfg.subsample)]
         out.scanned += stop - start
         if len(masks):
-            _scan_block(cfg, c, masks, out)
+            _scan_block(cfg, c, masks, out, verdicts)
     return out
 
 
-def _scan_block(cfg: ScanConfig, c: _Codec, masks: np.ndarray, out: ShardOut):
+class _Verdicts:
+    """The class keys one `scan_range` call has decided, as sorted uint64
+    words (a uint8 key row padded to 8 bytes), and the verdict code of
+    each.  A verdict depends on the call's config as well as the key, so
+    the table lives for one call: `scan_range` makes it and drops it."""
+
+    def __init__(self):
+        self.words = np.zeros(0, dtype=np.uint64)
+        self.codes = np.zeros(0, dtype=np.uint8)
+
+
+def _scan_block(cfg: ScanConfig, c: _Codec, masks: np.ndarray, out: ShardOut,
+                verdicts: _Verdicts):
     """Steps 1-5 of the pipeline on one block of masks.  Steps 2-5 take
-    the survivors GROUP_ROWS at a time; each distinct key of a group (a
-    uint8 key row of `_class_keys`, padded to 8 bytes and read as one
-    uint64) is decided once, and its verdict goes to every copy."""
+    the survivors GROUP_ROWS at a time; each distinct key of a group is
+    looked up in `verdicts`, only the keys it lacks are decided, and their
+    codes go into it, so each key is decided once per call and its
+    verdict goes to every copy."""
     if cfg.prescreens:
         masks = masks[_prescreen(cfg, c, masks)]
     out.survivors += len(masks)
@@ -182,19 +204,39 @@ def _scan_block(cfg: ScanConfig, c: _Codec, masks: np.ndarray, out: ShardOut):
         rows = _rows_of_masks(c, group)
         padded = np.zeros((len(rows), 8), dtype=np.uint8)
         padded[:, :n] = _class_keys(rows)
-        keys, inv, copies = np.unique(padded.view(np.uint64).ravel(),
-                                      return_inverse=True, return_counts=True)
-        keys = np.ascontiguousarray(keys.view(np.uint8).reshape(-1, 8)[:, :n])
-        over = over_threshold(cfg.theta, keys, cfg.prescreens)
-        over[over] = _connected_filter(keys[over], cfg.spec.two_connected)
-        if not over.any():
-            continue
+        words, inv, copies = np.unique(padded.view(np.uint64).ravel(),
+                                       return_inverse=True, return_counts=True)
+        at = np.searchsorted(verdicts.words, words)
+        known = at < len(verdicts.words)
+        known[known] = verdicts.words[at[known]] == words[known]
+        code = np.zeros(len(words), dtype=np.uint8)
+        code[known] = verdicts.codes[at[known]]
+        new = np.flatnonzero(~known)
+        if len(new):
+            keys = np.ascontiguousarray(words[new].view(np.uint8).reshape(-1, 8)[:, :n])
+            code[new] = _decide(cfg, keys)
+            verdicts.words = np.insert(verdicts.words, at[new], words[new])
+            verdicts.codes = np.insert(verdicts.codes, at[new], code[new])
+        tally = np.bincount(code, weights=copies, minlength=BAD + 1).astype(np.int64)
+        out.over += int(tally[HIST:].sum())
+        out.hists += int(tally[HIST] + tally[SEARCHED])
+        out.extremal += int(tally[EXTREMAL])
+        out.fallback_searches += int(tally[SEARCHED] + tally[BAD])
         if cfg.collect_over:
-            out.over_masks.extend(group[over[inv]].tolist())
-        bad = np.zeros_like(over)
-        bad[over] = _classify(cfg.spec, keys[over], copies[over], out)
-        out.counterexamples.extend(encode_graph6(_graph_of_row(n, row))
-                                   for row in rows[bad[inv]])
+            out.over_masks.extend(group[code[inv] != UNDER].tolist())
+        if tally[BAD]:
+            out.counterexamples.extend(encode_graph6(_graph_of_row(n, row))
+                                       for row in rows[code[inv] == BAD])
+
+
+def _decide(cfg: ScanConfig, keys: np.ndarray) -> np.ndarray:
+    """Steps 3-5 on distinct key rows: the verdict code of each."""
+    code = np.full(len(keys), UNDER, dtype=np.uint8)
+    over = over_threshold(cfg.theta, keys, cfg.prescreens)
+    over[over] = _connected_filter(keys[over], cfg.spec.two_connected)
+    if over.any():
+        code[over] = _classify(cfg.spec, keys[over])
+    return code
 
 
 def _prescreen(cfg: ScanConfig, c: _Codec, masks: np.ndarray) -> np.ndarray:
@@ -546,13 +588,10 @@ def _class_keys(rows: np.ndarray) -> np.ndarray:
     return keys.T
 
 
-def _classify(spec: TheoremSpec, rows: np.ndarray, copies: np.ndarray,
-              out: ShardOut) -> np.ndarray:
-    """Classify over-threshold graphs of the theorem's connectivity, given
-    as adjacency bit rows of one order n in any integer word, each
-    standing for `copies` labeled graphs, into extremal matches, HISTs and
-    counterexamples.  `out` counts every copy; the result marks the rows
-    that are counterexamples, whose copies the caller lists.
+def _classify(spec: TheoremSpec, rows: np.ndarray) -> np.ndarray:
+    """The verdict codes (HIST, SEARCHED, EXTREMAL or BAD) of
+    over-threshold graphs of the theorem's connectivity, given as
+    adjacency bit rows of one order n in any integer word.
 
     The vectorized HIST tests run first, on every row: a vertex of degree
     n - 1 gives a spanning star, and `_double_star_feasible` a spanning
@@ -561,28 +600,25 @@ def _classify(spec: TheoremSpec, rows: np.ndarray, copies: np.ndarray,
     proof replay, complete search: the recognizer decides isomorphism to
     the extremal graph, replay returns only trees that pass
     `is_valid_hist` and the search is complete, so each verdict holds for
-    every copy.  `fallback_searches` counts the copies that are not
-    extremal."""
+    every copy.  Replay covers only the theorem's orders; below its order
+    floor the search alone decides, which is sound since it is complete."""
     n = rows.shape[1]
-    out.over += int(copies.sum())
+    code = np.full(len(rows), HIST, dtype=np.uint8)
     left = np.flatnonzero(_row_max(np.bitwise_count(rows)) < n - 1)
     left = left[~_double_star_feasible(rows[left])]
-    out.hists += int(copies.sum() - copies[left].sum())
     # Looked up per call, not stored in the spec, so that rebinding the
     # module attribute takes effect.
     is_extremal = is_family_L if spec.family == "L" else is_family_B
-    bad = np.zeros(len(rows), dtype=bool)
+    replay = n >= spec.order_floor
     for idx in left:
-        g, count = _graph_of_row(n, rows[idx]), int(copies[idx])
+        g = _graph_of_row(n, rows[idx])
         if is_extremal(g):
-            out.extremal += count
-            continue
-        out.fallback_searches += count
-        if proof_guided_hist(g, spec.replay).found_tree or find_hist(g).found:
-            out.hists += count
+            code[idx] = EXTREMAL
+        elif (replay and proof_guided_hist(g, spec.replay).found_tree) or find_hist(g).found:
+            code[idx] = SEARCHED
         else:
-            bad[idx] = True
-    return bad
+            code[idx] = BAD
+    return code
 
 
 def _graph_of_row(n, row) -> Graph:

@@ -447,6 +447,19 @@ def test_proof_guided_preconditions():
         proof_guided_hist(complete(7), "nope")
 
 
+def test_proof_guided_rejects_a_loop_at_the_hub():
+    # Graph._from_rows_unchecked skips validation, so replay is the one to
+    # see that the hub's row holds its own bit: a clear ValueError, not a
+    # TypeError from a case that takes a fixed number of outsiders.
+    for g, theorem in ((family_B(8), "two_connected"), (family_L(8), "one_connected")):
+        rows = list(g.rows)
+        hub = g.degrees().index(max(g.degrees()))
+        rows[hub] |= 1 << hub
+        looped = Graph._from_rows_unchecked(g.n, tuple(rows))
+        with pytest.raises(ValueError, match="simple graph"):
+            proof_guided_hist(looped, theorem)
+
+
 def test_proof_guided_consistency_random_dense():
     # Wherever the replay emits a tree, the exact search agrees a HIST
     # exists; wherever it recognizes a family, the matcher agrees.

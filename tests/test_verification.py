@@ -32,6 +32,7 @@ from helpers import (
     brute_cut_vertices,
     brute_double_star,
     connected_labeled_count,
+    eigvalsh_rho,
     hub_test_cases,
     random_connected,
 )
@@ -148,6 +149,40 @@ def test_scan_below_threshold_reports_real_counterexamples():
         g = decode_graph6(text)
         assert not oracle_hist(g).found
         assert not is_family_L(g)
+
+
+@pytest.mark.parametrize("mode, counts", [("thm1", (9_573, 120, 0)),
+                                           ("thm2", (10_948, 360, 195))])
+def test_scan_below_the_replay_order_floor_matches_per_graph_reference(mode, counts):
+    # n = 6 is under both theorems' order floors (7 and 8), where proof
+    # replay is undefined, so the scan decides the graphs the star and
+    # double-star tests leave by the complete search alone.  At theta =
+    # rho of the extremal graph it reports what a per-graph reference
+    # reports: connectivity by BFS and cut vertices by removal, rho by
+    # eigvalsh, the recognizer, then find_hist.  thm1's conclusion holds
+    # at n = 6; thm2's fails there.
+    from histspec.graphs import is_family_B, make_family
+    from histspec.spectral import GUARD, theorem_spec
+
+    n, spec = 6, theorem_spec(mode)
+    theta = eigvalsh_rho(make_family(spec.family, n))
+    is_extremal = is_family_L if spec.family == "L" else is_family_B
+    over, extremal, bad = [], 0, []
+    for mask in range(1 << (n * (n - 1) // 2)):
+        g = graph_from_mask(n, mask)
+        if (not bfs_connected(g) or spec.two_connected and brute_cut_vertices(g)
+                or eigvalsh_rho(g) < theta - GUARD):
+            continue
+        over.append(mask)
+        if is_extremal(g):
+            extremal += 1
+        elif not find_hist(g).found:
+            bad.append(encode_graph6(g))
+    out = scan_range(ScanConfig(n=n, theta=theta, mode=mode, collect_over=True),
+                     0, 1 << (n * (n - 1) // 2))
+    assert (out.over, out.extremal, len(out.counterexamples)) == counts
+    assert (out.over_masks, out.extremal, out.counterexamples) == (over, extremal, bad)
+    assert out.hists == out.over - out.extremal - len(bad)
 
 
 def test_family_members_survive_prescreens_and_match():
@@ -389,7 +424,8 @@ def test_corpus_and_scan_share_one_spectral_decision(tmp_path, monkeypatch):
     # degree floors follow theta, and replay hands the graphs below its
     # range to the search.
     from histspec import scan, verification
-    from histspec.scan import ShardOut, _classify, _codec, _rows_of_masks
+    from histspec.scan import (BAD, EXTREMAL, HIST, SEARCHED, UNDER, _classify, _codec,
+                               _rows_of_masks)
     from histspec.spectral import THM1
 
     n, lo, hi = 7, 29 << 16, 30 << 16
@@ -423,12 +459,14 @@ def test_corpus_and_scan_share_one_spectral_decision(tmp_path, monkeypatch):
         # the engine's classification decides alike on the corpus's int64
         # rows, each row one copy
         rows = _rows_of_masks(_codec(n), np.array(shard.over_masks, dtype=np.uint32))
-        again = ShardOut()
-        bad = _classify(THM1, rows.astype("<i8"), np.ones(len(rows), dtype=np.int64), again)
+        code = _classify(THM1, rows.astype("<i8"))
+        tally = np.bincount(code, minlength=BAD + 1)
         listed = [encode_graph6(Graph._from_rows_unchecked(n, tuple(row)))
-                  for row in rows[bad].tolist()]
-        assert (again.over, again.extremal, again.hists, listed) == (
-            shard.over, shard.extremal, shard.hists, shard.counterexamples)
+                  for row in rows[code == BAD].tolist()]
+        assert tally[UNDER] == 0
+        assert (tally[EXTREMAL], tally[HIST] + tally[SEARCHED], listed) == (
+            shard.extremal, shard.hists, shard.counterexamples)
+        assert tally[SEARCHED] + tally[BAD] == shard.fallback_searches
 
 
 def test_double_star_shortcut_is_sound():
@@ -555,15 +593,41 @@ def test_grouped_fallback_lists_every_copy_of_a_no_hist_class(monkeypatch):
     assert grouped == reference
 
 
-def test_grouping_keeps_no_state_between_blocks(monkeypatch):
-    # Blocks of 2^16 masks, eight calls of _classify per shard, give the
-    # shard's ShardOut unchanged.
+def test_verdict_table_keeps_no_state_between_calls(monkeypatch):
+    # The verdict table lives for one scan_range call and spans its
+    # blocks and groups.  Shard 301 scanned alone, after shard 136 in the
+    # same process, and with blocks of 2^16 masks (eight calls of
+    # _scan_block) and groups of 2^12 rows gives one ShardOut and hands
+    # over_threshold the same key rows, each once; so does a scan of it
+    # under a lower threshold right after the first, which would inherit
+    # verdicts of the true threshold from a table that outlived its call.
     from histspec import scan
 
+    real_over = scan.over_threshold
+    decided = []
+
+    def over(theta, rows, refine=True):
+        decided.extend(map(tuple, rows.tolist()))
+        return real_over(theta, rows, refine)
+
+    def run(cfg, s):
+        del decided[:]
+        out = _shard(cfg, s)
+        assert len(set(decided)) == len(decided) > 0
+        return out, sorted(decided)
+
+    monkeypatch.setattr(scan, "over_threshold", over)
     cfg = ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2", collect_over=True)
-    whole = _shard(cfg, 301)
+    low = ScanConfig(n=8, theta=3.9, mode="thm2", collect_over=True)
+    alone = run(cfg, 301)
+    lowered = run(low, 301)
+    assert lowered[0].over > alone[0].over
+    run(cfg, 136)
+    assert run(cfg, 301) == alone
+    assert run(low, 301) == lowered
     monkeypatch.setattr(scan, "BLOCK_BITS", 16)
-    assert _shard(cfg, 301) == whole
+    monkeypatch.setattr(scan, "GROUP_ROWS", 1 << 12)
+    assert run(cfg, 301) == alone
 
 
 @pytest.mark.parametrize("dtype, orders", [(np.uint8, range(1, 9)), (np.int64, range(1, 21))])
@@ -812,13 +876,14 @@ def test_prescreen_table_matches_elementwise_hong():
 
 
 def test_extremal_check_runs_once_per_fallback_key(monkeypatch):
-    # Per group of rows, the recognizer runs exactly once on each distinct
-    # key that is over the threshold and left by the star and double-star
-    # tests, on the key row itself, and never on a graph those tests
-    # settle; every labeled copy of the extremal graph still counts:
-    # out.extremal equals the recognizer's count over all over-threshold
-    # graphs, and the ungrouped reference gives the same ShardOut with one
-    # recognizer call per over-threshold graph the tests leave.
+    # Per scan_range call, the recognizer runs exactly once on each
+    # distinct key that is over the threshold and left by the star and
+    # double-star tests, on the key row itself, and never on a graph those
+    # tests settle, whichever group the key first appears in; every
+    # labeled copy of the extremal graph still counts: out.extremal equals
+    # the recognizer's count over all over-threshold graphs, and the
+    # ungrouped reference gives the same ShardOut with one recognizer call
+    # per over-threshold graph the tests leave.
     from histspec import graphs, scan
 
     for n, mode, name in ((7, "thm1", "is_family_L"), (8, "thm2", "is_family_B")):
@@ -828,7 +893,7 @@ def test_extremal_check_runs_once_per_fallback_key(monkeypatch):
 
         def keyed(rows):
             keys = real_keys(rows)
-            groups.append((rows, keys, len(calls)))
+            groups.append((rows, keys))
             return keys
 
         monkeypatch.setattr(scan, "_class_keys", keyed)
@@ -843,16 +908,16 @@ def test_extremal_check_runs_once_per_fallback_key(monkeypatch):
         monkeypatch.undo()
         assert reference == out
         assert len(calls) - grouped == out.extremal + out.fallback_searches > grouped
+        assert len(groups) > 1  # the keys of later groups are looked up
         over = set(out.over_masks)
-        bounds = [first for *_, first in groups[1:]] + [grouped]
-        for (rows, keys, first), last in zip(groups, bounds):
-            left = set()
+        left = set()
+        for rows, keys in groups:
             for row, key in zip(rows.tolist(), keys.tolist()):
                 g = Graph._from_rows_unchecked(n, tuple(key))
                 if (mask_of_graph(Graph._from_rows_unchecked(n, tuple(row))) in over
                         and max(g.degrees()) < n - 1 and not brute_double_star(g)):
                     left.add(g.rows)
-            assert sorted(g.rows for g in calls[first:last]) == sorted(left)
+        assert sorted(g.rows for g in calls[:grouped]) == sorted(left)
         assert grouped > 0
         is_extremal = getattr(graphs, name)
         want = sum(is_extremal(graph_from_mask(n, mk)) for mk in out.over_masks)
@@ -860,31 +925,40 @@ def test_extremal_check_runs_once_per_fallback_key(monkeypatch):
         assert len(out.over_masks) == out.over > want
 
 
-def test_scan_decides_each_key_once_per_group(monkeypatch):
-    # verify_theorem1(7) hands over_threshold key rows only: the rows of
-    # each call are pairwise distinct, and all calls together hold as many
-    # rows as the groups hold distinct keys, 3,719 for the 387,388
-    # prescreen survivors.
+def test_scan_decides_each_key_once_per_call(monkeypatch):
+    # verify_theorem1(7) hands over_threshold key rows only, and each key
+    # once per scan_range call: the rows of all calls within one
+    # scan_range call are pairwise distinct, and together they hold as
+    # many rows as that call's groups hold distinct keys, 1,949 over the
+    # four shards for the 387,388 prescreen survivors.
     from histspec import scan
 
     decided, distinct = [], []
-    real_over, real_keys = scan.over_threshold, scan._class_keys
+    real_over, real_keys, real_range = scan.over_threshold, scan._class_keys, scan.scan_range
+
+    def ranged(*args):
+        decided.append([])
+        distinct.append(set())
+        return real_range(*args)
 
     def over(theta, rows, refine=True):
-        assert len(np.unique(rows, axis=0)) == len(rows)
-        decided.append(len(rows))
+        decided[-1].extend(map(tuple, rows.tolist()))
         return real_over(theta, rows, refine)
 
     def keyed(rows):
         keys = real_keys(rows)
-        distinct.append(len(np.unique(keys, axis=0)))
+        distinct[-1].update(map(tuple, keys.tolist()))
         return keys
 
+    monkeypatch.setattr(scan, "scan_range", ranged)
     monkeypatch.setattr(scan, "over_threshold", over)
     monkeypatch.setattr(scan, "_class_keys", keyed)
     rep = verify_theorem1(7)
     assert rep.prescreen_survivors == 387_388
-    assert sum(decided) == sum(distinct) == 3_719
+    assert len(decided) == 4
+    for rows, keys in zip(decided, distinct):
+        assert len(set(rows)) == len(rows) == len(keys)
+    assert sum(map(len, decided)) == 1_949
 
 
 def test_corollaries_range():

@@ -1,0 +1,157 @@
+"""A mutation matrix for the shortcuts of the verdict path.
+
+Each mutant is one textual edit to one file of `src/histspec/` and the
+fast test selection expected to catch it.  For each mutant the tool copies
+`src/`, `tests/` and `pyproject.toml` of this checkout to a fresh
+temporary directory, applies the edit there (the checkout is never
+written), runs the selection with pytest and prints one line of the kill
+matrix.  A mutant is killed when its selection fails (pytest exit 1, or 2
+for a collection error), and survives when the selection passes.  Before
+the mutants, the union of the selections runs once on an unmutated copy,
+so a kill is never a test that fails anyway.
+
+Exit status: 0 when every mutant is killed, 1 when one survives, 2 when
+the unmutated selections fail, an edit's text is not found exactly once,
+or pytest cannot run a selection (no such test).
+
+A PR that adds a shortcut to the verdict path adds its mutant here.
+
+    python3 tools/mutants.py [--list] [NAME ...]
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+VERIFICATION = "tests/test_verification.py::"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str       # relative to src/histspec
+    old: str        # must occur exactly once in the file
+    new: str
+    tests: tuple    # pytest node ids, relative to the checkout
+
+
+MUTANTS = (
+    Mutant("sandwich-under-margin", "scan.py",
+           "under = theta - GUARD - 1e-12", "under = theta + 1e-3",
+           (VERIFICATION + "test_corpus_batch_matches_power_iteration_near_threshold",)),
+    Mutant("degree-floor-strict", "scan.py",
+           "(dmax >= degree_floor(cfg.theta))", "(dmax > degree_floor(cfg.theta))",
+           (VERIFICATION + "test_prescreen_matches_per_graph_reference",)),
+    Mutant("hong-table-strict", "scan.py",
+           "hong_value(d[ok], n, m[ok]) >= cfg.theta - GUARD",
+           "hong_value(d[ok], n, m[ok]) > cfg.theta - GUARD",
+           (VERIFICATION + "test_prescreen_table_matches_elementwise_hong",)),
+    Mutant("bfs-step-bound", "scan.py",
+           "    for _ in range(len(cols)):\n        acc = np.zeros_like(reach)",
+           "    for _ in range(len(cols) - 2):\n        acc = np.zeros_like(reach)",
+           (VERIFICATION + "test_connected_filter_matches_bfs_and_cut_vertices",)),
+    Mutant("class-keys-rows-not-bits", "scan.py",
+           "keys[i] |= q * (rank[v] == i)", "keys[i] |= cols[v] * (rank[v] == i)",
+           (VERIFICATION + "test_class_keys_are_relabelings",)),
+    Mutant("verdicts-outlive-call", "scan.py",
+           "verdicts = _Verdicts()", 'verdicts = globals().setdefault("_kept", _Verdicts())',
+           (VERIFICATION + "test_verdict_table_keeps_no_state_between_calls",)),
+    Mutant("verdict-codes-one-slot-off", "scan.py",
+           "code[known] = verdicts.codes[at[known]]",
+           "code[known] = verdicts.codes[at[known] - 1]",
+           (VERIFICATION + "test_verdict_table_keeps_no_state_between_calls",)),
+    Mutant("replay-below-order-floor", "scan.py",
+           "replay = n >= spec.order_floor", "replay = True",
+           (VERIFICATION + "test_scan_below_the_replay_order_floor_matches_per_graph_reference",)),
+    Mutant("replay-loop-unchecked", "hist.py",
+           "if len(outsiders) != n - 1 - delta:", "if False:",
+           ("tests/test_hist.py::test_proof_guided_rejects_a_loop_at_the_hub",)),
+    Mutant("hist-check-skips-adjacency", "hist.py",
+           "0 <= v < n and rows[u] >> v & 1)", "0 <= v < n)",
+           ("tests/test_hist.py::test_is_valid_hist_rejects",)),
+)
+
+
+def _copy(dest: str) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, part), os.path.join(dest, part), ignore=skip)
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+
+
+def _pytest(tree: str, tests) -> int:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def _apply(tree: str, m: Mutant) -> None:
+    path = os.path.join(tree, "src", "histspec", m.path)
+    with open(path) as fh:
+        text = fh.read()
+    if text.count(m.old) != 1:
+        raise SystemExit(f"{m.name}: {m.old!r} occurs {text.count(m.old)} times in {m.path}")
+    with open(path, "w") as fh:
+        fh.write(text.replace(m.old, m.new))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    ap.add_argument("--list", action="store_true", help="list the mutants and exit")
+    args = ap.parse_args(argv)
+    known = {m.name: m for m in MUTANTS}
+    if args.list:
+        for m in MUTANTS:
+            print(f"{m.name:<28} {m.path:<10} {' '.join(m.tests)}")
+        return 0
+    unknown = [name for name in args.names if name not in known]
+    if unknown:
+        ap.error(f"unknown mutant(s): {', '.join(unknown)}")
+    chosen = [known[name] for name in args.names] or list(MUTANTS)
+    with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
+        base = os.path.join(scratch, "base")
+        _copy(base)
+        for m in chosen:  # every edit applies before anything runs
+            _apply(base, m)
+        shutil.rmtree(base)
+        _copy(base)
+        selection = sorted({t for m in chosen for t in m.tests})
+        rc = _pytest(base, selection)
+        if rc != 0:
+            print(f"unmutated selections fail or name no test (pytest exit {rc})",
+                  file=sys.stderr)
+            return 2
+        survived, errors = [], []
+        for i, m in enumerate(chosen):
+            tree = os.path.join(scratch, f"m{i}")
+            _copy(tree)
+            _apply(tree, m)
+            t0 = time.perf_counter()
+            rc = _pytest(tree, m.tests)
+            verdict = {0: "SURVIVED", 1: "killed", 2: "killed"}.get(rc, f"error (exit {rc})")
+            if rc == 0:
+                survived.append(m.name)
+            elif rc not in (1, 2):
+                errors.append(m.name)
+            print(f"{m.name:<28} {verdict:<10} {time.perf_counter() - t0:6.1f} s  "
+                  f"{' '.join(t.split('::')[-1] for t in m.tests)}", flush=True)
+            shutil.rmtree(tree)
+    print(f"{len(chosen) - len(survived) - len(errors)} of {len(chosen)} mutants killed")
+    if errors:
+        return 2
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,16 +9,18 @@ by `perfbench/workloads.py`) through both corpus drivers.  Each stage is a
 module function (and `numpy.linalg.eigvalsh`), wrapped with
 `time.perf_counter` at the name its callers resolve, so a stage's time
 includes the stages it calls.  In both labeled passes `_class_keys` runs
-first on every prescreen survivor, in groups of `scan.GROUP_ROWS` rows,
-before `over_threshold`: the key that groups the rows by isomorphism
-class, so that every later stage sees each distinct key of a group once.
-`over_threshold` holds `_sandwich` and `eigvalsh`; `_connected_filter`
-runs next, on the over-threshold keys, and holds `_reach_vec`, the bitset
-BFS, whose call count is the number of BFS runs; `_classify` holds, in
-its order, `_double_star_feasible`, the recognizer `is_family_L` or
-`is_family_B`, once per key the star and double-star tests leave, proof
-replay, once per such key that is not extremal, and the search, once per
-key that replay leaves open.  `Graph.is_2_connected` and
+first on every prescreen survivor, in groups of `scan.GROUP_ROWS` rows:
+the key that groups the rows by isomorphism class.  `_decide` then runs
+on the keys of each group that the `scan_range` call has not decided yet,
+so every later stage sees each distinct key once per call, and its rows
+are the keys decided per pass.  It holds `over_threshold` (with
+`_sandwich` and `eigvalsh`), then `_connected_filter` on the
+over-threshold keys, with `_reach_vec`, the bitset BFS, whose call count
+is the number of BFS runs, then `_classify`, which holds, in its order,
+`_double_star_feasible`, the recognizer `is_family_L` or `is_family_B`,
+once per key the star and double-star tests leave, proof replay, once
+per such key that is not extremal, and the search, once per key that
+replay leaves open.  `Graph.is_2_connected` and
 `Graph.cut_vertices` are wrapped the same way as class attributes, so the
 n=8 pass shows what the proof replay's 2-connectivity re-check costs.
 The corpus pass wraps the per-record decode, `hong_bound`, proof replay
@@ -34,8 +36,10 @@ times over `REF_NOMINAL_S`, and each of the pass's stage and pass seconds
 is divided by it, as `perfbench/run.py` does with unit times: on a shared
 machine identical passes swing between speeds up to 1.6x apart.  Every
 figure is the minimum of these corrected seconds over the passes, and the
-factors are written out beside them; call counts do not depend on the
-pass.
+factors are written out beside them.  Besides its calls, each stage counts
+its rows: the length of its first numpy-array argument, or one per call
+for a stage that takes none (a `Graph`, a path) or takes one graph's row
+(`ONE_ROW`).  Calls and rows do not depend on the pass.
 
 Stage names missing from the checkout are skipped, so the tool runs on
 older trees too, and named on stderr, so a renamed stage does not drop
@@ -65,9 +69,10 @@ import workloads  # noqa: E402
 from histspec import graph6, hist, scan, verification  # noqa: E402
 from histspec.graphs import Graph  # noqa: E402
 
-STAGES = ("_prescreen", "_rows_of_masks", "_class_keys", "over_threshold", "_sandwich",
-          "_connected_filter", "_reach_vec", "_classify", "_double_star_feasible", "is_family_L",
-          "is_family_B", "proof_guided_hist", "find_hist", "_graph_of_row")
+STAGES = ("_prescreen", "_rows_of_masks", "_class_keys", "_decide", "over_threshold",
+          "_sandwich", "_connected_filter", "_reach_vec", "_classify", "_double_star_feasible",
+          "is_family_L", "is_family_B", "proof_guided_hist", "find_hist", "_graph_of_row")
+ONE_ROW = ("_graph_of_row",)
 CORPUS_STAGES = ((graph6, "decode_graph6"), (verification, "hong_bound"),
                  (hist, "proof_guided_hist"), (hist, "is_valid_hist"),
                  (verification, "is_family_L"), (verification, "is_family_B"),
@@ -77,7 +82,7 @@ CORPUS_SEED = 1
 SHARD_BITS = 19
 
 
-def _wrap(owner, name, seconds, calls):
+def _wrap(owner, name, seconds, calls, rows):
     real = getattr(owner, name)
 
     def timed(*args, **kwargs):
@@ -87,6 +92,8 @@ def _wrap(owner, name, seconds, calls):
         finally:
             seconds[name] += time.perf_counter() - t0
             calls[name] += 1
+            rows[name] += 1 if name in ONE_ROW else next(
+                (len(a) for a in args if isinstance(a, np.ndarray)), 1)
 
     setattr(owner, name, timed)
     return real
@@ -111,13 +118,15 @@ def _corpus_pass(path):
 
 def measure(run_pass, passes: int, sites) -> tuple[dict, list[float]]:
     """Per-stage minimum speed-corrected seconds over `passes` passes, call
-    counts, and the speed factor of each pass."""
-    best, calls, factors = {}, {}, []
+    and row counts, and the speed factor of each pass."""
+    best, calls, rows, factors = {}, {}, {}, []
     for _ in range(passes):
         seconds = {name: 0.0 for _, name in sites}
         counts = {name: 0 for _, name in sites}
+        sizes = {name: 0 for _, name in sites}
         ref_before = reference.chunk_seconds()
-        reals = [(owner, name, _wrap(owner, name, seconds, counts)) for owner, name in sites]
+        reals = [(owner, name, _wrap(owner, name, seconds, counts, sizes))
+                 for owner, name in sites]
         try:
             t0 = time.perf_counter()
             run_pass()
@@ -129,9 +138,10 @@ def measure(run_pass, passes: int, sites) -> tuple[dict, list[float]]:
         factors.append(round(factor, 4))
         for name, s in seconds.items():
             best[name] = min(best.get(name, float("inf")), s / factor)
-        calls = counts
+        calls, rows = counts, sizes
     stages = {name: {"s": round(best[name], 4), "calls": calls.get(name, 1),
-                     "share": round(best[name] / best["pass"], 3)} for name in best}
+                     "rows": rows.get(name, 1), "share": round(best[name] / best["pass"], 3)}
+              for name in best}
     return stages, factors
 
 
@@ -168,7 +178,8 @@ def main(argv=None) -> None:
         factors = ", ".join(f"{f:.2f}" for f in result["speed_factors"][workload])
         print(f"{workload} (speed factors {factors})")
         for name, row in result[workload].items():
-            print(f"  {name:<24} {row['s']:>8.3f} s {row['share']:>6.1%} {row['calls']:>8}")
+            print(f"  {name:<24} {row['s']:>8.3f} s {row['share']:>6.1%} {row['calls']:>8}"
+                  f" {row['rows']:>9}")
 
 
 if __name__ == "__main__":
