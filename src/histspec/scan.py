@@ -20,12 +20,13 @@ without any theorem; the scan pipeline per mask block is:
      one graph under two labelings, hence isomorphic, and rho,
      connectivity, 2-connectivity, being the extremal graph and having a
      HIST are isomorphism invariants, so steps 3-5 run once per distinct
-     key per `scan_range` call, on the key rows: a verdict table of the
-     call (`_Verdicts`) keeps each decided key's code, later groups and
-     blocks look their keys up there, and every copy of a key takes its
-     verdict: the counts add each key's copy count, and the
+     key per `scan_range` call, on the key rows, in one batch per block:
+     each group keeps only its distinct key words and their copy counts,
+     the block's words that the call's verdict table (`_Verdicts`) lacks
+     are decided together and added to it, and every copy of a key takes
+     its verdict: the counts add each key's copy count, and the
      over-threshold masks and counterexamples list every copy, in row
-     order;
+     order, selected by keying the group's rows again;
   3. the spectral decision `over_threshold`, which the graph6 corpus
      path shares: certain classifications that skip the eigensolver
      (Rayleigh quotients of the all-ones and degree vectors are lower
@@ -179,54 +180,87 @@ def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
 
 class _Verdicts:
     """The class keys one `scan_range` call has decided, as sorted uint64
-    words (a uint8 key row padded to 8 bytes), and the verdict code of
-    each.  A verdict depends on the call's config as well as the key, so
-    the table lives for one call: `scan_range` makes it and drops it."""
+    words (`_key_words`), and the verdict code of each.  A verdict depends
+    on the call's config as well as the key, so the table lives for one
+    call: `scan_range` makes it and drops it."""
 
     def __init__(self):
         self.words = np.zeros(0, dtype=np.uint64)
         self.codes = np.zeros(0, dtype=np.uint8)
 
+    def add(self, cfg: ScanConfig, words: np.ndarray):
+        """Decide the words of `words` (distinct and sorted) the table
+        lacks, in one `_decide` call on their key rows, and insert them
+        with their codes."""
+        new = words[~np.isin(words, self.words, assume_unique=True)]
+        if len(new):
+            keys = np.ascontiguousarray(new.view(np.uint8).reshape(-1, 8)[:, :cfg.n])
+            at = np.searchsorted(self.words, new)
+            self.codes = np.insert(self.codes, at, _decide(cfg, keys))
+            self.words = np.insert(self.words, at, new)
+
+    def codes_of(self, words: np.ndarray) -> np.ndarray:
+        """The codes of words the table holds."""
+        return self.codes[np.searchsorted(self.words, words)]
+
 
 def _scan_block(cfg: ScanConfig, c: _Codec, masks: np.ndarray, out: ShardOut,
                 verdicts: _Verdicts):
-    """Steps 1-5 of the pipeline on one block of masks.  Steps 2-5 take
-    the survivors GROUP_ROWS at a time; each distinct key of a group is
-    looked up in `verdicts`, only the keys it lacks are decided, and their
-    codes go into it, so each key is decided once per call and its
-    verdict goes to every copy."""
+    """Steps 1-5 of the pipeline on one block of masks, in three passes
+    over the survivors' groups of GROUP_ROWS: each group is keyed and
+    kept only as its distinct key words and their copy counts; the
+    block's words that `verdicts` lacks are decided in one call and added
+    to it; then each group is tallied from its words' codes.  So each key
+    is decided once per `scan_range` call and its verdict goes to every
+    copy.  A group that must list rows (the over-threshold masks under
+    collect_over, the copies of a counterexample) keys its rows again and
+    gives each row its word's code, so the lists keep row order."""
     if cfg.prescreens:
         masks = masks[_prescreen(cfg, c, masks)]
     out.survivors += len(masks)
-    n = c.n
-    for s in range(0, len(masks), GROUP_ROWS):
-        group = masks[s:s + GROUP_ROWS]
-        rows = _rows_of_masks(c, group)
-        padded = np.zeros((len(rows), 8), dtype=np.uint8)
-        padded[:, :n] = _class_keys(rows)
-        words, inv, copies = np.unique(padded.view(np.uint64).ravel(),
-                                       return_inverse=True, return_counts=True)
-        at = np.searchsorted(verdicts.words, words)
-        known = at < len(verdicts.words)
-        known[known] = verdicts.words[at[known]] == words[known]
-        code = np.zeros(len(words), dtype=np.uint8)
-        code[known] = verdicts.codes[at[known]]
-        new = np.flatnonzero(~known)
-        if len(new):
-            keys = np.ascontiguousarray(words[new].view(np.uint8).reshape(-1, 8)[:, :n])
-            code[new] = _decide(cfg, keys)
-            verdicts.words = np.insert(verdicts.words, at[new], words[new])
-            verdicts.codes = np.insert(verdicts.codes, at[new], code[new])
+    if not len(masks):
+        return
+    groups = [masks[s:s + GROUP_ROWS] for s in range(0, len(masks), GROUP_ROWS)]
+    distinct = [_distinct(_key_words(_rows_of_masks(c, group))) for group in groups]
+    verdicts.add(cfg, _distinct(np.concatenate([words for words, _ in distinct]))[0])
+    for group, (words, copies) in zip(groups, distinct):
+        code = verdicts.codes_of(words)
         tally = np.bincount(code, weights=copies, minlength=BAD + 1).astype(np.int64)
         out.over += int(tally[HIST:].sum())
         out.hists += int(tally[HIST] + tally[SEARCHED])
         out.extremal += int(tally[EXTREMAL])
         out.fallback_searches += int(tally[SEARCHED] + tally[BAD])
-        if cfg.collect_over:
-            out.over_masks.extend(group[code[inv] != UNDER].tolist())
-        if tally[BAD]:
-            out.counterexamples.extend(encode_graph6(_graph_of_row(n, row))
-                                       for row in rows[code[inv] == BAD])
+        if cfg.collect_over or tally[BAD]:
+            # The group's key words in sorted order run through `words`,
+            # each `copies` times, so one argsort gives every row its code.
+            rows = _rows_of_masks(c, group)
+            row_code = np.empty(len(group), dtype=np.uint8)
+            row_code[np.argsort(_key_words(rows))] = np.repeat(code, copies)
+            if cfg.collect_over:
+                out.over_masks.extend(group[row_code != UNDER].tolist())
+            if tally[BAD]:
+                out.counterexamples.extend(encode_graph6(_graph_of_row(c.n, row))
+                                           for row in rows[row_code == BAD])
+
+
+def _distinct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of `words`, sorted, and the number of copies of
+    each, from one plain sort.  (np.unique without counts hashes uint64
+    words, several times slower here, and with the inverse it argsorts.)"""
+    words = np.sort(words)
+    first = np.empty(len(words), dtype=bool)
+    first[:1] = True
+    np.not_equal(words[1:], words[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    return words[first], np.diff(first, append=len(words))
+
+
+def _key_words(rows: np.ndarray) -> np.ndarray:
+    """The class keys of uint8 adjacency bit rows as uint64 words, each
+    key row padded to 8 bytes: one word per graph."""
+    padded = np.zeros((len(rows), 8), dtype=np.uint8)
+    padded[:, :rows.shape[1]] = _class_keys(rows)
+    return padded.view(np.uint64).ravel()
 
 
 def _decide(cfg: ScanConfig, keys: np.ndarray) -> np.ndarray:
@@ -552,40 +586,56 @@ def _class_keys(rows: np.ndarray) -> np.ndarray:
     Each key row is its graph under some permutation, so two graphs with
     equal keys are isomorphic; isomorphic graphs may still get different
     keys when the sort meets a tie, which costs a repeated verdict, never
-    a wrong one.  `_scan_block` calls it on every prescreen survivor,
-    ahead of the spectral decision.
+    a wrong one.  `_scan_block` calls it (through `_key_words`) on every
+    prescreen survivor, ahead of the spectral decision.
 
     The work runs on the transposed rows, one array per vertex, with no
-    sort: a vertex's neighbour-degree sum counts the walks v-w-u, so it is
-    the sum over u of |N(v) & N(u)|; the score (degree, sum, n - 1 - v),
-    packed in one integer, is distinct within a graph, so a vertex's rank
-    is the number of vertices that outscore it, and the key row at rank_v
-    is q_v, the OR over w in N(v) of 1 << rank_w."""
+    sort; the loops write in place into arrays of the input's length, so
+    no loop step makes a temporary array.  A vertex's neighbour-degree
+    sum counts the walks v-w-u, so it is the sum over u of
+    |N(v) & N(u)|, at most (n - 1)^2, and is kept in the narrowest
+    integer that holds that; the score deg * n^2 + sum, below n^3,
+    orders vertices as (degree, sum) does, and of two vertices v < w with
+    equal scores v comes first.  A vertex's rank is the number of
+    vertices ahead of it, and the key row at rank_v is q_v, the OR over w
+    in N(v) of 1 << rank_w."""
     n, word = rows.shape[1], rows.dtype.type
     cols = np.ascontiguousarray(rows.T)
+    scratch = np.empty(len(rows), dtype=rows.dtype)
+    common = np.empty(len(rows), dtype=np.uint8)
     deg = np.bitwise_count(cols)
-    st = np.min_scalar_type(n ** 4)  # every score is below n^4
-    score = deg.astype(st) * st.type(n * n + 1)  # u = v adds |N(v)| = deg_v
+    nsum = deg.astype(np.min_scalar_type((n - 1) ** 2))  # u = v adds |N(v)| = deg_v
     for v, w in edge_slots(n):
-        common = np.bitwise_count(cols[v] & cols[w])
-        score[v] += common
-        score[w] += common
-    score = score * st.type(n) + np.arange(n - 1, -1, -1, dtype=st)[:, None]
-    rank = np.zeros(cols.shape, dtype=np.uint8)
+        np.bitwise_count(np.bitwise_and(cols[v], cols[w], out=scratch), out=common)
+        np.add(nsum[v], common, out=nsum[v])
+        np.add(nsum[w], common, out=nsum[w])
+    score = deg.astype(np.min_scalar_type(n ** 3))
+    np.multiply(score, n * n, out=score)
+    np.add(score, nsum, out=score)
+    # Start as if every w > v were ahead of v; each pair v < w then moves
+    # one count from v to w when v is ahead after all.
+    rank = np.repeat(np.arange(n - 1, -1, -1, dtype=np.uint8), len(rows)).reshape(cols.shape)
+    ahead = np.empty(len(rows), dtype=bool)
     for v, w in edge_slots(n):
-        ahead = score[v] > score[w]
-        rank[w] += ahead
-        rank[v] += ~ahead
+        np.greater_equal(score[v], score[w], out=ahead)
+        np.subtract(rank[v], ahead.view(np.uint8), out=rank[v])
+        np.add(rank[w], ahead.view(np.uint8), out=rank[w])
     bit = word(1) << rank.astype(rows.dtype)
-    keys = np.zeros_like(cols)
-    for v in range(n):
-        q = np.zeros_like(cols[v])
-        for w in range(n):
-            if w != v:
-                q |= (cols[v] >> word(w) & word(1)) * bit[w]
-        for i in range(n):
-            keys[i] |= q * (rank[v] == i)
-    return keys.T
+    q = np.zeros_like(cols)
+    edge = np.empty_like(scratch)
+    for v, w in edge_slots(n):
+        np.bitwise_and(np.right_shift(cols[v], w, out=edge), 1, out=edge)
+        np.bitwise_or(q[v], np.multiply(edge, bit[w], out=scratch), out=q[v])
+        np.bitwise_or(q[w], np.multiply(edge, bit[v], out=scratch), out=q[w])
+    keys = np.empty_like(rows)
+    key = edge  # column i of the keys, built contiguous, then put in place
+    for i in range(n):
+        key[:] = 0
+        for v in range(n):
+            np.equal(rank[v], i, out=ahead)
+            np.bitwise_or(key, np.multiply(q[v], ahead.view(np.uint8), out=scratch), out=key)
+        keys[:, i] = key
+    return keys
 
 
 def _classify(spec: TheoremSpec, rows: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -129,21 +130,26 @@ def test_scan_artificially_low_threshold_is_more_inclusive():
     assert low_out.over_masks == bare.over_masks
 
 
-def test_scan_below_threshold_reports_real_counterexamples():
+def test_scan_below_threshold_reports_real_counterexamples(monkeypatch):
     # A negative control: at theta' = 3.7, under rho(L_7), the theorem's
     # conclusion fails, and the scan must report graphs without a HIST.
     # With and without the prescreens it finds the same over-threshold
     # graphs and the same counterexamples; each has no HIST by the
-    # spanning-tree oracle and is not L_7.  Graphs of maximum degree 4
-    # are over here, below proof replay's range, so replay hands them to
-    # the search instead of raising.
-    from histspec import oracle_hist
+    # spanning-tree oracle and is not L_7.  Without collect_over, and in
+    # groups of 2^12 rows, it lists the same counterexamples in the same
+    # order.  Graphs of maximum degree 4 are over here, below proof
+    # replay's range, so replay hands them to the search instead of
+    # raising.
+    from histspec import oracle_hist, scan
 
-    common = dict(n=7, theta=3.7, mode="thm1", subsample=16, collect_over=True)
-    pre = scan_range(ScanConfig(**common), 0, 1 << 21)
-    bare = scan_range(ScanConfig(prescreens=False, **common), 0, 1 << 21)
+    common = dict(n=7, theta=3.7, mode="thm1", subsample=16)
+    pre = scan_range(ScanConfig(collect_over=True, **common), 0, 1 << 21)
+    bare = scan_range(ScanConfig(prescreens=False, collect_over=True, **common), 0, 1 << 21)
     assert pre.over_masks == bare.over_masks
     assert pre.counterexamples == bare.counterexamples
+    monkeypatch.setattr(scan, "GROUP_ROWS", 1 << 12)
+    unlisted = scan_range(ScanConfig(**common), 0, 1 << 21)
+    assert unlisted == dataclasses.replace(pre, over_masks=[])
     assert (pre.over, pre.extremal, len(pre.counterexamples)) == (33133, 10, 120)
     for text in pre.counterexamples:
         g = decode_graph6(text)
@@ -930,11 +936,17 @@ def test_scan_decides_each_key_once_per_call(monkeypatch):
     # once per scan_range call: the rows of all calls within one
     # scan_range call are pairwise distinct, and together they hold as
     # many rows as that call's groups hold distinct keys, 1,949 over the
-    # four shards for the 387,388 prescreen survivors.
+    # four shards for the 387,388 prescreen survivors.  _decide runs once
+    # per block that has keys the call has not decided yet, on all of
+    # them: each shard is one block, so four calls.  With blocks of 2^16
+    # and of 2^12 masks, shard 301 makes one _decide call per block that
+    # brings new keys, on exactly those keys: all 8 blocks of 2^16, and
+    # 123 of the 128 blocks of 2^12.
     from histspec import scan
 
-    decided, distinct = [], []
+    decided, distinct, calls = [], [], []
     real_over, real_keys, real_range = scan.over_threshold, scan._class_keys, scan.scan_range
+    real_decide, real_block = scan._decide, scan._scan_block
 
     def ranged(*args):
         decided.append([])
@@ -950,15 +962,39 @@ def test_scan_decides_each_key_once_per_call(monkeypatch):
         distinct[-1].update(map(tuple, keys.tolist()))
         return keys
 
+    def decide(cfg, keys):
+        calls.append(set(map(tuple, keys.tolist())))
+        return real_decide(cfg, keys)
+
     monkeypatch.setattr(scan, "scan_range", ranged)
     monkeypatch.setattr(scan, "over_threshold", over)
     monkeypatch.setattr(scan, "_class_keys", keyed)
+    monkeypatch.setattr(scan, "_decide", decide)
     rep = verify_theorem1(7)
     assert rep.prescreen_survivors == 387_388
     assert len(decided) == 4
     for rows, keys in zip(decided, distinct):
         assert len(set(rows)) == len(rows) == len(keys)
     assert sum(map(len, decided)) == 1_949
+    assert len(calls) == 4 and sum(map(len, calls)) == 1_949
+
+    def block(cfg, c, masks, out, verdicts):
+        distinct.append(set())
+        real_block(cfg, c, masks, out, verdicts)
+
+    monkeypatch.setattr(scan, "_scan_block", block)
+    decided.append([])
+    for bits, blocks, fresh_blocks in ((16, 8, 8), (12, 128, 123)):
+        monkeypatch.setattr(scan, "BLOCK_BITS", bits)
+        del distinct[:], calls[:]
+        _shard(ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2"), 301)
+        assert len(distinct) == blocks
+        seen, fresh = set(), []
+        for keys in distinct:
+            if keys - seen:
+                fresh.append(keys - seen)
+            seen |= keys
+        assert calls == fresh and len(fresh) == fresh_blocks
 
 
 def test_corollaries_range():

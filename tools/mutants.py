@@ -57,16 +57,30 @@ MUTANTS = (
            "    for _ in range(len(cols)):\n        acc = np.zeros_like(reach)",
            "    for _ in range(len(cols) - 2):\n        acc = np.zeros_like(reach)",
            (VERIFICATION + "test_connected_filter_matches_bfs_and_cut_vertices",)),
+    Mutant("hub-test-one-neighbour", "scan.py",
+           "(np.bitwise_count(col & nbr) >= 2)", "(np.bitwise_count(col & nbr) >= 1)",
+           (VERIFICATION + "test_connected_filter_matches_bfs_and_cut_vertices",)),
+    Mutant("double-star-split-one-shared", "scan.py",
+           "split = ((both >= 2)", "split = ((both >= 1)",
+           (VERIFICATION + "test_double_star_feasible_matches_brute_force",)),
     Mutant("class-keys-rows-not-bits", "scan.py",
-           "keys[i] |= q * (rank[v] == i)", "keys[i] |= cols[v] * (rank[v] == i)",
+           "np.multiply(q[v], ahead.view(np.uint8), out=scratch)",
+           "np.multiply(cols[v], ahead.view(np.uint8), out=scratch)",
            (VERIFICATION + "test_class_keys_are_relabelings",)),
     Mutant("verdicts-outlive-call", "scan.py",
            "verdicts = _Verdicts()", 'verdicts = globals().setdefault("_kept", _Verdicts())',
            (VERIFICATION + "test_verdict_table_keeps_no_state_between_calls",)),
     Mutant("verdict-codes-one-slot-off", "scan.py",
-           "code[known] = verdicts.codes[at[known]]",
-           "code[known] = verdicts.codes[at[known] - 1]",
+           "return self.codes[np.searchsorted(self.words, words)]",
+           "return self.codes[np.searchsorted(self.words, words) - 1]",
            (VERIFICATION + "test_verdict_table_keeps_no_state_between_calls",)),
+    Mutant("tally-another-groups-copies", "scan.py",
+           "np.bincount(code, weights=copies,",
+           "np.bincount(code, weights=np.resize(distinct[0][1], len(code)),",
+           (VERIFICATION + "test_verdict_table_keeps_no_state_between_calls",)),
+    Mutant("counterexamples-wrong-code", "scan.py",
+           "rows[row_code == BAD]", "rows[row_code == SEARCHED]",
+           (VERIFICATION + "test_scan_below_threshold_reports_real_counterexamples",)),
     Mutant("replay-below-order-floor", "scan.py",
            "replay = n >= spec.order_floor", "replay = True",
            (VERIFICATION + "test_scan_below_the_replay_order_floor_matches_per_graph_reference",)),

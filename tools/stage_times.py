@@ -8,12 +8,16 @@ seed-1 file of the `n9_corpus` benchmark workload (2,000 records, written
 by `perfbench/workloads.py`) through both corpus drivers.  Each stage is a
 module function (and `numpy.linalg.eigvalsh`), wrapped with
 `time.perf_counter` at the name its callers resolve, so a stage's time
-includes the stages it calls.  In both labeled passes `_class_keys` runs
+includes the stages it calls.  In both labeled passes `_key_words` runs
 first on every prescreen survivor, in groups of `scan.GROUP_ROWS` rows:
-the key that groups the rows by isomorphism class.  `_decide` then runs
-on the keys of each group that the `scan_range` call has not decided yet,
-so every later stage sees each distinct key once per call, and its rows
-are the keys decided per pass.  It holds `over_threshold` (with
+it holds `_class_keys`, the key that groups the rows by isomorphism
+class, and packs each key in one word.  `_distinct` sorts each group's
+words into distinct words and copy counts, and once per block the union
+of its groups' words.  `_decide` then runs once per block, on the keys
+of the block's groups that the `scan_range` call has not decided yet, so
+every later stage sees each distinct key once per call; its calls are
+the blocks with new keys and its rows the keys decided per pass.  It
+holds `over_threshold` (with
 `_sandwich` and `eigvalsh`), then `_connected_filter` on the
 over-threshold keys, with `_reach_vec`, the bitset BFS, whose call count
 is the number of BFS runs, then `_classify`, which holds, in its order,
@@ -69,9 +73,10 @@ import workloads  # noqa: E402
 from histspec import graph6, hist, scan, verification  # noqa: E402
 from histspec.graphs import Graph  # noqa: E402
 
-STAGES = ("_prescreen", "_rows_of_masks", "_class_keys", "_decide", "over_threshold",
-          "_sandwich", "_connected_filter", "_reach_vec", "_classify", "_double_star_feasible",
-          "is_family_L", "is_family_B", "proof_guided_hist", "find_hist", "_graph_of_row")
+STAGES = ("_prescreen", "_rows_of_masks", "_key_words", "_class_keys", "_distinct",
+          "_decide", "over_threshold", "_sandwich", "_connected_filter", "_reach_vec", "_classify",
+          "_double_star_feasible", "is_family_L", "is_family_B", "proof_guided_hist",
+          "find_hist", "_graph_of_row")
 ONE_ROW = ("_graph_of_row",)
 CORPUS_STAGES = ((graph6, "decode_graph6"), (verification, "hong_bound"),
                  (hist, "proof_guided_hist"), (hist, "is_valid_hist"),
