@@ -2,7 +2,8 @@
 
 Graphs of order n are edge bitmasks over the C(n, 2) vertex pairs in
 the colex slot order of `graphs.edge_slots`, which graph6 shares.  The
-order-only arrays of that code (`_codec(n)`) turn mask blocks into
+order-only half tables of that code (`_codec(n)`: rows, degrees and
+edge counts of the low 16 slots and of the rest) turn mask blocks into
 adjacency bit rows, whose connectivity is then tested on the rows alone,
 without any theorem; the scan pipeline per mask block is:
 
@@ -11,9 +12,13 @@ without any theorem; the scan pipeline per mask block is:
      graph that could reach the threshold is ever dropped: the maximum
      degree floor `degree_floor(theta)`, which the graph6 corpus path
      shares, and the Hong test, a lookup in a table over (minimum degree,
-     edge count) whose entries equal the per-mask test bit for bit; the
-     masks then become adjacency bit rows, and nothing after this step
-     sees a mask;
+     edge count) whose entries equal the per-mask test bit for bit.
+     `_survivors` runs them, after the subsample's hash, one window of
+     2^16 masks at a time: the masks of a window share their high half,
+     so each degree is a slice of the low half's table plus a constant,
+     and no mask array is built until the survivors are listed.  The
+     survivors then become adjacency bit rows, one gather per half
+     table, and nothing after this step sees a mask;
   2. grouping by class key: the rows go on in groups of GROUP_ROWS, and
      within a group `_class_keys` relabels each graph by a stable sort of
      its vertices on (degree, sum of neighbour degrees); equal keys are
@@ -74,6 +79,7 @@ from .hist import find_hist, proof_guided_hist
 from .spectral import GUARD, TheoremSpec, hong_value, theorem_spec
 
 BLOCK_BITS = 20
+LOW_BITS = 16  # slots in the low half of the edge code; a window is 2^LOW_BITS masks
 EIG_BATCH = 1 << 12  # rows per slice of over_threshold
 GROUP_ROWS = 1 << 16  # rows per class-key group of _scan_block
 CW_ITERS = 5  # Collatz-Wielandt steps before the eigensolve
@@ -135,24 +141,39 @@ class ShardOut:
 
 
 class _Codec:
-    """The colex slot code of order n as arrays: the incidence mask inc[v]
-    of the slots at vertex v, and the byte table byte_rows[i, x, v], the
-    part of vertex v's adjacency bit row held by byte i of a mask when
-    that byte has value x.  Independent of any theorem."""
+    """The colex slot code of order n as two half tables, split at
+    low_bits = min(LOW_BITS, C(n, 2)): a mask x is y * 2^low_bits + z,
+    with z its low slots and y its high ones.  lo_rows[z] and hi_rows[y]
+    are the adjacency bit rows of each half, so x has the rows
+    lo_rows[z] | hi_rows[y]; lo_deg[v, z] and hi_deg[y, v] are vertex v's
+    degree in each half (lo_deg transposed, so that a run of z is one
+    contiguous slice per vertex), lo_m and hi_m the edge counts, and
+    lo_hash[z] = z * HASH_MULT mod 2^32.  Independent of any theorem."""
 
     def __init__(self, n: int):
         slots = edge_slots(n)
         self.n = n
         self.nbits = len(slots)
-        self.inc = np.zeros(n, dtype=np.uint32)
-        self.byte_rows = np.zeros((-(-self.nbits // 8), 256, n), dtype=np.uint8)
-        values = np.arange(256)
-        for b, (i, j) in enumerate(slots):
-            self.inc[i] |= np.uint32(1 << b)
-            self.inc[j] |= np.uint32(1 << b)
-            on = (values >> b % 8 & 1).astype(bool)
-            self.byte_rows[b // 8, on, i] |= np.uint8(1 << j)
-            self.byte_rows[b // 8, on, j] |= np.uint8(1 << i)
+        self.low_bits = min(LOW_BITS, self.nbits)
+        self.lo_rows = _half_rows(n, slots[:self.low_bits])
+        self.hi_rows = _half_rows(n, slots[self.low_bits:])
+        self.lo_deg = np.ascontiguousarray(np.bitwise_count(self.lo_rows).T)
+        self.hi_deg = np.bitwise_count(self.hi_rows)
+        lo_masks = np.arange(len(self.lo_rows), dtype=np.uint32)
+        self.lo_m = np.bitwise_count(lo_masks)
+        self.hi_m = np.bitwise_count(np.arange(len(self.hi_rows), dtype=np.uint32))
+        self.lo_hash = lo_masks * np.uint32(HASH_MULT)
+
+
+def _half_rows(n: int, slots) -> np.ndarray:
+    """The adjacency bit rows of every mask over `slots`, by doubling:
+    the masks with the slot's bit set are those without it, plus the edge."""
+    rows = np.zeros((1, n), dtype=np.uint8)
+    for i, j in slots:
+        edge = np.zeros(n, dtype=np.uint8)
+        edge[i], edge[j] = 1 << j, 1 << i
+        rows = np.concatenate([rows, rows | edge])
+    return rows
 
 
 _codec = cache(_Codec)
@@ -168,14 +189,53 @@ def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
     block = 1 << BLOCK_BITS
     for start in range(lo, hi, block):
         stop = min(start + block, hi)
-        masks = np.arange(start, stop, dtype=np.uint32)
-        if cfg.subsample and cfg.subsample > 1:
-            hashed = (masks * np.uint32(HASH_MULT))  # wraps mod 2^32
-            masks = masks[hashed < np.uint32(2**32 // cfg.subsample)]
+        masks = _survivors(cfg, c, start, stop)
         out.scanned += stop - start
         if len(masks):
             _scan_block(cfg, c, masks, out, verdicts)
     return out
+
+
+def _survivors(cfg: ScanConfig, c: _Codec, start: int, stop: int) -> np.ndarray:
+    """The masks of [start, stop) that the subsample keeps and, under
+    cfg.prescreens, that pass the degree and Hong prescreens, in mask
+    order, as uint32.
+
+    The range is walked one window at a time, the masks that share a
+    high half y: within it a vertex's degree is lo_deg[v, z] plus the
+    constant hi_deg[y, v], and the edge count lo_m[z] + hi_m[y].  The
+    subsample keeps x = y * 2^low_bits + z when x * HASH_MULT mod 2^32,
+    which is lo_hash[z] plus the window's constant, wrapping, is below
+    2^32 // subsample, and the prescreens then read only the kept z."""
+    n, width = c.n, 1 << c.low_bits
+    sampled = bool(cfg.subsample and cfg.subsample > 1)
+    if cfg.prescreens:
+        floor = degree_floor(cfg.theta)
+        ok = _hong_table(cfg, n)
+        flat, cols = ok.ravel(), np.uint16(ok.shape[1])
+    parts = []
+    for base in range(start - start % width, stop, width):
+        y = base >> c.low_bits
+        a, b = max(start - base, 0), min(stop - base, width)
+        z = slice(a, b)  # the low halves kept: the whole run, until a filter lists them
+        if sampled:
+            hashed = c.lo_hash[a:b] + np.uint32(base * HASH_MULT % 2**32)  # wraps mod 2^32
+            z = np.flatnonzero(hashed < np.uint32(2**32 // cfg.subsample)) + a
+        if cfg.prescreens:
+            lo_deg = c.lo_deg[:, z]
+            dmax = lo_deg[0] + c.hi_deg[y, 0]
+            dmin = dmax.copy()
+            for v in range(1, n):
+                deg = lo_deg[v] + c.hi_deg[y, v]
+                np.maximum(dmax, deg, out=dmax)
+                np.minimum(dmin, deg, out=dmin)
+            m = c.lo_m[z] + c.hi_m[y]
+            # ok[dmin, m] as one flat take; the offsets fit uint16 (at most 9 * 29 - 1)
+            keep = (dmax >= floor) & flat.take(dmin * cols + m)
+            z = np.flatnonzero(keep) + a if isinstance(z, slice) else z[keep]
+        parts.append(np.arange(base + a, base + b, dtype=np.uint32) if isinstance(z, slice)
+                     else (z + base).astype(np.uint32))
+    return np.concatenate(parts)
 
 
 class _Verdicts:
@@ -215,8 +275,6 @@ def _scan_block(cfg: ScanConfig, c: _Codec, masks: np.ndarray, out: ShardOut,
     copy.  A group that must list rows (the over-threshold masks under
     collect_over, the copies of a counterexample) keys its rows again and
     gives each row its word's code, so the lists keep row order."""
-    if cfg.prescreens:
-        masks = masks[_prescreen(cfg, c, masks)]
     out.survivors += len(masks)
     if not len(masks):
         return
@@ -273,21 +331,6 @@ def _decide(cfg: ScanConfig, keys: np.ndarray) -> np.ndarray:
     return code
 
 
-def _prescreen(cfg: ScanConfig, c: _Codec, masks: np.ndarray) -> np.ndarray:
-    """Which masks pass the degree and Hong-type prescreens."""
-    n = c.n
-    m = np.bitwise_count(masks)
-    dmax = np.zeros(len(masks), dtype=np.uint8)
-    dmin = np.full(len(masks), n, dtype=np.uint8)
-    for v in range(n):
-        deg = np.bitwise_count(masks & c.inc[v])
-        np.maximum(dmax, deg, out=dmax)
-        np.minimum(dmin, deg, out=dmin)
-    ok = _hong_table(cfg, n)
-    # ok[dmin, m] as one flat take; the offsets fit uint16 (at most 9 * 29 - 1)
-    return (dmax >= degree_floor(cfg.theta)) & ok.ravel().take(dmin * np.uint16(ok.shape[1]) + m)
-
-
 def degree_floor(theta: float) -> int:
     """The least maximum degree of a graph with rho >= theta - GUARD.
 
@@ -315,14 +358,11 @@ def _hong_table(cfg: ScanConfig, n: int) -> np.ndarray:
 
 
 def _rows_of_masks(c: _Codec, masks: np.ndarray) -> np.ndarray:
-    """Adjacency bit rows of edge masks: the OR over the mask's bytes of
-    the whole rows that `c.byte_rows` holds for each byte value, one
-    gather per byte."""
-    data = np.ascontiguousarray(masks, dtype="<u4").view(np.uint8).reshape(len(masks), 4)
-    rows = np.zeros((len(masks), c.n), dtype=np.uint8)
-    for i, table in enumerate(c.byte_rows):
-        rows |= table.take(data[:, i], axis=0)
-    return rows
+    """Adjacency bit rows of edge masks: the OR of the rows of each mask's
+    low and high half, one gather per half table."""
+    masks = np.asarray(masks, dtype=np.uint32)
+    low = masks & np.uint32((1 << c.low_bits) - 1)
+    return c.lo_rows.take(low, axis=0) | c.hi_rows.take(masks >> np.uint32(c.low_bits), axis=0)
 
 
 def over_threshold(theta: float, rows: np.ndarray, refine: bool = True) -> np.ndarray:

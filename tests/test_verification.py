@@ -770,10 +770,10 @@ def test_connected_filter_hub_path_matches_n_search_reference(monkeypatch):
 
 
 def test_rows_of_masks_matches_per_slot_reference():
-    # The byte-table gathers against the per-slot loop they replace: every
+    # The half-table gathers against the per-slot loop they replace: every
     # mask of order 7, a boolean-indexed subsample of them, random masks
     # of order 8, and random masks of every order 1..8 (order 1 has no
-    # edge slot), these also against the scalar decode graph_from_mask.
+    # edge slot).
     from histspec.graphs import edge_slots
     from histspec.scan import _codec, _rows_of_masks
 
@@ -792,10 +792,26 @@ def test_rows_of_masks_matches_per_slot_reference():
     for n in range(1, 9):
         masks = rng.integers(0, 1 << (n * (n - 1) // 2), 500).astype(np.uint32)
         cases += [(n, masks), (n, masks[:0])]
-        assert ([tuple(r) for r in _rows_of_masks(_codec(n), masks).tolist()]
-                == [graph_from_mask(n, int(mk)).rows for mk in masks])
     for n, masks in cases:
         assert np.array_equal(_rows_of_masks(_codec(n), masks), per_slot(n, masks))
+
+
+def test_rows_of_masks_matches_graph_from_mask():
+    # The engine's rows against the scalar decode, on random masks of every
+    # order 1..8 and, per order, on the empty and the complete graph and
+    # the masks on both sides of every window edge of the low half.
+    from histspec.scan import _codec, _rows_of_masks
+
+    rng = np.random.default_rng(67)
+    for n in range(1, 9):
+        c = _codec(n)
+        top = 1 << c.nbits
+        edges = [w + d for w in range(1 << c.low_bits, top, 1 << c.low_bits) for d in (-1, 0)]
+        masks = np.array([0, top - 1, *edges, *rng.integers(0, top, 2000)], dtype=np.uint32)
+        rows = _rows_of_masks(c, masks)
+        assert rows.dtype == np.uint8 and rows.shape == (len(masks), n)
+        assert [tuple(r) for r in rows.tolist()] == [graph_from_mask(n, int(mk)).rows
+                                                     for mk in masks]
 
 
 def test_double_star_feasible_matches_brute_force():
@@ -819,55 +835,89 @@ def test_double_star_feasible_matches_brute_force():
         assert _double_star_feasible(rows).tolist() == want
 
 
+def _slot_degrees(n, masks):
+    """Per-mask vertex degrees, (len(masks), n), by a loop over the edge
+    slots: the reference for the engine's half-table degrees."""
+    from histspec.graphs import edge_slots
+
+    deg = np.zeros((len(masks), n), dtype=np.int64)
+    for b, (i, j) in enumerate(edge_slots(n)):
+        bit = (masks >> np.uint32(b)) & np.uint32(1)
+        deg[:, i] += bit
+        deg[:, j] += bit
+    return deg
+
+
+def _crossing_ranges(rng, count, length):
+    """Order-8 mask ranges with random unaligned starts: each crosses a
+    2^20 block edge (so also a 2^16 window edge) or a 2^16 window edge
+    inside a block, alternately."""
+    ranges = []
+    for k in range(count):
+        edge = int(rng.integers(1, 1 << 8)) << 20 if k % 2 == 0 else \
+            (int(rng.integers(1, (1 << 12) - 2)) << 16 | 1 << 19)
+        start = edge - int(rng.integers(1, length))
+        ranges.append((start, start + length))
+    return ranges
+
+
 def test_prescreen_matches_per_graph_reference():
-    # The vectorized degree and Hong prescreens keep exactly the masks a
-    # per-graph check keeps, for both theorems, on every order-6 mask and
-    # on uniform random order-8 masks, at thresholds that split them.  The
-    # degree check is rho <= Δ itself: the order-6 thresholds lie under
-    # both theorems', where Δ >= n - degree_gap would drop graphs.
-    from histspec.scan import _codec, _prescreen
+    # The windowed degree and Hong prescreens of _survivors keep exactly
+    # the masks a per-graph check keeps, for both theorems, on the range
+    # of every order-6 mask and on order-8 ranges with unaligned starts
+    # that cross a 2^16 window edge and the 2^20 block edge, at thresholds
+    # that split them.  The degree check is rho <= Δ itself: the order-6
+    # thresholds lie under both theorems', where Δ >= n - degree_gap
+    # would drop graphs.
+    from histspec.scan import _codec, _survivors
     from histspec.spectral import GUARD, hong_value, theorem_spec
 
     rng = np.random.default_rng(43)
     cases = (
-        (6, np.arange(1 << 15, dtype=np.uint32), (2.5, 3.0, 3.5)),
-        (8, rng.integers(0, 1 << 28, 20000).astype(np.uint32),
+        (6, [(0, 1 << 15)], (2.5, 3.0, 3.5)),
+        (8, _crossing_ranges(rng, 4, 5000),
          (threshold_connected(8), threshold_two_connected(8))),
     )
-    for n, masks, thetas in cases:
+    for n, ranges, thetas in cases:
+        masks = np.concatenate([np.arange(lo, hi, dtype=np.uint32) for lo, hi in ranges])
         graphs = [graph_from_mask(n, int(mk)) for mk in masks]
         for mode in ("thm1", "thm2"):
             spec = theorem_spec(mode)
             for theta in thetas:
                 want = []
-                for g in graphs:
+                for mk, g in zip(masks.tolist(), graphs):
                     d = g.degrees()
-                    want.append(max(d) >= theta - GUARD and min(d) >= spec.min_degree
-                                and hong_value(min(d), n, g.m) >= theta - GUARD)
-                assert 0 < sum(want) < len(want)
+                    if (max(d) >= theta - GUARD and min(d) >= spec.min_degree
+                            and hong_value(min(d), n, g.m) >= theta - GUARD):
+                        want.append(mk)
+                assert 0 < len(want) < len(masks)
                 cfg = ScanConfig(n=n, theta=theta, mode=mode)
-                assert _prescreen(cfg, _codec(n), masks).tolist() == want
+                got = [_survivors(cfg, _codec(n), lo, hi) for lo, hi in ranges]
+                assert np.concatenate(got).tolist() == want
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_prescreen_table_matches_elementwise_hong():
     # The table lookup keeps exactly the masks that the element-wise
     # degree and Hong test keeps (hong_value on float64 d and int64 m per
-    # mask), for both theorems, on every order-6 mask and on one 2^16 range
-    # of order-8 masks.  The thresholds include Hong values themselves
-    # (plus GUARD), where the >= test is a tie that only a bit-identical
-    # table decides alike; neither side may raise a RuntimeWarning.
-    from histspec.scan import _codec, _prescreen
+    # mask), for both theorems, on the range of every order-6 mask and on
+    # two 2^16-mask order-8 ranges with unaligned starts, one across the
+    # 2^20 block edge and one across a window edge inside a block.  The
+    # thresholds include Hong values themselves (plus GUARD), where the >=
+    # test is a tie that only a bit-identical table decides alike; neither
+    # side may raise a RuntimeWarning.
+    from histspec.scan import _codec, _survivors
     from histspec.spectral import GUARD, hong_value, theorem_spec
 
-    lo8 = 0x0F0F0000
-    for n, masks, thetas in (
-            (6, np.arange(1 << 15, dtype=np.uint32), (2.5, 3.0, 3.5)),
-            (8, np.arange(lo8, lo8 + (1 << 16), dtype=np.uint32),
+    rng = np.random.default_rng(59)
+    for n, ranges, thetas in (
+            (6, [(0, 1 << 15)], (2.5, 3.0, 3.5)),
+            (8, _crossing_ranges(rng, 2, 1 << 16),
              (threshold_connected(8), threshold_two_connected(8)))):
         c = _codec(n)
+        masks = np.concatenate([np.arange(lo, hi, dtype=np.uint32) for lo, hi in ranges])
         m = np.bitwise_count(masks).astype(np.int64)
-        deg = np.stack([np.bitwise_count(masks & c.inc[v]) for v in range(n)], axis=1)
+        deg = _slot_degrees(n, masks)
         dmax, dmin = deg.max(axis=1), deg.min(axis=1)
         hong = hong_value(dmin.astype(np.float64), n, m)
         ties = [hong_value(float(d), n, mm) + GUARD for d, mm in ((1, n + 2), (2, 2 * n), (3, 2 * n))]
@@ -878,7 +928,57 @@ def test_prescreen_table_matches_elementwise_hong():
                         & (hong >= theta - GUARD))
                 assert 0 < want.sum() < len(masks)
                 cfg = ScanConfig(n=n, theta=theta, mode=mode)
-                assert np.array_equal(_prescreen(cfg, c, masks), want)
+                got = np.concatenate([_survivors(cfg, c, lo, hi) for lo, hi in ranges])
+                assert np.array_equal(got, masks[want])
+
+
+def test_survivors_match_hash_then_per_mask_prescreen():
+    # _survivors against the straight path it replaces: every mask of the
+    # range, then the multiplicative-hash subsample on the whole mask
+    # (x * HASH_MULT mod 2^32 < 2^32 // N), then a per-mask degree floor
+    # and Hong check, for every order 1..8, no subsample and 1 in 4, 64
+    # and 65536, prescreens on and off.  Orders 7 and 8 take unaligned
+    # ranges across window edges, order 8 also across the block edge and
+    # over the top window; a 1-in-65536 subsample keeps masks only on
+    # the long ranges, so order 8 has one of 2^21 masks.
+    from histspec.scan import HASH_MULT, _codec, _survivors, degree_floor
+    from histspec.spectral import GUARD, hong_value
+
+    rng = np.random.default_rng(61)
+    kept = {}
+    for n in range(1, 9):
+        c = _codec(n)
+        top = 1 << c.nbits
+        if n <= 6:
+            ranges = [(0, top), (top // 3, top - top // 5)]
+        else:
+            ranges = [((1 << 16) - 37, (5 << 16) + 11), (top - (3 << 16) - 5, top)]
+            ranges += _crossing_ranges(rng, 2, 1 << 17) if n == 8 else []
+            ranges += [(3 << 20, 5 << 20)] if n == 8 else []
+        theta = {7: threshold_connected(7), 8: threshold_two_connected(8)}.get(n, n - 2.5)
+        for mode in ("thm1", "thm2"):
+            for subsample in (None, 4, 64, 65536):
+                for prescreens in (True, False):
+                    cfg = ScanConfig(n=n, theta=theta, mode=mode,
+                                     prescreens=prescreens, subsample=subsample)
+                    for lo, hi in ranges:
+                        masks = np.arange(lo, hi, dtype=np.uint32)
+                        if subsample:
+                            masks = masks[masks * np.uint32(HASH_MULT)
+                                          < np.uint32(2**32 // subsample)]
+                        if prescreens and len(masks):
+                            deg = _slot_degrees(n, masks)
+                            dmin = deg.min(axis=1)
+                            hong = hong_value(dmin.astype(np.float64), n,
+                                              np.bitwise_count(masks).astype(np.int64))
+                            masks = masks[(deg.max(axis=1) >= degree_floor(theta))
+                                          & (dmin >= cfg.spec.min_degree)
+                                          & (hong >= theta - GUARD)]
+                        got = _survivors(cfg, c, lo, hi)
+                        assert got.dtype == np.uint32 and np.array_equal(got, masks)
+                        key = (subsample, prescreens)
+                        kept[key] = kept.get(key, 0) + len(masks)
+    assert all(kept.values())
 
 
 def test_extremal_check_runs_once_per_fallback_key(monkeypatch):

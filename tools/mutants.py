@@ -47,12 +47,21 @@ MUTANTS = (
            "under = theta - GUARD - 1e-12", "under = theta + 1e-3",
            (VERIFICATION + "test_corpus_batch_matches_power_iteration_near_threshold",)),
     Mutant("degree-floor-strict", "scan.py",
-           "(dmax >= degree_floor(cfg.theta))", "(dmax > degree_floor(cfg.theta))",
+           "(dmax >= floor)", "(dmax > floor)",
            (VERIFICATION + "test_prescreen_matches_per_graph_reference",)),
     Mutant("hong-table-strict", "scan.py",
            "hong_value(d[ok], n, m[ok]) >= cfg.theta - GUARD",
            "hong_value(d[ok], n, m[ok]) > cfg.theta - GUARD",
            (VERIFICATION + "test_prescreen_table_matches_elementwise_hong",)),
+    Mutant("window-high-half-of-next-window", "scan.py",
+           "y = base >> c.low_bits", "y = min((base >> c.low_bits) + 1, len(c.hi_deg) - 1)",
+           (VERIFICATION + "test_survivors_match_hash_then_per_mask_prescreen",)),
+    Mutant("window-end-one-short", "scan.py",
+           "min(stop - base, width)", "min(stop - base, width) - 1",
+           (VERIFICATION + "test_survivors_match_hash_then_per_mask_prescreen",)),
+    Mutant("subsample-window-constant-dropped", "scan.py",
+           "c.lo_hash[a:b] + np.uint32(base * HASH_MULT % 2**32)", "c.lo_hash[a:b]",
+           (VERIFICATION + "test_survivors_match_hash_then_per_mask_prescreen",)),
     Mutant("bfs-step-bound", "scan.py",
            "    for _ in range(len(cols)):\n        acc = np.zeros_like(reach)",
            "    for _ in range(len(cols) - 2):\n        acc = np.zeros_like(reach)",
@@ -90,6 +99,19 @@ MUTANTS = (
     Mutant("hist-check-skips-adjacency", "hist.py",
            "0 <= v < n and rows[u] >> v & 1)", "0 <= v < n)",
            ("tests/test_hist.py::test_is_valid_hist_rejects",)),
+    Mutant("search-adopter-needs-three", "hist.py",
+           "if kids & (kids - 1):  # an adopter", 'if kids.bit_count() >= 3:  # an adopter',
+           ("tests/test_hist.py::test_oracle_equivalence_exhaustive_n6",)),
+    Mutant("spanning-trees-skip-unchecked", "hist.py",
+           "if _reach(usable, 1, full) == full:", "if True:",
+           ("tests/test_hist.py::test_spanning_trees_skip_only_edges_the_rest_can_spare",)),
+    Mutant("ears-not-distinct", "graphs.py",
+           "if len({s0, s1, s2, s3, s4}) == 5:", "if True:",
+           ("tests/test_graphs.py::test_family_recognizers_are_pinned",)),
+    Mutant("graph6-padding-unchecked", "graphs.py",
+           "table = [0] + [None] * ((1 << 6 - len(group)) - 1)",
+           "table = [0] * (1 << 6 - len(group))",
+           ("tests/test_graph6.py::test_format_errors_carry_offsets",)),
 )
 
 
@@ -127,7 +149,7 @@ def main(argv=None) -> int:
     known = {m.name: m for m in MUTANTS}
     if args.list:
         for m in MUTANTS:
-            print(f"{m.name:<28} {m.path:<10} {' '.join(m.tests)}")
+            print(f"{m.name:<33} {m.path:<10} {' '.join(m.tests)}")
         return 0
     unknown = [name for name in args.names if name not in known]
     if unknown:
@@ -158,7 +180,7 @@ def main(argv=None) -> int:
                 survived.append(m.name)
             elif rc not in (1, 2):
                 errors.append(m.name)
-            print(f"{m.name:<28} {verdict:<10} {time.perf_counter() - t0:6.1f} s  "
+            print(f"{m.name:<33} {verdict:<10} {time.perf_counter() - t0:6.1f} s  "
                   f"{' '.join(t.split('::')[-1] for t in m.tests)}", flush=True)
             shutil.rmtree(tree)
     print(f"{len(chosen) - len(survived) - len(errors)} of {len(chosen)} mutants killed")

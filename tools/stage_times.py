@@ -8,8 +8,10 @@ seed-1 file of the `n9_corpus` benchmark workload (2,000 records, written
 by `perfbench/workloads.py`) through both corpus drivers.  Each stage is a
 module function (and `numpy.linalg.eigvalsh`), wrapped with
 `time.perf_counter` at the name its callers resolve, so a stage's time
-includes the stages it calls.  In both labeled passes `_key_words` runs
-first on every prescreen survivor, in groups of `scan.GROUP_ROWS` rows:
+includes the stages it calls.  In both labeled passes `_survivors` lists
+each block's subsample and prescreen survivors, once per block (it takes
+no array, so its rows are its calls); `_key_words` then runs on every
+survivor, in groups of `scan.GROUP_ROWS` rows:
 it holds `_class_keys`, the key that groups the rows by isomorphism
 class, and packs each key in one word.  `_distinct` sorts each group's
 words into distinct words and copy counts, and once per block the union
@@ -73,7 +75,7 @@ import workloads  # noqa: E402
 from histspec import graph6, hist, scan, verification  # noqa: E402
 from histspec.graphs import Graph  # noqa: E402
 
-STAGES = ("_prescreen", "_rows_of_masks", "_key_words", "_class_keys", "_distinct",
+STAGES = ("_survivors", "_rows_of_masks", "_key_words", "_class_keys", "_distinct",
           "_decide", "over_threshold", "_sandwich", "_connected_filter", "_reach_vec", "_classify",
           "_double_star_feasible", "is_family_L", "is_family_B", "proof_guided_hist",
           "find_hist", "_graph_of_row")
