@@ -3,22 +3,30 @@
 Graphs of order n are edge bitmasks over the C(n, 2) vertex pairs in
 the colex slot order of `graphs.edge_slots`, which graph6 shares.  The
 order-only half tables of that code (`_codec(n)`: rows, degrees and
-edge counts of the low 16 slots and of the rest) turn mask blocks into
-adjacency bit rows, whose connectivity is then tested on the rows alone,
-without any theorem; the scan pipeline per mask block is:
+edge counts of the slots of the edges among vertices 0..5, the low half,
+and of the rest) turn mask blocks into adjacency bit rows, whose
+connectivity is then tested on the rows alone, without any theorem.  The
+masks that share a high half form a window (2^15 masks from n = 6 up),
+and windows whose high halves differ by a permutation of vertices 0..5
+form a window class (`_Codec.window_class`): they hold the same graphs
+up to relabeling, one for one, so `scan_range` scans the first window of
+each class in its range and counts it once per window of the class
+(168 classes of the 8,192 windows at n = 8, 7 of 64 at n = 7).  The
+scan pipeline per mask block is:
 
   1. mask-level prescreens (degrees, Hong-type bound), each justified by
      an upper bound on rho that is valid for every connected graph, so no
      graph that could reach the threshold is ever dropped: the maximum
      degree floor `degree_floor(theta)`, which the graph6 corpus path
      shares, and the Hong test, a lookup in a table over (minimum degree,
-     edge count) whose entries equal the per-mask test bit for bit.
-     `_survivors` runs them, after the subsample's hash, one window of
-     2^16 masks at a time: the masks of a window share their high half,
-     so each degree is a slice of the low half's table plus a constant,
-     and no mask array is built until the survivors are listed.  The
-     survivors then become adjacency bit rows, one gather per half
-     table, and nothing after this step sees a mask;
+     edge count) whose entries equal the per-mask test bit for bit; both
+     are isomorphism invariants, as window classes need.  `_survivors`
+     runs them, after the subsample's hash, one window at a time: the
+     masks of a window share their high half, so each degree is a slice
+     of the low half's table plus a constant, and no mask array is built
+     until the survivors are listed.  The survivors then become adjacency
+     bit rows, one gather per half table, and nothing after this step
+     sees a mask;
   2. grouping by class key: the rows go on in groups of GROUP_ROWS, and
      within a group `_class_keys` relabels each graph by a stable sort of
      its vertices on (degree, sum of neighbour degrees); equal keys are
@@ -29,7 +37,8 @@ without any theorem; the scan pipeline per mask block is:
      each group keeps only its distinct key words and their copy counts,
      the block's words that the call's verdict table (`_Verdicts`) lacks
      are decided together and added to it, and every copy of a key takes
-     its verdict: the counts add each key's copy count, and the
+     its verdict: the counts add each key's copy count times the size of
+     its window's class (a group holds rows of one class size), and the
      over-threshold masks and counterexamples list every copy, in row
      order, selected by keying the group's rows again;
   3. the spectral decision `over_threshold`, which the graph6 corpus
@@ -79,7 +88,7 @@ from .hist import find_hist, proof_guided_hist
 from .spectral import GUARD, TheoremSpec, hong_value, theorem_spec
 
 BLOCK_BITS = 20
-LOW_BITS = 16  # slots in the low half of the edge code; a window is 2^LOW_BITS masks
+LOW_VERTICES = 6  # the low half of the edge code holds the edges among vertices 0..5
 EIG_BATCH = 1 << 12  # rows per slice of over_threshold
 GROUP_ROWS = 1 << 16  # rows per class-key group of _scan_block
 CW_ITERS = 5  # Collatz-Wielandt steps before the eigensolve
@@ -119,6 +128,11 @@ class ScanConfig:
     def spec(self) -> TheoremSpec:
         return theorem_spec(self.mode)
 
+    @property
+    def sampled(self) -> bool:
+        """Whether the subsample drops masks (1 in 1 keeps every mask)."""
+        return bool(self.subsample and self.subsample > 1)
+
 
 @dataclass
 class ShardOut:
@@ -141,20 +155,31 @@ class ShardOut:
 
 
 class _Codec:
-    """The colex slot code of order n as two half tables, split at
-    low_bits = min(LOW_BITS, C(n, 2)): a mask x is y * 2^low_bits + z,
-    with z its low slots and y its high ones.  lo_rows[z] and hi_rows[y]
-    are the adjacency bit rows of each half, so x has the rows
+    """The colex slot code of order n as two half tables, split at the
+    vertex boundary L = min(n, LOW_VERTICES): the low half is the
+    low_bits = C(L, 2) slots of the edges among vertices 0..L-1, and the
+    high half the rest, the edges with an end in L..n-1.  A mask x is
+    y * 2^low_bits + z, with z its low slots and y its high ones, and the
+    masks that share y form the window y.  lo_rows[z] and hi_rows[y] are
+    the adjacency bit rows of each half, so x has the rows
     lo_rows[z] | hi_rows[y]; lo_deg[v, z] and hi_deg[y, v] are vertex v's
     degree in each half (lo_deg transposed, so that a run of z is one
     contiguous slice per vertex), lo_m and hi_m the edge counts, and
-    lo_hash[z] = z * HASH_MULT mod 2^32.  Independent of any theorem."""
+    lo_hash[z] = z * HASH_MULT mod 2^32.
+
+    window_class[y] numbers the windows up to a permutation s of the low
+    vertices: two windows get one number when the sorted rows of vertices
+    0..L-1 among vertices L..n-1 match and so do the rows of vertices
+    L..n-1 among themselves.  Then some s maps the one high half onto the
+    other, and z -> s(z) maps the masks of one window one for one onto
+    relabelings of the masks of the other.  Independent of any theorem."""
 
     def __init__(self, n: int):
         slots = edge_slots(n)
+        low = min(n, LOW_VERTICES)
         self.n = n
         self.nbits = len(slots)
-        self.low_bits = min(LOW_BITS, self.nbits)
+        self.low_bits = low * (low - 1) // 2
         self.lo_rows = _half_rows(n, slots[:self.low_bits])
         self.hi_rows = _half_rows(n, slots[self.low_bits:])
         self.lo_deg = np.ascontiguousarray(np.bitwise_count(self.lo_rows).T)
@@ -163,6 +188,10 @@ class _Codec:
         self.lo_m = np.bitwise_count(lo_masks)
         self.hi_m = np.bitwise_count(np.arange(len(self.hi_rows), dtype=np.uint32))
         self.lo_hash = lo_masks * np.uint32(HASH_MULT)
+        high = np.zeros((len(self.hi_rows), 8), dtype=np.uint8)
+        high[:, :n] = self.hi_rows >> low  # each vertex's row among vertices L..n-1
+        high[:, :low].sort(axis=1)
+        self.window_class = np.unique(high.view(np.uint64).ravel(), return_inverse=True)[1]
 
 
 def _half_rows(n: int, slots) -> np.ndarray:
@@ -180,61 +209,107 @@ _codec = cache(_Codec)
 
 
 def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
-    """Scan masks lo..hi-1; deterministic in inputs only."""
+    """Scan masks lo..hi-1; deterministic in inputs only.
+
+    The whole windows of the range go by class (`_Codec.window_class`):
+    the first window of each class, in mask order, is scanned and stands
+    for every window of its class, since the windows of a class hold one
+    graph per graph of the other, relabeled.  The degree floor, the Hong
+    prescreen and every verdict code are isomorphism invariants, so each
+    count of the scanned window, times the class size, is the class's
+    count.  The window at each unaligned end of the range is a class of
+    its own.  Every window is its own class when the subsample is on (its
+    hash is no invariant) or the over-threshold masks are listed, and the
+    call scans again that way when a class of several windows holds a
+    counterexample, so that every copy is listed, in mask order."""
     c = _codec(cfg.n)
     if not 0 <= lo <= hi <= 1 << c.nbits:
         raise ValueError(f"mask range [{lo}, {hi}) is outside 0..2^{c.nbits} for n={cfg.n}")
-    out = ShardOut()
-    verdicts = _Verdicts()
-    block = 1 << BLOCK_BITS
-    for start in range(lo, hi, block):
-        stop = min(start + block, hi)
-        masks = _survivors(cfg, c, start, stop)
-        out.scanned += stop - start
-        if len(masks):
-            _scan_block(cfg, c, masks, out, verdicts)
+    every = [(lo, hi, 1)]
+    out, relist = _scan(cfg, c, lo, every if cfg.sampled or cfg.collect_over
+                        else _window_classes(c, lo, hi))
+    if relist:
+        out, _ = _scan(cfg, c, lo, every)
     return out
 
 
-def _survivors(cfg: ScanConfig, c: _Codec, start: int, stop: int) -> np.ndarray:
-    """The masks of [start, stop) that the subsample keeps and, under
-    cfg.prescreens, that pass the degree and Hong prescreens, in mask
-    order, as uint32.
+def _window_classes(c: _Codec, lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """The mask ranges [a, b) of lo..hi-1 to scan, in mask order, each
+    with its weight, the number of windows it stands for: the first whole
+    window of each window class of the range, and each unaligned end."""
+    width = 1 << c.low_bits
+    y0, y1 = -(-lo // width), hi // width
+    if y0 >= y1:
+        return [(lo, hi, 1)]
+    _, first, size = np.unique(c.window_class[y0:y1], return_index=True, return_counts=True)
+    order = np.argsort(first)
+    whole = [((y0 + y) * width, (y0 + y + 1) * width, k)
+             for y, k in zip(first[order].tolist(), size[order].tolist())]
+    head, tail = (lo, y0 * width, 1), (y1 * width, hi, 1)
+    return [r for r in (head, *whole, tail) if r[0] < r[1]]
 
-    The range is walked one window at a time, the masks that share a
+
+def _scan(cfg: ScanConfig, c: _Codec, lo: int, ranges) -> tuple[ShardOut, bool]:
+    """Scan the mask ranges (a, b, weight) of `ranges`, given in mask
+    order from lo, counting each mask `weight` times, in blocks of
+    2^BLOCK_BITS masks from lo.  Also returns whether a range of weight
+    above 1 holds a counterexample, whose copies it lists only once."""
+    out = ShardOut()
+    verdicts = _Verdicts()
+    blocks = {}  # block index -> weight -> the block's pieces of that weight
+    for a, b, weight in ranges:
+        out.scanned += (b - a) * weight
+        while a < b:
+            k = (a - lo) >> BLOCK_BITS
+            end = min(b, lo + ((k + 1) << BLOCK_BITS))
+            blocks.setdefault(k, {}).setdefault(weight, []).append((a, end))
+            a = end
+    relist = False
+    for pools in blocks.values():
+        survivors = {weight: _survivors(cfg, c, pieces) for weight, pieces in pools.items()}
+        relist |= _scan_block(cfg, c, survivors, out, verdicts)
+    return out, relist
+
+
+def _survivors(cfg: ScanConfig, c: _Codec, ranges) -> np.ndarray:
+    """The masks of the ranges [start, stop) of `ranges` that the
+    subsample keeps and, under cfg.prescreens, that pass the degree and
+    Hong prescreens, range by range in mask order, as uint32.
+
+    Each range is walked one window at a time, the masks that share a
     high half y: within it a vertex's degree is lo_deg[v, z] plus the
     constant hi_deg[y, v], and the edge count lo_m[z] + hi_m[y].  The
     subsample keeps x = y * 2^low_bits + z when x * HASH_MULT mod 2^32,
     which is lo_hash[z] plus the window's constant, wrapping, is below
     2^32 // subsample, and the prescreens then read only the kept z."""
     n, width = c.n, 1 << c.low_bits
-    sampled = bool(cfg.subsample and cfg.subsample > 1)
     if cfg.prescreens:
         floor = degree_floor(cfg.theta)
         ok = _hong_table(cfg, n)
         flat, cols = ok.ravel(), np.uint16(ok.shape[1])
     parts = []
-    for base in range(start - start % width, stop, width):
-        y = base >> c.low_bits
-        a, b = max(start - base, 0), min(stop - base, width)
-        z = slice(a, b)  # the low halves kept: the whole run, until a filter lists them
-        if sampled:
-            hashed = c.lo_hash[a:b] + np.uint32(base * HASH_MULT % 2**32)  # wraps mod 2^32
-            z = np.flatnonzero(hashed < np.uint32(2**32 // cfg.subsample)) + a
-        if cfg.prescreens:
-            lo_deg = c.lo_deg[:, z]
-            dmax = lo_deg[0] + c.hi_deg[y, 0]
-            dmin = dmax.copy()
-            for v in range(1, n):
-                deg = lo_deg[v] + c.hi_deg[y, v]
-                np.maximum(dmax, deg, out=dmax)
-                np.minimum(dmin, deg, out=dmin)
-            m = c.lo_m[z] + c.hi_m[y]
-            # ok[dmin, m] as one flat take; the offsets fit uint16 (at most 9 * 29 - 1)
-            keep = (dmax >= floor) & flat.take(dmin * cols + m)
-            z = np.flatnonzero(keep) + a if isinstance(z, slice) else z[keep]
-        parts.append(np.arange(base + a, base + b, dtype=np.uint32) if isinstance(z, slice)
-                     else (z + base).astype(np.uint32))
+    for start, stop in ranges:
+        for base in range(start - start % width, stop, width):
+            y = base >> c.low_bits
+            a, b = max(start - base, 0), min(stop - base, width)
+            z = slice(a, b)  # the low halves kept: the whole run, until a filter lists them
+            if cfg.sampled:
+                hashed = c.lo_hash[a:b] + np.uint32(base * HASH_MULT % 2**32)  # wraps mod 2^32
+                z = np.flatnonzero(hashed < np.uint32(2**32 // cfg.subsample)) + a
+            if cfg.prescreens:
+                lo_deg = c.lo_deg[:, z]
+                dmax = lo_deg[0] + c.hi_deg[y, 0]
+                dmin = dmax.copy()
+                for v in range(1, n):
+                    deg = lo_deg[v] + c.hi_deg[y, v]
+                    np.maximum(dmax, deg, out=dmax)
+                    np.minimum(dmin, deg, out=dmin)
+                m = c.lo_m[z] + c.hi_m[y]
+                # ok[dmin, m] as one flat take; the offsets fit uint16 (at most 9 * 29 - 1)
+                keep = (dmax >= floor) & flat.take(dmin * cols + m)
+                z = np.flatnonzero(keep) + a if isinstance(z, slice) else z[keep]
+            parts.append(np.arange(base + a, base + b, dtype=np.uint32) if isinstance(z, slice)
+                         else (z + base).astype(np.uint32))
     return np.concatenate(parts)
 
 
@@ -264,30 +339,36 @@ class _Verdicts:
         return self.codes[np.searchsorted(self.words, words)]
 
 
-def _scan_block(cfg: ScanConfig, c: _Codec, masks: np.ndarray, out: ShardOut,
-                verdicts: _Verdicts):
-    """Steps 1-5 of the pipeline on one block of masks, in three passes
-    over the survivors' groups of GROUP_ROWS: each group is keyed and
-    kept only as its distinct key words and their copy counts; the
-    block's words that `verdicts` lacks are decided in one call and added
-    to it; then each group is tallied from its words' codes.  So each key
-    is decided once per `scan_range` call and its verdict goes to every
-    copy.  A group that must list rows (the over-threshold masks under
-    collect_over, the copies of a counterexample) keys its rows again and
-    gives each row its word's code, so the lists keep row order."""
-    out.survivors += len(masks)
-    if not len(masks):
-        return
-    groups = [masks[s:s + GROUP_ROWS] for s in range(0, len(masks), GROUP_ROWS)]
-    distinct = [_distinct(_key_words(_rows_of_masks(c, group))) for group in groups]
+def _scan_block(cfg: ScanConfig, c: _Codec, pools: dict, out: ShardOut,
+                verdicts: _Verdicts) -> bool:
+    """Steps 1-5 of the pipeline on one block's survivors, `pools`
+    mapping each weight to the survivors of that weight, in three passes
+    over their groups of GROUP_ROWS, each of one weight: each group is
+    keyed and kept only as its distinct key words and their copy counts;
+    the block's words that `verdicts` lacks are decided in one call and
+    added to it; then each group is tallied from its words' codes, each
+    copy counted `weight` times.  So each key is decided once per
+    `scan_range` call and its verdict goes to every copy.  A group that
+    must list rows (the over-threshold masks under collect_over, the
+    copies of a counterexample) keys its rows again and gives each row
+    its word's code, so the lists keep row order.  Returns whether a
+    group of weight above 1 holds a counterexample."""
+    groups = [(weight, masks[s:s + GROUP_ROWS]) for weight, masks in pools.items()
+              for s in range(0, len(masks), GROUP_ROWS)]
+    out.survivors += sum(weight * len(masks) for weight, masks in pools.items())
+    if not groups:
+        return False
+    distinct = [_distinct(_key_words(_rows_of_masks(c, group))) for _, group in groups]
     verdicts.add(cfg, _distinct(np.concatenate([words for words, _ in distinct]))[0])
-    for group, (words, copies) in zip(groups, distinct):
+    relist = False
+    for (weight, group), (words, copies) in zip(groups, distinct):
         code = verdicts.codes_of(words)
-        tally = np.bincount(code, weights=copies, minlength=BAD + 1).astype(np.int64)
+        tally = np.bincount(code, weights=copies * weight, minlength=BAD + 1).astype(np.int64)
         out.over += int(tally[HIST:].sum())
         out.hists += int(tally[HIST] + tally[SEARCHED])
         out.extremal += int(tally[EXTREMAL])
         out.fallback_searches += int(tally[SEARCHED] + tally[BAD])
+        relist |= bool(tally[BAD]) and weight > 1
         if cfg.collect_over or tally[BAD]:
             # The group's key words in sorted order run through `words`,
             # each `copies` times, so one argsort gives every row its code.
@@ -299,6 +380,7 @@ def _scan_block(cfg: ScanConfig, c: _Codec, masks: np.ndarray, out: ShardOut,
             if tally[BAD]:
                 out.counterexamples.extend(encode_graph6(_graph_of_row(c.n, row))
                                            for row in rows[row_code == BAD])
+    return relist
 
 
 def _distinct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

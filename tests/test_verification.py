@@ -566,7 +566,8 @@ def test_grouped_fallback_lists_every_copy_of_a_no_hist_class(monkeypatch):
     # With replay and the search told that one isomorphism class has no
     # HIST, every labeled copy of it is its own counterexample, in row
     # order (ascending mask order within a shard), exactly as the
-    # ungrouped reference lists them.
+    # ungrouped reference lists them, though the class has copies in
+    # windows that the scan skips until it finds the counterexample.
     from types import SimpleNamespace
 
     from histspec import scan
@@ -577,7 +578,8 @@ def test_grouped_fallback_lists_every_copy_of_a_no_hist_class(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(scan, "proof_guided_hist", lambda g, r: seen.append(g) or real_replay(g, r))
         m.setattr(scan, "_class_keys", _unchanged)
-        _shard(cfg, 136)
+        # collect_over scans every window, so each replayed graph is seen
+        _shard(dataclasses.replace(cfg, collect_over=True), 136)
     canon = [_canonical_mask(g) for g in seen]
     target = max(set(canon), key=canon.count)
     copies = [encode_graph6(g) for g in sorted(
@@ -634,6 +636,112 @@ def test_verdict_table_keeps_no_state_between_calls(monkeypatch):
     monkeypatch.setattr(scan, "BLOCK_BITS", 16)
     monkeypatch.setattr(scan, "GROUP_ROWS", 1 << 12)
     assert run(cfg, 301) == alone
+
+
+def _every_window(c, lo, hi):
+    """A `_window_classes` that makes each window a class of its own, so
+    that a scan scans every window: the reference for window classes."""
+    return [(lo, hi, 1)]
+
+
+def test_window_classes_are_orbits_of_the_low_vertices():
+    # The low half holds the edges among vertices 0..5, and two windows
+    # share a class exactly when a permutation of those vertices maps the
+    # high half of one onto the other: the least high half over the 720
+    # permutations, moved slot by slot, partitions the windows as
+    # window_class does.  Orders up to 6 have one window; order 7 has 7
+    # classes of 64 windows, order 8 168 of 8,192.
+    from histspec.graphs import edge_slots
+    from histspec.scan import _codec
+
+    classes = {}
+    for n in range(1, 9):
+        c = _codec(n)
+        slots = edge_slots(n)
+        high = slots[c.low_bits:]
+        assert all(j < 6 for _, j in slots[:c.low_bits]) and all(j >= 6 for _, j in high)
+        slot_of = {edge: b for b, edge in enumerate(high)}
+        ys = np.arange(1 << len(high))
+        least = ys.copy()
+        for perm in itertools.permutations(range(min(n, 6))):
+            p = [*perm, *range(6, n)]
+            moved = np.zeros_like(ys)
+            for b, (i, j) in enumerate(high):
+                moved |= ((ys >> b) & 1) << slot_of[min(p[i], p[j]), max(p[i], p[j])]
+            np.minimum(least, moved, out=least)
+        pairs = set(zip(least.tolist(), c.window_class.tolist()))
+        assert len(pairs) == len(set(least.tolist())) == len(set(c.window_class.tolist()))
+        classes[n] = len(pairs)
+    assert classes == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 7, 8: 168}
+
+
+def test_window_classes_match_scanning_every_window(monkeypatch):
+    # scan_range scans the first window of each window class and counts
+    # it once per window of the class, and gives the same ShardOut, every
+    # field, as a scan of every window: n=7 thm1 shards 0-3, the n=8 thm2
+    # benchmark shards and the golden shard 301, some without the
+    # prescreens, and unaligned ranges across window edges and, with
+    # blocks of 2^20 and of 2^13 masks from an unaligned start, across
+    # block edges inside windows.  Each range skips windows.
+    from histspec import scan
+
+    t7, t8 = threshold_connected(7), threshold_two_connected(8)
+    w = 1 << scan._codec(8).low_bits
+    thm1 = ScanConfig(n=7, theta=t7, mode="thm1")
+    thm2 = ScanConfig(n=8, theta=t8, mode="thm2")
+    cases = [(thm1, s << 19, (s + 1) << 19, 20) for s in range(4)]
+    cases += [(thm2, s << 19, (s + 1) << 19, 20) for s in (136, 338, 414, 255, 301)]
+    cases += [(dataclasses.replace(thm1, prescreens=False), 0, 1 << 19, 20),
+              (dataclasses.replace(thm2, prescreens=False), 301 << 19, 302 << 19, 20),
+              (thm1, 5 * w - 3, 40 * w + 9, 20),
+              (thm2, 300 * w - 1000, 300 * w - 1000 + (1 << 20) + 3 * w + 77, 20),
+              (thm2, 7611 * w + 5, 7650 * w - 5, 13)]
+    for cfg, lo, hi, bits in cases:
+        c = scan._codec(cfg.n)
+        assert sum(b - a for a, b, _ in scan._window_classes(c, lo, hi)) < hi - lo
+        with monkeypatch.context() as m:
+            m.setattr(scan, "BLOCK_BITS", bits)
+            grouped = scan_range(cfg, lo, hi)
+            m.setattr(scan, "_window_classes", _every_window)
+            assert grouped == scan_range(cfg, lo, hi)
+        assert grouped.scanned == hi - lo and grouped.survivors > 0
+
+
+def test_window_classes_list_every_copy_of_a_counterexample(monkeypatch):
+    # At theta = 3.7, under rho(L_7), n=7 shard 1 has counterexamples in
+    # window classes of several windows.  Having found them, the scan
+    # scans the shard again window by window, so it lists every copy, in
+    # mask order, as the scan that lists the over-threshold masks does.
+    from histspec import scan
+
+    runs = []
+    real = scan._scan
+    monkeypatch.setattr(scan, "_scan", lambda *args: runs.append(args[3]) or real(*args))
+    cfg = ScanConfig(n=7, theta=3.7, mode="thm1")
+    out = _shard(cfg, 1)
+    assert len(runs) == 2 and max(k for _, _, k in runs[0]) > 1
+    assert runs[1] == [(1 << 19, 2 << 19, 1)]
+    listed = _shard(dataclasses.replace(cfg, collect_over=True), 1)
+    assert len(out.counterexamples) == 524
+    assert out == dataclasses.replace(listed, over_masks=[])
+
+
+def test_sampled_and_listing_scans_scan_every_window():
+    # The subsample's hash is no isomorphism invariant and collect_over
+    # lists masks, so both scan every window; their counts are pinned:
+    # (survivors, over, extremal, hists, fallback_searches), and for the
+    # listing the number and sum of the over-threshold masks.
+    t7, t8 = threshold_connected(7), threshold_two_connected(8)
+    for cfg, s, counts in (
+            (ScanConfig(n=8, theta=t8, mode="thm2", subsample=64), 136, (1239, 402, 0, 402, 7)),
+            (ScanConfig(n=8, theta=t8, mode="thm2", subsample=64), 301, (4362, 2494, 0, 2494, 27)),
+            (ScanConfig(n=7, theta=t7, mode="thm1", subsample=4), 2, (22180, 12773, 9, 12764, 0)),
+            (ScanConfig(n=8, theta=t8, mode="thm2", collect_over=True), 301,
+             (278596, 156601, 6, 156595, 1489))):
+        out = _shard(cfg, s)
+        assert (out.survivors, out.over, out.extremal, out.hists, out.fallback_searches) == counts
+        if cfg.collect_over:
+            assert (len(out.over_masks), sum(out.over_masks)) == (156601, 24764934039437)
 
 
 @pytest.mark.parametrize("dtype, orders", [(np.uint8, range(1, 9)), (np.int64, range(1, 21))])
@@ -850,12 +958,15 @@ def _slot_degrees(n, masks):
 
 def _crossing_ranges(rng, count, length):
     """Order-8 mask ranges with random unaligned starts: each crosses a
-    2^20 block edge (so also a 2^16 window edge) or a 2^16 window edge
-    inside a block, alternately."""
+    2^20 block edge (so also a window edge) or a window edge inside a
+    block, alternately."""
+    from histspec.scan import BLOCK_BITS, _codec
+
+    low_bits = _codec(8).low_bits
     ranges = []
     for k in range(count):
-        edge = int(rng.integers(1, 1 << 8)) << 20 if k % 2 == 0 else \
-            (int(rng.integers(1, (1 << 12) - 2)) << 16 | 1 << 19)
+        edge = int(rng.integers(1, 1 << 8)) << BLOCK_BITS if k % 2 == 0 else \
+            (int(rng.integers(1, (1 << 28 - low_bits) - 2)) << low_bits | 1 << BLOCK_BITS - 1)
         start = edge - int(rng.integers(1, length))
         ranges.append((start, start + length))
     return ranges
@@ -865,7 +976,7 @@ def test_prescreen_matches_per_graph_reference():
     # The windowed degree and Hong prescreens of _survivors keep exactly
     # the masks a per-graph check keeps, for both theorems, on the range
     # of every order-6 mask and on order-8 ranges with unaligned starts
-    # that cross a 2^16 window edge and the 2^20 block edge, at thresholds
+    # that cross a window edge and the 2^20 block edge, at thresholds
     # that split them.  The degree check is rho <= Δ itself: the order-6
     # thresholds lie under both theorems', where Δ >= n - degree_gap
     # would drop graphs.
@@ -892,8 +1003,7 @@ def test_prescreen_matches_per_graph_reference():
                         want.append(mk)
                 assert 0 < len(want) < len(masks)
                 cfg = ScanConfig(n=n, theta=theta, mode=mode)
-                got = [_survivors(cfg, _codec(n), lo, hi) for lo, hi in ranges]
-                assert np.concatenate(got).tolist() == want
+                assert _survivors(cfg, _codec(n), ranges).tolist() == want
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -901,7 +1011,7 @@ def test_prescreen_table_matches_elementwise_hong():
     # The table lookup keeps exactly the masks that the element-wise
     # degree and Hong test keeps (hong_value on float64 d and int64 m per
     # mask), for both theorems, on the range of every order-6 mask and on
-    # two 2^16-mask order-8 ranges with unaligned starts, one across the
+    # two window-long order-8 ranges with unaligned starts, one across the
     # 2^20 block edge and one across a window edge inside a block.  The
     # thresholds include Hong values themselves (plus GUARD), where the >=
     # test is a tie that only a bit-identical table decides alike; neither
@@ -912,7 +1022,7 @@ def test_prescreen_table_matches_elementwise_hong():
     rng = np.random.default_rng(59)
     for n, ranges, thetas in (
             (6, [(0, 1 << 15)], (2.5, 3.0, 3.5)),
-            (8, _crossing_ranges(rng, 2, 1 << 16),
+            (8, _crossing_ranges(rng, 2, 1 << _codec(8).low_bits),
              (threshold_connected(8), threshold_two_connected(8)))):
         c = _codec(n)
         masks = np.concatenate([np.arange(lo, hi, dtype=np.uint32) for lo, hi in ranges])
@@ -928,8 +1038,7 @@ def test_prescreen_table_matches_elementwise_hong():
                         & (hong >= theta - GUARD))
                 assert 0 < want.sum() < len(masks)
                 cfg = ScanConfig(n=n, theta=theta, mode=mode)
-                got = np.concatenate([_survivors(cfg, c, lo, hi) for lo, hi in ranges])
-                assert np.array_equal(got, masks[want])
+                assert np.array_equal(_survivors(cfg, c, ranges), masks[want])
 
 
 def test_survivors_match_hash_then_per_mask_prescreen():
@@ -952,8 +1061,9 @@ def test_survivors_match_hash_then_per_mask_prescreen():
         if n <= 6:
             ranges = [(0, top), (top // 3, top - top // 5)]
         else:
-            ranges = [((1 << 16) - 37, (5 << 16) + 11), (top - (3 << 16) - 5, top)]
-            ranges += _crossing_ranges(rng, 2, 1 << 17) if n == 8 else []
+            w = 1 << c.low_bits
+            ranges = [(w - 37, 5 * w + 11), (top - 3 * w - 5, top)]
+            ranges += _crossing_ranges(rng, 2, 2 * w) if n == 8 else []
             ranges += [(3 << 20, 5 << 20)] if n == 8 else []
         theta = {7: threshold_connected(7), 8: threshold_two_connected(8)}.get(n, n - 2.5)
         for mode in ("thm1", "thm2"):
@@ -974,7 +1084,7 @@ def test_survivors_match_hash_then_per_mask_prescreen():
                             masks = masks[(deg.max(axis=1) >= degree_floor(theta))
                                           & (dmin >= cfg.spec.min_degree)
                                           & (hong >= theta - GUARD)]
-                        got = _survivors(cfg, c, lo, hi)
+                        got = _survivors(cfg, c, [(lo, hi)])
                         assert got.dtype == np.uint32 and np.array_equal(got, masks)
                         key = (subsample, prescreens)
                         kept[key] = kept.get(key, 0) + len(masks)
@@ -1035,13 +1145,15 @@ def test_scan_decides_each_key_once_per_call(monkeypatch):
     # verify_theorem1(7) hands over_threshold key rows only, and each key
     # once per scan_range call: the rows of all calls within one
     # scan_range call are pairwise distinct, and together they hold as
-    # many rows as that call's groups hold distinct keys, 1,949 over the
-    # four shards for the 387,388 prescreen survivors.  _decide runs once
-    # per block that has keys the call has not decided yet, on all of
-    # them: each shard is one block, so four calls.  With blocks of 2^16
-    # and of 2^12 masks, shard 301 makes one _decide call per block that
-    # brings new keys, on exactly those keys: all 8 blocks of 2^16, and
-    # 123 of the 128 blocks of 2^12.
+    # many rows as that call's groups hold distinct keys, 1,859 over the
+    # four shards for the 387,388 prescreen survivors (140,330 of them
+    # keyed, in the windows scanned for their window classes).  _decide
+    # runs once per block that has keys the call has not decided yet, on
+    # all of them: each shard is one block, so four calls.  With blocks
+    # of 2^16, 2^12 and 2^11 masks, shard 301 makes one _decide call per
+    # block that brings new keys, on exactly those keys: the 6 blocks of
+    # 2^16 and the 64 blocks of 2^12 that hold scanned windows, and 120
+    # of the 128 such blocks of 2^11.
     from histspec import scan
 
     decided, distinct, calls = [], [], []
@@ -1075,16 +1187,16 @@ def test_scan_decides_each_key_once_per_call(monkeypatch):
     assert len(decided) == 4
     for rows, keys in zip(decided, distinct):
         assert len(set(rows)) == len(rows) == len(keys)
-    assert sum(map(len, decided)) == 1_949
-    assert len(calls) == 4 and sum(map(len, calls)) == 1_949
+    assert sum(map(len, decided)) == 1_859
+    assert len(calls) == 4 and sum(map(len, calls)) == 1_859
 
-    def block(cfg, c, masks, out, verdicts):
+    def block(cfg, c, pools, out, verdicts):
         distinct.append(set())
-        real_block(cfg, c, masks, out, verdicts)
+        return real_block(cfg, c, pools, out, verdicts)
 
     monkeypatch.setattr(scan, "_scan_block", block)
     decided.append([])
-    for bits, blocks, fresh_blocks in ((16, 8, 8), (12, 128, 123)):
+    for bits, blocks, fresh_blocks in ((16, 6, 6), (12, 64, 64), (11, 128, 120)):
         monkeypatch.setattr(scan, "BLOCK_BITS", bits)
         del distinct[:], calls[:]
         _shard(ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2"), 301)

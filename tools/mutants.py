@@ -84,9 +84,21 @@ MUTANTS = (
            "return self.codes[np.searchsorted(self.words, words) - 1]",
            (VERIFICATION + "test_verdict_table_keeps_no_state_between_calls",)),
     Mutant("tally-another-groups-copies", "scan.py",
-           "np.bincount(code, weights=copies,",
-           "np.bincount(code, weights=np.resize(distinct[0][1], len(code)),",
+           "np.bincount(code, weights=copies * weight,",
+           "np.bincount(code, weights=np.resize(distinct[0][1], len(code)) * weight,",
            (VERIFICATION + "test_verdict_table_keeps_no_state_between_calls",)),
+    Mutant("window-class-without-high-rows", "scan.py",
+           "high[:, :low].sort(axis=1)", "high[:, :low].sort(axis=1)\n        high[:, low:] = 0",
+           (VERIFICATION + "test_window_classes_are_orbits_of_the_low_vertices",)),
+    Mutant("survivors-without-window-weight", "scan.py",
+           "out.survivors += sum(weight * len(masks)", "out.survivors += sum(len(masks)",
+           (VERIFICATION + "test_window_classes_match_scanning_every_window",)),
+    Mutant("window-classes-under-subsample", "scan.py",
+           "every if cfg.sampled or cfg.collect_over", "every if cfg.collect_over",
+           (VERIFICATION + "test_sampled_and_listing_scans_scan_every_window",)),
+    Mutant("counterexample-rescan-skipped", "scan.py",
+           "    if relist:\n", "    if False:\n",
+           (VERIFICATION + "test_window_classes_list_every_copy_of_a_counterexample",)),
     Mutant("counterexamples-wrong-code", "scan.py",
            "rows[row_code == BAD]", "rows[row_code == SEARCHED]",
            (VERIFICATION + "test_scan_below_threshold_reports_real_counterexamples",)),

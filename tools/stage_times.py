@@ -8,18 +8,21 @@ seed-1 file of the `n9_corpus` benchmark workload (2,000 records, written
 by `perfbench/workloads.py`) through both corpus drivers.  Each stage is a
 module function (and `numpy.linalg.eigvalsh`), wrapped with
 `time.perf_counter` at the name its callers resolve, so a stage's time
-includes the stages it calls.  In both labeled passes `_survivors` lists
-each block's subsample and prescreen survivors, once per block (it takes
-no array, so its rows are its calls); `_key_words` then runs on every
-survivor, in groups of `scan.GROUP_ROWS` rows:
-it holds `_class_keys`, the key that groups the rows by isomorphism
-class, and packs each key in one word.  `_distinct` sorts each group's
-words into distinct words and copy counts, and once per block the union
-of its groups' words.  `_decide` then runs once per block, on the keys
-of the block's groups that the `scan_range` call has not decided yet, so
-every later stage sees each distinct key once per call; its calls are
-the blocks with new keys and its rows the keys decided per pass.  It
-holds `over_threshold` (with
+includes the stages it calls.  In both labeled passes `scan_range`
+scans the first window of each window class of its range, and
+`_survivors` lists the subsample and prescreen survivors of those
+windows, once per block and window-class size (it takes no array, so its
+rows are its calls); the windows scanned and the windows in range of
+each pass are written out too.  `_key_words` then runs on every
+survivor of the scanned windows, in groups of `scan.GROUP_ROWS` rows of
+one class size: it holds `_class_keys`, the key that groups the rows by
+isomorphism class, and packs each key in one word.  `_distinct` sorts
+each group's words into distinct words and copy counts, and once per
+block the union of its groups' words.  `_decide` then runs once per
+block, on the keys of the block's groups that the `scan_range` call has
+not decided yet, so every later stage sees each distinct key once per
+call; its calls are the blocks with new keys and its rows the keys
+decided per pass.  It holds `over_threshold` (with
 `_sandwich` and `eigvalsh`), then `_connected_filter` on the
 over-threshold keys, with `_reach_vec`, the bitset BFS, whose call count
 is the number of BFS runs, then `_classify`, which holds, in its order,
@@ -123,6 +126,28 @@ def _corpus_pass(path):
     return run_pass
 
 
+def count_windows(run_pass) -> dict:
+    """Windows scanned and windows in range over one pass of the labeled
+    scan, from the ranges `scan._scan` takes: a range counts once per
+    window it touches as scanned, and its weight times that as in range."""
+    counts = {"scanned": 0, "in_range": 0}
+    real = scan._scan
+
+    def counted(cfg, c, lo, ranges):
+        for a, b, weight in ranges:
+            touched = ((b - 1) >> c.low_bits) - (a >> c.low_bits) + 1
+            counts["scanned"] += touched
+            counts["in_range"] += weight * touched
+        return real(cfg, c, lo, ranges)
+
+    scan._scan = counted
+    try:
+        run_pass()
+    finally:
+        scan._scan = real
+    return counts
+
+
 def measure(run_pass, passes: int, sites) -> tuple[dict, list[float]]:
     """Per-stage minimum speed-corrected seconds over `passes` passes, call
     and row counts, and the speed factor of each pass."""
@@ -164,7 +189,7 @@ def main(argv=None) -> None:
         print(f"skipped stages not in histspec: {', '.join(skipped)}", file=sys.stderr)
     reference.chunk_seconds()  # the first chunk of a process runs cold
     result = {"passes": args.passes, "numpy": np.__version__, "python": sys.version.split()[0],
-              "speed_factors": {}}
+              "speed_factors": {}, "windows": {}}
     labeled = [(scan, name) for name in STAGES if hasattr(scan, name)]
     labeled += [(np.linalg, "eigvalsh"), (Graph, "is_2_connected"), (Graph, "cut_vertices")]
     corpus = workloads.N9Corpus()
@@ -177,13 +202,18 @@ def main(argv=None) -> None:
                  [(owner, name) for owner, name in CORPUS_STAGES if hasattr(owner, name)])):
             result[workload], result["speed_factors"][workload] = measure(
                 run_pass, args.passes, sites)
+            if sites is labeled and hasattr(scan, "_scan"):
+                result["windows"][workload] = count_windows(run_pass)
     finally:
         corpus.close()
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
     for workload in ("n7_thm1_full", "n8_thm2_shards", "n9_corpus"):
         factors = ", ".join(f"{f:.2f}" for f in result["speed_factors"][workload])
-        print(f"{workload} (speed factors {factors})")
+        windows = result["windows"].get(workload)
+        scanned = (f"; windows scanned {windows['scanned']} of {windows['in_range']}"
+                   if windows else "")
+        print(f"{workload} (speed factors {factors}{scanned})")
         for name, row in result[workload].items():
             print(f"  {name:<24} {row['s']:>8.3f} s {row['share']:>6.1%} {row['calls']:>8}"
                   f" {row['rows']:>9}")
