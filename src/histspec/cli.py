@@ -8,9 +8,9 @@ Wherever a graph6 string is expected, the shorthand family:NAME:params
 (e.g. family:L:7, family:Kpq:2:8) builds the named construction instead.
 
 Each `verify` target has its own parser that declares only the options
-its driver reads (thm1/thm2: --n, --corpus, --threads, --subsample;
-corollaries: --from, --to; certificates: --nmax; audit: --n, --theorem,
---subsample, --threads), so argparse rejects any other with exit 2.
+its driver reads (thm1/thm2: --n, --corpus; corollaries: --from, --to;
+certificates: --nmax; audit: --n, --theorem), so argparse rejects any
+other with exit 2.
 Every driver returns a report with `ok`, `to_json()` and `text()`.
 """
 
@@ -163,14 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
                                help=f"exhaustive {spec.connectivity}-threshold check")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--corpus", help="graph6 corpus file")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--subsample", type=int,
-                       help="deterministic 1-in-N mask subsample (labeled source only)")
         p.set_defaults(driver=lambda a, name=spec.name.replace("thm", "verify_theorem"):
                        getattr(verification, name)(
                            a.n, source=(verification.LABELED_EXHAUSTIVE if a.corpus is None
                                         else verification.GRAPH6_CORPUS),
-                           corpus_path=a.corpus, threads=a.threads, subsample=a.subsample))
+                           corpus_path=a.corpus))
 
     p = targets.add_parser("corollaries", allow_abbrev=False, help="order-only caps")
     p.add_argument("--from", dest="range_from", type=int, default=7)
@@ -185,10 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--theorem", choices=[s.name for s in THEOREMS], default="thm2",
                    help="whose prescreens to audit")
-    p.add_argument("--subsample", type=int, default=256)
-    p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(driver=lambda a: verification.audit_prescreens(
-        a.n, theorem=a.theorem, subsample=a.subsample, threads=a.threads))
+    p.set_defaults(driver=lambda a: verification.audit_prescreens(a.n, theorem=a.theorem))
 
     p = sub.add_parser("convert", help="round-trip validate a graph6 file")
     p.add_argument("file")

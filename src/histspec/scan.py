@@ -12,7 +12,9 @@ form a window class (`_Codec.window_class`): they hold the same graphs
 up to relabeling, one for one, so `scan_range` scans the first window of
 each class in its range and counts it once per window of the class
 (168 classes of the 8,192 windows at n = 8, 7 of 64 at n = 7).  The
-scan pipeline per mask block is:
+labeled drivers scan a whole order in one call, so that each class is
+scanned once and every key decided once.  The scan pipeline per mask
+block is:
 
   1. mask-level prescreens (degrees, Hong-type bound), each justified by
      an upper bound on rho that is valid for every connected graph, so no
@@ -21,12 +23,11 @@ scan pipeline per mask block is:
      shares, and the Hong test, a lookup in a table over (minimum degree,
      edge count) whose entries equal the per-mask test bit for bit; both
      are isomorphism invariants, as window classes need.  `_survivors`
-     runs them, after the subsample's hash, one window at a time: the
-     masks of a window share their high half, so each degree is a slice
-     of the low half's table plus a constant, and no mask array is built
-     until the survivors are listed.  The survivors then become adjacency
-     bit rows, one gather per half table, and nothing after this step
-     sees a mask;
+     runs them one window at a time: the masks of a window share their
+     high half, so each degree is a slice of the low half's table plus a
+     constant, and no mask array is built until the survivors are
+     listed.  The survivors then become adjacency bit rows, one gather
+     per half table, and nothing after this step sees a mask;
   2. grouping by class key: the rows go on in groups of GROUP_ROWS, and
      within a group `_class_keys` relabels each graph by a stable sort of
      its vertices on (degree, sum of neighbour degrees); equal keys are
@@ -77,7 +78,7 @@ the scan can only over-check.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import InitVar, dataclass, field
 from functools import cache
 
 import numpy as np
@@ -92,7 +93,6 @@ LOW_VERTICES = 6  # the low half of the edge code holds the edges among vertices
 EIG_BATCH = 1 << 12  # rows per slice of over_threshold
 GROUP_ROWS = 1 << 16  # rows per class-key group of _scan_block
 CW_ITERS = 5  # Collatz-Wielandt steps before the eigensolve
-HASH_MULT = 2654435761  # Knuth multiplicative hash, for unbiased subsampling
 # Verdict codes of a class key: under the threshold or without the
 # theorem's connectivity, a HIST by the vectorized tests, a HIST by replay
 # or the search, the extremal graph, a counterexample.
@@ -110,7 +110,6 @@ class ScanConfig:
     mode: str                      # theorem name, "thm1" or "thm2"
     extremal: InitVar[str | None] = None  # implied by mode; checked if given
     prescreens: bool = True
-    subsample: int | None = None   # keep ~1 in this many masks when set
     collect_over: bool = False     # also return the over-threshold masks
 
     def __post_init__(self, extremal):
@@ -121,17 +120,10 @@ class ScanConfig:
             raise ValueError(
                 f"the scan engine takes 1 <= n <= 8 (got n={self.n}): "
                 "adjacency rows are uint8 and edge masks uint32")
-        if self.subsample is not None and self.subsample < 1:
-            raise ValueError(f"subsample must be >= 1, got {self.subsample}")
 
     @property
     def spec(self) -> TheoremSpec:
         return theorem_spec(self.mode)
-
-    @property
-    def sampled(self) -> bool:
-        """Whether the subsample drops masks (1 in 1 keeps every mask)."""
-        return bool(self.subsample and self.subsample > 1)
 
 
 @dataclass
@@ -147,12 +139,6 @@ class ShardOut:
     fallback_searches: int = 0
     over_masks: list = field(default_factory=list)
 
-    def merge(self, other: "ShardOut"):
-        for f in fields(self):
-            total = getattr(self, f.name)
-            total += getattr(other, f.name)  # lists extend in place, in shard order
-            setattr(self, f.name, total)
-
 
 class _Codec:
     """The colex slot code of order n as two half tables, split at the
@@ -164,8 +150,7 @@ class _Codec:
     the adjacency bit rows of each half, so x has the rows
     lo_rows[z] | hi_rows[y]; lo_deg[v, z] and hi_deg[y, v] are vertex v's
     degree in each half (lo_deg transposed, so that a run of z is one
-    contiguous slice per vertex), lo_m and hi_m the edge counts, and
-    lo_hash[z] = z * HASH_MULT mod 2^32.
+    contiguous slice per vertex), and lo_m and hi_m the edge counts.
 
     window_class[y] numbers the windows up to a permutation s of the low
     vertices: two windows get one number when the sorted rows of vertices
@@ -184,10 +169,8 @@ class _Codec:
         self.hi_rows = _half_rows(n, slots[self.low_bits:])
         self.lo_deg = np.ascontiguousarray(np.bitwise_count(self.lo_rows).T)
         self.hi_deg = np.bitwise_count(self.hi_rows)
-        lo_masks = np.arange(len(self.lo_rows), dtype=np.uint32)
-        self.lo_m = np.bitwise_count(lo_masks)
+        self.lo_m = np.bitwise_count(np.arange(len(self.lo_rows), dtype=np.uint32))
         self.hi_m = np.bitwise_count(np.arange(len(self.hi_rows), dtype=np.uint32))
-        self.lo_hash = lo_masks * np.uint32(HASH_MULT)
         high = np.zeros((len(self.hi_rows), 8), dtype=np.uint8)
         high[:, :n] = self.hi_rows >> low  # each vertex's row among vertices L..n-1
         high[:, :low].sort(axis=1)
@@ -209,7 +192,8 @@ _codec = cache(_Codec)
 
 
 def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
-    """Scan masks lo..hi-1; deterministic in inputs only.
+    """Scan masks lo..hi-1; deterministic in inputs only.  The labeled
+    drivers pass the whole order, 0..2^C(n, 2).
 
     The whole windows of the range go by class (`_Codec.window_class`):
     the first window of each class, in mask order, is scanned and stands
@@ -218,16 +202,15 @@ def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
     prescreen and every verdict code are isomorphism invariants, so each
     count of the scanned window, times the class size, is the class's
     count.  The window at each unaligned end of the range is a class of
-    its own.  Every window is its own class when the subsample is on (its
-    hash is no invariant) or the over-threshold masks are listed, and the
-    call scans again that way when a class of several windows holds a
-    counterexample, so that every copy is listed, in mask order."""
+    its own.  Every window is its own class when the over-threshold masks
+    are listed, and the call scans again that way when a class of several
+    windows holds a counterexample, so that every copy is listed, in mask
+    order."""
     c = _codec(cfg.n)
     if not 0 <= lo <= hi <= 1 << c.nbits:
         raise ValueError(f"mask range [{lo}, {hi}) is outside 0..2^{c.nbits} for n={cfg.n}")
     every = [(lo, hi, 1)]
-    out, relist = _scan(cfg, c, lo, every if cfg.sampled or cfg.collect_over
-                        else _window_classes(c, lo, hi))
+    out, relist = _scan(cfg, c, lo, every if cfg.collect_over else _window_classes(c, lo, hi))
     if relist:
         out, _ = _scan(cfg, c, lo, every)
     return out
@@ -272,16 +255,13 @@ def _scan(cfg: ScanConfig, c: _Codec, lo: int, ranges) -> tuple[ShardOut, bool]:
 
 
 def _survivors(cfg: ScanConfig, c: _Codec, ranges) -> np.ndarray:
-    """The masks of the ranges [start, stop) of `ranges` that the
-    subsample keeps and, under cfg.prescreens, that pass the degree and
-    Hong prescreens, range by range in mask order, as uint32.
+    """The masks of the ranges [start, stop) of `ranges` that, under
+    cfg.prescreens, pass the degree and Hong prescreens, range by range in
+    mask order, as uint32.
 
     Each range is walked one window at a time, the masks that share a
     high half y: within it a vertex's degree is lo_deg[v, z] plus the
-    constant hi_deg[y, v], and the edge count lo_m[z] + hi_m[y].  The
-    subsample keeps x = y * 2^low_bits + z when x * HASH_MULT mod 2^32,
-    which is lo_hash[z] plus the window's constant, wrapping, is below
-    2^32 // subsample, and the prescreens then read only the kept z."""
+    constant hi_deg[y, v], and the edge count lo_m[z] + hi_m[y]."""
     n, width = c.n, 1 << c.low_bits
     if cfg.prescreens:
         floor = degree_floor(cfg.theta)
@@ -292,24 +272,20 @@ def _survivors(cfg: ScanConfig, c: _Codec, ranges) -> np.ndarray:
         for base in range(start - start % width, stop, width):
             y = base >> c.low_bits
             a, b = max(start - base, 0), min(stop - base, width)
-            z = slice(a, b)  # the low halves kept: the whole run, until a filter lists them
-            if cfg.sampled:
-                hashed = c.lo_hash[a:b] + np.uint32(base * HASH_MULT % 2**32)  # wraps mod 2^32
-                z = np.flatnonzero(hashed < np.uint32(2**32 // cfg.subsample)) + a
-            if cfg.prescreens:
-                lo_deg = c.lo_deg[:, z]
-                dmax = lo_deg[0] + c.hi_deg[y, 0]
-                dmin = dmax.copy()
-                for v in range(1, n):
-                    deg = lo_deg[v] + c.hi_deg[y, v]
-                    np.maximum(dmax, deg, out=dmax)
-                    np.minimum(dmin, deg, out=dmin)
-                m = c.lo_m[z] + c.hi_m[y]
-                # ok[dmin, m] as one flat take; the offsets fit uint16 (at most 9 * 29 - 1)
-                keep = (dmax >= floor) & flat.take(dmin * cols + m)
-                z = np.flatnonzero(keep) + a if isinstance(z, slice) else z[keep]
-            parts.append(np.arange(base + a, base + b, dtype=np.uint32) if isinstance(z, slice)
-                         else (z + base).astype(np.uint32))
+            if not cfg.prescreens:
+                parts.append(np.arange(base + a, base + b, dtype=np.uint32))
+                continue
+            lo_deg = c.lo_deg[:, a:b]
+            dmax = lo_deg[0] + c.hi_deg[y, 0]
+            dmin = dmax.copy()
+            for v in range(1, n):
+                deg = lo_deg[v] + c.hi_deg[y, v]
+                np.maximum(dmax, deg, out=dmax)
+                np.minimum(dmin, deg, out=dmin)
+            m = c.lo_m[a:b] + c.hi_m[y]
+            # ok[dmin, m] as one flat take; the offsets fit uint16 (at most 9 * 29 - 1)
+            keep = (dmax >= floor) & flat.take(dmin * cols + m)
+            parts.append((np.flatnonzero(keep) + (base + a)).astype(np.uint32))
     return np.concatenate(parts)
 
 
@@ -317,7 +293,7 @@ class _Verdicts:
     """The class keys one `scan_range` call has decided, as sorted uint64
     words (`_key_words`), and the verdict code of each.  A verdict depends
     on the call's config as well as the key, so the table lives for one
-    call: `scan_range` makes it and drops it."""
+    call: `_scan` makes it and drops it."""
 
     def __init__(self):
         self.words = np.zeros(0, dtype=np.uint64)

@@ -39,7 +39,6 @@ from .spectral import (
 LABELED_EXHAUSTIVE = "labeled_exhaustive"
 GRAPH6_CORPUS = "graph6_corpus"
 
-SHARD_BITS = 19  # fixed shard size keeps reports independent of worker count
 CORPUS_BATCH = 1 << 12  # corpus records per chunk of the batched scan; bounds memory
 THRESHOLD_AGREEMENT = 1e-8
 
@@ -112,8 +111,10 @@ def enumerate_labeled(n: int, connected: bool = False):
     if n < 1:
         raise ValueError("order must be >= 1")
     c = _scan._codec(n)
-    for lo, hi in _shards(1 << c.nbits):
-        rows = _scan._rows_of_masks(c, np.arange(lo, hi, dtype=np.uint32))
+    step = 1 << _scan.BLOCK_BITS
+    for lo in range(0, 1 << c.nbits, step):
+        rows = _scan._rows_of_masks(c, np.arange(lo, min(lo + step, 1 << c.nbits),
+                                                 dtype=np.uint32))
         if connected:
             rows = rows[_scan._connected_filter(rows, False)]
         data = rows.tobytes()
@@ -154,29 +155,23 @@ def verify_theorem1(
     n: int,
     source: str = LABELED_EXHAUSTIVE,
     corpus_path: str | None = None,
-    threads: int = 1,
-    subsample: int | None = None,
 ) -> VerificationReport:
     """Every connected order-n graph at or above rho of the pendant-path
     family either is that family or has a HIST."""
-    return _verify(THM1, threshold_connected, n, source, corpus_path, threads, subsample)
+    return _verify(THM1, threshold_connected, n, source, corpus_path)
 
 
 def verify_theorem2(
     n: int,
     source: str = LABELED_EXHAUSTIVE,
     corpus_path: str | None = None,
-    threads: int = 1,
-    subsample: int | None = None,
 ) -> VerificationReport:
     """Every 2-connected order-n graph at or above rho of the
     attached-3-path family either is that family or has a HIST."""
-    return _verify(THM2, threshold_two_connected, n, source, corpus_path, threads,
-                   subsample)
+    return _verify(THM2, threshold_two_connected, n, source, corpus_path)
 
 
-def _verify(spec, threshold, n, source, corpus_path, threads,
-            subsample) -> VerificationReport:
+def _verify(spec, threshold, n, source, corpus_path) -> VerificationReport:
     """Body of verify_theorem1/2.  `threshold` is the public threshold
     function as the caller looked it up, so a rebinding of that module
     attribute takes effect."""
@@ -185,19 +180,13 @@ def _verify(spec, threshold, n, source, corpus_path, threads,
     if source == LABELED_EXHAUSTIVE:
         if corpus_path is not None:
             raise ValueError("corpus path applies to the corpus source only")
-        cfg = _scan.ScanConfig(n=n, theta=theta, mode=spec.name, subsample=subsample)
-        res = _run_sharded(cfg, threads)
+        cfg = _scan.ScanConfig(n=n, theta=theta, mode=spec.name)
+        res = _scan.scan_range(cfg, 0, 1 << (n * (n - 1) // 2))
         scope = (f"exhaustive over all labeled {spec.connectivity} graphs of order "
                  f"{n}; no claim beyond this order")
-        if subsample:
-            scope += f" (deterministic 1-in-{subsample} subsample)"
     elif source == GRAPH6_CORPUS:
         if not corpus_path:
             raise ValueError("corpus source needs a corpus path")
-        if subsample is not None:
-            raise ValueError("subsample applies to the labeled source only")
-        if threads != 1:
-            raise ValueError("threads applies to the labeled source only")
         res = _scan_corpus(spec, n, theta, corpus_path)
         scope = f"all {spec.connectivity} graphs of order {n} in {corpus_path}"
     else:
@@ -209,31 +198,6 @@ def _verify(spec, threshold, n, source, corpus_path, threads,
         hists_found=res.hists, counterexamples=res.counterexamples,
         elapsed=time.monotonic() - t0, scope=scope,
     )
-
-
-def _shards(total: int):
-    size = 1 << SHARD_BITS
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
-
-
-def _run_sharded(cfg: _scan.ScanConfig, threads: int) -> _scan.ShardOut:
-    """Scan every shard of the labeled space on min(threads, shards)
-    worker processes, in this process when that is 1."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    jobs = [(cfg, lo, hi) for lo, hi in _shards(1 << (cfg.n * (cfg.n - 1) // 2))]
-    workers = min(threads, len(jobs))
-    if workers == 1:
-        parts = itertools.starmap(_scan.scan_range, jobs)
-    else:
-        import multiprocessing as mp
-
-        with mp.get_context("fork").Pool(processes=workers) as pool:
-            parts = pool.starmap(_scan.scan_range, jobs)
-    merged = _scan.ShardOut()
-    for part in parts:  # shard order, so merges are deterministic
-        merged.merge(part)
-    return merged
 
 
 def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
@@ -444,7 +408,7 @@ def verify_certificates(n_max: int = 6) -> CertificateReport:
 class AuditReport(_Report):
     theorem: str
     n: int
-    subsample: int
+    windows: int
     masks_considered: int
     over_with_prescreens: int
     over_without_prescreens: int
@@ -461,29 +425,34 @@ class AuditReport(_Report):
                 f"discrepancies={self.discrepancies}")
 
 
-def audit_prescreens(n: int, theorem: str = "thm2", subsample: int = 256,
-                     threads: int = 1) -> AuditReport:
+def audit_prescreens(n: int, theorem: str = "thm2") -> AuditReport:
     """Prescreens must not change the over-threshold set.
 
-    Runs the scan twice on a deterministic 1-in-`subsample` hash subsample
-    of the labeled space, with and without the mask-level prescreens and
-    eigensolver shortcuts, and compares the resulting over-threshold mask
-    sets exactly.  Both runs group their rows by class key alike, so this
-    audit does not check the grouping; the tests that compare the scan
-    with an ungrouped reference, every labeled graph its own key, do.
+    Scans the first window of every window class of the order
+    (`scan._window_classes`) twice, with and without the mask-level
+    prescreens and eigensolver shortcuts, each time in one `scan._scan`
+    call that lists the over-threshold masks, and compares the two lists
+    exactly.  The prescreens and every verdict are isomorphism
+    invariants, so equal lists on a class's first window mean equal lists
+    on every window of the class.  Both runs group their rows by class
+    key alike, so this audit does not check the grouping; the tests that
+    compare the scan with an ungrouped reference, every labeled graph its
+    own key, do.
     """
     t0 = time.monotonic()
     spec = theorem_spec(theorem)
-    common = dict(n=n, theta=_threshold(spec, n), mode=spec.name,
-                  subsample=subsample, collect_over=True)
-    with_pre = _run_sharded(_scan.ScanConfig(prescreens=True, **common), threads)
-    without_pre = _run_sharded(_scan.ScanConfig(prescreens=False, **common), threads)
-    a = with_pre.over_masks
-    b = without_pre.over_masks
-    discrepancies = len(set(a).symmetric_difference(b))
+    common = dict(n=n, theta=_threshold(spec, n), mode=spec.name, collect_over=True)
+    configs = [_scan.ScanConfig(prescreens=p, **common) for p in (True, False)]
+    c = _scan._codec(n)
+    reps = [(a, b, 1) for a, b, _ in _scan._window_classes(c, 0, 1 << c.nbits)]
+    # Each side lists a mask at most once, and its list becomes an array
+    # before the other side runs.
+    pre, bare = (np.array(_scan._scan(cfg, c, 0, reps)[0].over_masks, dtype=np.uint32)
+                 for cfg in configs)
     return AuditReport(
-        theorem=theorem, n=n, subsample=subsample,
-        masks_considered=without_pre.survivors,
-        over_with_prescreens=len(a), over_without_prescreens=len(b),
-        discrepancies=discrepancies, elapsed=time.monotonic() - t0,
+        theorem=theorem, n=n, windows=len(reps),
+        masks_considered=sum(b - a for a, b, _ in reps),
+        over_with_prescreens=len(pre), over_without_prescreens=len(bare),
+        discrepancies=len(np.setxor1d(pre, bare, assume_unique=True)),
+        elapsed=time.monotonic() - t0,
     )

@@ -82,14 +82,13 @@ def test_verify_corollaries(capsys):
 
 
 def test_verify_thm1_subsampled(capsys):
-    code, out, _ = run(capsys, "verify", "thm1", "--n", "7", "--subsample", "128")
+    code, out, _ = run(capsys, "verify", "thm1", "--n", "7")
     assert code == 0
     assert "counterexamples      0" in out
 
 
 def test_verify_audit(capsys):
-    code, out, _ = run(capsys, "verify", "audit", "--n", "7", "--theorem", "thm1",
-                       "--subsample", "512")
+    code, out, _ = run(capsys, "verify", "audit", "--n", "7", "--theorem", "thm1")
     assert code == 0
     assert "discrepancies=0" in out
 
@@ -143,25 +142,9 @@ def test_usage_error_exit2(capsys):
     assert code == 2
 
 
-def test_bad_verify_options_exit2(capsys, tmp_path):
-    path = tmp_path / "corpus7.g6"
-    path.write_text(encode_graph6(family_L(7)) + "\n")
-    code, _, err = run(capsys, "verify", "thm1", "--n", "7", "--corpus", str(path),
-                       "--subsample", "4")
-    assert code == 2 and "labeled source only" in err
-    code, _, err = run(capsys, "verify", "thm1", "--n", "7", "--subsample", "-5")
-    assert code == 2 and "subsample must be >= 1" in err
-    code, _, err = run(capsys, "verify", "audit", "--n", "7", "--theorem", "thm1",
-                       "--subsample", "0")
-    assert code == 2 and "subsample must be >= 1" in err
+def test_bad_verify_options_exit2(capsys):
     code, _, _ = run(capsys, "verify", "audit", "--n", "0", "--theorem", "thm1")
     assert code == 2
-    for args in (("thm1",), ("audit", "--theorem", "thm1")):
-        code, _, err = run(capsys, "verify", *args, "--n", "7", "--threads", "0")
-        assert code == 2 and "threads must be >= 1" in err
-    code, _, err = run(capsys, "verify", "thm1", "--n", "7", "--corpus", str(path),
-                       "--threads", "2")
-    assert code == 2 and "threads applies to the labeled source only" in err
     code, _, err = run(capsys, "verify", "thm1", "--n", "7", "--corpus", "")
     assert code == 2 and "corpus source needs a corpus path" in err
     for what in ("thm1", "thm2"):
@@ -169,15 +152,17 @@ def test_bad_verify_options_exit2(capsys, tmp_path):
         assert code == 2 and "--theorem" in err
 
 
-# Every verify option with a well-formed value, and the options each target reads.
+# Every verify option with a well-formed value, and the options each target
+# reads.  No target reads --threads or --subsample, so every target must
+# reject them.
 VERIFY_OPTIONS = {"--n": "7", "--corpus": "corpus.g6", "--threads": "2", "--subsample": "4",
                   "--from": "7", "--to": "8", "--nmax": "4", "--theorem": "thm1"}
 VERIFY_TARGETS = {
-    "thm1": ("--n", "--corpus", "--threads", "--subsample"),
-    "thm2": ("--n", "--corpus", "--threads", "--subsample"),
+    "thm1": ("--n", "--corpus"),
+    "thm2": ("--n", "--corpus"),
     "corollaries": ("--from", "--to"),
     "certificates": ("--nmax",),
-    "audit": ("--n", "--theorem", "--subsample", "--threads"),
+    "audit": ("--n", "--theorem"),
 }
 
 
@@ -199,12 +184,12 @@ def test_verify_audit_defaults(capsys, monkeypatch):
 
     def fake(n, **kw):
         calls.append((n, kw))
-        return verification.AuditReport(kw["theorem"], n, kw["subsample"], 0, 0, 0, 0, 0.0)
+        return verification.AuditReport(kw["theorem"], n, 0, 0, 0, 0, 0, 0.0)
 
     monkeypatch.setattr(verification, "audit_prescreens", fake)
     code, out, _ = run(capsys, "verify", "audit")
     assert code == 0 and out.startswith("prescreen audit n=8:")
-    assert calls == [(8, {"theorem": "thm2", "subsample": 256, "threads": 1})]
+    assert calls == [(8, {"theorem": "thm2"})]
 
 
 def test_nonconvergence_exit4(capsys):
@@ -237,8 +222,7 @@ def test_counterexample_exit1(capsys, monkeypatch):
     real = verification.verify_theorem1
 
     def fake(n, **kw):
-        rep = real(n, subsample=4096, **{k: v for k, v in kw.items()
-                                         if k not in ("subsample",)})
+        rep = real(n, **kw)
         rep.counterexamples.append("C~")
         rep.over_threshold += 1
         return rep

@@ -27,20 +27,20 @@ from histspec import (Graph, InvariantViolation, decode_graph6, encode_graph6, m
                       verify_theorem1, verify_theorem2)
 from histspec.hist import proof_guided_hist
 from histspec.scan import ScanConfig, scan_range
-from histspec.verification import GRAPH6_CORPUS, SHARD_BITS, threshold_two_connected
+from histspec.verification import GRAPH6_CORPUS, threshold_two_connected
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_reports.json")
-SHARD = 301  # an n=8 thm2 shard with extremal matches and proof-replay fallbacks
+SHARD, SHARD_BITS = 301, 19  # an n=8 thm2 shard with extremal matches and proof-replay fallbacks
 # Graphs that reach replay cases the seeded inputs below rarely or never hit:
 # adjacent-pair/branch-vertex, nonadjacent-pair/cross-plus-outer,
 # nonadjacent-pair/double-cross, nonadjacent-pair/outside:unresolved and
 # nonadjacent-pair/two-outer.
 REPLAY_WITNESSES = ("G{eORC", "K{aCcQeu`E?a", "H}eVP_K", "Gsa`qG", "IsyDCXOH?")
 CLI_VERIFY = (
-    ("thm1", "--n", "7", "--subsample", "128"),
+    ("thm1", "--n", "7"),
     ("corollaries", "--from", "7", "--to", "12"),
     ("certificates", "--nmax", "4"),
-    ("audit", "--n", "7", "--theorem", "thm1", "--subsample", "512"),
+    ("audit", "--n", "7", "--theorem", "thm1"),
 )
 ELAPSED = re.compile(r'(elapsed"?:? )[-+.e0-9]+')  # text "elapsed 1.23s", JSON "elapsed": 1.2e-05
 

@@ -78,31 +78,37 @@ def test_thresholds_cross_checked():
 
 
 def test_theorem1_subsample_properties():
-    rep = verify_theorem1(7, subsample=64)
-    assert rep.ok
-    assert rep.scanned == 2**21
-    assert rep.over_threshold == rep.extremal_matches + rep.hists_found
-    assert rep.threshold == pytest.approx(threshold_connected(7))
+    # The whole labeled order, n = 7 and n = 8: (prescreen survivors,
+    # over, extremal, HISTs).
+    for n, counts in ((7, (387_388, 231_148, 210, 230_938)),
+                      (8, (14_681_860, 6_212_812, 336, 6_212_476))):
+        rep = verify_theorem1(n)
+        assert rep.ok
+        assert rep.scanned == 2 ** (n * (n - 1) // 2)
+        assert (rep.prescreen_survivors, rep.over_threshold, rep.extremal_matches,
+                rep.hists_found) == counts
+        assert rep.threshold == pytest.approx(threshold_connected(n))
 
 
 def test_theorem2_subsample_properties():
-    rep = verify_theorem2(8, subsample=4096)
+    # The whole labeled order, the counts criterion 2 pins.
+    rep = verify_theorem2(8)
     assert rep.ok
     assert rep.scanned == 2**28
-    assert rep.over_threshold == rep.extremal_matches + rep.hists_found
+    assert (rep.prescreen_survivors, rep.over_threshold, rep.extremal_matches,
+            rep.hists_found) == (125_811_193, 74_986_629, 3_360, 74_983_269)
 
 
 def test_reports_deterministic_and_thread_invariant():
-    a = verify_theorem1(7, subsample=64).to_json()
-    b = verify_theorem1(7, subsample=64).to_json()
-    c = verify_theorem1(7, subsample=64, threads=2).to_json()
+    a = verify_theorem1(7).to_json()
+    b = verify_theorem1(7).to_json()
 
     def strip(js):
         d = json.loads(js)
         d.pop("elapsed")
         return d
 
-    assert strip(a) == strip(b) == strip(c)
+    assert strip(a) == strip(b)
 
 
 def test_report_arithmetic_enforced():
@@ -119,13 +125,12 @@ def test_scan_artificially_low_threshold_is_more_inclusive():
     # Lowering the threshold to the clique bound must add over-threshold
     # graphs (thresholding is monotone), and the prescreens must still
     # keep every one of them: their maximum-degree floor follows theta.
-    true_cfg = ScanConfig(n=7, theta=threshold_connected(7), mode="thm1",
-                          extremal="L", subsample=32)
-    low = dict(n=7, theta=4.0, mode="thm1", subsample=32, collect_over=True)
+    true_cfg = ScanConfig(n=7, theta=threshold_connected(7), mode="thm1", extremal="L")
+    low = dict(n=7, theta=4.0, mode="thm1", collect_over=True)
     hi = 1 << 21
     true_out = scan_range(true_cfg, 0, hi)
     low_out = scan_range(ScanConfig(**low), 0, hi)
-    assert low_out.over > true_out.over
+    assert (true_out.over, low_out.over) == (231_148, 253_873)
     bare = scan_range(ScanConfig(prescreens=False, **low), 0, hi)
     assert low_out.over_masks == bare.over_masks
 
@@ -142,7 +147,7 @@ def test_scan_below_threshold_reports_real_counterexamples(monkeypatch):
     # raising.
     from histspec import oracle_hist, scan
 
-    common = dict(n=7, theta=3.7, mode="thm1", subsample=16)
+    common = dict(n=7, theta=3.7, mode="thm1")
     pre = scan_range(ScanConfig(collect_over=True, **common), 0, 1 << 21)
     bare = scan_range(ScanConfig(prescreens=False, collect_over=True, **common), 0, 1 << 21)
     assert pre.over_masks == bare.over_masks
@@ -150,7 +155,7 @@ def test_scan_below_threshold_reports_real_counterexamples(monkeypatch):
     monkeypatch.setattr(scan, "GROUP_ROWS", 1 << 12)
     unlisted = scan_range(ScanConfig(**common), 0, 1 << 21)
     assert unlisted == dataclasses.replace(pre, over_masks=[])
-    assert (pre.over, pre.extremal, len(pre.counterexamples)) == (33133, 10, 120)
+    assert (pre.over, pre.extremal, len(pre.counterexamples)) == (530_779, 210, 2_100)
     for text in pre.counterexamples:
         g = decode_graph6(text)
         assert not oracle_hist(g).found
@@ -199,12 +204,16 @@ def test_family_members_survive_prescreens_and_match():
 
 
 def test_audit_small():
-    rep = audit_prescreens(7, "thm1", subsample=256)
-    assert rep.ok
-    rep = audit_prescreens(8, "thm1", subsample=1024)
-    assert rep.ok
-    rep = audit_prescreens(8, "thm2", subsample=65536)
-    assert rep.ok
+    # The first window of every window class, with and without the
+    # prescreens: (windows, masks in them, over-threshold masks listed on
+    # each side), and no mask listed on one side only.
+    for n, theorem, counts in ((7, "thm1", (7, 7 << 15, 39_097)),
+                               (8, "thm1", (168, 168 << 15, 289_302)),
+                               (8, "thm2", (168, 168 << 15, 1_652_865))):
+        rep = audit_prescreens(n, theorem)
+        assert rep.ok and rep.discrepancies == 0
+        assert (rep.windows, rep.masks_considered, rep.over_with_prescreens) == counts
+        assert rep.over_without_prescreens == rep.over_with_prescreens
 
 
 def test_scan_engine_order_limit():
@@ -727,21 +736,14 @@ def test_window_classes_list_every_copy_of_a_counterexample(monkeypatch):
 
 
 def test_sampled_and_listing_scans_scan_every_window():
-    # The subsample's hash is no isomorphism invariant and collect_over
-    # lists masks, so both scan every window; their counts are pinned:
-    # (survivors, over, extremal, hists, fallback_searches), and for the
-    # listing the number and sum of the over-threshold masks.
-    t7, t8 = threshold_connected(7), threshold_two_connected(8)
-    for cfg, s, counts in (
-            (ScanConfig(n=8, theta=t8, mode="thm2", subsample=64), 136, (1239, 402, 0, 402, 7)),
-            (ScanConfig(n=8, theta=t8, mode="thm2", subsample=64), 301, (4362, 2494, 0, 2494, 27)),
-            (ScanConfig(n=7, theta=t7, mode="thm1", subsample=4), 2, (22180, 12773, 9, 12764, 0)),
-            (ScanConfig(n=8, theta=t8, mode="thm2", collect_over=True), 301,
-             (278596, 156601, 6, 156595, 1489))):
-        out = _shard(cfg, s)
-        assert (out.survivors, out.over, out.extremal, out.hists, out.fallback_searches) == counts
-        if cfg.collect_over:
-            assert (len(out.over_masks), sum(out.over_masks)) == (156601, 24764934039437)
+    # collect_over lists masks, so the scan scans every window; its counts
+    # are pinned: (survivors, over, extremal, hists, fallback_searches),
+    # and the number and sum of the over-threshold masks.
+    cfg = ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2", collect_over=True)
+    out = _shard(cfg, 301)
+    assert (out.survivors, out.over, out.extremal, out.hists,
+            out.fallback_searches) == (278596, 156601, 6, 156595, 1489)
+    assert (len(out.over_masks), sum(out.over_masks)) == (156601, 24764934039437)
 
 
 @pytest.mark.parametrize("dtype, orders", [(np.uint8, range(1, 9)), (np.int64, range(1, 21))])
@@ -1041,16 +1043,13 @@ def test_prescreen_table_matches_elementwise_hong():
                 assert np.array_equal(_survivors(cfg, c, ranges), masks[want])
 
 
-def test_survivors_match_hash_then_per_mask_prescreen():
+def test_survivors_match_per_mask_prescreen():
     # _survivors against the straight path it replaces: every mask of the
-    # range, then the multiplicative-hash subsample on the whole mask
-    # (x * HASH_MULT mod 2^32 < 2^32 // N), then a per-mask degree floor
-    # and Hong check, for every order 1..8, no subsample and 1 in 4, 64
-    # and 65536, prescreens on and off.  Orders 7 and 8 take unaligned
-    # ranges across window edges, order 8 also across the block edge and
-    # over the top window; a 1-in-65536 subsample keeps masks only on
-    # the long ranges, so order 8 has one of 2^21 masks.
-    from histspec.scan import HASH_MULT, _codec, _survivors, degree_floor
+    # range, then a per-mask degree floor and Hong check, for every order
+    # 1..8, prescreens on and off.  Orders 7 and 8 take unaligned ranges
+    # across window edges, order 8 also across the block edge and over
+    # the top window.
+    from histspec.scan import _codec, _survivors, degree_floor
     from histspec.spectral import GUARD, hong_value
 
     rng = np.random.default_rng(61)
@@ -1064,30 +1063,23 @@ def test_survivors_match_hash_then_per_mask_prescreen():
             w = 1 << c.low_bits
             ranges = [(w - 37, 5 * w + 11), (top - 3 * w - 5, top)]
             ranges += _crossing_ranges(rng, 2, 2 * w) if n == 8 else []
-            ranges += [(3 << 20, 5 << 20)] if n == 8 else []
         theta = {7: threshold_connected(7), 8: threshold_two_connected(8)}.get(n, n - 2.5)
         for mode in ("thm1", "thm2"):
-            for subsample in (None, 4, 64, 65536):
-                for prescreens in (True, False):
-                    cfg = ScanConfig(n=n, theta=theta, mode=mode,
-                                     prescreens=prescreens, subsample=subsample)
-                    for lo, hi in ranges:
-                        masks = np.arange(lo, hi, dtype=np.uint32)
-                        if subsample:
-                            masks = masks[masks * np.uint32(HASH_MULT)
-                                          < np.uint32(2**32 // subsample)]
-                        if prescreens and len(masks):
-                            deg = _slot_degrees(n, masks)
-                            dmin = deg.min(axis=1)
-                            hong = hong_value(dmin.astype(np.float64), n,
-                                              np.bitwise_count(masks).astype(np.int64))
-                            masks = masks[(deg.max(axis=1) >= degree_floor(theta))
-                                          & (dmin >= cfg.spec.min_degree)
-                                          & (hong >= theta - GUARD)]
-                        got = _survivors(cfg, c, [(lo, hi)])
-                        assert got.dtype == np.uint32 and np.array_equal(got, masks)
-                        key = (subsample, prescreens)
-                        kept[key] = kept.get(key, 0) + len(masks)
+            for prescreens in (True, False):
+                cfg = ScanConfig(n=n, theta=theta, mode=mode, prescreens=prescreens)
+                for lo, hi in ranges:
+                    masks = np.arange(lo, hi, dtype=np.uint32)
+                    if prescreens:
+                        deg = _slot_degrees(n, masks)
+                        dmin = deg.min(axis=1)
+                        hong = hong_value(dmin.astype(np.float64), n,
+                                          np.bitwise_count(masks).astype(np.int64))
+                        masks = masks[(deg.max(axis=1) >= degree_floor(theta))
+                                      & (dmin >= cfg.spec.min_degree)
+                                      & (hong >= theta - GUARD)]
+                    got = _survivors(cfg, c, [(lo, hi)])
+                    assert got.dtype == np.uint32 and np.array_equal(got, masks)
+                    kept[prescreens] = kept.get(prescreens, 0) + len(masks)
     assert all(kept.values())
 
 
@@ -1099,7 +1091,9 @@ def test_extremal_check_runs_once_per_fallback_key(monkeypatch):
     # labeled copy of the extremal graph still counts: out.extremal equals
     # the recognizer's count over all over-threshold graphs, and the
     # ungrouped reference gives the same ShardOut with one recognizer call
-    # per over-threshold graph the tests leave.
+    # per over-threshold graph the tests leave.  n = 7 scans its whole
+    # order; n = 8 the golden shard 301, since listing every over-threshold
+    # mask of its order would list 74,986,629.
     from histspec import graphs, scan
 
     for n, mode, name in ((7, "thm1", "is_family_L"), (8, "thm2", "is_family_B")):
@@ -1114,25 +1108,29 @@ def test_extremal_check_runs_once_per_fallback_key(monkeypatch):
 
         monkeypatch.setattr(scan, "_class_keys", keyed)
         theta = threshold_connected(n) if mode == "thm1" else threshold_two_connected(n)
-        cfg = ScanConfig(n=n, theta=theta, mode=mode, subsample=16 if n == 7 else 2048,
-                         collect_over=True)
-        hi = 1 << (n * (n - 1) // 2)
-        out = scan_range(cfg, 0, hi)
+        cfg = ScanConfig(n=n, theta=theta, mode=mode, collect_over=True)
+        lo, hi = (0, 1 << 21) if n == 7 else (301 << 19, 302 << 19)
+        out = scan_range(cfg, lo, hi)
         grouped = len(calls)
         monkeypatch.setattr(scan, "_class_keys", _unchanged)
-        reference = scan_range(cfg, 0, hi)
+        reference = scan_range(cfg, lo, hi)
         monkeypatch.undo()
         assert reference == out
         assert len(calls) - grouped == out.extremal + out.fallback_searches > grouped
         assert len(groups) > 1  # the keys of later groups are looked up
-        over = set(out.over_masks)
-        left = set()
+        # Being over is a property of the key (reference == out), so one
+        # row per distinct key tells which keys are over.
+        first = {}
         for rows, keys in groups:
             for row, key in zip(rows.tolist(), keys.tolist()):
-                g = Graph._from_rows_unchecked(n, tuple(key))
-                if (mask_of_graph(Graph._from_rows_unchecked(n, tuple(row))) in over
-                        and max(g.degrees()) < n - 1 and not brute_double_star(g)):
-                    left.add(g.rows)
+                first.setdefault(tuple(key), row)
+        over = set(out.over_masks)
+        left = set()
+        for key, row in first.items():
+            g = Graph._from_rows_unchecked(n, key)
+            if (mask_of_graph(Graph._from_rows_unchecked(n, tuple(row))) in over
+                    and max(g.degrees()) < n - 1 and not brute_double_star(g)):
+                left.add(key)
         assert sorted(g.rows for g in calls[:grouped]) == sorted(left)
         assert grouped > 0
         is_extremal = getattr(graphs, name)
@@ -1142,14 +1140,14 @@ def test_extremal_check_runs_once_per_fallback_key(monkeypatch):
 
 
 def test_scan_decides_each_key_once_per_call(monkeypatch):
-    # verify_theorem1(7) hands over_threshold key rows only, and each key
-    # once per scan_range call: the rows of all calls within one
-    # scan_range call are pairwise distinct, and together they hold as
-    # many rows as that call's groups hold distinct keys, 1,859 over the
-    # four shards for the 387,388 prescreen survivors (140,330 of them
-    # keyed, in the windows scanned for their window classes).  _decide
-    # runs once per block that has keys the call has not decided yet, on
-    # all of them: each shard is one block, so four calls.  With blocks
+    # verify_theorem1(7) makes one scan_range call and hands
+    # over_threshold key rows only, each key once: the rows of all its
+    # calls are pairwise distinct, and together they hold as many rows as
+    # the groups hold distinct keys, 540 for the 387,388 prescreen
+    # survivors (56,969 of them keyed, in the 7 windows scanned for their
+    # window classes).  _decide runs once per block that has keys the
+    # call has not decided yet, on all of them: the order is two blocks,
+    # so two calls.  With blocks
     # of 2^16, 2^12 and 2^11 masks, shard 301 makes one _decide call per
     # block that brings new keys, on exactly those keys: the 6 blocks of
     # 2^16 and the 64 blocks of 2^12 that hold scanned windows, and 120
@@ -1184,11 +1182,10 @@ def test_scan_decides_each_key_once_per_call(monkeypatch):
     monkeypatch.setattr(scan, "_decide", decide)
     rep = verify_theorem1(7)
     assert rep.prescreen_survivors == 387_388
-    assert len(decided) == 4
+    assert len(decided) == 1
     for rows, keys in zip(decided, distinct):
-        assert len(set(rows)) == len(rows) == len(keys)
-    assert sum(map(len, decided)) == 1_859
-    assert len(calls) == 4 and sum(map(len, calls)) == 1_859
+        assert len(set(rows)) == len(rows) == len(keys) == 540
+    assert len(calls) == 2 and sum(map(len, calls)) == 540
 
     def block(cfg, c, pools, out, verdicts):
         distinct.append(set())
@@ -1438,66 +1435,6 @@ def test_corpus_reports_do_not_depend_on_the_chunk_width(tmp_path, monkeypatch):
         assert len(reports) == len(errors) == 1
         assert 0 < rep["extremal_matches"] < rep["over_threshold"]
         assert rep["scanned"] == len(lines) and rep["counterexamples"] == []
-
-
-def test_corpus_source_rejects_subsample(tmp_path):
-    # The corpus is always read whole, so a subsample would mislabel the
-    # report's scope.
-    path = tmp_path / "corpus7.g6"
-    path.write_text(encode_graph6(family_L(7)) + "\n")
-    with pytest.raises(ValueError, match="labeled source only"):
-        verify_theorem1(7, source=GRAPH6_CORPUS, corpus_path=str(path), subsample=4)
-
-
-def test_subsample_must_be_positive():
-    for bad in (0, -5):
-        with pytest.raises(ValueError, match="subsample must be >= 1"):
-            verify_theorem1(7, subsample=bad)
-
-
-def test_threads_must_be_positive():
-    for bad in (0, -3):
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            verify_theorem1(7, threads=bad)
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            verify_theorem2(8, threads=bad)
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            audit_prescreens(7, "thm1", subsample=16, threads=bad)
-
-
-def test_workers_capped_at_shard_count(monkeypatch):
-    # A fake pool records how many workers each scan asks for and runs the
-    # shards in process; n=7 has 2^21 masks, so four 2^19-mask shards.
-    import multiprocessing
-
-    started = []
-
-    class Pool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, args):
-            return list(itertools.starmap(fn, args))
-
-    class Context:
-        pass
-
-    Context.Pool = Pool
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
-    serial = json.loads(verify_theorem1(7, subsample=64).to_json())
-    assert started == []
-    for threads, workers in ((2, 2), (4, 4), (64, 4)):
-        rep = json.loads(verify_theorem1(7, subsample=64, threads=threads).to_json())
-        assert started.pop() == workers and not started
-        assert {**rep, "elapsed": 0} == {**serial, "elapsed": 0}
-    audit_prescreens(7, "thm1", subsample=512, threads=64)
-    assert started == [4, 4]
 
 
 def test_unknown_theorem_rejected():

@@ -55,13 +55,10 @@ MUTANTS = (
            (VERIFICATION + "test_prescreen_table_matches_elementwise_hong",)),
     Mutant("window-high-half-of-next-window", "scan.py",
            "y = base >> c.low_bits", "y = min((base >> c.low_bits) + 1, len(c.hi_deg) - 1)",
-           (VERIFICATION + "test_survivors_match_hash_then_per_mask_prescreen",)),
+           (VERIFICATION + "test_survivors_match_per_mask_prescreen",)),
     Mutant("window-end-one-short", "scan.py",
            "min(stop - base, width)", "min(stop - base, width) - 1",
-           (VERIFICATION + "test_survivors_match_hash_then_per_mask_prescreen",)),
-    Mutant("subsample-window-constant-dropped", "scan.py",
-           "c.lo_hash[a:b] + np.uint32(base * HASH_MULT % 2**32)", "c.lo_hash[a:b]",
-           (VERIFICATION + "test_survivors_match_hash_then_per_mask_prescreen",)),
+           (VERIFICATION + "test_survivors_match_per_mask_prescreen",)),
     Mutant("bfs-step-bound", "scan.py",
            "    for _ in range(len(cols)):\n        acc = np.zeros_like(reach)",
            "    for _ in range(len(cols) - 2):\n        acc = np.zeros_like(reach)",
@@ -93,9 +90,16 @@ MUTANTS = (
     Mutant("survivors-without-window-weight", "scan.py",
            "out.survivors += sum(weight * len(masks)", "out.survivors += sum(len(masks)",
            (VERIFICATION + "test_window_classes_match_scanning_every_window",)),
-    Mutant("window-classes-under-subsample", "scan.py",
-           "every if cfg.sampled or cfg.collect_over", "every if cfg.collect_over",
+    Mutant("window-classes-when-listing", "scan.py",
+           "every if cfg.collect_over else", "every if False else",
            (VERIFICATION + "test_sampled_and_listing_scans_scan_every_window",)),
+    Mutant("audit-first-class-only", "verification.py",
+           "_window_classes(c, 0, 1 << c.nbits)]", "_window_classes(c, 0, 1 << c.nbits)][:1]",
+           (VERIFICATION + "test_audit_small",)),
+    Mutant("driver-scans-half-the-order", "verification.py",
+           "scan_range(cfg, 0, 1 << (n * (n - 1) // 2))",
+           "scan_range(cfg, 0, 1 << (n * (n - 1) // 2) - 1)",
+           (VERIFICATION + "test_theorem1_subsample_properties",)),
     Mutant("counterexample-rescan-skipped", "scan.py",
            "    if relist:\n", "    if False:\n",
            (VERIFICATION + "test_window_classes_list_every_copy_of_a_counterexample",)),

@@ -10,10 +10,10 @@ module function (and `numpy.linalg.eigvalsh`), wrapped with
 `time.perf_counter` at the name its callers resolve, so a stage's time
 includes the stages it calls.  In both labeled passes `scan_range`
 scans the first window of each window class of its range, and
-`_survivors` lists the subsample and prescreen survivors of those
-windows, once per block and window-class size (it takes no array, so its
-rows are its calls); the windows scanned and the windows in range of
-each pass are written out too.  `_key_words` then runs on every
+`_survivors` lists the prescreen survivors of those windows, once per
+block and window-class size (it takes no array, so its rows are its
+calls); the windows scanned and the windows in range of each pass are
+written out too.  `_key_words` then runs on every
 survivor of the scanned windows, in groups of `scan.GROUP_ROWS` rows of
 one class size: it holds `_class_keys`, the key that groups the rows by
 isomorphism class, and packs each key in one word.  `_distinct` sorts
