@@ -9,12 +9,13 @@ connectivity is then tested on the rows alone, without any theorem.  The
 masks that share a high half form a window (2^15 masks from n = 6 up),
 and windows whose high halves differ by a permutation of vertices 0..5
 form a window class (`_Codec.window_class`): they hold the same graphs
-up to relabeling, one for one, so `scan_range` scans the first window of
-each class in its range and counts it once per window of the class
-(168 classes of the 8,192 windows at n = 8, 7 of 64 at n = 7).  The
-labeled drivers scan a whole order in one call, so that each class is
-scanned once and every key decided once.  The scan pipeline per mask
-block is:
+up to relabeling, one for one.  The window is the scan's unit:
+`scan_range` takes whole windows only, scans the first window of each
+class in its range and counts it once per window of the class (168
+classes of the 8,192 windows at n = 8, 7 of 64 at n = 7).  The labeled
+drivers scan a whole order in one call, so that each class is scanned
+once and every key decided once.  The scanned windows go in blocks of
+BLOCK_WINDOWS, and the scan pipeline per block is:
 
   1. mask-level prescreens (degrees, Hong-type bound), each justified by
      an upper bound on rho that is valid for every connected graph, so no
@@ -24,8 +25,8 @@ block is:
      edge count) whose entries equal the per-mask test bit for bit; both
      are isomorphism invariants, as window classes need.  `_survivors`
      runs them one window at a time: the masks of a window share their
-     high half, so each degree is a slice of the low half's table plus a
-     constant, and no mask array is built until the survivors are
+     high half, so each degree is the low half's table plus a constant,
+     and no mask array is built until the survivors are
      listed.  The survivors then become adjacency bit rows, one gather
      per half table, and nothing after this step sees a mask;
   2. grouping by class key: the rows go on in groups of GROUP_ROWS, and
@@ -88,7 +89,7 @@ from .graphs import Graph, edge_slots, is_family_B, is_family_L
 from .hist import find_hist, proof_guided_hist
 from .spectral import GUARD, TheoremSpec, hong_value, theorem_spec
 
-BLOCK_BITS = 20
+BLOCK_WINDOWS = 32  # scanned windows per block: 2^20 masks from n = 7 up
 LOW_VERTICES = 6  # the low half of the edge code holds the edges among vertices 0..5
 EIG_BATCH = 1 << 12  # rows per slice of over_threshold
 GROUP_ROWS = 1 << 16  # rows per class-key group of _scan_block
@@ -128,7 +129,7 @@ class ScanConfig:
 
 @dataclass
 class ShardOut:
-    """Counts and witnesses from one contiguous mask range."""
+    """Counts and witnesses from one scan of whole windows."""
 
     scanned: int = 0
     survivors: int = 0
@@ -149,8 +150,9 @@ class _Codec:
     masks that share y form the window y.  lo_rows[z] and hi_rows[y] are
     the adjacency bit rows of each half, so x has the rows
     lo_rows[z] | hi_rows[y]; lo_deg[v, z] and hi_deg[y, v] are vertex v's
-    degree in each half (lo_deg transposed, so that a run of z is one
-    contiguous slice per vertex), and lo_m and hi_m the edge counts.
+    degree in each half (lo_deg transposed, so that each vertex's degrees
+    over a window are one contiguous row), and lo_m and hi_m the edge
+    counts.
 
     window_class[y] numbers the windows up to a permutation s of the low
     vertices: two windows get one number when the sorted rows of vertices
@@ -192,100 +194,89 @@ _codec = cache(_Codec)
 
 
 def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
-    """Scan masks lo..hi-1; deterministic in inputs only.  The labeled
+    """Scan masks lo..hi-1, whole windows only: lo and hi must be
+    multiples of the window size 2^low_bits (the whole order at n <= 6,
+    which is one window).  Deterministic in inputs only.  The labeled
     drivers pass the whole order, 0..2^C(n, 2).
 
-    The whole windows of the range go by class (`_Codec.window_class`):
-    the first window of each class, in mask order, is scanned and stands
-    for every window of its class, since the windows of a class hold one
-    graph per graph of the other, relabeled.  The degree floor, the Hong
-    prescreen and every verdict code are isomorphism invariants, so each
-    count of the scanned window, times the class size, is the class's
-    count.  The window at each unaligned end of the range is a class of
-    its own.  Every window is its own class when the over-threshold masks
-    are listed, and the call scans again that way when a class of several
-    windows holds a counterexample, so that every copy is listed, in mask
-    order."""
+    The windows of the range go by class (`_Codec.window_class`): the
+    first window of each class is scanned and stands for every window of
+    its class, since the windows of a class hold one graph per graph of
+    the other, relabeled.  The degree floor, the Hong prescreen and every
+    verdict code are isomorphism invariants, so each count of the scanned
+    window, times the class size, is the class's count.  Every window is
+    its own class when the over-threshold masks are listed, and the call
+    scans again that way when a class of several windows holds a
+    counterexample, so that every copy is listed, in mask order."""
     c = _codec(cfg.n)
-    if not 0 <= lo <= hi <= 1 << c.nbits:
-        raise ValueError(f"mask range [{lo}, {hi}) is outside 0..2^{c.nbits} for n={cfg.n}")
-    every = [(lo, hi, 1)]
-    out, relist = _scan(cfg, c, lo, every if cfg.collect_over else _window_classes(c, lo, hi))
+    width = 1 << c.low_bits
+    if not 0 <= lo <= hi <= 1 << c.nbits or lo % width or hi % width:
+        raise ValueError(f"mask range [{lo}, {hi}) is not whole windows of 2^{c.low_bits} "
+                         f"masks inside 0..2^{c.nbits} for n={cfg.n}")
+    ys = range(lo >> c.low_bits, hi >> c.low_bits)
+    every = [(y, 1) for y in ys]
+    out, relist = _scan(cfg, c, every if cfg.collect_over else _window_classes(c, ys))
     if relist:
-        out, _ = _scan(cfg, c, lo, every)
+        out, _ = _scan(cfg, c, every)
     return out
 
 
-def _window_classes(c: _Codec, lo: int, hi: int) -> list[tuple[int, int, int]]:
-    """The mask ranges [a, b) of lo..hi-1 to scan, in mask order, each
-    with its weight, the number of windows it stands for: the first whole
-    window of each window class of the range, and each unaligned end."""
-    width = 1 << c.low_bits
-    y0, y1 = -(-lo // width), hi // width
-    if y0 >= y1:
-        return [(lo, hi, 1)]
-    _, first, size = np.unique(c.window_class[y0:y1], return_index=True, return_counts=True)
-    order = np.argsort(first)
-    whole = [((y0 + y) * width, (y0 + y + 1) * width, k)
-             for y, k in zip(first[order].tolist(), size[order].tolist())]
-    head, tail = (lo, y0 * width, 1), (y1 * width, hi, 1)
-    return [r for r in (head, *whole, tail) if r[0] < r[1]]
+def _window_classes(c: _Codec, windows) -> list[tuple[int, int]]:
+    """The windows to scan of the ascending window indices `windows`,
+    each as (y, weight), its weight the number of windows of `windows` it
+    stands for: the first window of each window class, ordered by weight
+    and then by mask order, so the windows of weight 1 keep mask order."""
+    ys = np.asarray(windows, dtype=np.int64)
+    _, first, size = np.unique(c.window_class[ys], return_index=True, return_counts=True)
+    order = np.lexsort((first, size))
+    return list(zip(ys[first[order]].tolist(), size[order].tolist()))
 
 
-def _scan(cfg: ScanConfig, c: _Codec, lo: int, ranges) -> tuple[ShardOut, bool]:
-    """Scan the mask ranges (a, b, weight) of `ranges`, given in mask
-    order from lo, counting each mask `weight` times, in blocks of
-    2^BLOCK_BITS masks from lo.  Also returns whether a range of weight
+def _scan(cfg: ScanConfig, c: _Codec, windows) -> tuple[ShardOut, bool]:
+    """Scan the windows (y, weight) of `windows`, counting each mask
+    `weight` times, in blocks of BLOCK_WINDOWS of them, each block's
+    windows pooled by weight.  Also returns whether a window of weight
     above 1 holds a counterexample, whose copies it lists only once."""
-    out = ShardOut()
+    out = ShardOut(scanned=sum(weight for _, weight in windows) << c.low_bits)
     verdicts = _Verdicts()
-    blocks = {}  # block index -> weight -> the block's pieces of that weight
-    for a, b, weight in ranges:
-        out.scanned += (b - a) * weight
-        while a < b:
-            k = (a - lo) >> BLOCK_BITS
-            end = min(b, lo + ((k + 1) << BLOCK_BITS))
-            blocks.setdefault(k, {}).setdefault(weight, []).append((a, end))
-            a = end
     relist = False
-    for pools in blocks.values():
-        survivors = {weight: _survivors(cfg, c, pieces) for weight, pieces in pools.items()}
+    for s in range(0, len(windows), BLOCK_WINDOWS):
+        pools = {}  # weight -> the block's windows of that weight
+        for y, weight in windows[s:s + BLOCK_WINDOWS]:
+            pools.setdefault(weight, []).append(y)
+        survivors = {weight: _survivors(cfg, c, ys) for weight, ys in pools.items()}
         relist |= _scan_block(cfg, c, survivors, out, verdicts)
     return out, relist
 
 
-def _survivors(cfg: ScanConfig, c: _Codec, ranges) -> np.ndarray:
-    """The masks of the ranges [start, stop) of `ranges` that, under
-    cfg.prescreens, pass the degree and Hong prescreens, range by range in
-    mask order, as uint32.
+def _survivors(cfg: ScanConfig, c: _Codec, ys) -> np.ndarray:
+    """The masks of the windows `ys` that, under cfg.prescreens, pass the
+    degree and Hong prescreens, window by window in the order given, as
+    uint32.
 
-    Each range is walked one window at a time, the masks that share a
-    high half y: within it a vertex's degree is lo_deg[v, z] plus the
-    constant hi_deg[y, v], and the edge count lo_m[z] + hi_m[y]."""
-    n, width = c.n, 1 << c.low_bits
-    if cfg.prescreens:
-        floor = degree_floor(cfg.theta)
-        ok = _hong_table(cfg, n)
-        flat, cols = ok.ravel(), np.uint16(ok.shape[1])
+    The masks of window y share their high half: a vertex's degree is
+    lo_deg[v] plus the constant hi_deg[y, v], and the edge count
+    lo_m + hi_m[y]."""
+    width = 1 << c.low_bits
+    if not cfg.prescreens:
+        return np.concatenate([np.arange(y * width, (y + 1) * width, dtype=np.uint32)
+                               for y in ys])
+    floor = degree_floor(cfg.theta)
+    ok = _hong_table(cfg, c.n)
+    flat, cols = ok.ravel(), np.uint16(ok.shape[1])
     parts = []
-    for start, stop in ranges:
-        for base in range(start - start % width, stop, width):
-            y = base >> c.low_bits
-            a, b = max(start - base, 0), min(stop - base, width)
-            if not cfg.prescreens:
-                parts.append(np.arange(base + a, base + b, dtype=np.uint32))
-                continue
-            lo_deg = c.lo_deg[:, a:b]
-            dmax = lo_deg[0] + c.hi_deg[y, 0]
-            dmin = dmax.copy()
-            for v in range(1, n):
-                deg = lo_deg[v] + c.hi_deg[y, v]
-                np.maximum(dmax, deg, out=dmax)
-                np.minimum(dmin, deg, out=dmin)
-            m = c.lo_m[a:b] + c.hi_m[y]
-            # ok[dmin, m] as one flat take; the offsets fit uint16 (at most 9 * 29 - 1)
-            keep = (dmax >= floor) & flat.take(dmin * cols + m)
-            parts.append((np.flatnonzero(keep) + (base + a)).astype(np.uint32))
+    for y in ys:
+        hi_deg = c.hi_deg[y]
+        dmax = c.lo_deg[0] + hi_deg[0]
+        dmin = dmax.copy()
+        for v in range(1, c.n):
+            deg = c.lo_deg[v] + hi_deg[v]
+            np.maximum(dmax, deg, out=dmax)
+            np.minimum(dmin, deg, out=dmin)
+        m = c.lo_m + c.hi_m[y]
+        # ok[dmin, m] as one flat take; the offsets fit uint16 (at most 9 * 29 - 1)
+        keep = (dmax >= floor) & flat.take(dmin * cols + m)
+        parts.append((np.flatnonzero(keep) + y * width).astype(np.uint32))
     return np.concatenate(parts)
 
 

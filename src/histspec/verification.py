@@ -102,19 +102,20 @@ def enumerate_labeled(n: int, connected: bool = False):
     """Yield all labeled graphs of order n as Graph values, mask order,
     only the connected ones if `connected` is set.
 
-    Edge bitmasks run over the C(n, 2) pairs in colex order; each block of
-    masks is decoded and filtered by the scan engine's vectorized rows.
-    Bounded to n <= 8 (beyond that use a graph6 corpus).
+    Edge bitmasks run over the C(n, 2) pairs in colex order; the scan
+    engine's half tables give the adjacency bit rows of each window, the
+    masks that share a high half, as the low half's rows OR the window's
+    high-half row, and the connected filter runs on them.  Windows go in
+    ascending order, so the graphs come in mask order.  Bounded to n <= 8
+    (beyond that use a graph6 corpus).
     """
     if n > 8:
         raise ValueError("labeled enumeration is bounded to n <= 8; use a corpus")
     if n < 1:
         raise ValueError("order must be >= 1")
     c = _scan._codec(n)
-    step = 1 << _scan.BLOCK_BITS
-    for lo in range(0, 1 << c.nbits, step):
-        rows = _scan._rows_of_masks(c, np.arange(lo, min(lo + step, 1 << c.nbits),
-                                                 dtype=np.uint32))
+    for hi_row in c.hi_rows:
+        rows = c.lo_rows | hi_row
         if connected:
             rows = rows[_scan._connected_filter(rows, False)]
         data = rows.tobytes()
@@ -444,14 +445,14 @@ def audit_prescreens(n: int, theorem: str = "thm2") -> AuditReport:
     common = dict(n=n, theta=_threshold(spec, n), mode=spec.name, collect_over=True)
     configs = [_scan.ScanConfig(prescreens=p, **common) for p in (True, False)]
     c = _scan._codec(n)
-    reps = [(a, b, 1) for a, b, _ in _scan._window_classes(c, 0, 1 << c.nbits)]
+    reps = [(y, 1) for y, _ in _scan._window_classes(c, range(len(c.hi_rows)))]
     # Each side lists a mask at most once, and its list becomes an array
     # before the other side runs.
-    pre, bare = (np.array(_scan._scan(cfg, c, 0, reps)[0].over_masks, dtype=np.uint32)
+    pre, bare = (np.array(_scan._scan(cfg, c, reps)[0].over_masks, dtype=np.uint32)
                  for cfg in configs)
     return AuditReport(
         theorem=theorem, n=n, windows=len(reps),
-        masks_considered=sum(b - a for a, b, _ in reps),
+        masks_considered=len(reps) << c.low_bits,
         over_with_prescreens=len(pre), over_without_prescreens=len(bare),
         discrepancies=len(np.setxor1d(pre, bare, assume_unique=True)),
         elapsed=time.monotonic() - t0,

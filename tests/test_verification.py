@@ -226,13 +226,19 @@ def test_scan_engine_order_limit():
 
 
 def test_scan_range_rejects_masks_outside_the_order():
-    # n = 7 has 2^21 masks; a mask with bit 21 set is no graph of order 7.
+    # n = 7 has 2^21 masks in 64 windows of 2^15; a mask with bit 21 set is
+    # no graph of order 7, and a range must be whole windows.  Order 6 is
+    # one window of 2^15 masks.
     cfg = ScanConfig(n=7, theta=threshold_connected(7), mode="thm1")
-    for lo, hi in ((1 << 21, 1 << 22), (0, (1 << 21) + 1), (-5, 3), (3, 2)):
-        with pytest.raises(ValueError, match="outside"):
-            scan_range(cfg, lo, hi)
+    six = ScanConfig(n=6, theta=3.0, mode="thm1")
+    for c, lo, hi in ((cfg, 1 << 21, 1 << 22), (cfg, 0, (1 << 21) + 1), (cfg, -5, 3),
+                      (cfg, 3, 2), (cfg, 3, 1 << 21), (cfg, (1 << 21) - 4, 1 << 21),
+                      (six, 0, 1 << 14)):
+        with pytest.raises(ValueError, match="whole windows"):
+            scan_range(c, lo, hi)
     assert scan_range(cfg, 1 << 21, 1 << 21).scanned == 0
-    assert scan_range(cfg, (1 << 21) - 4, 1 << 21).scanned == 4
+    assert scan_range(cfg, (1 << 21) - (1 << 15), 1 << 21).scanned == 1 << 15
+    assert scan_range(six, 0, 1 << 15).scanned == 1 << 15
 
 
 @pytest.mark.parametrize("n,mode,extremal", [(7, "thm1", "L"), (8, "thm2", "B")])
@@ -613,7 +619,7 @@ def test_grouped_fallback_lists_every_copy_of_a_no_hist_class(monkeypatch):
 def test_verdict_table_keeps_no_state_between_calls(monkeypatch):
     # The verdict table lives for one scan_range call and spans its
     # blocks and groups.  Shard 301 scanned alone, after shard 136 in the
-    # same process, and with blocks of 2^16 masks (eight calls of
+    # same process, and with blocks of 2 windows (eight calls of
     # _scan_block) and groups of 2^12 rows gives one ShardOut and hands
     # over_threshold the same key rows, each once; so does a scan of it
     # under a lower threshold right after the first, which would inherit
@@ -642,15 +648,26 @@ def test_verdict_table_keeps_no_state_between_calls(monkeypatch):
     run(cfg, 136)
     assert run(cfg, 301) == alone
     assert run(low, 301) == lowered
-    monkeypatch.setattr(scan, "BLOCK_BITS", 16)
+    monkeypatch.setattr(scan, "BLOCK_WINDOWS", 2)
     monkeypatch.setattr(scan, "GROUP_ROWS", 1 << 12)
     assert run(cfg, 301) == alone
 
 
-def _every_window(c, lo, hi):
+def _every_window(c, windows):
     """A `_window_classes` that makes each window a class of its own, so
     that a scan scans every window: the reference for window classes."""
-    return [(lo, hi, 1)]
+    return [(y, 1) for y in windows]
+
+
+def _window_list(rng, n, count):
+    """Ascending distinct windows of order n: the first and the last, the
+    windows at the first two nonzero multiples of BLOCK_WINDOWS, and
+    `count` random ones."""
+    from histspec.scan import BLOCK_WINDOWS, _codec
+
+    top = len(_codec(n).hi_rows)
+    fixed = [y for y in (0, top - 1, BLOCK_WINDOWS, 2 * BLOCK_WINDOWS) if y < top]
+    return np.union1d(fixed, rng.choice(top, min(count, top), replace=False)).tolist()
 
 
 def test_window_classes_are_orbits_of_the_low_vertices():
@@ -689,31 +706,40 @@ def test_window_classes_match_scanning_every_window(monkeypatch):
     # it once per window of the class, and gives the same ShardOut, every
     # field, as a scan of every window: n=7 thm1 shards 0-3, the n=8 thm2
     # benchmark shards and the golden shard 301, some without the
-    # prescreens, and unaligned ranges across window edges and, with
-    # blocks of 2^20 and of 2^13 masks from an unaligned start, across
-    # block edges inside windows.  Each range skips windows.
+    # prescreens; each shard skips windows.  `_scan` does the same on
+    # random lists of n=8 windows whose classes fill several blocks, with
+    # blocks of BLOCK_WINDOWS and of 5 windows, for both theorems.
     from histspec import scan
 
     t7, t8 = threshold_connected(7), threshold_two_connected(8)
-    w = 1 << scan._codec(8).low_bits
     thm1 = ScanConfig(n=7, theta=t7, mode="thm1")
     thm2 = ScanConfig(n=8, theta=t8, mode="thm2")
-    cases = [(thm1, s << 19, (s + 1) << 19, 20) for s in range(4)]
-    cases += [(thm2, s << 19, (s + 1) << 19, 20) for s in (136, 338, 414, 255, 301)]
-    cases += [(dataclasses.replace(thm1, prescreens=False), 0, 1 << 19, 20),
-              (dataclasses.replace(thm2, prescreens=False), 301 << 19, 302 << 19, 20),
-              (thm1, 5 * w - 3, 40 * w + 9, 20),
-              (thm2, 300 * w - 1000, 300 * w - 1000 + (1 << 20) + 3 * w + 77, 20),
-              (thm2, 7611 * w + 5, 7650 * w - 5, 13)]
-    for cfg, lo, hi, bits in cases:
+    cases = [(thm1, s << 19, (s + 1) << 19) for s in range(4)]
+    cases += [(thm2, s << 19, (s + 1) << 19) for s in (136, 338, 414, 255, 301)]
+    cases += [(dataclasses.replace(thm1, prescreens=False), 0, 1 << 19),
+              (dataclasses.replace(thm2, prescreens=False), 301 << 19, 302 << 19)]
+    for cfg, lo, hi in cases:
         c = scan._codec(cfg.n)
-        assert sum(b - a for a, b, _ in scan._window_classes(c, lo, hi)) < hi - lo
+        windows = range(lo >> c.low_bits, hi >> c.low_bits)
+        assert len(scan._window_classes(c, windows)) < len(windows)
         with monkeypatch.context() as m:
-            m.setattr(scan, "BLOCK_BITS", bits)
             grouped = scan_range(cfg, lo, hi)
             m.setattr(scan, "_window_classes", _every_window)
             assert grouped == scan_range(cfg, lo, hi)
         assert grouped.scanned == hi - lo and grouped.survivors > 0
+    rng = np.random.default_rng(71)
+    c = scan._codec(8)
+    thm1_8 = ScanConfig(n=8, theta=threshold_connected(8), mode="thm1")
+    for cfg, blocks in ((thm2, (scan.BLOCK_WINDOWS, 5)), (thm1_8, (5,))):
+        windows = _window_list(rng, 8, 300)
+        classes = scan._window_classes(c, windows)
+        assert sum(k for _, k in classes) == len(windows)
+        assert len(classes) > 2 * scan.BLOCK_WINDOWS
+        for block in blocks:
+            monkeypatch.setattr(scan, "BLOCK_WINDOWS", block)
+            grouped, _ = scan._scan(cfg, c, classes)
+            assert grouped == scan._scan(cfg, c, _every_window(c, windows))[0]
+            assert grouped.scanned == len(windows) << c.low_bits
 
 
 def test_window_classes_list_every_copy_of_a_counterexample(monkeypatch):
@@ -725,11 +751,11 @@ def test_window_classes_list_every_copy_of_a_counterexample(monkeypatch):
 
     runs = []
     real = scan._scan
-    monkeypatch.setattr(scan, "_scan", lambda *args: runs.append(args[3]) or real(*args))
+    monkeypatch.setattr(scan, "_scan", lambda *args: runs.append(args[2]) or real(*args))
     cfg = ScanConfig(n=7, theta=3.7, mode="thm1")
     out = _shard(cfg, 1)
-    assert len(runs) == 2 and max(k for _, _, k in runs[0]) > 1
-    assert runs[1] == [(1 << 19, 2 << 19, 1)]
+    assert len(runs) == 2 and max(k for _, k in runs[0]) > 1
+    assert runs[1] == [(y, 1) for y in range(16, 32)]
     listed = _shard(dataclasses.replace(cfg, collect_over=True), 1)
     assert len(out.counterexamples) == 524
     assert out == dataclasses.replace(listed, over_masks=[])
@@ -958,41 +984,32 @@ def _slot_degrees(n, masks):
     return deg
 
 
-def _crossing_ranges(rng, count, length):
-    """Order-8 mask ranges with random unaligned starts: each crosses a
-    2^20 block edge (so also a window edge) or a window edge inside a
-    block, alternately."""
-    from histspec.scan import BLOCK_BITS, _codec
+def _window_masks(n, windows):
+    """Every mask of the windows `windows` of order n, in order, as uint32."""
+    from histspec.scan import _codec
 
-    low_bits = _codec(8).low_bits
-    ranges = []
-    for k in range(count):
-        edge = int(rng.integers(1, 1 << 8)) << BLOCK_BITS if k % 2 == 0 else \
-            (int(rng.integers(1, (1 << 28 - low_bits) - 2)) << low_bits | 1 << BLOCK_BITS - 1)
-        start = edge - int(rng.integers(1, length))
-        ranges.append((start, start + length))
-    return ranges
+    width = 1 << _codec(n).low_bits
+    return np.concatenate([np.arange(y * width, (y + 1) * width, dtype=np.uint32)
+                           for y in windows])
 
 
 def test_prescreen_matches_per_graph_reference():
     # The windowed degree and Hong prescreens of _survivors keep exactly
-    # the masks a per-graph check keeps, for both theorems, on the range
-    # of every order-6 mask and on order-8 ranges with unaligned starts
-    # that cross a window edge and the 2^20 block edge, at thresholds
-    # that split them.  The degree check is rho <= Δ itself: the order-6
-    # thresholds lie under both theorems', where Δ >= n - degree_gap
-    # would drop graphs.
+    # the masks a per-graph check keeps, for both theorems, on the one
+    # window of order 6 and on a random list of order-8 windows, at
+    # thresholds that split them.  The degree check is rho <= Δ itself:
+    # the order-6 thresholds lie under both theorems', where
+    # Δ >= n - degree_gap would drop graphs.
     from histspec.scan import _codec, _survivors
     from histspec.spectral import GUARD, hong_value, theorem_spec
 
     rng = np.random.default_rng(43)
     cases = (
-        (6, [(0, 1 << 15)], (2.5, 3.0, 3.5)),
-        (8, _crossing_ranges(rng, 4, 5000),
-         (threshold_connected(8), threshold_two_connected(8))),
+        (6, [0], (2.5, 3.0, 3.5)),
+        (8, _window_list(rng, 8, 1), (threshold_connected(8), threshold_two_connected(8))),
     )
-    for n, ranges, thetas in cases:
-        masks = np.concatenate([np.arange(lo, hi, dtype=np.uint32) for lo, hi in ranges])
+    for n, windows, thetas in cases:
+        masks = _window_masks(n, windows)
         graphs = [graph_from_mask(n, int(mk)) for mk in masks]
         for mode in ("thm1", "thm2"):
             spec = theorem_spec(mode)
@@ -1005,29 +1022,27 @@ def test_prescreen_matches_per_graph_reference():
                         want.append(mk)
                 assert 0 < len(want) < len(masks)
                 cfg = ScanConfig(n=n, theta=theta, mode=mode)
-                assert _survivors(cfg, _codec(n), ranges).tolist() == want
+                assert _survivors(cfg, _codec(n), windows).tolist() == want
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_prescreen_table_matches_elementwise_hong():
     # The table lookup keeps exactly the masks that the element-wise
     # degree and Hong test keeps (hong_value on float64 d and int64 m per
-    # mask), for both theorems, on the range of every order-6 mask and on
-    # two window-long order-8 ranges with unaligned starts, one across the
-    # 2^20 block edge and one across a window edge inside a block.  The
-    # thresholds include Hong values themselves (plus GUARD), where the >=
-    # test is a tie that only a bit-identical table decides alike; neither
-    # side may raise a RuntimeWarning.
+    # mask), for both theorems, on the one window of order 6 and on a
+    # random list of order-8 windows.  The thresholds include Hong values
+    # themselves (plus GUARD), where the >= test is a tie that only a
+    # bit-identical table decides alike; neither side may raise a
+    # RuntimeWarning.
     from histspec.scan import _codec, _survivors
     from histspec.spectral import GUARD, hong_value, theorem_spec
 
     rng = np.random.default_rng(59)
-    for n, ranges, thetas in (
-            (6, [(0, 1 << 15)], (2.5, 3.0, 3.5)),
-            (8, _crossing_ranges(rng, 2, 1 << _codec(8).low_bits),
-             (threshold_connected(8), threshold_two_connected(8)))):
+    for n, windows, thetas in (
+            (6, [0], (2.5, 3.0, 3.5)),
+            (8, _window_list(rng, 8, 4), (threshold_connected(8), threshold_two_connected(8)))):
         c = _codec(n)
-        masks = np.concatenate([np.arange(lo, hi, dtype=np.uint32) for lo, hi in ranges])
+        masks = _window_masks(n, windows)
         m = np.bitwise_count(masks).astype(np.int64)
         deg = _slot_degrees(n, masks)
         dmax, dmin = deg.max(axis=1), deg.min(axis=1)
@@ -1040,46 +1055,42 @@ def test_prescreen_table_matches_elementwise_hong():
                         & (hong >= theta - GUARD))
                 assert 0 < want.sum() < len(masks)
                 cfg = ScanConfig(n=n, theta=theta, mode=mode)
-                assert np.array_equal(_survivors(cfg, c, ranges), masks[want])
+                assert np.array_equal(_survivors(cfg, c, windows), masks[want])
 
 
 def test_survivors_match_per_mask_prescreen():
     # _survivors against the straight path it replaces: every mask of the
-    # range, then a per-mask degree floor and Hong check, for every order
-    # 1..8, prescreens on and off.  Orders 7 and 8 take unaligned ranges
-    # across window edges, order 8 also across the block edge and over
-    # the top window.
-    from histspec.scan import _codec, _survivors, degree_floor
+    # windows, then a per-mask degree floor and Hong check, for every
+    # order 1..8, prescreens on and off.  Orders up to 6 are one window;
+    # orders 7 and 8 take random window lists, longer than a block.
+    from histspec.scan import BLOCK_WINDOWS, _codec, _survivors, degree_floor
     from histspec.spectral import GUARD, hong_value
 
     rng = np.random.default_rng(61)
     kept = {}
     for n in range(1, 9):
         c = _codec(n)
-        top = 1 << c.nbits
-        if n <= 6:
-            ranges = [(0, top), (top // 3, top - top // 5)]
-        else:
-            w = 1 << c.low_bits
-            ranges = [(w - 37, 5 * w + 11), (top - 3 * w - 5, top)]
-            ranges += _crossing_ranges(rng, 2, 2 * w) if n == 8 else []
+        windows = _window_list(rng, n, BLOCK_WINDOWS + 8)
+        assert len(windows) > BLOCK_WINDOWS or n <= 6
         theta = {7: threshold_connected(7), 8: threshold_two_connected(8)}.get(n, n - 2.5)
         for mode in ("thm1", "thm2"):
             for prescreens in (True, False):
                 cfg = ScanConfig(n=n, theta=theta, mode=mode, prescreens=prescreens)
-                for lo, hi in ranges:
-                    masks = np.arange(lo, hi, dtype=np.uint32)
+                want = []
+                for y in windows:
+                    masks = _window_masks(n, [y])
                     if prescreens:
-                        deg = _slot_degrees(n, masks)
-                        dmin = deg.min(axis=1)
+                        d = _slot_degrees(n, masks)
+                        dmin = d.min(axis=1)
                         hong = hong_value(dmin.astype(np.float64), n,
                                           np.bitwise_count(masks).astype(np.int64))
-                        masks = masks[(deg.max(axis=1) >= degree_floor(theta))
+                        masks = masks[(d.max(axis=1) >= degree_floor(theta))
                                       & (dmin >= cfg.spec.min_degree)
                                       & (hong >= theta - GUARD)]
-                    got = _survivors(cfg, c, [(lo, hi)])
-                    assert got.dtype == np.uint32 and np.array_equal(got, masks)
-                    kept[prescreens] = kept.get(prescreens, 0) + len(masks)
+                    want.append(masks)
+                got = _survivors(cfg, c, windows)
+                assert got.dtype == np.uint32 and np.array_equal(got, np.concatenate(want))
+                kept[prescreens] = kept.get(prescreens, 0) + len(got)
     assert all(kept.values())
 
 
@@ -1146,12 +1157,12 @@ def test_scan_decides_each_key_once_per_call(monkeypatch):
     # the groups hold distinct keys, 540 for the 387,388 prescreen
     # survivors (56,969 of them keyed, in the 7 windows scanned for their
     # window classes).  _decide runs once per block that has keys the
-    # call has not decided yet, on all of them: the order is two blocks,
-    # so two calls.  With blocks
-    # of 2^16, 2^12 and 2^11 masks, shard 301 makes one _decide call per
-    # block that brings new keys, on exactly those keys: the 6 blocks of
-    # 2^16 and the 64 blocks of 2^12 that hold scanned windows, and 120
-    # of the 128 such blocks of 2^11.
+    # call has not decided yet, on all of them: the 7 windows are one
+    # block, so one call.  Shard 301 scans 8 windows, and with blocks of
+    # 32, 4, 2 and 1 windows it makes one _decide call per block, each
+    # block bringing new keys, on exactly those keys; with blocks of one
+    # window, the n = 7 order makes one call for 6 of its 7 blocks, since
+    # one brings no new key.
     from histspec import scan
 
     decided, distinct, calls = [], [], []
@@ -1185,7 +1196,7 @@ def test_scan_decides_each_key_once_per_call(monkeypatch):
     assert len(decided) == 1
     for rows, keys in zip(decided, distinct):
         assert len(set(rows)) == len(rows) == len(keys) == 540
-    assert len(calls) == 2 and sum(map(len, calls)) == 540
+    assert len(calls) == 1 and sum(map(len, calls)) == 540
 
     def block(cfg, c, pools, out, verdicts):
         distinct.append(set())
@@ -1193,10 +1204,14 @@ def test_scan_decides_each_key_once_per_call(monkeypatch):
 
     monkeypatch.setattr(scan, "_scan_block", block)
     decided.append([])
-    for bits, blocks, fresh_blocks in ((16, 6, 6), (12, 64, 64), (11, 128, 120)):
-        monkeypatch.setattr(scan, "BLOCK_BITS", bits)
+    n7 = ScanConfig(n=7, theta=threshold_connected(7), mode="thm1")
+    n8 = ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2")
+    for cfg, lo, hi, windows, blocks, fresh_blocks in (
+            *((n8, 301 << 19, 302 << 19, w, b, b) for w, b in ((32, 1), (4, 2), (2, 4), (1, 8))),
+            (n7, 0, 1 << 21, 1, 7, 6)):
+        monkeypatch.setattr(scan, "BLOCK_WINDOWS", windows)
         del distinct[:], calls[:]
-        _shard(ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2"), 301)
+        scan_range(cfg, lo, hi)
         assert len(distinct) == blocks
         seen, fresh = set(), []
         for keys in distinct:

@@ -54,11 +54,14 @@ MUTANTS = (
            "hong_value(d[ok], n, m[ok]) > cfg.theta - GUARD",
            (VERIFICATION + "test_prescreen_table_matches_elementwise_hong",)),
     Mutant("window-high-half-of-next-window", "scan.py",
-           "y = base >> c.low_bits", "y = min((base >> c.low_bits) + 1, len(c.hi_deg) - 1)",
+           "hi_deg = c.hi_deg[y]", "hi_deg = c.hi_deg[min(y + 1, len(c.hi_deg) - 1)]",
            (VERIFICATION + "test_survivors_match_per_mask_prescreen",)),
     Mutant("window-end-one-short", "scan.py",
-           "min(stop - base, width)", "min(stop - base, width) - 1",
+           "np.flatnonzero(keep)", "np.flatnonzero(keep[:-1])",
            (VERIFICATION + "test_survivors_match_per_mask_prescreen",)),
+    Mutant("scan-range-skips-alignment-check", "scan.py",
+           " or lo % width or hi % width:", ":",
+           (VERIFICATION + "test_scan_range_rejects_masks_outside_the_order",)),
     Mutant("bfs-step-bound", "scan.py",
            "    for _ in range(len(cols)):\n        acc = np.zeros_like(reach)",
            "    for _ in range(len(cols) - 2):\n        acc = np.zeros_like(reach)",
@@ -94,7 +97,8 @@ MUTANTS = (
            "every if cfg.collect_over else", "every if False else",
            (VERIFICATION + "test_sampled_and_listing_scans_scan_every_window",)),
     Mutant("audit-first-class-only", "verification.py",
-           "_window_classes(c, 0, 1 << c.nbits)]", "_window_classes(c, 0, 1 << c.nbits)][:1]",
+           "_window_classes(c, range(len(c.hi_rows)))]",
+           "_window_classes(c, range(len(c.hi_rows)))][:1]",
            (VERIFICATION + "test_audit_small",)),
     Mutant("driver-scans-half-the-order", "verification.py",
            "scan_range(cfg, 0, 1 << (n * (n - 1) // 2))",

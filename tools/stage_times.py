@@ -9,11 +9,12 @@ by `perfbench/workloads.py`) through both corpus drivers.  Each stage is a
 module function (and `numpy.linalg.eigvalsh`), wrapped with
 `time.perf_counter` at the name its callers resolve, so a stage's time
 includes the stages it calls.  In both labeled passes `scan_range`
-scans the first window of each window class of its range, and
-`_survivors` lists the prescreen survivors of those windows, once per
-block and window-class size (it takes no array, so its rows are its
-calls); the windows scanned and the windows in range of each pass are
-written out too.  `_key_words` then runs on every
+scans the first window of each window class of its range, in blocks of
+`scan.BLOCK_WINDOWS` scanned windows, and `_survivors` lists the
+prescreen survivors of a block's windows of one class size per call (it
+takes no array, so its rows are its calls); the windows scanned and the
+windows in range of each pass are written out too.  `_key_words` then
+runs on every
 survivor of the scanned windows, in groups of `scan.GROUP_ROWS` rows of
 one class size: it holds `_class_keys`, the key that groups the rows by
 isomorphism class, and packs each key in one word.  `_distinct` sorts
@@ -128,17 +129,15 @@ def _corpus_pass(path):
 
 def count_windows(run_pass) -> dict:
     """Windows scanned and windows in range over one pass of the labeled
-    scan, from the ranges `scan._scan` takes: a range counts once per
-    window it touches as scanned, and its weight times that as in range."""
+    scan, from the (window, weight) lists `scan._scan` takes: a window
+    counts once as scanned, and its weight times as in range."""
     counts = {"scanned": 0, "in_range": 0}
     real = scan._scan
 
-    def counted(cfg, c, lo, ranges):
-        for a, b, weight in ranges:
-            touched = ((b - 1) >> c.low_bits) - (a >> c.low_bits) + 1
-            counts["scanned"] += touched
-            counts["in_range"] += weight * touched
-        return real(cfg, c, lo, ranges)
+    def counted(cfg, c, windows):
+        counts["scanned"] += len(windows)
+        counts["in_range"] += sum(weight for _, weight in windows)
+        return real(cfg, c, windows)
 
     scan._scan = counted
     try:
