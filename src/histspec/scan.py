@@ -12,10 +12,20 @@ form a window class (`_Codec.window_class`): they hold the same graphs
 up to relabeling, one for one.  The window is the scan's unit:
 `scan_range` takes whole windows only, scans the first window of each
 class in its range and counts it once per window of the class (168
-classes of the 8,192 windows at n = 8, 7 of 64 at n = 7).  The labeled
-drivers scan a whole order in one call, so that each class is scanned
-once and every key decided once.  The scanned windows go in blocks of
-BLOCK_WINDOWS, and the scan pipeline per block is:
+classes of the 8,192 windows at n = 8, 7 of 64 at n = 7).  Inside a
+scanned window, the permutations of vertices 0..5 that keep each
+vertex's row into the higher vertices (its type) map the window onto
+itself, so its low masks fall into orbits of isomorphic graphs: the scan
+examines only the least mask of each orbit (`_orbit_table`, cached per
+partition of vertices 0..5 into types) and counts it once per mask of
+its orbit, the isomorph rejection of McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26 (1998), one level below the window
+classes.  A whole order then examines one mask per orbit of S_6 on its
+edge masks: 156 at n = 6, 5,096 at n = 7, 483,040 at n = 8.  Every scan
+that lists masks examines every low mask of every window at weight 1.
+The labeled drivers scan a whole order in one call, so that each class
+is scanned once and every key decided once.  The scanned windows go in
+blocks of BLOCK_WINDOWS, and the scan pipeline per block is:
 
   1. mask-level prescreens (degrees, Hong-type bound), each justified by
      an upper bound on rho that is valid for every connected graph, so no
@@ -23,26 +33,28 @@ BLOCK_WINDOWS, and the scan pipeline per block is:
      degree floor `degree_floor(theta)`, which the graph6 corpus path
      shares, and the Hong test, a lookup in a table over (minimum degree,
      edge count) whose entries equal the per-mask test bit for bit; both
-     are isomorphism invariants, as window classes need.  `_survivors`
-     runs them one window at a time: the masks of a window share their
-     high half, so each degree is the low half's table plus a constant,
-     and no mask array is built until the survivors are
-     listed.  The survivors then become adjacency bit rows, one gather
-     per half table, and nothing after this step sees a mask;
-  2. grouping by class key: the rows go on in groups of GROUP_ROWS, and
-     within a group `_class_keys` relabels each graph by a stable sort of
-     its vertices on (degree, sum of neighbour degrees); equal keys are
-     one graph under two labelings, hence isomorphic, and rho,
-     connectivity, 2-connectivity, being the extremal graph and having a
-     HIST are isomorphism invariants, so steps 3-5 run once per distinct
-     key per `scan_range` call, on the key rows, in one batch per block:
-     each group keeps only its distinct key words and their copy counts,
-     the block's words that the call's verdict table (`_Verdicts`) lacks
-     are decided together and added to it, and every copy of a key takes
-     its verdict: the counts add each key's copy count times the size of
-     its window's class (a group holds rows of one class size), and the
-     over-threshold masks and counterexamples list every copy, in row
-     order, selected by keying the group's rows again;
+     are isomorphism invariants, as window classes and orbits need.
+     `_survivors` runs them one window at a time: the masks of a window
+     share their high half, so each degree is the low half's table,
+     gathered at the orbit representatives, plus a constant, and no mask
+     array is built until the survivors are listed, each with its weight
+     (orbit size times class size).  The survivors then become adjacency
+     bit rows, one gather per half table, and nothing after this step sees
+     a mask;
+  2. grouping by class key: the rows are keyed in groups of GROUP_ROWS:
+     `_class_keys` relabels each graph by a stable sort of its vertices
+     on (degree, sum of neighbour degrees); equal keys are one graph
+     under two labelings, hence isomorphic, and rho, connectivity,
+     2-connectivity, being the extremal graph and having a HIST are
+     isomorphism invariants, so steps 3-5 run once per distinct key per
+     `scan_range` call, on the key rows, in one batch per block: the
+     rows of each weight are kept only as their distinct key words and
+     copy counts, the block's words that the call's verdict table
+     (`_Verdicts`) lacks are decided together and added to it, and every
+     copy of a key takes its verdict: the counts add each key's copy
+     count times the weight, and the over-threshold masks and
+     counterexamples list every copy, in row order, each row looking up
+     its word's verdict;
   3. the spectral decision `over_threshold`, which the graph6 corpus
      path shares: certain classifications that skip the eigensolver
      (Rayleigh quotients of the all-ones and degree vectors are lower
@@ -165,6 +177,7 @@ class _Codec:
         slots = edge_slots(n)
         low = min(n, LOW_VERTICES)
         self.n = n
+        self.low = low
         self.nbits = len(slots)
         self.low_bits = low * (low - 1) // 2
         self.lo_rows = _half_rows(n, slots[:self.low_bits])
@@ -177,6 +190,15 @@ class _Codec:
         high[:, :n] = self.hi_rows >> low  # each vertex's row among vertices L..n-1
         high[:, :low].sort(axis=1)
         self.window_class = np.unique(high.view(np.uint64).ravel(), return_inverse=True)[1]
+
+    def blocks(self, y: int) -> tuple:
+        """The block partition of the low vertices in window y, by their
+        rows into vertices L..n-1 (their type): vertex v's entry is the
+        least low vertex of its type.  A permutation of the low vertices
+        inside the blocks keeps the high half y, so z -> s(z) maps the
+        window onto itself, each mask onto a relabeling."""
+        types = self.hi_rows[y, :self.low].tolist()
+        return tuple(types.index(t) for t in types)
 
 
 def _half_rows(n: int, slots) -> np.ndarray:
@@ -193,6 +215,44 @@ def _half_rows(n: int, slots) -> np.ndarray:
 _codec = cache(_Codec)
 
 
+@cache
+def _orbit_table(blocks: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The low masks least in their orbit under the permutations of the
+    low vertices inside the blocks of `blocks` (`_Codec.blocks`), in
+    ascending order, and the size of each orbit, both uint16.  The low
+    half is the first C(L, 2) slots of every order from L up, so the
+    table depends on the partition alone, never on n or theta.
+
+    Built by min-propagation from the generators, the swap of each low
+    vertex with the next one of its block: best[z] = min(best[z],
+    best[g(z)]) until nothing changes, when best is constant on each
+    orbit and so its least mask."""
+    low = len(blocks)
+    slots = edge_slots(low)
+    slot_of = {edge: b for b, edge in enumerate(slots)}
+    z = np.arange(1 << len(slots), dtype=np.uint16)
+    gens = []
+    for a in range(low):
+        b = next((w for w in range(a + 1, low) if blocks[w] == blocks[a]), None)
+        if b is None:
+            continue
+        swap = {a: b, b: a}
+        g = np.zeros_like(z)
+        for s, (i, j) in enumerate(slots):
+            i, j = swap.get(i, i), swap.get(j, j)
+            g |= ((z >> s) & 1) << slot_of[min(i, j), max(i, j)]
+        gens.append(g)
+    best = z.copy()
+    while True:
+        before = best.copy()
+        for g in gens:
+            np.minimum(best, best[g], out=best)
+        if np.array_equal(best, before):
+            break
+    reps = np.flatnonzero(best == z)
+    return reps.astype(np.uint16), np.bincount(best)[reps].astype(np.uint16)
+
+
 def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
     """Scan masks lo..hi-1, whole windows only: lo and hi must be
     multiples of the window size 2^low_bits (the whole order at n <= 6,
@@ -202,23 +262,26 @@ def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
     The windows of the range go by class (`_Codec.window_class`): the
     first window of each class is scanned and stands for every window of
     its class, since the windows of a class hold one graph per graph of
-    the other, relabeled.  The degree floor, the Hong prescreen and every
-    verdict code are isomorphism invariants, so each count of the scanned
-    window, times the class size, is the class's count.  Every window is
-    its own class when the over-threshold masks are listed, and the call
-    scans again that way when a class of several windows holds a
-    counterexample, so that every copy is listed, in mask order."""
+    the other, relabeled.  Inside it, only the low masks least in their
+    orbit under the window's stabilizer are scanned (`_orbit_table`), each
+    standing for its orbit.  The degree floor, the Hong prescreen and
+    every verdict code are isomorphism invariants, so each count of a
+    scanned mask, times its orbit size and the class size, is the count
+    of the graphs it stands for.  A scan that lists the over-threshold
+    masks scans every low mask of every window at weight 1, and so does a
+    scan again when a weight above 1 fell on a counterexample, so that
+    every copy is listed, in mask order."""
     c = _codec(cfg.n)
     width = 1 << c.low_bits
     if not 0 <= lo <= hi <= 1 << c.nbits or lo % width or hi % width:
         raise ValueError(f"mask range [{lo}, {hi}) is not whole windows of 2^{c.low_bits} "
                          f"masks inside 0..2^{c.nbits} for n={cfg.n}")
     ys = range(lo >> c.low_bits, hi >> c.low_bits)
-    every = [(y, 1) for y in ys]
-    out, relist = _scan(cfg, c, every if cfg.collect_over else _window_classes(c, ys))
-    if relist:
-        out, _ = _scan(cfg, c, every)
-    return out
+    if not cfg.collect_over:
+        out, relist = _scan(cfg, c, _window_classes(c, ys), orbits=True)
+        if not relist:
+            return out
+    return _scan(cfg, c, [(y, 1) for y in ys])[0]
 
 
 def _window_classes(c: _Codec, windows) -> list[tuple[int, int]]:
@@ -232,52 +295,65 @@ def _window_classes(c: _Codec, windows) -> list[tuple[int, int]]:
     return list(zip(ys[first[order]].tolist(), size[order].tolist()))
 
 
-def _scan(cfg: ScanConfig, c: _Codec, windows) -> tuple[ShardOut, bool]:
+def _scan(cfg: ScanConfig, c: _Codec, windows, orbits: bool = False) -> tuple[ShardOut, bool]:
     """Scan the windows (y, weight) of `windows`, counting each mask
-    `weight` times, in blocks of BLOCK_WINDOWS of them, each block's
-    windows pooled by weight.  Also returns whether a window of weight
-    above 1 holds a counterexample, whose copies it lists only once."""
+    `weight` times, in blocks of BLOCK_WINDOWS of them; with `orbits`,
+    only the orbit representatives of each window's low masks, each also
+    counted once per mask of its orbit.  Also returns whether a weight
+    above 1 fell on a counterexample, whose copies it lists only once."""
     out = ShardOut(scanned=sum(weight for _, weight in windows) << c.low_bits)
     verdicts = _Verdicts()
     relist = False
     for s in range(0, len(windows), BLOCK_WINDOWS):
-        pools = {}  # weight -> the block's windows of that weight
-        for y, weight in windows[s:s + BLOCK_WINDOWS]:
-            pools.setdefault(weight, []).append(y)
-        survivors = {weight: _survivors(cfg, c, ys) for weight, ys in pools.items()}
-        relist |= _scan_block(cfg, c, survivors, out, verdicts)
+        masks, weights = _survivors(cfg, c, windows[s:s + BLOCK_WINDOWS], orbits)
+        relist |= _scan_block(cfg, c, masks, weights, out, verdicts)
     return out, relist
 
 
-def _survivors(cfg: ScanConfig, c: _Codec, ys) -> np.ndarray:
-    """The masks of the windows `ys` that, under cfg.prescreens, pass the
-    degree and Hong prescreens, window by window in the order given, as
-    uint32.
+def _survivors(cfg: ScanConfig, c: _Codec, windows,
+               orbits: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The masks of the windows (y, weight) of `windows` that, under
+    cfg.prescreens, pass the degree and Hong prescreens, window by window
+    in the order given, as uint32, and the weight of each, uint32: its
+    window's weight.  With `orbits`, a window examines only the low masks
+    of its `_orbit_table`, and each survivor's weight is also multiplied
+    by its orbit size.
 
     The masks of window y share their high half: a vertex's degree is
     lo_deg[v] plus the constant hi_deg[y, v], and the edge count
-    lo_m + hi_m[y]."""
+    lo_m + hi_m[y]; with `orbits`, the low tables are gathered at the
+    representatives."""
     width = 1 << c.low_bits
-    if not cfg.prescreens:
-        return np.concatenate([np.arange(y * width, (y + 1) * width, dtype=np.uint32)
-                               for y in ys])
     floor = degree_floor(cfg.theta)
     ok = _hong_table(cfg, c.n)
     flat, cols = ok.ravel(), np.uint16(ok.shape[1])
-    parts = []
-    for y in ys:
-        hi_deg = c.hi_deg[y]
-        dmax = c.lo_deg[0] + hi_deg[0]
-        dmin = dmax.copy()
-        for v in range(1, c.n):
-            deg = c.lo_deg[v] + hi_deg[v]
-            np.maximum(dmax, deg, out=dmax)
-            np.minimum(dmin, deg, out=dmin)
-        m = c.lo_m + c.hi_m[y]
-        # ok[dmin, m] as one flat take; the offsets fit uint16 (at most 9 * 29 - 1)
-        keep = (dmax >= floor) & flat.take(dmin * cols + m)
-        parts.append((np.flatnonzero(keep) + y * width).astype(np.uint32))
-    return np.concatenate(parts)
+    masks, weights = [], []
+    for y, weight in windows:
+        reps, size = _orbit_table(c.blocks(y)) if orbits else (None, None)
+        lo_deg, lo_m = c.lo_deg[:c.low], c.lo_m
+        if reps is not None:
+            lo_deg, lo_m = lo_deg.take(reps, axis=1), lo_m.take(reps)
+        if cfg.prescreens:
+            hi_deg = c.hi_deg[y]
+            # vertices L..n-1 have no low edges, so constant degrees
+            dmax = np.full(len(lo_m), hi_deg[c.low:].max(initial=0))
+            dmin = np.full(len(lo_m), hi_deg[c.low:].min(initial=c.n))
+            for v in range(c.low):
+                deg = lo_deg[v] + hi_deg[v]
+                np.maximum(dmax, deg, out=dmax)
+                np.minimum(dmin, deg, out=dmin)
+            m = lo_m + c.hi_m[y]
+            # ok[dmin, m] as one flat take; the offsets fit uint16 (at most 9 * 29 - 1)
+            keep = np.flatnonzero((dmax >= floor) & flat.take(dmin * cols + m))
+        else:
+            keep = np.arange(len(lo_m))
+        if reps is None:
+            masks.append(keep.astype(np.uint32) + np.uint32(y * width))
+            weights.append(np.full(len(keep), weight, dtype=np.uint32))
+        else:
+            masks.append(reps[keep].astype(np.uint32) + np.uint32(y * width))
+            weights.append(size[keep] * np.uint32(weight))
+    return np.concatenate(masks), np.concatenate(weights)
 
 
 class _Verdicts:
@@ -306,47 +382,49 @@ class _Verdicts:
         return self.codes[np.searchsorted(self.words, words)]
 
 
-def _scan_block(cfg: ScanConfig, c: _Codec, pools: dict, out: ShardOut,
-                verdicts: _Verdicts) -> bool:
-    """Steps 1-5 of the pipeline on one block's survivors, `pools`
-    mapping each weight to the survivors of that weight, in three passes
-    over their groups of GROUP_ROWS, each of one weight: each group is
-    keyed and kept only as its distinct key words and their copy counts;
-    the block's words that `verdicts` lacks are decided in one call and
-    added to it; then each group is tallied from its words' codes, each
-    copy counted `weight` times.  So each key is decided once per
-    `scan_range` call and its verdict goes to every copy.  A group that
-    must list rows (the over-threshold masks under collect_over, the
-    copies of a counterexample) keys its rows again and gives each row
-    its word's code, so the lists keep row order.  Returns whether a
-    group of weight above 1 holds a counterexample."""
-    groups = [(weight, masks[s:s + GROUP_ROWS]) for weight, masks in pools.items()
-              for s in range(0, len(masks), GROUP_ROWS)]
-    out.survivors += sum(weight * len(masks) for weight, masks in pools.items())
-    if not groups:
+def _scan_block(cfg: ScanConfig, c: _Codec, masks: np.ndarray, weights: np.ndarray,
+                out: ShardOut, verdicts: _Verdicts) -> bool:
+    """Steps 1-5 of the pipeline on one block's survivors `masks`, each
+    counted `weights` times: the rows are keyed in groups of GROUP_ROWS,
+    and the rows of each weight are kept only as their distinct key words
+    and copy counts; the block's words that `verdicts` lacks are decided
+    in one call and added to it; then each weight's words are tallied from
+    their codes, each copy counted `weight` times.  So each key is decided
+    once per `scan_range` call and its verdict goes to every copy.  A
+    block that must list rows (the over-threshold masks under
+    collect_over, the copies of a counterexample) looks up each row's
+    code, so the lists keep row order.  Returns whether a row of weight
+    above 1 is a counterexample."""
+    out.survivors += int(weights.sum(dtype=np.int64))
+    if not len(masks):
         return False
-    distinct = [_distinct(_key_words(_rows_of_masks(c, group))) for _, group in groups]
-    verdicts.add(cfg, _distinct(np.concatenate([words for words, _ in distinct]))[0])
+    words = np.concatenate([_key_words(_rows_of_masks(c, masks[s:s + GROUP_ROWS]))
+                            for s in range(0, len(masks), GROUP_ROWS)])
+    # Every block of a scan at weight 1 holds one weight: no split, no hash.
+    levels = np.unique(weights) if weights.min() < weights.max() else weights[:1]
+    parts = [(weight, *_distinct(words if len(levels) == 1 else words[weights == weight]))
+             for weight in levels.tolist()]
+    verdicts.add(cfg, _distinct(np.concatenate([part[1] for part in parts]))[0])
+    tally = np.zeros(BAD + 1, dtype=np.int64)
     relist = False
-    for (weight, group), (words, copies) in zip(groups, distinct):
-        code = verdicts.codes_of(words)
-        tally = np.bincount(code, weights=copies * weight, minlength=BAD + 1).astype(np.int64)
-        out.over += int(tally[HIST:].sum())
-        out.hists += int(tally[HIST] + tally[SEARCHED])
-        out.extremal += int(tally[EXTREMAL])
-        out.fallback_searches += int(tally[SEARCHED] + tally[BAD])
-        relist |= bool(tally[BAD]) and weight > 1
-        if cfg.collect_over or tally[BAD]:
-            # The group's key words in sorted order run through `words`,
-            # each `copies` times, so one argsort gives every row its code.
-            rows = _rows_of_masks(c, group)
-            row_code = np.empty(len(group), dtype=np.uint8)
-            row_code[np.argsort(_key_words(rows))] = np.repeat(code, copies)
-            if cfg.collect_over:
-                out.over_masks.extend(group[row_code != UNDER].tolist())
-            if tally[BAD]:
-                out.counterexamples.extend(encode_graph6(_graph_of_row(c.n, row))
-                                           for row in rows[row_code == BAD])
+    for weight, distinct, copies in parts:
+        part = np.bincount(verdicts.codes_of(distinct), weights=copies, minlength=BAD + 1)
+        tally += part.astype(np.int64) * weight
+        relist |= weight > 1 and bool(part[BAD])
+    out.over += int(tally[HIST:].sum())
+    out.hists += int(tally[HIST] + tally[SEARCHED])
+    out.extremal += int(tally[EXTREMAL])
+    out.fallback_searches += int(tally[SEARCHED] + tally[BAD])
+    if cfg.collect_over or tally[BAD]:
+        # looked up in sorted order, several times faster than row order
+        order = np.argsort(words)
+        code = np.empty(len(words), dtype=np.uint8)
+        code[order] = verdicts.codes_of(words[order])
+        if cfg.collect_over:
+            out.over_masks.extend(masks[code != UNDER].tolist())
+        if tally[BAD]:
+            out.counterexamples.extend(encode_graph6(_graph_of_row(c.n, row))
+                                       for row in _rows_of_masks(c, masks[code == BAD]))
     return relist
 
 
@@ -676,7 +754,7 @@ def _class_keys(rows: np.ndarray) -> np.ndarray:
     equal keys are isomorphic; isomorphic graphs may still get different
     keys when the sort meets a tie, which costs a repeated verdict, never
     a wrong one.  `_scan_block` calls it (through `_key_words`) on every
-    prescreen survivor, ahead of the spectral decision.
+    row it scans, ahead of the spectral decision.
 
     The work runs on the transposed rows, one array per vertex, with no
     sort; the loops write in place into arrays of the input's length, so

@@ -231,20 +231,25 @@ def test_criterion_2_theorem2_exhaustive_n8():
     )
 
 
-def test_criterion_2_identity_route_matches_window_classes():
-    # An independent gate for the window-class weighting: the identity
-    # route, every window of the n=8 order scanned as a class of its own,
-    # gives the same ShardOut, every field, as the class route criterion 2
-    # takes.  It prescreens and keys all 2^28 masks, so it is slow, and
-    # its name puts it in the criterion-2 run.
+def test_criterion_2_identity_route_matches_window_classes(monkeypatch):
+    # An independent gate for the window-class and orbit weighting: the
+    # identity route, every low mask of every window of the n=8 order
+    # scanned at weight 1 with no orbit table, gives the same ShardOut,
+    # every field, as the class-and-orbit route criterion 2 takes.  It
+    # prescreens and keys all 2^28 masks, so it is slow, and its name puts
+    # it in the criterion-2 run.
     from histspec import scan, threshold_two_connected
+
+    def no_table(blocks):
+        raise AssertionError("the identity route reads no orbit table")
 
     t0 = time.monotonic()
     cfg = scan.ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2")
-    identity, _ = scan._scan(cfg, scan._codec(8), [(y, 1) for y in range(1 << 13)])
     classes = scan.scan_range(cfg, 0, 1 << 28)
+    monkeypatch.setattr(scan, "_orbit_table", no_table)
+    identity, _ = scan._scan(cfg, scan._codec(8), [(y, 1) for y in range(1 << 13)])
     _report(
-        "criterion 2 identity route (n=8 thm2, every window its own class)",
+        "criterion 2 identity route (n=8 thm2, every low mask of every window at weight 1)",
         identity == classes,
         f"survivors={identity.survivors}, over={identity.over}, "
         f"extremal={identity.extremal}, elapsed={time.monotonic() - t0:.0f}s",

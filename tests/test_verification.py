@@ -653,10 +653,18 @@ def test_verdict_table_keeps_no_state_between_calls(monkeypatch):
     assert run(cfg, 301) == alone
 
 
-def _every_window(c, windows):
-    """A `_window_classes` that makes each window a class of its own, so
-    that a scan scans every window: the reference for window classes."""
-    return [(y, 1) for y in windows]
+def _identity_scan(monkeypatch, cfg, c, windows):
+    """The identity route, the reference for window classes and orbits:
+    `_scan` over every window of `windows` at weight 1, every low mask
+    scanned, with no orbit table (`_orbit_table` raises if called)."""
+    from histspec import scan
+
+    def no_table(blocks):
+        raise AssertionError("the identity route reads no orbit table")
+
+    with monkeypatch.context() as m:
+        m.setattr(scan, "_orbit_table", no_table)
+        return scan._scan(cfg, c, [(y, 1) for y in windows])[0]
 
 
 def _window_list(rng, n, count):
@@ -702,13 +710,15 @@ def test_window_classes_are_orbits_of_the_low_vertices():
 
 
 def test_window_classes_match_scanning_every_window(monkeypatch):
-    # scan_range scans the first window of each window class and counts
-    # it once per window of the class, and gives the same ShardOut, every
-    # field, as a scan of every window: n=7 thm1 shards 0-3, the n=8 thm2
-    # benchmark shards and the golden shard 301, some without the
-    # prescreens; each shard skips windows.  `_scan` does the same on
-    # random lists of n=8 windows whose classes fill several blocks, with
-    # blocks of BLOCK_WINDOWS and of 5 windows, for both theorems.
+    # scan_range scans the orbit representatives of the first window of
+    # each window class and counts each once per mask of its orbit and
+    # window of its class, and gives the same ShardOut, every field, as
+    # the identity route, every low mask of every window at weight 1: n=7
+    # thm1 shards 0-3, the n=8 thm2 benchmark shards and the golden shard
+    # 301, some without the prescreens; each shard skips windows.  `_scan`
+    # with orbits does the same on random lists of n=8 windows whose
+    # classes fill several blocks, with blocks of BLOCK_WINDOWS and of 5
+    # windows, for both theorems.
     from histspec import scan
 
     t7, t8 = threshold_connected(7), threshold_two_connected(8)
@@ -722,10 +732,8 @@ def test_window_classes_match_scanning_every_window(monkeypatch):
         c = scan._codec(cfg.n)
         windows = range(lo >> c.low_bits, hi >> c.low_bits)
         assert len(scan._window_classes(c, windows)) < len(windows)
-        with monkeypatch.context() as m:
-            grouped = scan_range(cfg, lo, hi)
-            m.setattr(scan, "_window_classes", _every_window)
-            assert grouped == scan_range(cfg, lo, hi)
+        grouped = scan_range(cfg, lo, hi)
+        assert grouped == _identity_scan(monkeypatch, cfg, c, windows)
         assert grouped.scanned == hi - lo and grouped.survivors > 0
     rng = np.random.default_rng(71)
     c = scan._codec(8)
@@ -737,27 +745,157 @@ def test_window_classes_match_scanning_every_window(monkeypatch):
         assert len(classes) > 2 * scan.BLOCK_WINDOWS
         for block in blocks:
             monkeypatch.setattr(scan, "BLOCK_WINDOWS", block)
-            grouped, _ = scan._scan(cfg, c, classes)
-            assert grouped == scan._scan(cfg, c, _every_window(c, windows))[0]
+            grouped, _ = scan._scan(cfg, c, classes, orbits=True)
+            assert grouped == _identity_scan(monkeypatch, cfg, c, windows)
             assert grouped.scanned == len(windows) << c.low_bits
 
 
 def test_window_classes_list_every_copy_of_a_counterexample(monkeypatch):
     # At theta = 3.7, under rho(L_7), n=7 shard 1 has counterexamples in
     # window classes of several windows.  Having found them, the scan
-    # scans the shard again window by window, so it lists every copy, in
-    # mask order, as the scan that lists the over-threshold masks does.
+    # scans the shard again window by window, every low mask, so it lists
+    # every copy, in mask order, as the scan that lists the over-threshold
+    # masks does.
     from histspec import scan
 
     runs = []
     real = scan._scan
-    monkeypatch.setattr(scan, "_scan", lambda *args: runs.append(args[2]) or real(*args))
+    monkeypatch.setattr(scan, "_scan", lambda *args, **kw: runs.append(
+        (args[2], kw.get("orbits", False))) or real(*args, **kw))
     cfg = ScanConfig(n=7, theta=3.7, mode="thm1")
     out = _shard(cfg, 1)
-    assert len(runs) == 2 and max(k for _, k in runs[0]) > 1
-    assert runs[1] == [(y, 1) for y in range(16, 32)]
+    assert len(runs) == 2 and max(k for _, k in runs[0][0]) > 1 and runs[0][1]
+    assert runs[1] == ([(y, 1) for y in range(16, 32)], False)
     listed = _shard(dataclasses.replace(cfg, collect_over=True), 1)
     assert len(out.counterexamples) == 524
+    assert out == dataclasses.replace(listed, over_masks=[])
+
+
+def _least_in_orbit(blocks):
+    """Brute force for `_orbit_table`: each low mask's least image under
+    every permutation of the low vertices that keeps each block of
+    `blocks` (the Young subgroup), not only the generators."""
+    from histspec.graphs import edge_slots
+
+    low = len(blocks)
+    slots = edge_slots(low)
+    slot_of = {edge: b for b, edge in enumerate(slots)}
+    members = [[v for v in range(low) if blocks[v] == b] for b in sorted(set(blocks))]
+    z = np.arange(1 << len(slots))
+    least = z.copy()
+    for images in itertools.product(*(itertools.permutations(m) for m in members)):
+        p = dict(zip(itertools.chain(*members), itertools.chain(*images)))
+        moved = np.zeros_like(z)
+        for b, (i, j) in enumerate(slots):
+            moved |= ((z >> b) & 1) << slot_of[min(p[i], p[j]), max(p[i], p[j])]
+        np.minimum(least, moved, out=least)
+    return least
+
+
+def _scanned_partitions(n):
+    """The block partitions of the windows a whole-order scan of order n
+    scans, the first window of each window class."""
+    from histspec.scan import _codec, _window_classes
+
+    c = _codec(n)
+    return {c.blocks(y) for y, _ in _window_classes(c, range(len(c.hi_rows)))}
+
+
+def test_orbit_tables_match_the_least_mask_over_the_young_subgroup():
+    # For every block partition the scans of orders 6, 7 and 8 meet, the
+    # table built from the adjacent swaps inside each block lists exactly
+    # the low masks least in their orbit under every permutation of the
+    # blocks, with their orbit sizes, which sum to 2^15.  Order 6 has one
+    # window, whose blocks are one: its 156 representatives are the
+    # unlabeled graphs on 6 vertices.
+    from histspec.scan import _orbit_table
+
+    parts = {n: _scanned_partitions(n) for n in (6, 7, 8)}
+    assert {n: len(p) for n, p in parts.items()} == {6: 1, 7: 6, 8: 26}
+    for blocks in set().union(*parts.values()):
+        reps, sizes = _orbit_table(blocks)
+        least = _least_in_orbit(blocks)
+        assert reps.dtype == sizes.dtype == np.uint16
+        assert reps.tolist() == np.flatnonzero(least == np.arange(len(least))).tolist()
+        assert sizes.tolist() == np.bincount(least)[reps].tolist()
+        assert int(sizes.sum(dtype=np.int64)) == 1 << 15
+    assert len(_orbit_table((0,) * 6)[0]) == 156
+
+
+def test_orbit_representatives_expand_to_the_window_survivors():
+    # A window's surviving representatives, each expanded to its orbit
+    # (by the brute-force least mask), are exactly the window's survivors
+    # scanned mask by mask, and each carries its orbit size times the
+    # window's weight: the one window of order 6, the windows scanned at
+    # order 7 and some scanned at order 8, both theorems, prescreens on and
+    # off.
+    from histspec.scan import _codec, _survivors, _window_classes
+
+    rng = np.random.default_rng(89)
+    least = {}
+    for n, thetas in ((6, (2.5, 3.5)), (7, (threshold_connected(7), 3.7)),
+                      (8, (threshold_connected(8), threshold_two_connected(8)))):
+        c = _codec(n)
+        scanned = [y for y, _ in _window_classes(c, range(len(c.hi_rows)))]
+        if n == 8:
+            scanned = rng.choice(scanned, 12, replace=False).tolist()
+        for y in scanned:
+            blocks = c.blocks(y)
+            orbit = least.setdefault(blocks, _least_in_orbit(blocks))
+            size = np.bincount(orbit)
+            weight = int(rng.integers(1, 100))
+            for mode, theta, prescreens in itertools.product(
+                    ("thm1", "thm2"), thetas, (True, False)):
+                cfg = ScanConfig(n=n, theta=theta, mode=mode, prescreens=prescreens)
+                full, ones = _survivors(cfg, c, [(y, 1)])
+                reps, weights = _survivors(cfg, c, [(y, weight)], orbits=True)
+                low = reps - (y << c.low_bits)
+                assert (orbit[low] == low).all() and (ones == 1).all()
+                assert weights.tolist() == (size[low] * weight).tolist()
+                kept = np.isin(orbit, low)
+                assert np.array_equal(full, np.flatnonzero(kept) + (y << c.low_bits))
+
+
+def test_scans_examine_the_orbits_of_the_whole_order(monkeypatch):
+    # A whole-order scan examines one low mask per orbit of each scanned
+    # window, so the masks it examines are the orbits of S_6 on the
+    # order's edge masks (Burnside): 156 at n = 6, 5,096 at n = 7 and
+    # 483,040 at n = 8, against 2^15, 7 * 2^15 and 168 * 2^15 before.
+    from histspec import scan
+
+    examined = []
+    real = scan._orbit_table
+    monkeypatch.setattr(scan, "_orbit_table", lambda blocks: (
+        examined.append(len(real(blocks)[0])) or real(blocks)))
+    for n, cfg, want in ((6, ScanConfig(n=6, theta=2.5, mode="thm1"), 156),
+                         (7, ScanConfig(n=7, theta=threshold_connected(7), mode="thm1"), 5_096),
+                         (8, ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2"),
+                          483_040)):
+        del examined[:]
+        out = scan_range(cfg, 0, 1 << (n * (n - 1) // 2))
+        assert sum(examined) == want and out.survivors > 0
+
+
+def test_orbit_weights_rescan_a_counterexample(monkeypatch):
+    # n = 6 is one window, its own class of weight 1, whose stabilizer is
+    # all of S_6: under thm2 at theta = rho(B_6) its counterexamples are
+    # found on orbit representatives of weight above 1.  Having found
+    # them, the scan scans the window again, every low mask at weight 1,
+    # so it lists every copy, in mask order, as the listing scan does.
+    from histspec import scan
+    from histspec.graphs import make_family
+
+    runs = []
+    real = scan._scan
+    monkeypatch.setattr(scan, "_scan", lambda *args, **kw: runs.append(
+        (args[2], kw.get("orbits", False))) or real(*args, **kw))
+    cfg = ScanConfig(n=6, theta=eigvalsh_rho(make_family("B", 6)), mode="thm2")
+    out = scan_range(cfg, 0, 1 << 15)
+    assert runs == [([(0, 1)], True), ([(0, 1)], False)]
+    assert (out.over, out.extremal, len(out.counterexamples)) == (10_948, 360, 195)
+    masks = [mask_of_graph(decode_graph6(text)) for text in out.counterexamples]
+    assert masks == sorted(set(masks))
+    listed = scan_range(dataclasses.replace(cfg, collect_over=True), 0, 1 << 15)
     assert out == dataclasses.replace(listed, over_masks=[])
 
 
@@ -1022,7 +1160,7 @@ def test_prescreen_matches_per_graph_reference():
                         want.append(mk)
                 assert 0 < len(want) < len(masks)
                 cfg = ScanConfig(n=n, theta=theta, mode=mode)
-                assert _survivors(cfg, _codec(n), windows).tolist() == want
+                assert _survivors(cfg, _codec(n), [(y, 1) for y in windows])[0].tolist() == want
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1055,14 +1193,16 @@ def test_prescreen_table_matches_elementwise_hong():
                         & (hong >= theta - GUARD))
                 assert 0 < want.sum() < len(masks)
                 cfg = ScanConfig(n=n, theta=theta, mode=mode)
-                assert np.array_equal(_survivors(cfg, c, windows), masks[want])
+                got = _survivors(cfg, c, [(y, 1) for y in windows])[0]
+                assert np.array_equal(got, masks[want])
 
 
 def test_survivors_match_per_mask_prescreen():
     # _survivors against the straight path it replaces: every mask of the
     # windows, then a per-mask degree floor and Hong check, for every
-    # order 1..8, prescreens on and off.  Orders up to 6 are one window;
-    # orders 7 and 8 take random window lists, longer than a block.
+    # order 1..8, prescreens on and off, each survivor weighted by its
+    # window's (random) weight.  Orders up to 6 are one window; orders 7
+    # and 8 take random window lists, longer than a block.
     from histspec.scan import BLOCK_WINDOWS, _codec, _survivors, degree_floor
     from histspec.spectral import GUARD, hong_value
 
@@ -1076,8 +1216,9 @@ def test_survivors_match_per_mask_prescreen():
         for mode in ("thm1", "thm2"):
             for prescreens in (True, False):
                 cfg = ScanConfig(n=n, theta=theta, mode=mode, prescreens=prescreens)
-                want = []
-                for y in windows:
+                weight = rng.integers(1, 1000, size=len(windows)).tolist()
+                want, want_weights = [], []
+                for y, k in zip(windows, weight):
                     masks = _window_masks(n, [y])
                     if prescreens:
                         d = _slot_degrees(n, masks)
@@ -1088,8 +1229,11 @@ def test_survivors_match_per_mask_prescreen():
                                       & (dmin >= cfg.spec.min_degree)
                                       & (hong >= theta - GUARD)]
                     want.append(masks)
-                got = _survivors(cfg, c, windows)
-                assert got.dtype == np.uint32 and np.array_equal(got, np.concatenate(want))
+                    want_weights.append(np.full(len(masks), k))
+                got, weights = _survivors(cfg, c, list(zip(windows, weight)))
+                assert got.dtype == weights.dtype == np.uint32
+                assert np.array_equal(got, np.concatenate(want))
+                assert np.array_equal(weights, np.concatenate(want_weights))
                 kept[prescreens] = kept.get(prescreens, 0) + len(got)
     assert all(kept.values())
 
@@ -1154,9 +1298,9 @@ def test_scan_decides_each_key_once_per_call(monkeypatch):
     # verify_theorem1(7) makes one scan_range call and hands
     # over_threshold key rows only, each key once: the rows of all its
     # calls are pairwise distinct, and together they hold as many rows as
-    # the groups hold distinct keys, 540 for the 387,388 prescreen
-    # survivors (56,969 of them keyed, in the 7 windows scanned for their
-    # window classes).  _decide runs once per block that has keys the
+    # the groups hold distinct keys, 266 for the 387,388 prescreen
+    # survivors (1,080 of them keyed, the orbit representatives in the 7
+    # windows scanned for their window classes).  _decide runs once per block that has keys the
     # call has not decided yet, on all of them: the 7 windows are one
     # block, so one call.  Shard 301 scans 8 windows, and with blocks of
     # 32, 4, 2 and 1 windows it makes one _decide call per block, each
@@ -1195,12 +1339,12 @@ def test_scan_decides_each_key_once_per_call(monkeypatch):
     assert rep.prescreen_survivors == 387_388
     assert len(decided) == 1
     for rows, keys in zip(decided, distinct):
-        assert len(set(rows)) == len(rows) == len(keys) == 540
-    assert len(calls) == 1 and sum(map(len, calls)) == 540
+        assert len(set(rows)) == len(rows) == len(keys) == 266
+    assert len(calls) == 1 and sum(map(len, calls)) == 266
 
-    def block(cfg, c, pools, out, verdicts):
+    def block(*args):
         distinct.append(set())
-        return real_block(cfg, c, pools, out, verdicts)
+        return real_block(*args)
 
     monkeypatch.setattr(scan, "_scan_block", block)
     decided.append([])

@@ -57,7 +57,8 @@ MUTANTS = (
            "hi_deg = c.hi_deg[y]", "hi_deg = c.hi_deg[min(y + 1, len(c.hi_deg) - 1)]",
            (VERIFICATION + "test_survivors_match_per_mask_prescreen",)),
     Mutant("window-end-one-short", "scan.py",
-           "np.flatnonzero(keep)", "np.flatnonzero(keep[:-1])",
+           "flat.take(dmin * cols + m))\n",
+           "flat.take(dmin * cols + m))\n            keep = keep[keep < len(lo_m) - 1]\n",
            (VERIFICATION + "test_survivors_match_per_mask_prescreen",)),
     Mutant("scan-range-skips-alignment-check", "scan.py",
            " or lo % width or hi % width:", ":",
@@ -84,18 +85,24 @@ MUTANTS = (
            "return self.codes[np.searchsorted(self.words, words) - 1]",
            (VERIFICATION + "test_verdict_table_keeps_no_state_between_calls",)),
     Mutant("tally-another-groups-copies", "scan.py",
-           "np.bincount(code, weights=copies * weight,",
-           "np.bincount(code, weights=np.resize(distinct[0][1], len(code)) * weight,",
-           (VERIFICATION + "test_verdict_table_keeps_no_state_between_calls",)),
+           "np.bincount(verdicts.codes_of(distinct), weights=copies,",
+           "np.bincount(verdicts.codes_of(distinct), weights=np.resize(parts[0][2], len(distinct)),",
+           (VERIFICATION + "test_window_classes_match_scanning_every_window",)),
     Mutant("window-class-without-high-rows", "scan.py",
            "high[:, :low].sort(axis=1)", "high[:, :low].sort(axis=1)\n        high[:, low:] = 0",
            (VERIFICATION + "test_window_classes_are_orbits_of_the_low_vertices",)),
     Mutant("survivors-without-window-weight", "scan.py",
-           "out.survivors += sum(weight * len(masks)", "out.survivors += sum(len(masks)",
+           "out.survivors += int(weights.sum(dtype=np.int64))", "out.survivors += len(weights)",
            (VERIFICATION + "test_window_classes_match_scanning_every_window",)),
     Mutant("window-classes-when-listing", "scan.py",
-           "every if cfg.collect_over else", "every if False else",
+           "    if not cfg.collect_over:\n", "    if True:\n",
            (VERIFICATION + "test_sampled_and_listing_scans_scan_every_window",)),
+    Mutant("orbit-weight-dropped", "scan.py",
+           "size[keep] * np.uint32(weight)", "np.full(len(keep), weight, dtype=np.uint32)",
+           (VERIFICATION + "test_orbit_representatives_expand_to_the_window_survivors",)),
+    Mutant("orbit-generator-across-types", "scan.py",
+           "if blocks[w] == blocks[a]", "if blocks[w] != blocks[a]",
+           (VERIFICATION + "test_orbit_tables_match_the_least_mask_over_the_young_subgroup",)),
     Mutant("audit-first-class-only", "verification.py",
            "_window_classes(c, range(len(c.hi_rows)))]",
            "_window_classes(c, range(len(c.hi_rows)))][:1]",
@@ -105,10 +112,10 @@ MUTANTS = (
            "scan_range(cfg, 0, 1 << (n * (n - 1) // 2) - 1)",
            (VERIFICATION + "test_theorem1_subsample_properties",)),
     Mutant("counterexample-rescan-skipped", "scan.py",
-           "    if relist:\n", "    if False:\n",
+           "        if not relist:\n", "        if True:\n",
            (VERIFICATION + "test_window_classes_list_every_copy_of_a_counterexample",)),
     Mutant("counterexamples-wrong-code", "scan.py",
-           "rows[row_code == BAD]", "rows[row_code == SEARCHED]",
+           "_rows_of_masks(c, masks[code == BAD])", "_rows_of_masks(c, masks[code == SEARCHED])",
            (VERIFICATION + "test_scan_below_threshold_reports_real_counterexamples",)),
     Mutant("replay-below-order-floor", "scan.py",
            "replay = n >= spec.order_floor", "replay = True",

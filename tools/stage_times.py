@@ -10,23 +10,24 @@ module function (and `numpy.linalg.eigvalsh`), wrapped with
 `time.perf_counter` at the name its callers resolve, so a stage's time
 includes the stages it calls.  In both labeled passes `scan_range`
 scans the first window of each window class of its range, in blocks of
-`scan.BLOCK_WINDOWS` scanned windows, and `_survivors` lists the
-prescreen survivors of a block's windows of one class size per call (it
-takes no array, so its rows are its calls); the windows scanned and the
-windows in range of each pass are written out too.  `_key_words` then
-runs on every
-survivor of the scanned windows, in groups of `scan.GROUP_ROWS` rows of
-one class size: it holds `_class_keys`, the key that groups the rows by
-isomorphism class, and packs each key in one word.  `_distinct` sorts
-each group's words into distinct words and copy counts, and once per
-block the union of its groups' words.  `_decide` then runs once per
-block, on the keys of the block's groups that the `scan_range` call has
-not decided yet, so every later stage sees each distinct key once per
-call; its calls are the blocks with new keys and its rows the keys
-decided per pass.  It holds `over_threshold` (with
-`_sandwich` and `eigvalsh`), then `_connected_filter` on the
-over-threshold keys, with `_reach_vec`, the bitset BFS, whose call count
-is the number of BFS runs, then `_classify`, which holds, in its order,
+`scan.BLOCK_WINDOWS` scanned windows, and inside each window only the
+low masks least in their orbit under the window's stabilizer
+(`_orbit_table`).  `_survivors` lists the prescreen survivors of one
+block's windows and their weights per call (it takes no array, so its
+rows are its calls); the windows scanned and in range, the low masks
+examined and the rows keyed per pass are written out too.  `_key_words`
+then runs on every survivor, in groups of `scan.GROUP_ROWS` rows: it
+holds `_class_keys`, the key that groups the rows by isomorphism class,
+and packs each key in one word.  `_distinct` sorts the words of each
+weight in a block into distinct words and copy counts, and once per
+block the union of those.  `_decide` then runs once per block, on the
+keys of the block that the `scan_range` call has not decided yet, so
+every later stage sees each distinct key once per call; its calls are
+the blocks with new keys and its rows the keys decided per pass.  It
+holds `over_threshold` (with `_sandwich` and `eigvalsh`), then
+`_connected_filter` on the over-threshold keys, with `_reach_vec`, the
+bitset BFS, whose call count is the number of BFS runs, then
+`_classify`, which holds, in its order,
 `_double_star_feasible`, the recognizer `is_family_L` or `is_family_B`,
 once per key the star and double-star tests leave, proof replay, once
 per such key that is not extremal, and the search, once per key that
@@ -128,22 +129,39 @@ def _corpus_pass(path):
 
 
 def count_windows(run_pass) -> dict:
-    """Windows scanned and windows in range over one pass of the labeled
-    scan, from the (window, weight) lists `scan._scan` takes: a window
-    counts once as scanned, and its weight times as in range."""
-    counts = {"scanned": 0, "in_range": 0}
-    real = scan._scan
+    """Windows scanned and in range, low masks examined and rows keyed
+    over one pass of the labeled scan.  From the (window, weight) lists
+    `scan._scan` takes, a window counts once as scanned and its weight
+    times as in range; a scan by orbits examines the representatives of
+    each window's `_orbit_table`, any other scan every low mask; the rows
+    keyed are the rows `_key_words` takes."""
+    counts = {"scanned": 0, "in_range": 0, "examined": 0, "keyed": 0}
+    reals = {name: getattr(scan, name) for name in ("_scan", "_orbit_table", "_key_words")
+             if hasattr(scan, name)}
 
-    def counted(cfg, c, windows):
+    def scanned(cfg, c, windows, **orbits):
         counts["scanned"] += len(windows)
         counts["in_range"] += sum(weight for _, weight in windows)
-        return real(cfg, c, windows)
+        counts["examined"] += 0 if orbits.get("orbits") else len(windows) << c.low_bits
+        return reals["_scan"](cfg, c, windows, **orbits)
 
-    scan._scan = counted
+    def table(blocks):
+        reps, sizes = reals["_orbit_table"](blocks)
+        counts["examined"] += len(reps)
+        return reps, sizes
+
+    def keyed(rows):
+        counts["keyed"] += len(rows)
+        return reals["_key_words"](rows)
+
+    for name, wrapper in (("_scan", scanned), ("_orbit_table", table), ("_key_words", keyed)):
+        if name in reals:
+            setattr(scan, name, wrapper)
     try:
         run_pass()
     finally:
-        scan._scan = real
+        for name, real in reals.items():
+            setattr(scan, name, real)
     return counts
 
 
@@ -210,7 +228,8 @@ def main(argv=None) -> None:
     for workload in ("n7_thm1_full", "n8_thm2_shards", "n9_corpus"):
         factors = ", ".join(f"{f:.2f}" for f in result["speed_factors"][workload])
         windows = result["windows"].get(workload)
-        scanned = (f"; windows scanned {windows['scanned']} of {windows['in_range']}"
+        scanned = (f"; windows scanned {windows['scanned']} of {windows['in_range']}, "
+                   f"low masks examined {windows['examined']}, rows keyed {windows['keyed']}"
                    if windows else "")
         print(f"{workload} (speed factors {factors}{scanned})")
         for name, row in result[workload].items():
