@@ -35,26 +35,25 @@ blocks of BLOCK_WINDOWS, and the scan pipeline per block is:
      edge count) whose entries equal the per-mask test bit for bit; both
      are isomorphism invariants, as window classes and orbits need.
      `_survivors` runs them one window at a time: the masks of a window
-     share their high half, so each degree is the low half's table,
-     gathered at the orbit representatives, plus a constant, and no mask
-     array is built until the survivors are listed, each with its weight
-     (orbit size times class size).  The survivors then become adjacency
-     bit rows, one gather per half table, and nothing after this step sees
-     a mask;
-  2. grouping by class key: the rows are keyed in groups of GROUP_ROWS:
-     `_class_keys` relabels each graph by a stable sort of its vertices
-     on (degree, sum of neighbour degrees); equal keys are one graph
-     under two labelings, hence isomorphic, and rho, connectivity,
-     2-connectivity, being the extremal graph and having a HIST are
-     isomorphism invariants, so steps 3-5 run once per distinct key per
-     `scan_range` call, on the key rows, in one batch per block: the
-     rows of each weight are kept only as their distinct key words and
-     copy counts, the block's words that the call's verdict table
-     (`_Verdicts`) lacks are decided together and added to it, and every
-     copy of a key takes its verdict: the counts add each key's copy
-     count times the weight, and the over-threshold masks and
-     counterexamples list every copy, in row order, each row looking up
-     its word's verdict;
+     share their high half, so each degree is the low half's table (the
+     orbit table carries it gathered at its representatives) plus a
+     constant, and no mask array is built until the survivors are listed,
+     each with its weight (orbit size times class size);
+  2. grouping by class key: `_key_words` builds the survivors' adjacency
+     bit rows, one gather per half table, and keys them in groups of
+     GROUP_ROWS, so nothing after it sees a mask: `_class_keys` relabels
+     each graph by a stable sort of its vertices on (degree, sum of
+     neighbour degrees); equal keys are one graph under two labelings,
+     hence isomorphic, and rho, connectivity, 2-connectivity, being the
+     extremal graph and having a HIST are isomorphism invariants, so
+     steps 3-5 run once per distinct key per `scan_range` call, on the
+     key rows, in one batch per block: one argsort gives the block's
+     distinct key words, those the call's verdict table (`_Verdicts`)
+     lacks are decided together and added to it, and each row takes its
+     word's verdict code, in row order.  One bincount of the codes,
+     weighted by the rows' weights, makes the counts, and the
+     over-threshold masks and counterexamples are the rows of their
+     codes;
   3. the spectral decision `over_threshold`, which the graph6 corpus
      path shares: certain classifications that skip the eigensolver
      (Rayleigh quotients of the all-ones and degree vectors are lower
@@ -78,7 +77,8 @@ blocks of BLOCK_WINDOWS, and the scan pipeline per block is:
      vertex;
   5. classification of the over-threshold keys on their bit rows alone
      (`_classify`), in the order the graph6 corpus path shares: the star
-     and spanning-double-star HIST tests (vectorized) first, then, per
+     (for n != 3, where its centre has degree 2) and
+     spanning-double-star HIST tests (vectorized) first, then, per
      key they leave, extremal family match, the proof-guided
      constructor (at orders from the theorem's floor up) and full
      backtracking.  The extremal graph has no HIST, so the first tests
@@ -104,7 +104,7 @@ from .spectral import GUARD, TheoremSpec, hong_value, theorem_spec
 BLOCK_WINDOWS = 32  # scanned windows per block: 2^20 masks from n = 7 up
 LOW_VERTICES = 6  # the low half of the edge code holds the edges among vertices 0..5
 EIG_BATCH = 1 << 12  # rows per slice of over_threshold
-GROUP_ROWS = 1 << 16  # rows per class-key group of _scan_block
+GROUP_ROWS = 1 << 16  # rows per class-key group of _key_words
 CW_ITERS = 5  # Collatz-Wielandt steps before the eigensolve
 # Verdict codes of a class key: under the threshold or without the
 # theorem's connectivity, a HIST by the vectorized tests, a HIST by replay
@@ -190,6 +190,10 @@ class _Codec:
         high[:, :n] = self.hi_rows >> low  # each vertex's row among vertices L..n-1
         high[:, :low].sort(axis=1)
         self.window_class = np.unique(high.view(np.uint64).ravel(), return_inverse=True)[1]
+        width = 1 << self.low_bits
+        # the identity route's `_orbit_table`: every low mask, its own orbit
+        self.every_mask = (np.arange(width, dtype=np.uint32), np.ones(width, dtype=np.uint32),
+                           self.lo_deg[:low], self.lo_m)
 
     def blocks(self, y: int) -> tuple:
         """The block partition of the low vertices in window y, by their
@@ -216,12 +220,14 @@ _codec = cache(_Codec)
 
 
 @cache
-def _orbit_table(blocks: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _orbit_table(blocks: tuple) -> tuple[np.ndarray, ...]:
     """The low masks least in their orbit under the permutations of the
     low vertices inside the blocks of `blocks` (`_Codec.blocks`), in
-    ascending order, and the size of each orbit, both uint16.  The low
-    half is the first C(L, 2) slots of every order from L up, so the
-    table depends on the partition alone, never on n or theta.
+    ascending order, the size of each orbit, both uint32, and the low
+    degree and edge-count tables of `_codec(len(blocks))` gathered at
+    them.  The low half is the first C(L, 2) slots of every order from L
+    up, with the same degrees of vertices 0..L-1, so the table depends on
+    the partition alone, never on n or theta.
 
     Built by min-propagation from the generators, the swap of each low
     vertex with the next one of its block: best[z] = min(best[z],
@@ -249,8 +255,10 @@ def _orbit_table(blocks: tuple) -> tuple[np.ndarray, np.ndarray]:
             np.minimum(best, best[g], out=best)
         if np.array_equal(best, before):
             break
-    reps = np.flatnonzero(best == z)
-    return reps.astype(np.uint16), np.bincount(best)[reps].astype(np.uint16)
+    reps = np.flatnonzero(best == z).astype(np.uint32)
+    c = _codec(low)
+    return (reps, np.bincount(best)[reps].astype(np.uint32),
+            c.lo_deg.take(reps, axis=1), c.lo_m.take(reps))
 
 
 def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
@@ -299,14 +307,34 @@ def _scan(cfg: ScanConfig, c: _Codec, windows, orbits: bool = False) -> tuple[Sh
     """Scan the windows (y, weight) of `windows`, counting each mask
     `weight` times, in blocks of BLOCK_WINDOWS of them; with `orbits`,
     only the orbit representatives of each window's low masks, each also
-    counted once per mask of its orbit.  Also returns whether a weight
-    above 1 fell on a counterexample, whose copies it lists only once."""
+    counted once per mask of its orbit.  Each block's survivors are keyed
+    (`_key_words`), each row takes its key's verdict code from the call's
+    table (`_Verdicts`), and one bincount weighted by the rows' weights
+    makes the counts; so each key is decided once per call and its
+    verdict goes to every copy.  The lists (the over-threshold masks
+    under collect_over, the counterexamples) keep row order.  Also
+    returns whether a weight above 1 fell on a counterexample, whose
+    copies it lists only once."""
     out = ShardOut(scanned=sum(weight for _, weight in windows) << c.low_bits)
     verdicts = _Verdicts()
     relist = False
     for s in range(0, len(windows), BLOCK_WINDOWS):
         masks, weights = _survivors(cfg, c, windows[s:s + BLOCK_WINDOWS], orbits)
-        relist |= _scan_block(cfg, c, masks, weights, out, verdicts)
+        code = verdicts.codes_of(cfg, _key_words(c, masks))
+        # float64 sums, exact below 2^53; a whole order sums to at most 2^28
+        tally = np.bincount(code, weights=weights, minlength=BAD + 1).astype(np.int64)
+        out.survivors += int(weights.sum(dtype=np.int64))
+        out.over += int(tally[HIST:].sum())
+        out.hists += int(tally[HIST] + tally[SEARCHED])
+        out.extremal += int(tally[EXTREMAL])
+        out.fallback_searches += int(tally[SEARCHED] + tally[BAD])
+        if cfg.collect_over:
+            out.over_masks.extend(masks[code != UNDER].tolist())
+        if tally[BAD]:
+            bad = code == BAD
+            relist |= bool((weights[bad] > 1).any())
+            out.counterexamples.extend(encode_graph6(_graph_of_row(c.n, row))
+                                       for row in _rows_of_masks(c, masks[bad]))
     return out, relist
 
 
@@ -317,22 +345,20 @@ def _survivors(cfg: ScanConfig, c: _Codec, windows,
     in the order given, as uint32, and the weight of each, uint32: its
     window's weight.  With `orbits`, a window examines only the low masks
     of its `_orbit_table`, and each survivor's weight is also multiplied
-    by its orbit size.
+    by its orbit size; otherwise every low mask, each its own orbit
+    (`_Codec.every_mask`).
 
     The masks of window y share their high half: a vertex's degree is
     lo_deg[v] plus the constant hi_deg[y, v], and the edge count
-    lo_m + hi_m[y]; with `orbits`, the low tables are gathered at the
-    representatives."""
+    lo_m + hi_m[y]."""
     width = 1 << c.low_bits
     floor = degree_floor(cfg.theta)
     ok = _hong_table(cfg, c.n)
     flat, cols = ok.ravel(), np.uint16(ok.shape[1])
     masks, weights = [], []
     for y, weight in windows:
-        reps, size = _orbit_table(c.blocks(y)) if orbits else (None, None)
-        lo_deg, lo_m = c.lo_deg[:c.low], c.lo_m
-        if reps is not None:
-            lo_deg, lo_m = lo_deg.take(reps, axis=1), lo_m.take(reps)
+        reps, size, lo_deg, lo_m = _orbit_table(c.blocks(y)) if orbits else c.every_mask
+        keep = slice(None)
         if cfg.prescreens:
             hi_deg = c.hi_deg[y]
             # vertices L..n-1 have no low edges, so constant degrees
@@ -345,14 +371,8 @@ def _survivors(cfg: ScanConfig, c: _Codec, windows,
             m = lo_m + c.hi_m[y]
             # ok[dmin, m] as one flat take; the offsets fit uint16 (at most 9 * 29 - 1)
             keep = np.flatnonzero((dmax >= floor) & flat.take(dmin * cols + m))
-        else:
-            keep = np.arange(len(lo_m))
-        if reps is None:
-            masks.append(keep.astype(np.uint32) + np.uint32(y * width))
-            weights.append(np.full(len(keep), weight, dtype=np.uint32))
-        else:
-            masks.append(reps[keep].astype(np.uint32) + np.uint32(y * width))
-            weights.append(size[keep] * np.uint32(weight))
+        masks.append(reps[keep] + np.uint32(y * width))
+        weights.append(size[keep] * np.uint32(weight))
     return np.concatenate(masks), np.concatenate(weights)
 
 
@@ -366,85 +386,28 @@ class _Verdicts:
         self.words = np.zeros(0, dtype=np.uint64)
         self.codes = np.zeros(0, dtype=np.uint8)
 
-    def add(self, cfg: ScanConfig, words: np.ndarray):
-        """Decide the words of `words` (distinct and sorted) the table
-        lacks, in one `_decide` call on their key rows, and insert them
-        with their codes."""
-        new = words[~np.isin(words, self.words, assume_unique=True)]
+    def codes_of(self, cfg: ScanConfig, words: np.ndarray) -> np.ndarray:
+        """The code of each of `words`, in row order.  One argsort gives
+        the distinct words; those the table lacks are decided in one
+        `_decide` call on their key rows and inserted with their codes."""
+        distinct, row = np.unique(words, return_inverse=True)
+        new = distinct[~np.isin(distinct, self.words, assume_unique=True)]
         if len(new):
             keys = np.ascontiguousarray(new.view(np.uint8).reshape(-1, 8)[:, :cfg.n])
             at = np.searchsorted(self.words, new)
             self.codes = np.insert(self.codes, at, _decide(cfg, keys))
             self.words = np.insert(self.words, at, new)
-
-    def codes_of(self, words: np.ndarray) -> np.ndarray:
-        """The codes of words the table holds."""
-        return self.codes[np.searchsorted(self.words, words)]
+        return self.codes[np.searchsorted(self.words, distinct)][row]
 
 
-def _scan_block(cfg: ScanConfig, c: _Codec, masks: np.ndarray, weights: np.ndarray,
-                out: ShardOut, verdicts: _Verdicts) -> bool:
-    """Steps 1-5 of the pipeline on one block's survivors `masks`, each
-    counted `weights` times: the rows are keyed in groups of GROUP_ROWS,
-    and the rows of each weight are kept only as their distinct key words
-    and copy counts; the block's words that `verdicts` lacks are decided
-    in one call and added to it; then each weight's words are tallied from
-    their codes, each copy counted `weight` times.  So each key is decided
-    once per `scan_range` call and its verdict goes to every copy.  A
-    block that must list rows (the over-threshold masks under
-    collect_over, the copies of a counterexample) looks up each row's
-    code, so the lists keep row order.  Returns whether a row of weight
-    above 1 is a counterexample."""
-    out.survivors += int(weights.sum(dtype=np.int64))
-    if not len(masks):
-        return False
-    words = np.concatenate([_key_words(_rows_of_masks(c, masks[s:s + GROUP_ROWS]))
-                            for s in range(0, len(masks), GROUP_ROWS)])
-    # Every block of a scan at weight 1 holds one weight: no split, no hash.
-    levels = np.unique(weights) if weights.min() < weights.max() else weights[:1]
-    parts = [(weight, *_distinct(words if len(levels) == 1 else words[weights == weight]))
-             for weight in levels.tolist()]
-    verdicts.add(cfg, _distinct(np.concatenate([part[1] for part in parts]))[0])
-    tally = np.zeros(BAD + 1, dtype=np.int64)
-    relist = False
-    for weight, distinct, copies in parts:
-        part = np.bincount(verdicts.codes_of(distinct), weights=copies, minlength=BAD + 1)
-        tally += part.astype(np.int64) * weight
-        relist |= weight > 1 and bool(part[BAD])
-    out.over += int(tally[HIST:].sum())
-    out.hists += int(tally[HIST] + tally[SEARCHED])
-    out.extremal += int(tally[EXTREMAL])
-    out.fallback_searches += int(tally[SEARCHED] + tally[BAD])
-    if cfg.collect_over or tally[BAD]:
-        # looked up in sorted order, several times faster than row order
-        order = np.argsort(words)
-        code = np.empty(len(words), dtype=np.uint8)
-        code[order] = verdicts.codes_of(words[order])
-        if cfg.collect_over:
-            out.over_masks.extend(masks[code != UNDER].tolist())
-        if tally[BAD]:
-            out.counterexamples.extend(encode_graph6(_graph_of_row(c.n, row))
-                                       for row in _rows_of_masks(c, masks[code == BAD]))
-    return relist
-
-
-def _distinct(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of `words`, sorted, and the number of copies of
-    each, from one plain sort.  (np.unique without counts hashes uint64
-    words, several times slower here, and with the inverse it argsorts.)"""
-    words = np.sort(words)
-    first = np.empty(len(words), dtype=bool)
-    first[:1] = True
-    np.not_equal(words[1:], words[:-1], out=first[1:])
-    first = np.flatnonzero(first)
-    return words[first], np.diff(first, append=len(words))
-
-
-def _key_words(rows: np.ndarray) -> np.ndarray:
-    """The class keys of uint8 adjacency bit rows as uint64 words, each
-    key row padded to 8 bytes: one word per graph."""
-    padded = np.zeros((len(rows), 8), dtype=np.uint8)
-    padded[:, :rows.shape[1]] = _class_keys(rows)
+def _key_words(c: _Codec, masks: np.ndarray) -> np.ndarray:
+    """The class keys of the graphs of edge masks `masks` as uint64
+    words, each key row padded to 8 bytes: one word per graph.  The rows
+    are built and keyed in groups of GROUP_ROWS, so a block's rows are
+    never held at once."""
+    padded = np.zeros((len(masks), 8), dtype=np.uint8)
+    for s in range(0, len(masks), GROUP_ROWS):
+        padded[s:s + GROUP_ROWS, :c.n] = _class_keys(_rows_of_masks(c, masks[s:s + GROUP_ROWS]))
     return padded.view(np.uint64).ravel()
 
 
@@ -753,8 +716,8 @@ def _class_keys(rows: np.ndarray) -> np.ndarray:
     Each key row is its graph under some permutation, so two graphs with
     equal keys are isomorphic; isomorphic graphs may still get different
     keys when the sort meets a tie, which costs a repeated verdict, never
-    a wrong one.  `_scan_block` calls it (through `_key_words`) on every
-    row it scans, ahead of the spectral decision.
+    a wrong one.  `_scan` calls it (through `_key_words`) on every row
+    it scans, ahead of the spectral decision.
 
     The work runs on the transposed rows, one array per vertex, with no
     sort; the loops write in place into arrays of the input's length, so
@@ -811,8 +774,8 @@ def _classify(spec: TheoremSpec, rows: np.ndarray) -> np.ndarray:
     adjacency bit rows of one order n in any integer word.
 
     The vectorized HIST tests run first, on every row: a vertex of degree
-    n - 1 gives a spanning star, and `_double_star_feasible` a spanning
-    double star.  The extremal graph has no HIST, so no extremal graph is
+    n - 1 gives a spanning star, a HIST for n != 3 (at n = 3 its centre
+    has degree 2), and `_double_star_feasible` a spanning double star.  The extremal graph has no HIST, so no extremal graph is
     settled there.  Each row left is decided in the order extremal match,
     proof replay, complete search: the recognizer decides isomorphism to
     the extremal graph, replay returns only trees that pass
@@ -821,7 +784,7 @@ def _classify(spec: TheoremSpec, rows: np.ndarray) -> np.ndarray:
     floor the search alone decides, which is sound since it is complete."""
     n = rows.shape[1]
     code = np.full(len(rows), HIST, dtype=np.uint8)
-    left = np.flatnonzero(_row_max(np.bitwise_count(rows)) < n - 1)
+    left = np.flatnonzero((_row_max(np.bitwise_count(rows)) < n - 1) | (n == 3))
     left = left[~_double_star_feasible(rows[left])]
     # Looked up per call, not stored in the spec, so that rebinding the
     # module attribute takes effect.

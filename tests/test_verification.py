@@ -162,21 +162,27 @@ def test_scan_below_threshold_reports_real_counterexamples(monkeypatch):
         assert not is_family_L(g)
 
 
-@pytest.mark.parametrize("mode, counts", [("thm1", (9_573, 120, 0)),
-                                           ("thm2", (10_948, 360, 195))])
-def test_scan_below_the_replay_order_floor_matches_per_graph_reference(mode, counts):
-    # n = 6 is under both theorems' order floors (7 and 8), where proof
-    # replay is undefined, so the scan decides the graphs the star and
-    # double-star tests leave by the complete search alone.  At theta =
-    # rho of the extremal graph it reports what a per-graph reference
-    # reports: connectivity by BFS and cut vertices by removal, rho by
-    # eigvalsh, the recognizer, then find_hist.  thm1's conclusion holds
-    # at n = 6; thm2's fails there.
+@pytest.mark.parametrize("mode, n, counts", [
+    pytest.param("thm1", 6, (9_573, 120, 0), id="thm1-counts0"),
+    pytest.param("thm2", 6, (10_948, 360, 195), id="thm2-counts1"),
+    *(pytest.param(mode, n, counts, id=f"{mode}-n{n}") for mode, n, counts in (
+        ("thm1", 3, (4, 0, 4)), ("thm1", 4, (38, 12, 3)), ("thm1", 5, (728, 60, 412)),
+        ("thm2", 3, (1, 0, 1)), ("thm2", 4, (10, 0, 3)), ("thm2", 5, (238, 0, 112))))])
+def test_scan_below_the_replay_order_floor_matches_per_graph_reference(mode, n, counts):
+    # Orders 3 to 6 are under both theorems' order floors (7 and 8), where
+    # proof replay is undefined, so the scan decides the graphs the star
+    # and double-star tests leave by the complete search alone.  At theta
+    # = rho of the extremal graph at n = 6, and at theta = 1 below, it
+    # reports what a per-graph reference reports: connectivity by BFS and
+    # cut vertices by removal, rho by eigvalsh, the recognizer, then
+    # find_hist.  thm1's conclusion holds at n = 6; thm2's fails there.
+    # At n = 3 the spanning star of P3 and K3 has a centre of degree 2, so
+    # neither has a HIST.
     from histspec.graphs import is_family_B, make_family
     from histspec.spectral import GUARD, theorem_spec
 
-    n, spec = 6, theorem_spec(mode)
-    theta = eigvalsh_rho(make_family(spec.family, n))
+    spec = theorem_spec(mode)
+    theta = eigvalsh_rho(make_family(spec.family, n)) if n == 6 else 1.0
     is_extremal = is_family_L if spec.family == "L" else is_family_B
     over, extremal, bad = [], 0, []
     for mask in range(1 << (n * (n - 1) // 2)):
@@ -619,8 +625,8 @@ def test_grouped_fallback_lists_every_copy_of_a_no_hist_class(monkeypatch):
 def test_verdict_table_keeps_no_state_between_calls(monkeypatch):
     # The verdict table lives for one scan_range call and spans its
     # blocks and groups.  Shard 301 scanned alone, after shard 136 in the
-    # same process, and with blocks of 2 windows (eight calls of
-    # _scan_block) and groups of 2^12 rows gives one ShardOut and hands
+    # same process, and with blocks of 2 windows (eight blocks) and groups
+    # of 2^12 rows gives one ShardOut and hands
     # over_threshold the same key rows, each once; so does a scan of it
     # under a lower threshold right after the first, which would inherit
     # verdicts of the true threshold from a table that outlived its call.
@@ -651,6 +657,40 @@ def test_verdict_table_keeps_no_state_between_calls(monkeypatch):
     monkeypatch.setattr(scan, "BLOCK_WINDOWS", 2)
     monkeypatch.setattr(scan, "GROUP_ROWS", 1 << 12)
     assert run(cfg, 301) == alone
+
+
+def test_verdict_codes_follow_row_order_and_decide_only_new_words(monkeypatch):
+    # _Verdicts.codes_of gives each of unsorted words with repeats its
+    # word's code, in row order, and hands _decide, in one call, only the
+    # words the table has not seen, each once, as key rows; a call whose
+    # words are all seen decides nothing.
+    from histspec import scan
+
+    decided = []
+
+    def decide(cfg, keys):
+        decided.append(keys.view(np.uint64).ravel().tolist())
+        return keys[:, 3] % 5
+
+    def code(words):
+        return (words.view(np.uint8).reshape(-1, 8)[:, 3] % 5).tolist()
+
+    monkeypatch.setattr(scan, "_decide", decide)
+    cfg = ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2")
+    rng = np.random.default_rng(7)
+    pool = rng.integers(0, 1 << 64, 60, dtype=np.uint64, endpoint=False)
+    verdicts = scan._Verdicts()
+    first = rng.choice(pool[:40], 300)
+    assert len(set(first.tolist())) < len(first) and not (first[1:] >= first[:-1]).all()
+    assert verdicts.codes_of(cfg, first).tolist() == code(first)
+    assert [sorted(words) for words in decided] == [sorted(set(first.tolist()))]
+    second = rng.choice(pool, 300)
+    assert verdicts.codes_of(cfg, second).tolist() == code(second)
+    assert len(decided) == 2 and len(decided[1]) == len(set(decided[1]))
+    assert set(decided[1]) == set(second.tolist()) - set(first.tolist()) != set()
+    again = first[::-1].copy()
+    assert verdicts.codes_of(cfg, again).tolist() == code(again)
+    assert len(decided) == 2
 
 
 def _identity_scan(monkeypatch, cfg, c, windows):
@@ -808,17 +848,22 @@ def test_orbit_tables_match_the_least_mask_over_the_young_subgroup():
     # blocks, with their orbit sizes, which sum to 2^15.  Order 6 has one
     # window, whose blocks are one: its 156 representatives are the
     # unlabeled graphs on 6 vertices.
-    from histspec.scan import _orbit_table
+    # Each table carries the low degree and edge-count tables gathered at
+    # its representatives, equal to those of every order that meets it.
+    from histspec.scan import _codec, _orbit_table
 
     parts = {n: _scanned_partitions(n) for n in (6, 7, 8)}
     assert {n: len(p) for n, p in parts.items()} == {6: 1, 7: 6, 8: 26}
     for blocks in set().union(*parts.values()):
-        reps, sizes = _orbit_table(blocks)
+        reps, sizes, lo_deg, lo_m = _orbit_table(blocks)
         least = _least_in_orbit(blocks)
-        assert reps.dtype == sizes.dtype == np.uint16
+        assert reps.dtype == sizes.dtype == np.uint32
         assert reps.tolist() == np.flatnonzero(least == np.arange(len(least))).tolist()
         assert sizes.tolist() == np.bincount(least)[reps].tolist()
         assert int(sizes.sum(dtype=np.int64)) == 1 << 15
+        for c in (_codec(n) for n, p in parts.items() if blocks in p):
+            assert np.array_equal(lo_deg, c.lo_deg[:c.low, reps])
+            assert np.array_equal(lo_m, c.lo_m[reps])
     assert len(_orbit_table((0,) * 6)[0]) == 156
 
 
@@ -1302,7 +1347,7 @@ def test_scan_decides_each_key_once_per_call(monkeypatch):
     # survivors (1,080 of them keyed, the orbit representatives in the 7
     # windows scanned for their window classes).  _decide runs once per block that has keys the
     # call has not decided yet, on all of them: the 7 windows are one
-    # block, so one call.  Shard 301 scans 8 windows, and with blocks of
+    # block, so one call.  Each block keys its rows in one _key_words call.  Shard 301 scans 8 windows, and with blocks of
     # 32, 4, 2 and 1 windows it makes one _decide call per block, each
     # block bringing new keys, on exactly those keys; with blocks of one
     # window, the n = 7 order makes one call for 6 of its 7 blocks, since
@@ -1311,7 +1356,7 @@ def test_scan_decides_each_key_once_per_call(monkeypatch):
 
     decided, distinct, calls = [], [], []
     real_over, real_keys, real_range = scan.over_threshold, scan._class_keys, scan.scan_range
-    real_decide, real_block = scan._decide, scan._scan_block
+    real_decide, real_words = scan._decide, scan._key_words
 
     def ranged(*args):
         decided.append([])
@@ -1344,9 +1389,9 @@ def test_scan_decides_each_key_once_per_call(monkeypatch):
 
     def block(*args):
         distinct.append(set())
-        return real_block(*args)
+        return real_words(*args)
 
-    monkeypatch.setattr(scan, "_scan_block", block)
+    monkeypatch.setattr(scan, "_key_words", block)
     decided.append([])
     n7 = ScanConfig(n=7, theta=threshold_connected(7), mode="thm1")
     n8 = ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2")

@@ -81,12 +81,12 @@ MUTANTS = (
            "verdicts = _Verdicts()", 'verdicts = globals().setdefault("_kept", _Verdicts())',
            (VERIFICATION + "test_verdict_table_keeps_no_state_between_calls",)),
     Mutant("verdict-codes-one-slot-off", "scan.py",
-           "return self.codes[np.searchsorted(self.words, words)]",
-           "return self.codes[np.searchsorted(self.words, words) - 1]",
-           (VERIFICATION + "test_verdict_table_keeps_no_state_between_calls",)),
-    Mutant("tally-another-groups-copies", "scan.py",
-           "np.bincount(verdicts.codes_of(distinct), weights=copies,",
-           "np.bincount(verdicts.codes_of(distinct), weights=np.resize(parts[0][2], len(distinct)),",
+           "return self.codes[np.searchsorted(self.words, distinct)][row]",
+           "return self.codes[np.searchsorted(self.words, distinct) - 1][row]",
+           (VERIFICATION + "test_verdict_codes_follow_row_order_and_decide_only_new_words",)),
+    Mutant("tally-without-row-weights", "scan.py",
+           "np.bincount(code, weights=weights, minlength=BAD + 1)",
+           "np.bincount(code, minlength=BAD + 1)",
            (VERIFICATION + "test_window_classes_match_scanning_every_window",)),
     Mutant("window-class-without-high-rows", "scan.py",
            "high[:, :low].sort(axis=1)", "high[:, :low].sort(axis=1)\n        high[:, low:] = 0",
@@ -98,7 +98,7 @@ MUTANTS = (
            "    if not cfg.collect_over:\n", "    if True:\n",
            (VERIFICATION + "test_sampled_and_listing_scans_scan_every_window",)),
     Mutant("orbit-weight-dropped", "scan.py",
-           "size[keep] * np.uint32(weight)", "np.full(len(keep), weight, dtype=np.uint32)",
+           "size[keep] * np.uint32(weight)", "np.full_like(size[keep], weight)",
            (VERIFICATION + "test_orbit_representatives_expand_to_the_window_survivors",)),
     Mutant("orbit-generator-across-types", "scan.py",
            "if blocks[w] == blocks[a]", "if blocks[w] != blocks[a]",
@@ -115,8 +115,11 @@ MUTANTS = (
            "        if not relist:\n", "        if True:\n",
            (VERIFICATION + "test_window_classes_list_every_copy_of_a_counterexample",)),
     Mutant("counterexamples-wrong-code", "scan.py",
-           "_rows_of_masks(c, masks[code == BAD])", "_rows_of_masks(c, masks[code == SEARCHED])",
+           "bad = code == BAD", "bad = code == SEARCHED",
            (VERIFICATION + "test_scan_below_threshold_reports_real_counterexamples",)),
+    Mutant("star-test-at-order-3", "scan.py",
+           " < n - 1) | (n == 3))", " < n - 1))",
+           (VERIFICATION + "test_scan_below_the_replay_order_floor_matches_per_graph_reference",)),
     Mutant("replay-below-order-floor", "scan.py",
            "replay = n >= spec.order_floor", "replay = True",
            (VERIFICATION + "test_scan_below_the_replay_order_floor_matches_per_graph_reference",)),

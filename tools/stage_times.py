@@ -16,13 +16,13 @@ low masks least in their orbit under the window's stabilizer
 block's windows and their weights per call (it takes no array, so its
 rows are its calls); the windows scanned and in range, the low masks
 examined and the rows keyed per pass are written out too.  `_key_words`
-then runs on every survivor, in groups of `scan.GROUP_ROWS` rows: it
-holds `_class_keys`, the key that groups the rows by isomorphism class,
-and packs each key in one word.  `_distinct` sorts the words of each
-weight in a block into distinct words and copy counts, and once per
-block the union of those.  `_decide` then runs once per block, on the
-keys of the block that the `scan_range` call has not decided yet, so
-every later stage sees each distinct key once per call; its calls are
+then runs once per block, on every survivor: in groups of
+`scan.GROUP_ROWS` rows it builds the rows (`_rows_of_masks`) and holds
+`_class_keys`, the key that groups the rows by isomorphism class, and
+packs each key in one word.  `_decide` then runs once per block, on
+the keys of the block that the `scan_range` call has not decided yet,
+and each row takes its key's verdict code, so every later stage sees
+each distinct key once per call; its calls are
 the blocks with new keys and its rows the keys decided per pass.  It
 holds `over_threshold` (with `_sandwich` and `eigvalsh`), then
 `_connected_filter` on the over-threshold keys, with `_reach_vec`, the
@@ -80,8 +80,8 @@ import workloads  # noqa: E402
 from histspec import graph6, hist, scan, verification  # noqa: E402
 from histspec.graphs import Graph  # noqa: E402
 
-STAGES = ("_survivors", "_rows_of_masks", "_key_words", "_class_keys", "_distinct",
-          "_decide", "over_threshold", "_sandwich", "_connected_filter", "_reach_vec", "_classify",
+STAGES = ("_survivors", "_rows_of_masks", "_key_words", "_class_keys", "_decide",
+          "over_threshold", "_sandwich", "_connected_filter", "_reach_vec", "_classify",
           "_double_star_feasible", "is_family_L", "is_family_B", "proof_guided_hist",
           "find_hist", "_graph_of_row")
 ONE_ROW = ("_graph_of_row",)
@@ -146,13 +146,13 @@ def count_windows(run_pass) -> dict:
         return reals["_scan"](cfg, c, windows, **orbits)
 
     def table(blocks):
-        reps, sizes = reals["_orbit_table"](blocks)
-        counts["examined"] += len(reps)
-        return reps, sizes
+        tables = reals["_orbit_table"](blocks)
+        counts["examined"] += len(tables[0])
+        return tables
 
-    def keyed(rows):
-        counts["keyed"] += len(rows)
-        return reals["_key_words"](rows)
+    def keyed(*args):  # (codec, masks), or (rows) on older trees
+        counts["keyed"] += len(args[-1])
+        return reals["_key_words"](*args)
 
     for name, wrapper in (("_scan", scanned), ("_orbit_table", table), ("_key_words", keyed)):
         if name in reals:
