@@ -70,11 +70,8 @@ blocks of BLOCK_WINDOWS, and the scan pipeline per block is:
   4. vectorized connectivity (or 2-connectivity) by bitset BFS over all
      graphs at once, stopped as soon as a step reaches no new vertex or
      every graph has reached every vertex, which the graph6 corpus
-     filter shares on int64 rows; for 2-connectivity, a graph in which
-     every vertex outside N[h], h of maximum degree, has two neighbours
-     in N(h) has no cut vertex other than h, so one BFS in G - h decides
-     it, and only the graphs failing that hub test take one BFS per
-     vertex;
+     filter shares on int64 rows; for 2-connectivity, the n searches in
+     G - v, one per vertex v, run as one BFS over all graphs;
   5. classification of the over-threshold keys on their bit rows alone
      (`_classify`), in the order the graph6 corpus path shares: the star
      (for n != 3, where its centre has degree 2) and
@@ -277,8 +274,8 @@ def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
     scanned mask, times its orbit size and the class size, is the count
     of the graphs it stands for.  A scan that lists the over-threshold
     masks scans every low mask of every window at weight 1, and so does a
-    scan again when a weight above 1 fell on a counterexample, so that
-    every copy is listed, in mask order."""
+    scan again when the class scan found a counterexample, so that every
+    copy is listed, in mask order."""
     c = _codec(cfg.n)
     width = 1 << c.low_bits
     if not 0 <= lo <= hi <= 1 << c.nbits or lo % width or hi % width:
@@ -286,24 +283,23 @@ def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
                          f"masks inside 0..2^{c.nbits} for n={cfg.n}")
     ys = range(lo >> c.low_bits, hi >> c.low_bits)
     if not cfg.collect_over:
-        out, relist = _scan(cfg, c, _window_classes(c, ys), orbits=True)
-        if not relist:
+        out = _scan(cfg, c, _window_classes(c, ys), orbits=True)
+        if not out.counterexamples:
             return out
-    return _scan(cfg, c, [(y, 1) for y in ys])[0]
+    return _scan(cfg, c, [(y, 1) for y in ys])
 
 
 def _window_classes(c: _Codec, windows) -> list[tuple[int, int]]:
     """The windows to scan of the ascending window indices `windows`,
     each as (y, weight), its weight the number of windows of `windows` it
-    stands for: the first window of each window class, ordered by weight
-    and then by mask order, so the windows of weight 1 keep mask order."""
+    stands for: the first window of each window class, in the order of
+    the class numbers."""
     ys = np.asarray(windows, dtype=np.int64)
     _, first, size = np.unique(c.window_class[ys], return_index=True, return_counts=True)
-    order = np.lexsort((first, size))
-    return list(zip(ys[first[order]].tolist(), size[order].tolist()))
+    return list(zip(ys[first].tolist(), size.tolist()))
 
 
-def _scan(cfg: ScanConfig, c: _Codec, windows, orbits: bool = False) -> tuple[ShardOut, bool]:
+def _scan(cfg: ScanConfig, c: _Codec, windows, orbits: bool = False) -> ShardOut:
     """Scan the windows (y, weight) of `windows`, counting each mask
     `weight` times, in blocks of BLOCK_WINDOWS of them; with `orbits`,
     only the orbit representatives of each window's low masks, each also
@@ -312,12 +308,10 @@ def _scan(cfg: ScanConfig, c: _Codec, windows, orbits: bool = False) -> tuple[Sh
     table (`_Verdicts`), and one bincount weighted by the rows' weights
     makes the counts; so each key is decided once per call and its
     verdict goes to every copy.  The lists (the over-threshold masks
-    under collect_over, the counterexamples) keep row order.  Also
-    returns whether a weight above 1 fell on a counterexample, whose
-    copies it lists only once."""
+    under collect_over, the counterexamples) keep row order and list each
+    scanned mask once, whatever its weight."""
     out = ShardOut(scanned=sum(weight for _, weight in windows) << c.low_bits)
     verdicts = _Verdicts()
-    relist = False
     for s in range(0, len(windows), BLOCK_WINDOWS):
         masks, weights = _survivors(cfg, c, windows[s:s + BLOCK_WINDOWS], orbits)
         code = verdicts.codes_of(cfg, _key_words(c, masks))
@@ -332,10 +326,9 @@ def _scan(cfg: ScanConfig, c: _Codec, windows, orbits: bool = False) -> tuple[Sh
             out.over_masks.extend(masks[code != UNDER].tolist())
         if tally[BAD]:
             bad = code == BAD
-            relist |= bool((weights[bad] > 1).any())
             out.counterexamples.extend(encode_graph6(_graph_of_row(c.n, row))
                                        for row in _rows_of_masks(c, masks[bad]))
-    return out, relist
+    return out
 
 
 def _survivors(cfg: ScanConfig, c: _Codec, windows,
@@ -601,67 +594,29 @@ def _connected_filter(rows: np.ndarray, two_connected: bool) -> np.ndarray:
 
     2-connectivity for n >= 3 is equivalent to "G - v is connected for
     every v": a disconnected G always has some v whose removal leaves two
-    nonempty parts or an isolated vertex behind.  Most graphs need one of
-    these n searches only.  Let h be a vertex of maximum degree (the
-    lowest, on ties), and suppose every vertex outside N[h] has at least
-    two neighbours in N(h) (the hub test).  Then for every v != h, G - v
-    is connected: h reaches N(h) - v directly, and each vertex outside
-    N[h] other than v keeps a neighbour there.  G itself is connected the
-    same way.  So G is 2-connected iff G - h is connected.  That search
-    runs on every graph; a disconnected G - h rules G out whatever the
-    hub test says, so only the graphs with G - h connected that fail the
-    hub test are copied out for all n searches.
+    nonempty parts or an isolated vertex behind.  The n searches, one per
+    deleted vertex v, each from the lowest vertex of G - v, run as one
+    `_reach_vec` call on every graph.
     """
     n, word = rows.shape[1], rows.dtype.type
     full = word((1 << n) - 1)
     cols = np.ascontiguousarray(rows.T)
     if not two_connected:
         return _reach_vec(cols, full, word(1)) == full
-    hub, nbr = _hubs(cols)
-    alive = full ^ hub
-    # the lowest vertex of G - h: vertex 1 when h = 0, else vertex 0
-    ok = _reach_vec(cols, alive, word(1) << (hub & word(1))) == alive
-    closed = nbr | hub
-    held = np.ones(len(rows), dtype=bool)
-    for u, col in enumerate(cols):
-        held &= ((closed & word(1 << u)) != 0) | (np.bitwise_count(col & nbr) >= 2)
-    rest = ok & ~held
-    if rest.any():
-        sub = cols[:, rest]
-        every = np.ones(sub.shape[1], dtype=bool)
-        for v in range(n):
-            alive = full ^ word(1 << v)
-            every &= _reach_vec(sub, alive, word(2 if v == 0 else 1)) == alive
-        ok[rest] = every
-    return ok
-
-
-def _hubs(cols):
-    """Per graph, the bit of its lowest vertex h of maximum degree and the
-    neighbourhood N(h), both in the row dtype, kept as running maxima
-    over the vertices so that no index array is built.  `cols[v]` holds
-    vertex v's adjacency bit row in every graph."""
-    word = cols.dtype.type
-    deg = np.bitwise_count(cols[0])
-    hub = np.full(cols.shape[1], 1, dtype=cols.dtype)
-    nbr = cols[0].copy()
-    for v in range(1, len(cols)):
-        d = np.bitwise_count(cols[v])
-        better = d > deg
-        np.copyto(deg, d, where=better)
-        np.copyto(hub, word(1 << v), where=better)
-        np.copyto(nbr, cols[v], where=better)
-    return hub, nbr
+    alive = full ^ (word(1) << np.arange(n, dtype=rows.dtype)[:, None])
+    return (_reach_vec(cols, alive, alive & -alive) == alive).all(axis=0)
 
 
 def _reach_vec(cols, alive, start):
     """Vertices of `alive` reachable from `start` inside `alive`, per
-    graph, by bitset BFS.  `cols[w]` holds vertex w's adjacency bit row in
-    every graph; `alive` and `start` are words, one for all graphs or one
-    per graph.  The loop stops at a fixed point (a step that adds no
-    vertex to any graph) or once every graph has reached all of its
-    `alive`, since a full graph cannot grow, and after at most n steps."""
-    reach = np.full(cols.shape[1], start & alive, dtype=cols.dtype)
+    search and graph, by bitset BFS.  `cols[w]` holds vertex w's adjacency
+    bit row in every graph; `alive` and `start` are words, one for all
+    graphs or a column of one word per search, each search run on every
+    graph, so the result has one row per search.  The loop stops at a
+    fixed point (a step that adds no vertex to any graph) or once every
+    search has reached all of its `alive`, since a full search cannot
+    grow, and after at most n steps."""
+    reach = (start & alive) | np.zeros_like(cols[0])
     for _ in range(len(cols)):
         acc = np.zeros_like(reach)
         for w, col in enumerate(cols):
@@ -676,26 +631,21 @@ def _reach_vec(cols, alive, start):
 
 
 def _double_star_feasible(rows) -> np.ndarray:
-    """Graphs with an edge (a, b) whose endpoints dominate all vertices and
-    admit a leaf split avoiding degree 2 at both centers.  `rows` are
-    adjacency bit rows of one order n in any integer word wide enough for
-    n bits, read transposed, one contiguous array per vertex.
+    """Graphs with two centres a < b that dominate all vertices and admit
+    a leaf split avoiding degree 2 at both centres.  `rows` are adjacency
+    bit rows of one order n in any integer word wide enough for n bits,
+    read transposed, one contiguous array per vertex.
 
-    An edge ab is tried only on the graphs that hold it, are not yet
-    feasible and have d_a + d_b >= n: a and b lie in each other's
-    neighbourhoods, so N[a] | N[b] = N(a) | N(b) has at most d_a + d_b
-    vertices and cannot cover V below that sum."""
+    One step per first centre a tests every b > a at once.  Rows have no
+    loops, so N(a) | N(b) = V puts b in N(a): the centres are adjacent."""
     n, word = rows.shape[1], rows.dtype.type
     full = word((1 << n) - 1)
     cols = np.ascontiguousarray(rows.T)
-    deg = np.bitwise_count(cols)
+    bit = (word(1) << np.arange(n, dtype=rows.dtype))[:, None]
     feasible = np.zeros(len(rows), dtype=bool)
-    for a, b in edge_slots(n):
-        live = np.flatnonzero(((cols[a] >> b & 1) != 0) & (deg[a] + deg[b] >= n) & ~feasible)
-        if not len(live):
-            continue
-        ra, rb = cols[a][live], cols[b][live]
-        excl = full ^ word((1 << a) | (1 << b))
+    for a in range(n - 1):
+        ra, rb = cols[a], cols[a + 1:]
+        excl = full ^ bit[a] ^ bit[a + 1:]
         a_only = np.bitwise_count(ra & ~rb & excl)
         b_only = np.bitwise_count(rb & ~ra & excl)
         both = np.bitwise_count(ra & rb & excl)
@@ -704,7 +654,7 @@ def _double_star_feasible(rows) -> np.ndarray:
         # != 1) iff two or more are shared, or x = 0 works, or x = 1 does.
         split = ((both >= 2) | ((a_only != 1) & (b_only + both != 1))
                  | ((both == 1) & (a_only != 0) & (b_only != 1)))
-        feasible[live[((ra | rb) == full) & split]] = True
+        feasible |= (((ra | rb) == full) & split).any(axis=0)
     return feasible
 
 

@@ -223,7 +223,7 @@ def theorem_spec(name: str) -> TheoremSpec:
     raise ValueError(f"unknown theorem {name!r}; expected 'thm1' or 'thm2'")
 
 
-def largest_root(p: QuarticPoly, lo: float, hi: float, width: float = 1e-12) -> float:
+def largest_root(p: QuarticPoly, lo: float, hi: float) -> float:
     """Bisection root inside a sign-change bracket, to absolute width 1e-12.
 
     The caller brackets so that only the largest root lies inside, e.g.
@@ -236,7 +236,7 @@ def largest_root(p: QuarticPoly, lo: float, hi: float, width: float = 1e-12) -> 
         return hi
     if (flo > 0) == (fhi > 0):
         raise ValueError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > width:
+    while hi - lo > 1e-12:
         mid = (lo + hi) / 2
         fmid = p(mid)
         if fmid == 0.0:

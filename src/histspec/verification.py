@@ -448,7 +448,7 @@ def audit_prescreens(n: int, theorem: str = "thm2") -> AuditReport:
     reps = [(y, 1) for y, _ in _scan._window_classes(c, range(len(c.hi_rows)))]
     # Each side lists a mask at most once, and its list becomes an array
     # before the other side runs.
-    pre, bare = (np.array(_scan._scan(cfg, c, reps)[0].over_masks, dtype=np.uint32)
+    pre, bare = (np.array(_scan._scan(cfg, c, reps).over_masks, dtype=np.uint32)
                  for cfg in configs)
     return AuditReport(
         theorem=theorem, n=n, windows=len(reps),

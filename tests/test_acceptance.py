@@ -247,7 +247,7 @@ def test_criterion_2_identity_route_matches_window_classes(monkeypatch):
     cfg = scan.ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2")
     classes = scan.scan_range(cfg, 0, 1 << 28)
     monkeypatch.setattr(scan, "_orbit_table", no_table)
-    identity, _ = scan._scan(cfg, scan._codec(8), [(y, 1) for y in range(1 << 13)])
+    identity = scan._scan(cfg, scan._codec(8), [(y, 1) for y in range(1 << 13)])
     _report(
         "criterion 2 identity route (n=8 thm2, every low mask of every window at weight 1)",
         identity == classes,

@@ -67,11 +67,14 @@ MUTANTS = (
            "    for _ in range(len(cols)):\n        acc = np.zeros_like(reach)",
            "    for _ in range(len(cols) - 2):\n        acc = np.zeros_like(reach)",
            (VERIFICATION + "test_connected_filter_matches_bfs_and_cut_vertices",)),
-    Mutant("hub-test-one-neighbour", "scan.py",
-           "(np.bitwise_count(col & nbr) >= 2)", "(np.bitwise_count(col & nbr) >= 1)",
-           (VERIFICATION + "test_connected_filter_matches_bfs_and_cut_vertices",)),
+    Mutant("two-connected-one-deletion-enough", "scan.py",
+           ".all(axis=0)", ".any(axis=0)",
+           (VERIFICATION + "test_connected_filter_matches_n_search_reference",)),
     Mutant("double-star-split-one-shared", "scan.py",
            "split = ((both >= 2)", "split = ((both >= 1)",
+           (VERIFICATION + "test_double_star_feasible_matches_brute_force",)),
+    Mutant("double-star-centres-count-themselves", "scan.py",
+           "excl = full ^ bit[a] ^ bit[a + 1:]", "excl = full",
            (VERIFICATION + "test_double_star_feasible_matches_brute_force",)),
     Mutant("class-keys-rows-not-bits", "scan.py",
            "np.multiply(q[v], ahead.view(np.uint8), out=scratch)",
@@ -112,7 +115,7 @@ MUTANTS = (
            "scan_range(cfg, 0, 1 << (n * (n - 1) // 2) - 1)",
            (VERIFICATION + "test_theorem1_subsample_properties",)),
     Mutant("counterexample-rescan-skipped", "scan.py",
-           "        if not relist:\n", "        if True:\n",
+           "        if not out.counterexamples:\n", "        if True:\n",
            (VERIFICATION + "test_window_classes_list_every_copy_of_a_counterexample",)),
     Mutant("counterexamples-wrong-code", "scan.py",
            "bad = code == BAD", "bad = code == SEARCHED",
@@ -179,7 +182,7 @@ def main(argv=None) -> int:
     known = {m.name: m for m in MUTANTS}
     if args.list:
         for m in MUTANTS:
-            print(f"{m.name:<33} {m.path:<10} {' '.join(m.tests)}")
+            print(f"{m.name:<36} {m.path:<10} {' '.join(m.tests)}")
         return 0
     unknown = [name for name in args.names if name not in known]
     if unknown:
@@ -210,7 +213,7 @@ def main(argv=None) -> int:
                 survived.append(m.name)
             elif rc not in (1, 2):
                 errors.append(m.name)
-            print(f"{m.name:<33} {verdict:<10} {time.perf_counter() - t0:6.1f} s  "
+            print(f"{m.name:<36} {verdict:<10} {time.perf_counter() - t0:6.1f} s  "
                   f"{' '.join(t.split('::')[-1] for t in m.tests)}", flush=True)
             shutil.rmtree(tree)
     print(f"{len(chosen) - len(survived) - len(errors)} of {len(chosen)} mutants killed")

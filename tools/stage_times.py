@@ -26,8 +26,9 @@ each distinct key once per call; its calls are
 the blocks with new keys and its rows the keys decided per pass.  It
 holds `over_threshold` (with `_sandwich` and `eigvalsh`), then
 `_connected_filter` on the over-threshold keys, with `_reach_vec`, the
-bitset BFS, whose call count is the number of BFS runs, then
-`_classify`, which holds, in its order,
+bitset BFS, once per call (for 2-connectivity its n searches, one per
+deleted vertex, run in that one call), then `_classify`, which holds,
+in its order,
 `_double_star_feasible`, the recognizer `is_family_L` or `is_family_B`,
 once per key the star and double-star tests leave, proof replay, once
 per such key that is not extremal, and the search, once per key that
@@ -47,10 +48,13 @@ times over `REF_NOMINAL_S`, and each of the pass's stage and pass seconds
 is divided by it, as `perfbench/run.py` does with unit times: on a shared
 machine identical passes swing between speeds up to 1.6x apart.  Every
 figure is the minimum of these corrected seconds over the passes, and the
-factors are written out beside them.  Besides its calls, each stage counts
-its rows: the length of its first numpy-array argument, or one per call
-for a stage that takes none (a `Graph`, a path) or takes one graph's row
-(`ONE_ROW`).  Calls and rows do not depend on the pass.
+factors are written out beside them.  One untimed warm-up pass per
+workload runs first, so that the cached tables (`_codec`, the orbit
+tables) are built outside the timed passes, even with `--passes 1`.
+Besides its calls, each stage counts its rows: the length of its first
+numpy-array argument, or one per call for a stage that takes none (a
+`Graph`, a path) or takes one graph's row (`ONE_ROW`).  Calls and rows
+do not depend on the pass.
 
 Stage names missing from the checkout are skipped, so the tool runs on
 older trees too, and named on stderr, so a renamed stage does not drop
@@ -169,6 +173,7 @@ def measure(run_pass, passes: int, sites) -> tuple[dict, list[float]]:
     """Per-stage minimum speed-corrected seconds over `passes` passes, call
     and row counts, and the speed factor of each pass."""
     best, calls, rows, factors = {}, {}, {}, []
+    run_pass()  # untimed warm-up
     for _ in range(passes):
         seconds = {name: 0.0 for _, name in sites}
         counts = {name: 0 for _, name in sites}
