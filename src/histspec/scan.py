@@ -21,11 +21,13 @@ partition of vertices 0..5 into types) and counts it once per mask of
 its orbit, the isomorph rejection of McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26 (1998), one level below the window
 classes.  A whole order then examines one mask per orbit of S_6 on its
-edge masks: 156 at n = 6, 5,096 at n = 7, 483,040 at n = 8.  Every scan
-that lists masks examines every low mask of every window at weight 1.
-The labeled drivers scan a whole order in one call, so that each class
-is scanned once and every key decided once.  The scanned windows go in
-blocks of BLOCK_WINDOWS, and the scan pipeline per block is:
+edge masks: 156 at n = 6, 5,096 at n = 7, 483,040 at n = 8.  No scan
+examines any other mask: a counterexample is listed once per
+representative, with the number of labeled graphs it stands for as its
+copies.  The labeled drivers scan a whole order in one call, so that
+each class is scanned once and every key decided once.  The scanned
+windows go in blocks of BLOCK_WINDOWS (`_blocks`, which the prescreen
+audit reads too), and the scan pipeline per block is:
 
   1. mask-level prescreens (degrees, Hong-type bound), each justified by
      an upper bound on rho that is valid for every connected graph, so no
@@ -52,8 +54,7 @@ blocks of BLOCK_WINDOWS, and the scan pipeline per block is:
      lacks are decided together and added to it, and each row takes its
      word's verdict code, in row order.  One bincount of the codes,
      weighted by the rows' weights, makes the counts, and the
-     over-threshold masks and counterexamples are the rows of their
-     codes;
+     counterexamples are the rows of their code, each with its weight;
   3. the spectral decision `over_threshold`, which the graph6 corpus
      path shares: certain classifications that skip the eigensolver
      (Rayleigh quotients of the all-ones and degree vectors are lower
@@ -120,7 +121,6 @@ class ScanConfig:
     mode: str                      # theorem name, "thm1" or "thm2"
     extremal: InitVar[str | None] = None  # implied by mode; checked if given
     prescreens: bool = True
-    collect_over: bool = False     # also return the over-threshold masks
 
     def __post_init__(self, extremal):
         spec = self.spec
@@ -138,16 +138,17 @@ class ScanConfig:
 
 @dataclass
 class ShardOut:
-    """Counts and witnesses from one scan of whole windows."""
+    """Counts and witnesses from one scan of whole windows: each count
+    is of labeled graphs, and each counterexample a representative with
+    the number of labeled graphs it stands for."""
 
     scanned: int = 0
     survivors: int = 0
     over: int = 0
     extremal: int = 0
     hists: int = 0
-    counterexamples: list = field(default_factory=list)
+    counterexamples: list = field(default_factory=list)  # [graph6, copies] pairs
     fallback_searches: int = 0
-    over_masks: list = field(default_factory=list)
 
 
 class _Codec:
@@ -187,10 +188,6 @@ class _Codec:
         high[:, :n] = self.hi_rows >> low  # each vertex's row among vertices L..n-1
         high[:, :low].sort(axis=1)
         self.window_class = np.unique(high.view(np.uint64).ravel(), return_inverse=True)[1]
-        width = 1 << self.low_bits
-        # the identity route's `_orbit_table`: every low mask, its own orbit
-        self.every_mask = (np.arange(width, dtype=np.uint32), np.ones(width, dtype=np.uint32),
-                           self.lo_deg[:low], self.lo_m)
 
     def blocks(self, y: int) -> tuple:
         """The block partition of the low vertices in window y, by their
@@ -272,21 +269,14 @@ def scan_range(cfg: ScanConfig, lo: int, hi: int) -> ShardOut:
     standing for its orbit.  The degree floor, the Hong prescreen and
     every verdict code are isomorphism invariants, so each count of a
     scanned mask, times its orbit size and the class size, is the count
-    of the graphs it stands for.  A scan that lists the over-threshold
-    masks scans every low mask of every window at weight 1, and so does a
-    scan again when the class scan found a counterexample, so that every
-    copy is listed, in mask order."""
+    of the graphs it stands for, and each counterexample is listed once,
+    with that product as its number of copies.  One `_scan` call."""
     c = _codec(cfg.n)
     width = 1 << c.low_bits
     if not 0 <= lo <= hi <= 1 << c.nbits or lo % width or hi % width:
         raise ValueError(f"mask range [{lo}, {hi}) is not whole windows of 2^{c.low_bits} "
                          f"masks inside 0..2^{c.nbits} for n={cfg.n}")
-    ys = range(lo >> c.low_bits, hi >> c.low_bits)
-    if not cfg.collect_over:
-        out = _scan(cfg, c, _window_classes(c, ys), orbits=True)
-        if not out.counterexamples:
-            return out
-    return _scan(cfg, c, [(y, 1) for y in ys])
+    return _scan(cfg, c, _window_classes(c, range(lo >> c.low_bits, hi >> c.low_bits)))
 
 
 def _window_classes(c: _Codec, windows) -> list[tuple[int, int]]:
@@ -299,22 +289,14 @@ def _window_classes(c: _Codec, windows) -> list[tuple[int, int]]:
     return list(zip(ys[first].tolist(), size.tolist()))
 
 
-def _scan(cfg: ScanConfig, c: _Codec, windows, orbits: bool = False) -> ShardOut:
-    """Scan the windows (y, weight) of `windows`, counting each mask
-    `weight` times, in blocks of BLOCK_WINDOWS of them; with `orbits`,
-    only the orbit representatives of each window's low masks, each also
-    counted once per mask of its orbit.  Each block's survivors are keyed
-    (`_key_words`), each row takes its key's verdict code from the call's
-    table (`_Verdicts`), and one bincount weighted by the rows' weights
-    makes the counts; so each key is decided once per call and its
-    verdict goes to every copy.  The lists (the over-threshold masks
-    under collect_over, the counterexamples) keep row order and list each
-    scanned mask once, whatever its weight."""
+def _scan(cfg: ScanConfig, c: _Codec, windows) -> ShardOut:
+    """Scan the windows (y, weight) of `windows`, each standing for
+    `weight` windows, and tally the blocks of `_blocks`: one bincount of
+    each block's verdict codes, weighted by the rows' weights, makes the
+    counts.  Each counterexample row is listed once, in row order, as
+    [graph6, copies], its copies its weight."""
     out = ShardOut(scanned=sum(weight for _, weight in windows) << c.low_bits)
-    verdicts = _Verdicts()
-    for s in range(0, len(windows), BLOCK_WINDOWS):
-        masks, weights = _survivors(cfg, c, windows[s:s + BLOCK_WINDOWS], orbits)
-        code = verdicts.codes_of(cfg, _key_words(c, masks))
+    for masks, weights, code in _blocks(cfg, c, windows):
         # float64 sums, exact below 2^53; a whole order sums to at most 2^28
         tally = np.bincount(code, weights=weights, minlength=BAD + 1).astype(np.int64)
         out.survivors += int(weights.sum(dtype=np.int64))
@@ -322,24 +304,33 @@ def _scan(cfg: ScanConfig, c: _Codec, windows, orbits: bool = False) -> ShardOut
         out.hists += int(tally[HIST] + tally[SEARCHED])
         out.extremal += int(tally[EXTREMAL])
         out.fallback_searches += int(tally[SEARCHED] + tally[BAD])
-        if cfg.collect_over:
-            out.over_masks.extend(masks[code != UNDER].tolist())
         if tally[BAD]:
             bad = code == BAD
-            out.counterexamples.extend(encode_graph6(_graph_of_row(c.n, row))
-                                       for row in _rows_of_masks(c, masks[bad]))
+            out.counterexamples.extend(
+                [encode_graph6(_graph_of_row(c.n, row)), copies]
+                for row, copies in zip(_rows_of_masks(c, masks[bad]), weights[bad].tolist()))
     return out
 
 
-def _survivors(cfg: ScanConfig, c: _Codec, windows,
-               orbits: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The masks of the windows (y, weight) of `windows` that, under
-    cfg.prescreens, pass the degree and Hong prescreens, window by window
-    in the order given, as uint32, and the weight of each, uint32: its
-    window's weight.  With `orbits`, a window examines only the low masks
-    of its `_orbit_table`, and each survivor's weight is also multiplied
-    by its orbit size; otherwise every low mask, each its own orbit
-    (`_Codec.every_mask`).
+def _blocks(cfg: ScanConfig, c: _Codec, windows):
+    """Yield, per block of BLOCK_WINDOWS of the windows (y, weight) of
+    `windows`, its survivors (`_survivors`: masks and weights, uint32)
+    and the verdict code of each.  The survivors are keyed
+    (`_key_words`) and each row takes its key's code from one verdict
+    table (`_Verdicts`) that lives for the whole call, so each key is
+    decided once per call and its verdict goes to every copy."""
+    verdicts = _Verdicts()
+    for s in range(0, len(windows), BLOCK_WINDOWS):
+        masks, weights = _survivors(cfg, c, windows[s:s + BLOCK_WINDOWS])
+        yield masks, weights, verdicts.codes_of(cfg, _key_words(c, masks))
+
+
+def _survivors(cfg: ScanConfig, c: _Codec, windows) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit representatives (`_orbit_table`) of the windows (y,
+    weight) of `windows` that, under cfg.prescreens, pass the degree and
+    Hong prescreens, window by window in the order given, as uint32
+    masks, and the weight of each, uint32: its orbit size times its
+    window's weight.
 
     The masks of window y share their high half: a vertex's degree is
     lo_deg[v] plus the constant hi_deg[y, v], and the edge count
@@ -350,7 +341,7 @@ def _survivors(cfg: ScanConfig, c: _Codec, windows,
     flat, cols = ok.ravel(), np.uint16(ok.shape[1])
     masks, weights = [], []
     for y, weight in windows:
-        reps, size, lo_deg, lo_m = _orbit_table(c.blocks(y)) if orbits else c.every_mask
+        reps, size, lo_deg, lo_m = _orbit_table(c.blocks(y))
         keep = slice(None)
         if cfg.prescreens:
             hi_deg = c.hi_deg[y]
@@ -373,7 +364,7 @@ class _Verdicts:
     """The class keys one `scan_range` call has decided, as sorted uint64
     words (`_key_words`), and the verdict code of each.  A verdict depends
     on the call's config as well as the key, so the table lives for one
-    call: `_scan` makes it and drops it."""
+    call: `_blocks` makes it and drops it."""
 
     def __init__(self):
         self.words = np.zeros(0, dtype=np.uint64)
@@ -666,7 +657,7 @@ def _class_keys(rows: np.ndarray) -> np.ndarray:
     Each key row is its graph under some permutation, so two graphs with
     equal keys are isomorphic; isomorphic graphs may still get different
     keys when the sort meets a tie, which costs a repeated verdict, never
-    a wrong one.  `_scan` calls it (through `_key_words`) on every row
+    a wrong one.  `_blocks` calls it (through `_key_words`) on every row
     it scans, ahead of the spectral decision.
 
     The work runs on the transposed rows, one array per vertex, with no

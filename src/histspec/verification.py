@@ -5,7 +5,8 @@ iteration eigensolver and the quartic bisection root), scans every graph
 of the requested order from the labeled-exhaustive generator or from a
 graph6 corpus, and confirms that each over-threshold graph either matches
 the extremal family or carries a HIST.  Counterexamples are reported as
-graph6 strings so they can be re-checked independently.
+[graph6, copies] pairs, a graph6 string that can be re-checked
+independently and the number of scanned labeled graphs it stands for.
 
 The exhaustive scans cover the stated orders only and the reports say so;
 no claim is made beyond the verified range.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -61,21 +62,25 @@ class VerificationReport(_Report):
     over_threshold: int
     extremal_matches: int
     hists_found: int
-    counterexamples: list[str]
+    counterexamples: list[list]  # [graph6, copies] pairs
     elapsed: float
     scope: str
 
     def __post_init__(self):
-        total = self.extremal_matches + self.hists_found + len(self.counterexamples)
-        if self.over_threshold != total:
+        total = self.extremal_matches + self.hists_found + self.counterexample_copies
+        if self.over_threshold != total or any(k < 1 for _, k in self.counterexamples):
             raise InvariantViolation(
                 f"report arithmetic broken: over={self.over_threshold}, "
-                f"parts sum to {total}"
+                f"parts sum to {total}, each counterexample needs 1 or more copies"
             )
 
     @property
     def ok(self) -> bool:
         return not self.counterexamples
+
+    @property
+    def counterexample_copies(self) -> int:
+        return sum(copies for _, copies in self.counterexamples)
 
     def text(self) -> str:
         lines = [
@@ -86,10 +91,10 @@ class VerificationReport(_Report):
             f"  over threshold       {self.over_threshold}",
             f"  extremal matches     {self.extremal_matches}",
             f"  hists found          {self.hists_found}",
-            f"  counterexamples      {len(self.counterexamples)}",
+            f"  counterexamples      {self.counterexample_copies}",
         ]
-        for c in self.counterexamples:
-            lines.append(f"    counterexample {c}")
+        for text, copies in self.counterexamples:
+            lines.append(f"    counterexample {text} copies {copies}")
         lines.append(f"  scope: {self.scope}")
         lines.append(f"  elapsed {self.elapsed:.2f}s")
         return "\n".join(lines)
@@ -256,7 +261,7 @@ def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
             if proof_guided_hist(g, spec.replay).found_tree or find_hist(g).found:
                 out.hists += 1
             else:
-                out.counterexamples.append(encode_graph6(g))
+                out.counterexamples.append([encode_graph6(g), 1])
     return out
 
 
@@ -431,29 +436,40 @@ def audit_prescreens(n: int, theorem: str = "thm2") -> AuditReport:
 
     Scans the first window of every window class of the order
     (`scan._window_classes`) twice, with and without the mask-level
-    prescreens and eigensolver shortcuts, each time in one `scan._scan`
-    call that lists the over-threshold masks, and compares the two lists
-    exactly.  The prescreens and every verdict are isomorphism
-    invariants, so equal lists on a class's first window mean equal lists
-    on every window of the class.  Both runs group their rows by class
-    key alike, so this audit does not check the grouping; the tests that
-    compare the scan with an ungrouped reference, every labeled graph its
-    own key, do.
+    prescreens and eigensolver shortcuts, each time by the scan's blocks
+    (`scan._blocks`), and compares the two sets of over-threshold orbit
+    representatives exactly.  The counts are weighted: each
+    representative counts once per mask of its orbit, so they are counts
+    of masks.  Equal weighted sets of representatives mean equal sets of
+    masks: both runs examine the same representatives, each standing for
+    its whole orbit, and the prescreens and every verdict are isomorphism
+    invariants, so a representative is over exactly when every mask of
+    its orbit is.  For the same reason equal sets on a class's first
+    window mean equal sets on every window of the class.  Both runs group
+    their rows by class key alike, so this audit does not check the
+    grouping; the tests that compare the scan with an ungrouped
+    reference, every labeled graph its own key, do.
     """
     t0 = time.monotonic()
     spec = theorem_spec(theorem)
-    common = dict(n=n, theta=_threshold(spec, n), mode=spec.name, collect_over=True)
-    configs = [_scan.ScanConfig(prescreens=p, **common) for p in (True, False)]
+    cfg = _scan.ScanConfig(n=n, theta=_threshold(spec, n), mode=spec.name)
     c = _scan._codec(n)
     reps = [(y, 1) for y, _ in _scan._window_classes(c, range(len(c.hi_rows)))]
-    # Each side lists a mask at most once, and its list becomes an array
-    # before the other side runs.
-    pre, bare = (np.array(_scan._scan(cfg, c, reps).over_masks, dtype=np.uint32)
-                 for cfg in configs)
+    sides = []
+    for p in (True, False):
+        over = [(m[code != _scan.UNDER], w[code != _scan.UNDER]) for m, w, code in
+                _scan._blocks(replace(cfg, prescreens=p), c, reps)]
+        sides.append([np.concatenate(part) for part in zip(*over)])
+    (pre, pre_w), (bare, bare_w) = sides
+    # Each side lists a representative at most once.
+    lone = np.concatenate([pre_w[~np.isin(pre, bare, assume_unique=True)],
+                           bare_w[~np.isin(bare, pre, assume_unique=True)]])
     return AuditReport(
         theorem=theorem, n=n, windows=len(reps),
         masks_considered=len(reps) << c.low_bits,
-        over_with_prescreens=len(pre), over_without_prescreens=len(bare),
-        discrepancies=len(np.setxor1d(pre, bare, assume_unique=True)),
+        over_with_prescreens=int(pre_w.sum(dtype=np.int64)),
+        over_without_prescreens=int(bare_w.sum(dtype=np.int64)),
+        discrepancies=int(lone.sum(dtype=np.int64)),
         elapsed=time.monotonic() - t0,
     )
+

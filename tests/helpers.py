@@ -1,18 +1,22 @@
 """Independent oracles shared by the test modules.
 
-Everything here deliberately avoids the package's own algorithms: brute
-force, closed formulas, recurrences, and numpy's dense eigensolver serve
-as the second route for every value the package computes.
+Everything here but the identity route at the end deliberately avoids
+the package's own algorithms: brute force, closed formulas, recurrences,
+and numpy's dense eigensolver serve as the second route for every value
+the package computes.  The identity route is the scan engine itself with
+its orbit and window-class weighting switched off, the reference for
+that weighting and the one route that lists every labeled graph.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import comb
+from unittest import mock
 
 import numpy as np
 
-from histspec import Graph
+from histspec import Graph, scan
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
@@ -195,3 +199,33 @@ def tree_has_degree_two(n: int, edges) -> bool:
         deg[u] += 1
         deg[v] += 1
     return 2 in deg
+
+
+def every_mask_table(blocks: tuple) -> tuple[np.ndarray, ...]:
+    """The identity route's stand-in for `scan._orbit_table`: every low
+    mask of the partition's order, each its own orbit of size 1, with the
+    low degree and edge-count tables of that order."""
+    c = scan._codec(len(blocks))
+    width = 1 << c.low_bits
+    return (np.arange(width, dtype=np.uint32), np.ones(width, dtype=np.uint32), c.lo_deg, c.lo_m)
+
+
+def identity_scan(cfg, windows, over=None):
+    """The identity route, the reference for window classes and orbits:
+    `scan._scan` over every window of the ascending window indices
+    `windows` at weight 1, every low mask of each examined at weight 1
+    (`scan._orbit_table` returns `every_mask_table` while it runs).  So
+    every count is of masks examined one by one, and each counterexample
+    is one [graph6, 1] pair per labeled copy, in mask order.  With a list
+    `over`, the over-threshold masks are appended to it, in mask order."""
+    real_blocks = scan._blocks
+
+    def listed(*args):
+        for masks, weights, code in real_blocks(*args):
+            if over is not None:
+                over.extend(masks[code != scan.UNDER].tolist())
+            yield masks, weights, code
+
+    with mock.patch.object(scan, "_orbit_table", every_mask_table), \
+            mock.patch.object(scan, "_blocks", listed):
+        return scan._scan(cfg, scan._codec(cfg.n), [(y, 1) for y in windows])

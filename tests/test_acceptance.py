@@ -33,7 +33,7 @@ from histspec import (
 )
 from histspec import enumerate_labeled
 
-from helpers import all_labeled_graphs, labeled_copy_count, random_connected
+from helpers import all_labeled_graphs, identity_scan, labeled_copy_count, random_connected
 
 
 def _report(name, ok, detail=""):
@@ -51,7 +51,7 @@ def test_criterion_1_theorem1_exhaustive_n7():
     _report(
         "criterion 1 (connected threshold, n=7, all 2^21 labeled graphs)",
         ok,
-        f"counterexamples={len(rep.counterexamples)}, "
+        f"counterexamples={rep.counterexample_copies}, "
         f"extremal={rep.extremal_matches} (brute copy count {copies}), "
         f"over={rep.over_threshold}, elapsed={elapsed:.1f}s",
     )
@@ -223,7 +223,7 @@ def test_criterion_2_theorem2_exhaustive_n8():
     _report(
         "criterion 2 (2-connected threshold, n=8, all 2^28 labeled graphs)",
         ok,
-        f"counterexamples={len(rep.counterexamples)}, "
+        f"counterexamples={rep.counterexample_copies}, "
         f"extremal={rep.extremal_matches} (brute copy count {copies}), "
         f"over={rep.over_threshold}, survivors={rep.prescreen_survivors}, "
         f"hists={rep.hists_found}, "
@@ -231,23 +231,19 @@ def test_criterion_2_theorem2_exhaustive_n8():
     )
 
 
-def test_criterion_2_identity_route_matches_window_classes(monkeypatch):
+def test_criterion_2_identity_route_matches_window_classes():
     # An independent gate for the window-class and orbit weighting: the
-    # identity route, every low mask of every window of the n=8 order
-    # scanned at weight 1 with no orbit table, gives the same ShardOut,
-    # every field, as the class-and-orbit route criterion 2 takes.  It
-    # prescreens and keys all 2^28 masks, so it is slow, and its name puts
-    # it in the criterion-2 run.
+    # identity route of helpers.py, every low mask of every window of the
+    # n=8 order scanned at weight 1, gives the same ShardOut, every field,
+    # as the class-and-orbit route criterion 2 takes.  It prescreens and
+    # keys all 2^28 masks, so it is slow, and its name puts it in the
+    # criterion-2 run.
     from histspec import scan, threshold_two_connected
-
-    def no_table(blocks):
-        raise AssertionError("the identity route reads no orbit table")
 
     t0 = time.monotonic()
     cfg = scan.ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2")
     classes = scan.scan_range(cfg, 0, 1 << 28)
-    monkeypatch.setattr(scan, "_orbit_table", no_table)
-    identity = scan._scan(cfg, scan._codec(8), [(y, 1) for y in range(1 << 13)])
+    identity = identity_scan(cfg, range(1 << 13))
     _report(
         "criterion 2 identity route (n=8 thm2, every low mask of every window at weight 1)",
         identity == classes,

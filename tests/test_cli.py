@@ -223,7 +223,7 @@ def test_counterexample_exit1(capsys, monkeypatch):
 
     def fake(n, **kw):
         rep = real(n, **kw)
-        rep.counterexamples.append("C~")
+        rep.counterexamples.append(["C~", 1])
         rep.over_threshold += 1
         return rep
 

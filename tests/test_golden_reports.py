@@ -1,7 +1,8 @@
 """Verification outputs pinned byte for byte, `elapsed` removed.
 
-`golden_reports.json` holds the JSON of a few reports, one scan shard, a
-digest of proof-replay traces and the stdout of four `histspec verify`
+`golden_reports.json` holds the JSON of a few reports, one scan shard
+with a digest of its over-threshold masks (listed by the identity route
+of `helpers.py`), a digest of proof-replay traces and the stdout of four `histspec verify`
 commands.  Any change to a count, a threshold float or a counterexample string fails
 here, so a refactor or a shortcut that is meant to leave outputs alone is
 checked to do so.  Re-record only for an intended change of output:
@@ -28,6 +29,8 @@ from histspec import (Graph, InvariantViolation, decode_graph6, encode_graph6, m
 from histspec.hist import proof_guided_hist
 from histspec.scan import ScanConfig, scan_range
 from histspec.verification import GRAPH6_CORPUS, threshold_two_connected
+
+from helpers import identity_scan
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_reports.json")
 SHARD, SHARD_BITS = 301, 19  # an n=8 thm2 shard with extremal matches and proof-replay fallbacks
@@ -146,9 +149,11 @@ def cli_verify() -> dict:
 def current_reports(tmp_dir) -> dict:
     corpus_path = os.path.join(tmp_dir, "corpus9.g6")
     write_corpus(corpus_path)
-    cfg = ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2", collect_over=True)
+    cfg = ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2")
     shard = asdict(scan_range(cfg, SHARD << SHARD_BITS, (SHARD + 1) << SHARD_BITS))
-    masks = shard.pop("over_masks")
+    masks = []
+    per_shard = 1 << SHARD_BITS - 15  # windows of 2^15 masks
+    identity_scan(cfg, range(SHARD * per_shard, (SHARD + 1) * per_shard), masks)
     shard["over_masks_count"] = len(masks)
     shard["over_masks_sha256"] = hashlib.sha256(
         ",".join(map(str, masks)).encode()).hexdigest()

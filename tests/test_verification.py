@@ -34,7 +34,9 @@ from helpers import (
     brute_double_star,
     connected_labeled_count,
     eigvalsh_rho,
+    every_mask_table,
     hub_test_cases,
+    identity_scan,
     random_connected,
 )
 
@@ -77,7 +79,7 @@ def test_thresholds_cross_checked():
     assert threshold_two_connected(8) == pytest.approx(4.11394494360, abs=1e-9)
 
 
-def test_theorem1_subsample_properties():
+def test_theorem1_whole_order_counts():
     # The whole labeled order, n = 7 and n = 8: (prescreen survivors,
     # over, extremal, HISTs).
     for n, counts in ((7, (387_388, 231_148, 210, 230_938)),
@@ -99,7 +101,7 @@ def test_theorem2_subsample_properties():
             rep.hists_found) == (125_811_193, 74_986_629, 3_360, 74_983_269)
 
 
-def test_reports_deterministic_and_thread_invariant():
+def test_reports_deterministic():
     a = verify_theorem1(7).to_json()
     b = verify_theorem1(7).to_json()
 
@@ -112,54 +114,80 @@ def test_reports_deterministic_and_thread_invariant():
 
 
 def test_report_arithmetic_enforced():
-    with pytest.raises(Exception):
-        VerificationReport(
+    # over_threshold must equal extremal + HISTs + the counterexamples'
+    # copies, and each counterexample stands for at least one copy.
+    from histspec.spectral import InvariantViolation
+
+    def report(over, counterexamples):
+        return VerificationReport(
             theorem="thm1", n=7, source="labeled_exhaustive", threshold=4.0,
-            scanned=10, prescreen_survivors=5, over_threshold=3,
-            extremal_matches=1, hists_found=1, counterexamples=[],
+            scanned=10, prescreen_survivors=5, over_threshold=over,
+            extremal_matches=1, hists_found=1, counterexamples=counterexamples,
             elapsed=0.0, scope="x",
         )
+
+    with pytest.raises(InvariantViolation):
+        report(3, [])
+    rep = report(5, [["C~", 3]])
+    assert rep.counterexample_copies == 3 and not rep.ok
+    assert "  counterexamples      3\n    counterexample C~ copies 3\n" in rep.text()
+    for over, counterexamples in ((4, [["C~", 3]]), (2, [["C~", 0]]), (1, [["C~", -1]]),
+                                  (3, [["C~", 2], ["C~", -1]])):
+        with pytest.raises(InvariantViolation):
+            report(over, counterexamples)
 
 
 def test_scan_artificially_low_threshold_is_more_inclusive():
     # Lowering the threshold to the clique bound must add over-threshold
     # graphs (thresholding is monotone), and the prescreens must still
     # keep every one of them: their maximum-degree floor follows theta.
+    # The identity route lists the over-threshold masks of the whole
+    # order with and without the prescreens.
     true_cfg = ScanConfig(n=7, theta=threshold_connected(7), mode="thm1", extremal="L")
-    low = dict(n=7, theta=4.0, mode="thm1", collect_over=True)
+    low = dict(n=7, theta=4.0, mode="thm1")
     hi = 1 << 21
     true_out = scan_range(true_cfg, 0, hi)
     low_out = scan_range(ScanConfig(**low), 0, hi)
     assert (true_out.over, low_out.over) == (231_148, 253_873)
-    bare = scan_range(ScanConfig(prescreens=False, **low), 0, hi)
-    assert low_out.over_masks == bare.over_masks
+    pre, bare = [], []
+    assert identity_scan(ScanConfig(**low), range(64), pre) == low_out
+    identity_scan(ScanConfig(prescreens=False, **low), range(64), bare)
+    assert pre == bare and len(pre) == low_out.over
 
 
 def test_scan_below_threshold_reports_real_counterexamples(monkeypatch):
     # A negative control: at theta' = 3.7, under rho(L_7), the theorem's
     # conclusion fails, and the scan must report graphs without a HIST.
-    # With and without the prescreens it finds the same over-threshold
-    # graphs and the same counterexamples; each has no HIST by the
-    # spanning-tree oracle and is not L_7.  Without collect_over, and in
-    # groups of 2^12 rows, it lists the same counterexamples in the same
-    # order.  Graphs of maximum degree 4 are over here, below proof
-    # replay's range, so replay hands them to the search instead of
-    # raising.
+    # The whole order lists 11 counterexample representatives, whose
+    # copies sum to 2,100; each has no HIST by the spanning-tree oracle
+    # and is not L_7.  Without the prescreens, and in groups of 2^12 rows,
+    # it lists the same pairs in the same order.  The identity route
+    # lists the same over-threshold masks with and without the
+    # prescreens, and one counterexample per copy.  Graphs of maximum
+    # degree 4 are over here, below proof replay's range, so replay hands
+    # them to the search instead of raising.
     from histspec import oracle_hist, scan
 
     common = dict(n=7, theta=3.7, mode="thm1")
-    pre = scan_range(ScanConfig(collect_over=True, **common), 0, 1 << 21)
-    bare = scan_range(ScanConfig(prescreens=False, collect_over=True, **common), 0, 1 << 21)
-    assert pre.over_masks == bare.over_masks
-    assert pre.counterexamples == bare.counterexamples
-    monkeypatch.setattr(scan, "GROUP_ROWS", 1 << 12)
-    unlisted = scan_range(ScanConfig(**common), 0, 1 << 21)
-    assert unlisted == dataclasses.replace(pre, over_masks=[])
-    assert (pre.over, pre.extremal, len(pre.counterexamples)) == (530_779, 210, 2_100)
-    for text in pre.counterexamples:
+    pre = scan_range(ScanConfig(**common), 0, 1 << 21)
+    bare = scan_range(ScanConfig(prescreens=False, **common), 0, 1 << 21)
+    assert (bare.over, bare.counterexamples) == (pre.over, pre.counterexamples)
+    assert (pre.over, pre.extremal, len(pre.counterexamples)) == (530_779, 210, 11)
+    assert sum(copies for _, copies in pre.counterexamples) == 2_100
+    for text, _ in pre.counterexamples:
         g = decode_graph6(text)
         assert not oracle_hist(g).found
         assert not is_family_L(g)
+    over, bare_over = [], []
+    listed = identity_scan(ScanConfig(**common), range(64), over)
+    identity_scan(ScanConfig(prescreens=False, **common), range(64), bare_over)
+    assert over == bare_over and len(over) == pre.over
+    assert len(listed.counterexamples) == 2_100
+    assert all(copies == 1 for _, copies in listed.counterexamples)
+    assert dataclasses.replace(listed, counterexamples=[]) == dataclasses.replace(
+        pre, counterexamples=[])
+    monkeypatch.setattr(scan, "GROUP_ROWS", 1 << 12)
+    assert scan_range(ScanConfig(**common), 0, 1 << 21) == pre
 
 
 @pytest.mark.parametrize("mode, n, counts", [
@@ -177,7 +205,9 @@ def test_scan_below_the_replay_order_floor_matches_per_graph_reference(mode, n, 
     # cut vertices by removal, rho by eigvalsh, the recognizer, then
     # find_hist.  thm1's conclusion holds at n = 6; thm2's fails there.
     # At n = 3 the spanning star of P3 and K3 has a centre of degree 2, so
-    # neither has a HIST.
+    # neither has a HIST.  The identity route lists the reference's
+    # over-threshold masks and one counterexample per copy; the scan
+    # counts alike, its counterexamples' copies summing to as many.
     from histspec.graphs import is_family_B, make_family
     from histspec.spectral import GUARD, theorem_spec
 
@@ -195,11 +225,17 @@ def test_scan_below_the_replay_order_floor_matches_per_graph_reference(mode, n, 
             extremal += 1
         elif not find_hist(g).found:
             bad.append(encode_graph6(g))
-    out = scan_range(ScanConfig(n=n, theta=theta, mode=mode, collect_over=True),
-                     0, 1 << (n * (n - 1) // 2))
-    assert (out.over, out.extremal, len(out.counterexamples)) == counts
-    assert (out.over_masks, out.extremal, out.counterexamples) == (over, extremal, bad)
+    cfg = ScanConfig(n=n, theta=theta, mode=mode)
+    listed = []
+    copies = identity_scan(cfg, [0], listed)
+    assert (listed, copies.extremal, copies.counterexamples) == (
+        over, extremal, [[text, 1] for text in bad])
+    out = scan_range(cfg, 0, 1 << (n * (n - 1) // 2))
+    assert (out.over, out.extremal, sum(k for _, k in out.counterexamples)) == counts == (
+        len(over), extremal, len(bad))
     assert out.hists == out.over - out.extremal - len(bad)
+    assert dataclasses.replace(out, counterexamples=[]) == dataclasses.replace(
+        copies, counterexamples=[])
 
 
 def test_family_members_survive_prescreens_and_match():
@@ -446,10 +482,12 @@ def test_corpus_batch_at_order_62(tmp_path):
 def test_corpus_and_scan_share_one_spectral_decision(tmp_path, monkeypatch):
     # Every connected graph of one n=7 mask range, written as graph6, goes
     # through the corpus driver; its over-threshold graphs must be exactly
-    # those of scan_range on the same range.  Also at theta' = 3.7, under
-    # the true threshold, against the scan without prescreens: both
-    # degree floors follow theta, and replay hands the graphs below its
-    # range to the search.
+    # those the identity route lists on the same range, its
+    # counterexamples the identity route's, one per copy, and its counts
+    # those of scan_range.  Also at theta' = 3.7, under the true
+    # threshold, against the scan without prescreens: both degree floors
+    # follow theta, and replay hands the graphs below its range to the
+    # search.
     from histspec import scan, verification
     from histspec.scan import (BAD, EXTREMAL, HIST, SEARCHED, UNDER, _classify, _codec,
                                _rows_of_masks)
@@ -475,20 +513,22 @@ def test_corpus_and_scan_share_one_spectral_decision(tmp_path, monkeypatch):
         del seen[:]
         rep = verify_theorem1(n, source=GRAPH6_CORPUS, corpus_path=str(path))
         corpus_over = sorted(seen)  # before scan_range adds the engine's calls
-        cfg = ScanConfig(n=n, theta=theta, mode="thm1", prescreens=prescreens,
-                         collect_over=True)
-        shard = scan_range(cfg, lo, hi)
+        cfg = ScanConfig(n=n, theta=theta, mode="thm1", prescreens=prescreens)
+        listed = []
+        shard = identity_scan(cfg, range(lo >> 15, hi >> 15), listed)
+        assert dataclasses.replace(scan_range(cfg, lo, hi), counterexamples=[]) == (
+            dataclasses.replace(shard, counterexamples=[]))
         assert rep.scanned == len(graphs)
         assert rep.over_threshold == shard.over == len(corpus_over) > 0
-        assert corpus_over == sorted(shard.over_masks)
+        assert corpus_over == listed
         assert (rep.extremal_matches, rep.hists_found, rep.counterexamples) == (
             shard.extremal, shard.hists, shard.counterexamples)
         # the engine's classification decides alike on the corpus's int64
         # rows, each row one copy
-        rows = _rows_of_masks(_codec(n), np.array(shard.over_masks, dtype=np.uint32))
+        rows = _rows_of_masks(_codec(n), np.array(listed, dtype=np.uint32))
         code = _classify(THM1, rows.astype("<i8"))
         tally = np.bincount(code, minlength=BAD + 1)
-        listed = [encode_graph6(Graph._from_rows_unchecked(n, tuple(row)))
+        listed = [[encode_graph6(Graph._from_rows_unchecked(n, tuple(row))), 1]
                   for row in rows[code == BAD].tolist()]
         assert tally[UNDER] == 0
         assert (tally[EXTREMAL], tally[HIST] + tally[SEARCHED], listed) == (
@@ -529,11 +569,17 @@ def _shard(cfg, s):
     return scan_range(cfg, s << 19, (s + 1) << 19)
 
 
+def _identity_shard(cfg, s, over=None):
+    """Shard s by the identity route: its 16 windows of 2^15 masks."""
+    return identity_scan(cfg, range(s << 4, (s + 1) << 4), over)
+
+
 def test_grouped_fallback_matches_per_graph_reference(monkeypatch):
     # Each dense n=8 thm2 shard and each n=7 thm1 shard gives the same
-    # ShardOut, every field, as the ungrouped reference, in which the
-    # spectral decision, connectivity and classification run on every
-    # labeled graph.  The grouped run decides fewer graphs than it counts:
+    # ShardOut, every field, as the ungrouped reference, the identity
+    # route with every labeled graph its own key, in which the spectral
+    # decision, connectivity and classification run on every labeled
+    # graph.  The grouped run decides fewer graphs than it counts:
     # on n=8 by replay, on n=7, where every fallback row is a copy of L_7,
     # by the recognizer.
     from histspec import scan
@@ -547,7 +593,7 @@ def test_grouped_fallback_matches_per_graph_reference(monkeypatch):
     for n, mode, threshold, shards in (
             (8, "thm2", threshold_two_connected, N8_THM2_SHARDS),
             (7, "thm1", threshold_connected, N7_THM1_SHARDS)):
-        cfg = ScanConfig(n=n, theta=threshold(n), mode=mode, collect_over=True)
+        cfg = ScanConfig(n=n, theta=threshold(n), mode=mode)
         for s in shards:
             del replays[:], recognized[:]
             grouped = _shard(cfg, s)
@@ -560,7 +606,7 @@ def test_grouped_fallback_matches_per_graph_reference(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(scan, "_class_keys", _unchanged)
                 del replays[:]
-                reference = _shard(cfg, s)
+                reference = _identity_shard(cfg, s)
             assert len(replays) == reference.fallback_searches
             assert grouped == reference
             fallbacks[n, s] = grouped.fallback_searches
@@ -585,10 +631,12 @@ def _canonical_mask(g):
 
 def test_grouped_fallback_lists_every_copy_of_a_no_hist_class(monkeypatch):
     # With replay and the search told that one isomorphism class has no
-    # HIST, every labeled copy of it is its own counterexample, in row
-    # order (ascending mask order within a shard), exactly as the
-    # ungrouped reference lists them, though the class has copies in
-    # windows that the scan skips until it finds the counterexample.
+    # HIST, the ungrouped reference (the identity route, every labeled
+    # graph its own key) lists every labeled copy of it as its own
+    # counterexample, in ascending mask order, and the scan counts every
+    # copy: it lists representatives of the class only, whose copies sum
+    # to the number of copies, though the class has copies in windows and
+    # orbits that the scan does not examine.
     from types import SimpleNamespace
 
     from histspec import scan
@@ -599,8 +647,8 @@ def test_grouped_fallback_lists_every_copy_of_a_no_hist_class(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(scan, "proof_guided_hist", lambda g, r: seen.append(g) or real_replay(g, r))
         m.setattr(scan, "_class_keys", _unchanged)
-        # collect_over scans every window, so each replayed graph is seen
-        _shard(dataclasses.replace(cfg, collect_over=True), 136)
+        # the identity route examines every mask, so each replayed graph is seen
+        _identity_shard(cfg, 136)
     canon = [_canonical_mask(g) for g in seen]
     target = max(set(canon), key=canon.count)
     copies = [encode_graph6(g) for g in sorted(
@@ -617,9 +665,13 @@ def test_grouped_fallback_lists_every_copy_of_a_no_hist_class(monkeypatch):
     monkeypatch.setattr(scan, "find_hist", search)
     grouped = _shard(cfg, 136)
     monkeypatch.setattr(scan, "_class_keys", _unchanged)
-    reference = _shard(cfg, 136)
-    assert grouped.counterexamples == copies == reference.counterexamples
-    assert grouped == reference
+    reference = _identity_shard(cfg, 136)
+    assert reference.counterexamples == [[text, 1] for text in copies]
+    assert 0 < len(grouped.counterexamples) < len(copies)
+    assert sum(k for _, k in grouped.counterexamples) == len(copies)
+    assert {_canonical_mask(decode_graph6(text)) for text, _ in grouped.counterexamples} == {target}
+    assert dataclasses.replace(grouped, counterexamples=[]) == dataclasses.replace(
+        reference, counterexamples=[])
 
 
 def test_verdict_table_keeps_no_state_between_calls(monkeypatch):
@@ -646,8 +698,8 @@ def test_verdict_table_keeps_no_state_between_calls(monkeypatch):
         return out, sorted(decided)
 
     monkeypatch.setattr(scan, "over_threshold", over)
-    cfg = ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2", collect_over=True)
-    low = ScanConfig(n=8, theta=3.9, mode="thm2", collect_over=True)
+    cfg = ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2")
+    low = ScanConfig(n=8, theta=3.9, mode="thm2")
     alone = run(cfg, 301)
     lowered = run(low, 301)
     assert lowered[0].over > alone[0].over
@@ -691,20 +743,6 @@ def test_verdict_codes_follow_row_order_and_decide_only_new_words(monkeypatch):
     again = first[::-1].copy()
     assert verdicts.codes_of(cfg, again).tolist() == code(again)
     assert len(decided) == 2
-
-
-def _identity_scan(monkeypatch, cfg, c, windows):
-    """The identity route, the reference for window classes and orbits:
-    `_scan` over every window of `windows` at weight 1, every low mask
-    scanned, with no orbit table (`_orbit_table` raises if called)."""
-    from histspec import scan
-
-    def no_table(blocks):
-        raise AssertionError("the identity route reads no orbit table")
-
-    with monkeypatch.context() as m:
-        m.setattr(scan, "_orbit_table", no_table)
-        return scan._scan(cfg, c, [(y, 1) for y in windows])
 
 
 def _window_list(rng, n, count):
@@ -756,7 +794,7 @@ def test_window_classes_match_scanning_every_window(monkeypatch):
     # the identity route, every low mask of every window at weight 1: n=7
     # thm1 shards 0-3, the n=8 thm2 benchmark shards and the golden shard
     # 301, some without the prescreens; each shard skips windows.  `_scan`
-    # with orbits does the same on random lists of n=8 windows whose
+    # does the same on the window classes of random lists of n=8 windows whose
     # classes fill several blocks, with blocks of BLOCK_WINDOWS and of 5
     # windows, for both theorems.
     from histspec import scan
@@ -773,7 +811,7 @@ def test_window_classes_match_scanning_every_window(monkeypatch):
         windows = range(lo >> c.low_bits, hi >> c.low_bits)
         assert len(scan._window_classes(c, windows)) < len(windows)
         grouped = scan_range(cfg, lo, hi)
-        assert grouped == _identity_scan(monkeypatch, cfg, c, windows)
+        assert grouped == identity_scan(cfg, windows)
         assert grouped.scanned == hi - lo and grouped.survivors > 0
     rng = np.random.default_rng(71)
     c = scan._codec(8)
@@ -785,30 +823,9 @@ def test_window_classes_match_scanning_every_window(monkeypatch):
         assert len(classes) > 2 * scan.BLOCK_WINDOWS
         for block in blocks:
             monkeypatch.setattr(scan, "BLOCK_WINDOWS", block)
-            grouped = scan._scan(cfg, c, classes, orbits=True)
-            assert grouped == _identity_scan(monkeypatch, cfg, c, windows)
+            grouped = scan._scan(cfg, c, classes)
+            assert grouped == identity_scan(cfg, windows)
             assert grouped.scanned == len(windows) << c.low_bits
-
-
-def test_window_classes_list_every_copy_of_a_counterexample(monkeypatch):
-    # At theta = 3.7, under rho(L_7), n=7 shard 1 has counterexamples in
-    # window classes of several windows.  Having found them, the scan
-    # scans the shard again window by window, every low mask, so it lists
-    # every copy, in mask order, as the scan that lists the over-threshold
-    # masks does.
-    from histspec import scan
-
-    runs = []
-    real = scan._scan
-    monkeypatch.setattr(scan, "_scan", lambda *args, **kw: runs.append(
-        (args[2], kw.get("orbits", False))) or real(*args, **kw))
-    cfg = ScanConfig(n=7, theta=3.7, mode="thm1")
-    out = _shard(cfg, 1)
-    assert len(runs) == 2 and max(k for _, k in runs[0][0]) > 1 and runs[0][1]
-    assert runs[1] == ([(y, 1) for y in range(16, 32)], False)
-    listed = _shard(dataclasses.replace(cfg, collect_over=True), 1)
-    assert len(out.counterexamples) == 524
-    assert out == dataclasses.replace(listed, over_masks=[])
 
 
 def _least_in_orbit(blocks):
@@ -867,7 +884,17 @@ def test_orbit_tables_match_the_least_mask_over_the_young_subgroup():
     assert len(_orbit_table((0,) * 6)[0]) == 156
 
 
-def test_orbit_representatives_expand_to_the_window_survivors():
+def _mask_survivors(monkeypatch, cfg, c, windows):
+    """`_survivors` on the identity route's tables (`every_mask_table`):
+    every low mask of each window, each its own orbit."""
+    from histspec import scan
+
+    with monkeypatch.context() as m:
+        m.setattr(scan, "_orbit_table", every_mask_table)
+        return scan._survivors(cfg, c, windows)
+
+
+def test_orbit_representatives_expand_to_the_window_survivors(monkeypatch):
     # A window's surviving representatives, each expanded to its orbit
     # (by the brute-force least mask), are exactly the window's survivors
     # scanned mask by mask, and each carries its orbit size times the
@@ -892,8 +919,8 @@ def test_orbit_representatives_expand_to_the_window_survivors():
             for mode, theta, prescreens in itertools.product(
                     ("thm1", "thm2"), thetas, (True, False)):
                 cfg = ScanConfig(n=n, theta=theta, mode=mode, prescreens=prescreens)
-                full, ones = _survivors(cfg, c, [(y, 1)])
-                reps, weights = _survivors(cfg, c, [(y, weight)], orbits=True)
+                full, ones = _mask_survivors(monkeypatch, cfg, c, [(y, 1)])
+                reps, weights = _survivors(cfg, c, [(y, weight)])
                 low = reps - (y << c.low_bits)
                 assert (orbit[low] == low).all() and (ones == 1).all()
                 assert weights.tolist() == (size[low] * weight).tolist()
@@ -921,38 +948,51 @@ def test_scans_examine_the_orbits_of_the_whole_order(monkeypatch):
         assert sum(examined) == want and out.survivors > 0
 
 
-def test_orbit_weights_rescan_a_counterexample(monkeypatch):
+def test_scan_range_makes_one_scan_call_with_counterexamples(monkeypatch):
+    # scan_range scans its window classes in one `_scan` call, also when
+    # that call finds counterexamples, and lists each counterexample
+    # representative once, its copies the labeled graphs it stands for.
+    # At theta = 3.7, under rho(L_7), n=7 shard 1 has counterexamples in
+    # window classes of several windows: 11 representatives, 524 copies.
     # n = 6 is one window, its own class of weight 1, whose stabilizer is
     # all of S_6: under thm2 at theta = rho(B_6) its counterexamples are
-    # found on orbit representatives of weight above 1.  Having found
-    # them, the scan scans the window again, every low mask at weight 1,
-    # so it lists every copy, in mask order, as the listing scan does.
+    # representatives of orbits of several masks, 195 copies.  Each time
+    # the identity route lists one counterexample per copy, as many, and
+    # every other field alike.
     from histspec import scan
     from histspec.graphs import make_family
 
     runs = []
     real = scan._scan
-    monkeypatch.setattr(scan, "_scan", lambda *args, **kw: runs.append(
-        (args[2], kw.get("orbits", False))) or real(*args, **kw))
-    cfg = ScanConfig(n=6, theta=eigvalsh_rho(make_family("B", 6)), mode="thm2")
-    out = scan_range(cfg, 0, 1 << 15)
-    assert runs == [([(0, 1)], True), ([(0, 1)], False)]
-    assert (out.over, out.extremal, len(out.counterexamples)) == (10_948, 360, 195)
-    masks = [mask_of_graph(decode_graph6(text)) for text in out.counterexamples]
-    assert masks == sorted(set(masks))
-    listed = scan_range(dataclasses.replace(cfg, collect_over=True), 0, 1 << 15)
-    assert out == dataclasses.replace(listed, over_masks=[])
+    monkeypatch.setattr(scan, "_scan", lambda *args: runs.append(args[2]) or real(*args))
+    for cfg, lo, hi, counts in (
+            (ScanConfig(n=7, theta=3.7, mode="thm1"), 1 << 19, 2 << 19, (11, 524)),
+            (ScanConfig(n=6, theta=eigvalsh_rho(make_family("B", 6)), mode="thm2"),
+             0, 1 << 15, (2, 195))):
+        del runs[:]
+        out = scan_range(cfg, lo, hi)
+        c = scan._codec(cfg.n)
+        windows = range(lo >> c.low_bits, hi >> c.low_bits)
+        assert runs == [scan._window_classes(c, windows)]
+        assert max(k for _, k in out.counterexamples) > 1
+        assert (len(out.counterexamples), sum(k for _, k in out.counterexamples)) == counts
+        listed = identity_scan(cfg, windows)
+        assert len(listed.counterexamples) == counts[1]
+        assert dataclasses.replace(out, counterexamples=[]) == dataclasses.replace(
+            listed, counterexamples=[])
 
 
 def test_sampled_and_listing_scans_scan_every_window():
-    # collect_over lists masks, so the scan scans every window; its counts
-    # are pinned: (survivors, over, extremal, hists, fallback_searches),
-    # and the number and sum of the over-threshold masks.
-    cfg = ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2", collect_over=True)
-    out = _shard(cfg, 301)
+    # The identity route lists masks, so it scans every window; its
+    # counts are pinned: (survivors, over, extremal, hists,
+    # fallback_searches), and the number and sum of the over-threshold
+    # masks.
+    cfg = ScanConfig(n=8, theta=threshold_two_connected(8), mode="thm2")
+    over = []
+    out = _identity_shard(cfg, 301, over)
     assert (out.survivors, out.over, out.extremal, out.hists,
             out.fallback_searches) == (278596, 156601, 6, 156595, 1489)
-    assert (len(out.over_masks), sum(out.over_masks)) == (156601, 24764934039437)
+    assert (len(over), sum(over)) == (156601, 24764934039437)
 
 
 @pytest.mark.parametrize("dtype, orders", [(np.uint8, range(1, 9)), (np.int64, range(1, 21))])
@@ -1164,14 +1204,14 @@ def _window_masks(n, windows):
                            for y in windows])
 
 
-def test_prescreen_matches_per_graph_reference():
+def test_prescreen_matches_per_graph_reference(monkeypatch):
     # The windowed degree and Hong prescreens of _survivors keep exactly
     # the masks a per-graph check keeps, for both theorems, on the one
     # window of order 6 and on a random list of order-8 windows, at
-    # thresholds that split them.  The degree check is rho <= Δ itself:
+    # thresholds that split them, every low mask examined.  The degree check is rho <= Δ itself:
     # the order-6 thresholds lie under both theorems', where
     # Δ >= n - degree_gap would drop graphs.
-    from histspec.scan import _codec, _survivors
+    from histspec.scan import _codec
     from histspec.spectral import GUARD, hong_value, theorem_spec
 
     rng = np.random.default_rng(43)
@@ -1193,19 +1233,21 @@ def test_prescreen_matches_per_graph_reference():
                         want.append(mk)
                 assert 0 < len(want) < len(masks)
                 cfg = ScanConfig(n=n, theta=theta, mode=mode)
-                assert _survivors(cfg, _codec(n), [(y, 1) for y in windows])[0].tolist() == want
+                got = _mask_survivors(monkeypatch, cfg, _codec(n), [(y, 1) for y in windows])[0]
+                assert got.tolist() == want
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_prescreen_table_matches_elementwise_hong():
+def test_prescreen_table_matches_elementwise_hong(monkeypatch):
     # The table lookup keeps exactly the masks that the element-wise
     # degree and Hong test keeps (hong_value on float64 d and int64 m per
     # mask), for both theorems, on the one window of order 6 and on a
-    # random list of order-8 windows.  The thresholds include Hong values
+    # random list of order-8 windows, every low mask examined.  The
+    # thresholds include Hong values
     # themselves (plus GUARD), where the >= test is a tie that only a
     # bit-identical table decides alike; neither side may raise a
     # RuntimeWarning.
-    from histspec.scan import _codec, _survivors
+    from histspec.scan import _codec
     from histspec.spectral import GUARD, hong_value, theorem_spec
 
     rng = np.random.default_rng(59)
@@ -1226,17 +1268,18 @@ def test_prescreen_table_matches_elementwise_hong():
                         & (hong >= theta - GUARD))
                 assert 0 < want.sum() < len(masks)
                 cfg = ScanConfig(n=n, theta=theta, mode=mode)
-                got = _survivors(cfg, c, [(y, 1) for y in windows])[0]
+                got = _mask_survivors(monkeypatch, cfg, c, [(y, 1) for y in windows])[0]
                 assert np.array_equal(got, masks[want])
 
 
-def test_survivors_match_per_mask_prescreen():
-    # _survivors against the straight path it replaces: every mask of the
-    # windows, then a per-mask degree floor and Hong check, for every
+def test_survivors_match_per_mask_prescreen(monkeypatch):
+    # _survivors, every low mask examined, against the straight path it
+    # replaces: every mask of the windows, then a per-mask degree floor
+    # and Hong check, for every
     # order 1..8, prescreens on and off, each survivor weighted by its
     # window's (random) weight.  Orders up to 6 are one window; orders 7
     # and 8 take random window lists, longer than a block.
-    from histspec.scan import BLOCK_WINDOWS, _codec, _survivors, degree_floor
+    from histspec.scan import BLOCK_WINDOWS, _codec, degree_floor
     from histspec.spectral import GUARD, hong_value
 
     rng = np.random.default_rng(61)
@@ -1263,7 +1306,7 @@ def test_survivors_match_per_mask_prescreen():
                                       & (hong >= theta - GUARD)]
                     want.append(masks)
                     want_weights.append(np.full(len(masks), k))
-                got, weights = _survivors(cfg, c, list(zip(windows, weight)))
+                got, weights = _mask_survivors(monkeypatch, cfg, c, list(zip(windows, weight)))
                 assert got.dtype == weights.dtype == np.uint32
                 assert np.array_equal(got, np.concatenate(want))
                 assert np.array_equal(weights, np.concatenate(want_weights))
@@ -1275,13 +1318,14 @@ def test_extremal_check_runs_once_per_fallback_key(monkeypatch):
     # Per scan_range call, the recognizer runs exactly once on each
     # distinct key that is over the threshold and left by the star and
     # double-star tests, on the key row itself, and never on a graph those
-    # tests settle, whichever group the key first appears in; every
+    # tests settle, whichever group of 2^8 rows the key first appears in; every
     # labeled copy of the extremal graph still counts: out.extremal equals
     # the recognizer's count over all over-threshold graphs, and the
-    # ungrouped reference gives the same ShardOut with one recognizer call
-    # per over-threshold graph the tests leave.  n = 7 scans its whole
-    # order; n = 8 the golden shard 301, since listing every over-threshold
-    # mask of its order would list 74,986,629.
+    # ungrouped reference (the identity route, every labeled graph its own
+    # key) gives the same ShardOut with one recognizer call per
+    # over-threshold graph the tests leave, and lists those graphs.  n = 7
+    # scans its whole order; n = 8 the golden shard 301, since listing
+    # every over-threshold mask of its order would list 74,986,629.
     from histspec import graphs, scan
 
     for n, mode, name in ((7, "thm1", "is_family_L"), (8, "thm2", "is_family_B")):
@@ -1296,12 +1340,15 @@ def test_extremal_check_runs_once_per_fallback_key(monkeypatch):
 
         monkeypatch.setattr(scan, "_class_keys", keyed)
         theta = threshold_connected(n) if mode == "thm1" else threshold_two_connected(n)
-        cfg = ScanConfig(n=n, theta=theta, mode=mode, collect_over=True)
+        cfg = ScanConfig(n=n, theta=theta, mode=mode)
         lo, hi = (0, 1 << 21) if n == 7 else (301 << 19, 302 << 19)
-        out = scan_range(cfg, lo, hi)
+        with monkeypatch.context() as m:
+            m.setattr(scan, "GROUP_ROWS", 1 << 8)
+            out = scan_range(cfg, lo, hi)
         grouped = len(calls)
         monkeypatch.setattr(scan, "_class_keys", _unchanged)
-        reference = scan_range(cfg, lo, hi)
+        listed = []
+        reference = identity_scan(cfg, range(lo >> 15, hi >> 15), listed)
         monkeypatch.undo()
         assert reference == out
         assert len(calls) - grouped == out.extremal + out.fallback_searches > grouped
@@ -1312,7 +1359,7 @@ def test_extremal_check_runs_once_per_fallback_key(monkeypatch):
         for rows, keys in groups:
             for row, key in zip(rows.tolist(), keys.tolist()):
                 first.setdefault(tuple(key), row)
-        over = set(out.over_masks)
+        over = set(listed)
         left = set()
         for key, row in first.items():
             g = Graph._from_rows_unchecked(n, key)
@@ -1322,9 +1369,9 @@ def test_extremal_check_runs_once_per_fallback_key(monkeypatch):
         assert sorted(g.rows for g in calls[:grouped]) == sorted(left)
         assert grouped > 0
         is_extremal = getattr(graphs, name)
-        want = sum(is_extremal(graph_from_mask(n, mk)) for mk in out.over_masks)
+        want = sum(is_extremal(graph_from_mask(n, mk)) for mk in listed)
         assert out.extremal == want
-        assert len(out.over_masks) == out.over > want
+        assert len(listed) == out.over > want
 
 
 def test_scan_decides_each_key_once_per_call(monkeypatch):
@@ -1475,9 +1522,9 @@ def _mixed_corpus(n, count, seed):
 def _per_graph_corpus_report(spec, theta, graphs):
     """What the corpus driver must report, graph by graph: the theorem's
     connectivity, degree floor and Hong bound, then power iteration, the
-    extremal recognizer and the exact HIST search.  The degree floor is
-    Δ >= theta - GUARD, from rho <= Δ; at the theorem's threshold that is
-    Δ >= n - degree_gap."""
+    extremal recognizer and the exact HIST search, each counterexample
+    one copy.  The degree floor is Δ >= theta - GUARD, from rho <= Δ; at
+    the theorem's threshold that is Δ >= n - degree_gap."""
     from histspec import hong_bound, is_family_B, is_family_L, spectral_radius
     from histspec.spectral import GUARD
 
@@ -1497,7 +1544,7 @@ def _per_graph_corpus_report(spec, theta, graphs):
         if find_hist(g).found:
             hists += 1
         else:
-            counterexamples.append(encode_graph6(g))
+            counterexamples.append([encode_graph6(g), 1])
     return survivors, over, hists, counterexamples
 
 
@@ -1574,7 +1621,7 @@ def test_corpus_star_settle_is_sound_below_threshold(tmp_path, monkeypatch):
         assert rep.extremal_matches == len(over) - hists - len(counterexamples)
         assert any(g.max_degree() == n - 1 for g in over)
         assert replayed and max(replayed) < n - 1
-        missed += [decode_graph6(c).max_degree() for c in counterexamples]
+        missed += [decode_graph6(c).max_degree() for c, _ in counterexamples]
     assert n - 2 in missed
 
 

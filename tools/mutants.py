@@ -97,9 +97,6 @@ MUTANTS = (
     Mutant("survivors-without-window-weight", "scan.py",
            "out.survivors += int(weights.sum(dtype=np.int64))", "out.survivors += len(weights)",
            (VERIFICATION + "test_window_classes_match_scanning_every_window",)),
-    Mutant("window-classes-when-listing", "scan.py",
-           "    if not cfg.collect_over:\n", "    if True:\n",
-           (VERIFICATION + "test_sampled_and_listing_scans_scan_every_window",)),
     Mutant("orbit-weight-dropped", "scan.py",
            "size[keep] * np.uint32(weight)", "np.full_like(size[keep], weight)",
            (VERIFICATION + "test_orbit_representatives_expand_to_the_window_survivors",)),
@@ -110,13 +107,17 @@ MUTANTS = (
            "_window_classes(c, range(len(c.hi_rows)))]",
            "_window_classes(c, range(len(c.hi_rows)))][:1]",
            (VERIFICATION + "test_audit_small",)),
+    Mutant("audit-unweighted", "verification.py",
+           "w[code != _scan.UNDER]) for m, w, code in",
+           "np.ones_like(w[code != _scan.UNDER])) for m, w, code in",
+           (VERIFICATION + "test_audit_small",)),
     Mutant("driver-scans-half-the-order", "verification.py",
            "scan_range(cfg, 0, 1 << (n * (n - 1) // 2))",
            "scan_range(cfg, 0, 1 << (n * (n - 1) // 2) - 1)",
-           (VERIFICATION + "test_theorem1_subsample_properties",)),
-    Mutant("counterexample-rescan-skipped", "scan.py",
-           "        if not out.counterexamples:\n", "        if True:\n",
-           (VERIFICATION + "test_window_classes_list_every_copy_of_a_counterexample",)),
+           (VERIFICATION + "test_theorem1_whole_order_counts",)),
+    Mutant("counterexample-copies-dropped", "scan.py",
+           "weights[bad].tolist()", "[1] * int(bad.sum())",
+           (VERIFICATION + "test_scan_range_makes_one_scan_call_with_counterexamples",)),
     Mutant("counterexamples-wrong-code", "scan.py",
            "bad = code == BAD", "bad = code == SEARCHED",
            (VERIFICATION + "test_scan_below_threshold_reports_real_counterexamples",)),

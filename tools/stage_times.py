@@ -53,8 +53,10 @@ workload runs first, so that the cached tables (`_codec`, the orbit
 tables) are built outside the timed passes, even with `--passes 1`.
 Besides its calls, each stage counts its rows: the length of its first
 numpy-array argument, or one per call for a stage that takes none (a
-`Graph`, a path) or takes one graph's row (`ONE_ROW`).  Calls and rows
-do not depend on the pass.
+`Graph`, a path) or takes one graph's row (`ONE_ROW`); a stage that takes
+its rows transposed, one array per vertex (`TRANSPOSED`), counts the
+graphs, the array's second axis.  Calls and rows do not depend on the
+pass.  Seconds are rounded to 1 µs.
 
 Stage names missing from the checkout are skipped, so the tool runs on
 older trees too, and named on stderr, so a renamed stage does not drop
@@ -89,6 +91,7 @@ STAGES = ("_survivors", "_rows_of_masks", "_key_words", "_class_keys", "_decide"
           "_double_star_feasible", "is_family_L", "is_family_B", "proof_guided_hist",
           "find_hist", "_graph_of_row")
 ONE_ROW = ("_graph_of_row",)
+TRANSPOSED = ("_reach_vec",)
 CORPUS_STAGES = ((graph6, "decode_graph6"), (verification, "hong_bound"),
                  (hist, "proof_guided_hist"), (hist, "is_valid_hist"),
                  (verification, "is_family_L"), (verification, "is_family_B"),
@@ -108,8 +111,9 @@ def _wrap(owner, name, seconds, calls, rows):
         finally:
             seconds[name] += time.perf_counter() - t0
             calls[name] += 1
-            rows[name] += 1 if name in ONE_ROW else next(
-                (len(a) for a in args if isinstance(a, np.ndarray)), 1)
+            first = next((a for a in args if isinstance(a, np.ndarray)), None)
+            rows[name] += (1 if name in ONE_ROW or first is None
+                           else first.shape[1] if name in TRANSPOSED else len(first))
 
     setattr(owner, name, timed)
     return real
@@ -136,18 +140,17 @@ def count_windows(run_pass) -> dict:
     """Windows scanned and in range, low masks examined and rows keyed
     over one pass of the labeled scan.  From the (window, weight) lists
     `scan._scan` takes, a window counts once as scanned and its weight
-    times as in range; a scan by orbits examines the representatives of
-    each window's `_orbit_table`, any other scan every low mask; the rows
-    keyed are the rows `_key_words` takes."""
+    times as in range; the low masks examined are the representatives of
+    each window's `_orbit_table`; the rows keyed are the rows
+    `_key_words` takes."""
     counts = {"scanned": 0, "in_range": 0, "examined": 0, "keyed": 0}
     reals = {name: getattr(scan, name) for name in ("_scan", "_orbit_table", "_key_words")
              if hasattr(scan, name)}
 
-    def scanned(cfg, c, windows, **orbits):
+    def scanned(cfg, c, windows):
         counts["scanned"] += len(windows)
         counts["in_range"] += sum(weight for _, weight in windows)
-        counts["examined"] += 0 if orbits.get("orbits") else len(windows) << c.low_bits
-        return reals["_scan"](cfg, c, windows, **orbits)
+        return reals["_scan"](cfg, c, windows)
 
     def table(blocks):
         tables = reals["_orbit_table"](blocks)
@@ -193,7 +196,7 @@ def measure(run_pass, passes: int, sites) -> tuple[dict, list[float]]:
         for name, s in seconds.items():
             best[name] = min(best.get(name, float("inf")), s / factor)
         calls, rows = counts, sizes
-    stages = {name: {"s": round(best[name], 4), "calls": calls.get(name, 1),
+    stages = {name: {"s": round(best[name], 6), "calls": calls.get(name, 1),
                      "rows": rows.get(name, 1), "share": round(best[name] / best["pass"], 3)}
               for name in best}
     return stages, factors
@@ -238,7 +241,7 @@ def main(argv=None) -> None:
                    if windows else "")
         print(f"{workload} (speed factors {factors}{scanned})")
         for name, row in result[workload].items():
-            print(f"  {name:<24} {row['s']:>8.3f} s {row['share']:>6.1%} {row['calls']:>8}"
+            print(f"  {name:<24} {row['s'] * 1e3:>9.3f} ms {row['share']:>6.1%} {row['calls']:>8}"
                   f" {row['rows']:>9}")
 
 
