@@ -948,38 +948,54 @@ def test_scans_examine_the_orbits_of_the_whole_order(monkeypatch):
         assert sum(examined) == want and out.survivors > 0
 
 
-def test_scan_range_makes_one_scan_call_with_counterexamples(monkeypatch):
-    # scan_range scans its window classes in one `_scan` call, also when
-    # that call finds counterexamples, and lists each counterexample
-    # representative once, its copies the labeled graphs it stands for.
-    # At theta = 3.7, under rho(L_7), n=7 shard 1 has counterexamples in
-    # window classes of several windows: 11 representatives, 524 copies.
-    # n = 6 is one window, its own class of weight 1, whose stabilizer is
-    # all of S_6: under thm2 at theta = rho(B_6) its counterexamples are
-    # representatives of orbits of several masks, 195 copies.  Each time
-    # the identity route lists one counterexample per copy, as many, and
-    # every other field alike.
+def _scan_once_with_counterexamples(monkeypatch, cfg, lo, hi):
+    """Scan [lo, hi), check that it is one `_scan` call over the window
+    classes that lists each counterexample representative once, with at
+    least one of weight above 1, and that the identity route, which lists
+    one counterexample per copy, agrees on every other field and on the
+    number of copies."""
     from histspec import scan
-    from histspec.graphs import make_family
 
     runs = []
     real = scan._scan
     monkeypatch.setattr(scan, "_scan", lambda *args: runs.append(args[2]) or real(*args))
-    for cfg, lo, hi, counts in (
-            (ScanConfig(n=7, theta=3.7, mode="thm1"), 1 << 19, 2 << 19, (11, 524)),
-            (ScanConfig(n=6, theta=eigvalsh_rho(make_family("B", 6)), mode="thm2"),
-             0, 1 << 15, (2, 195))):
-        del runs[:]
-        out = scan_range(cfg, lo, hi)
-        c = scan._codec(cfg.n)
-        windows = range(lo >> c.low_bits, hi >> c.low_bits)
-        assert runs == [scan._window_classes(c, windows)]
-        assert max(k for _, k in out.counterexamples) > 1
-        assert (len(out.counterexamples), sum(k for _, k in out.counterexamples)) == counts
-        listed = identity_scan(cfg, windows)
-        assert len(listed.counterexamples) == counts[1]
-        assert dataclasses.replace(out, counterexamples=[]) == dataclasses.replace(
-            listed, counterexamples=[])
+    out = scan_range(cfg, lo, hi)
+    c = scan._codec(cfg.n)
+    windows = range(lo >> c.low_bits, hi >> c.low_bits)
+    assert runs == [scan._window_classes(c, windows)]
+    assert max(k for _, k in out.counterexamples) > 1
+    listed = identity_scan(cfg, windows)
+    assert len(listed.counterexamples) == sum(k for _, k in out.counterexamples)
+    assert dataclasses.replace(out, counterexamples=[]) == dataclasses.replace(
+        listed, counterexamples=[])
+    return out
+
+
+def test_window_classes_list_every_copy_of_a_counterexample(monkeypatch):
+    # At theta = 3.7, under rho(L_7), n=7 shard 1 has counterexamples in
+    # window classes of several windows.  The scan finds them in its one
+    # `_scan` call, no rescan: 11 representatives whose copies sum to the
+    # 524 counterexamples the identity route lists.
+    cfg = ScanConfig(n=7, theta=3.7, mode="thm1")
+    out = _scan_once_with_counterexamples(monkeypatch, cfg, 1 << 19, 2 << 19)
+    assert (len(out.counterexamples), sum(k for _, k in out.counterexamples)) == (11, 524)
+
+
+def test_orbit_weights_rescan_a_counterexample(monkeypatch):
+    # n = 6 is one window, its own class of weight 1, whose stabilizer is
+    # all of S_6: under thm2 at theta = rho(B_6) its counterexamples are
+    # found on orbit representatives of weight above 1.  The orbit weights
+    # recount them in the one `_scan` call, no rescan: 2 representatives,
+    # in mask order, whose copies sum to the 195 counterexamples the
+    # identity route lists.
+    from histspec.graphs import make_family
+
+    cfg = ScanConfig(n=6, theta=eigvalsh_rho(make_family("B", 6)), mode="thm2")
+    out = _scan_once_with_counterexamples(monkeypatch, cfg, 0, 1 << 15)
+    assert (out.over, out.extremal) == (10_948, 360)
+    assert (len(out.counterexamples), sum(k for _, k in out.counterexamples)) == (2, 195)
+    masks = [mask_of_graph(decode_graph6(text)) for text, _ in out.counterexamples]
+    assert masks == sorted(set(masks))
 
 
 def test_sampled_and_listing_scans_scan_every_window():

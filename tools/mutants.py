@@ -117,7 +117,8 @@ MUTANTS = (
            (VERIFICATION + "test_theorem1_whole_order_counts",)),
     Mutant("counterexample-copies-dropped", "scan.py",
            "weights[bad].tolist()", "[1] * int(bad.sum())",
-           (VERIFICATION + "test_scan_range_makes_one_scan_call_with_counterexamples",)),
+           (VERIFICATION + "test_window_classes_list_every_copy_of_a_counterexample",
+            VERIFICATION + "test_orbit_weights_rescan_a_counterexample")),
     Mutant("counterexamples-wrong-code", "scan.py",
            "bad = code == BAD", "bad = code == SEARCHED",
            (VERIFICATION + "test_scan_below_threshold_reports_real_counterexamples",)),
