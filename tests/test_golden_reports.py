@@ -2,8 +2,8 @@
 
 `golden_reports.json` holds the JSON of a few reports, one scan shard
 with a digest of its over-threshold masks (listed by the identity route
-of `helpers.py`), a digest of proof-replay traces and the stdout of four `histspec verify`
-commands.  Any change to a count, a threshold float or a counterexample string fails
+of `helpers.py`), digests of proof-replay traces and of `find_hist`
+outcomes, and the stdout of four `histspec verify` commands.  Any change to a count, a threshold float or a counterexample string fails
 here, so a refactor or a shortcut that is meant to leave outputs alone is
 checked to do so.  Re-record only for an intended change of output:
 
@@ -24,9 +24,9 @@ from contextlib import redirect_stdout
 from dataclasses import asdict
 
 from histspec import cli
-from histspec import (Graph, InvariantViolation, decode_graph6, encode_graph6, make_family,
-                      verify_theorem1, verify_theorem2)
-from histspec.hist import proof_guided_hist
+from histspec import (Graph, InvariantViolation, complete_bipartite, decode_graph6,
+                      encode_graph6, make_family, verify_theorem1, verify_theorem2)
+from histspec.hist import find_hist, proof_guided_hist
 from histspec.scan import ScanConfig, scan_range
 from histspec.verification import GRAPH6_CORPUS, threshold_two_connected
 
@@ -124,6 +124,44 @@ def replay_digest() -> dict:
     return {"counts": counts, "sha256": h.hexdigest()}
 
 
+def search_inputs():
+    """Seeded connected inputs for `find_hist`: 400 graphs of order 10..16
+    drawn as the hist_search benchmark draws its own (edge probability
+    2.6/n + U(0, 0.1)) but from another seed, then 300 graphs of order
+    6..14 with edge probability U(0.15, 0.8), then K_{2,q} for q = 2..12."""
+    rng = random.Random(37)
+
+    def connected(n, p):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        while True:
+            g = Graph(n, [e for e in pairs if rng.random() < p])
+            if g.is_connected():
+                return g
+
+    for _ in range(400):
+        n = rng.randint(10, 16)
+        yield connected(n, 2.6 / n + rng.uniform(0, 0.1))
+    for _ in range(300):
+        yield connected(rng.randint(6, 14), rng.uniform(0.15, 0.8))
+    for q in range(2, 13):
+        yield complete_bipartite(2, q)
+
+
+def search_digest() -> dict:
+    """Verdict counts and one SHA-256 over every `find_hist` outcome
+    (found, tree edges, certificate kind and vertices)."""
+    counts = {}
+    h = hashlib.sha256()
+    for g in search_inputs():
+        out = find_hist(g)
+        cert = out.certificate
+        key = "found" if out.found else cert.kind
+        counts[key] = counts.get(key, 0) + 1
+        item = (out.found, out.tree_edges, cert and cert.kind, cert and cert.vertices)
+        h.update(repr(item).encode() + b"\n")
+    return {"counts": counts, "sha256": h.hexdigest()}
+
+
 def _report(rep, corpus_path=None):
     d = asdict(rep)
     del d["elapsed"]
@@ -165,6 +203,7 @@ def current_reports(tmp_dir) -> dict:
                                                   corpus_path=corpus_path), corpus_path),
         f"scan_range_thm2_n8_shard{SHARD}": shard,
         "proof_replay": replay_digest(),
+        "find_hist": search_digest(),
         "cli_verify": cli_verify(),
     }
 

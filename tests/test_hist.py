@@ -247,10 +247,27 @@ def test_sparse_n20_found_within_small_budget():
     ("T_agB??P?K[?OGO?a???_CEGX_????O?D??@", 2_500),
 ])
 def test_sparse_graphs_found_within_small_budget(code, budget):
-    # Without the adopter prune the search examines 64,204 (n=19) and
-    # 17,304 (n=21) child sets before its first HIST; with it, 78 and 1,922.
+    # Without the adopter prune the search counts 64,204 (n=19) and
+    # 17,304 (n=21) nodes before its first HIST; with it, far fewer
+    # (test_search_node_counts_are_pinned).
     g = decode_graph6(code)
     out = find_hist(g, budget=budget)
+    assert out.found and is_valid_hist(g, out.tree_edges)
+
+
+@pytest.mark.parametrize("code, nodes", [
+    ("S_KPU?E_?AHoIGaG_?G_?_?E?OCLIGG`W", 11),
+    ("RY?eA?Gh?G_S??O???JfAAJ?o_A?UG", 78),
+    ("T_agB??P?K[?OGO?a???_CEGX_????O?D??@", 1_922),
+])
+def test_search_node_counts_are_pinned(code, nodes):
+    # The exact number of nodes the search counts up to its first HIST: a
+    # budget one short raises, the count itself finds.  A change to the
+    # search that is meant to keep its order and its counting keeps these.
+    g = decode_graph6(code)
+    with pytest.raises(SearchBudgetError):
+        find_hist(g, budget=nodes - 1)
+    out = find_hist(g, budget=nodes)
     assert out.found and is_valid_hist(g, out.tree_edges)
 
 
