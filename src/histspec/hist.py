@@ -11,7 +11,10 @@ with no vertex of degree exactly 2.  This module provides:
     choosing all its children at once so that none has tree degree 2,
     and that cuts a branch once some unplaced vertex can no longer get a
     parent that takes two or more children (find_hist), after the
-    degree-2 leaf rule below;
+    degree-2 leaf rule below; a queued vertex left with at most one
+    unplaced neighbour is forced to stay a leaf and is settled without
+    that cut's check, and one placement list with a parent array holds
+    the tree grown so far;
   * an independent brute-force oracle enumerating all spanning trees by
     deletion/contraction (oracle_hist): an edge is taken when one `_reach`
     over the taken edges' bit rows misses its far end, and skipped when
@@ -174,9 +177,19 @@ def find_hist(g: Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> HistOutcome:
     and so is every ancestor up to the first queued one.  The prune keeps
     the depth-first order, so the first HIST found is the one the search
     without it would find, and the search's "no" is EXHAUSTED_SEARCH.
-    The budget counts the child sets examined; exceeding it raises
-    SearchBudgetError.  Runs are deterministic.  A disconnected graph
-    raises ValueError; from n = 3 on, no_hist_certificate makes that check.
+
+    A queued non-root vertex with at most one unplaced neighbour is
+    forced: its one legal child set is the empty one.  It is no adopter,
+    so dropping it from the queue leaves the prune's answer as it was when
+    its state was admitted.  Forced vertices are settled in a loop, with
+    no prune check and no recursion.  The vertices are kept in one list in
+    placement order, whose tail from an index on is the queue; it is cut
+    back on backtrack, and a parent array holds the tree edges.
+
+    The budget counts the child sets examined, a forced vertex's empty set
+    included; exceeding it raises SearchBudgetError.  Runs are
+    deterministic.  A disconnected graph raises ValueError; from n = 3 on,
+    no_hist_certificate makes that check.
     """
     if g.n <= 2:
         if not g.is_connected():
@@ -196,24 +209,40 @@ def find_hist(g: Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> HistOutcome:
 def _backtrack_hist(g: Graph, budget: int):
     n = g.n
     full = (1 << n) - 1
+    rows = g.rows
     degs = g.degrees()
     leaves = sum(1 << v for v in range(n) if degs[v] == 2)
     core = full & ~leaves
-    if (not core or _reach(g.rows, core & -core, core) != core
-            or any(not g.rows[v] & core for v in _bits(leaves))):
+    if (not core or _reach(rows, core & -core, core) != core
+            or any(not rows[v] & core for v in _bits(leaves))):
         return None
     root = max(_bits(core), key=lambda v: (degs[v], -v))
+    order = [root]  # placement order; order[head:] is the queue
+    parent = [root] * n
     nodes = 0
 
-    def grow(queue, waiting, placed, edges):
-        # queue: placed vertices yet to choose their children, first in
-        # first out; waiting: the same vertices as a bitmask.
+    def grow(head, waiting, placed):
+        # waiting: the queued vertices order[head:] as a bitmask.
         nonlocal nodes
         if placed == full:
-            return edges
-        v, rest = queue[0], queue[1:]
-        free = g.rows[v] & ~placed
+            return True
+        v = order[head]
+        free = rows[v] & ~placed
+        while v != root and free.bit_count() < 2:  # forced: no children
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetError(
+                    f"HIST search exceeded budget of {budget} nodes"
+                )
+            waiting ^= 1 << v
+            head += 1
+            if head == len(order):  # the queue ran dry with vertices unplaced
+                return False
+            v = order[head]
+            free = rows[v] & ~placed
+        waiting ^= 1 << v
         banned = (0, 2) if v == root else (1,)  # child counts giving tree degree 2
+        size = len(order)
         kids = free
         while True:
             if kids.bit_count() not in banned:
@@ -222,18 +251,21 @@ def _backtrack_hist(g: Graph, budget: int):
                     raise SearchBudgetError(
                         f"HIST search exceeded budget of {budget} nodes"
                     )
-                now, after = placed | kids, waiting ^ (1 << v) | kids
-                if _covered(g.rows, core, now, after) == full:
-                    born = tuple(_bits(kids))
-                    tree = grow(rest + born, after, now, edges + [(v, w) for w in born])
-                    if tree is not None:
-                        return tree
+                now, after = placed | kids, waiting | kids
+                if _covered(rows, core, now, after) == full:
+                    for w in _bits(kids):
+                        order.append(w)
+                        parent[w] = v
+                    if grow(head + 1, after, now):
+                        return True
+                    del order[size:]
             if not kids:
-                return None
+                return False
             kids = (kids - 1) & free
 
-    tree = grow((root,), 1 << root, 1 << root, [])
-    return None if tree is None else sorted((min(e), max(e)) for e in tree)
+    if not grow(0, 1 << root, 1 << root):
+        return None
+    return sorted((min(v, parent[v]), max(v, parent[v])) for v in order[1:])
 
 
 def _covered(rows, core, placed, queued) -> int:

@@ -120,14 +120,18 @@ def hong_bound(g: Graph) -> float:
 
     The minimum degree and the edge count are read from one degree list,
     not from two walks of the rows; the corpus path calls this once per
-    connected graph at or above its degree floor.
+    connected graph at or above its degree floor.  The list is read before
+    the connectivity check, which runs only when 2δ < n - 1: a disconnected
+    graph has a component of at most n/2 vertices, so its minimum degree is
+    at most n/2 - 1.
     """
     if g.n < 2:
         raise ValueError("hong_bound needs n >= 2")
-    if not g.is_connected():
-        raise ValueError("hong_bound requires a connected graph")
     degs = g.degrees()
-    return hong_value(min(degs), g.n, sum(degs) // 2)
+    dmin = min(degs)
+    if 2 * dmin < g.n - 1 and not g.is_connected():
+        raise ValueError("hong_bound requires a connected graph")
+    return hong_value(dmin, g.n, sum(degs) // 2)
 
 
 # -- family characteristic quartics ------------------------------------------

@@ -96,7 +96,7 @@ class VerificationReport(_Report):
         for text, copies in self.counterexamples:
             lines.append(f"    counterexample {text} copies {copies}")
         lines.append(f"  scope: {self.scope}")
-        lines.append(f"  elapsed {self.elapsed:.2f}s")
+        lines.append(f"  elapsed {self.elapsed:.3f}s")
         return "\n".join(lines)
 
 
@@ -302,7 +302,7 @@ class CorollaryReport(_Report):
                 bits.append(f"rho_B={r.rho_B:.9f} < {r.cap_B:.9f}: {'ok' if r.ok_B else 'VIOLATION'}")
                 bits.append(f"(tighter stated cap holds: {r.stated_B_cap_holds})")
             lines.append(" ".join(bits))
-        lines.append(f"violations: {self.violations}; elapsed {self.elapsed:.2f}s")
+        lines.append(f"violations: {self.violations}; elapsed {self.elapsed:.3f}s")
         return "\n".join(lines)
 
 
@@ -366,7 +366,7 @@ class CertificateReport(_Report):
         ]
         for r in self.family_rows:
             lines.append(f"  {r['family']} n={r['n']}: certificate = {r['certificate']}")
-        lines.append(f"  elapsed {self.elapsed:.2f}s")
+        lines.append(f"  elapsed {self.elapsed:.3f}s")
         return "\n".join(lines)
 
 

@@ -141,8 +141,16 @@ def test_delta_bound():
 def test_hong_bound_values():
     assert hong_bound(complete(4)) == pytest.approx(3.0)          # tight
     assert hong_bound(path_graph(4)) == pytest.approx(math.sqrt(3))
-    with pytest.raises(ValueError):
-        hong_bound(Graph(4, [(0, 1), (2, 3)]))
+    # Two disjoint copies of K_{n/2} have 2δ = n - 2, the largest minimum
+    # degree a disconnected graph of order n can have, so hong_bound must
+    # still run its connectivity check there.
+    for n in (4, 8, 10):
+        half = n // 2
+        edges = [(i, j) for j in range(half) for i in range(j)]
+        g = Graph(n, edges + [(i + half, j + half) for i, j in edges])
+        assert 2 * min(g.degrees()) == n - 2 and not g.is_connected()
+        with pytest.raises(ValueError):
+            hong_bound(g)
 
 
 def test_hong_value_scalar_and_array_paths_agree_bit_for_bit():

@@ -92,7 +92,7 @@ def test_theorem1_whole_order_counts():
         assert rep.threshold == pytest.approx(threshold_connected(n))
 
 
-def test_theorem2_subsample_properties():
+def test_theorem2_whole_order_counts():
     # The whole labeled order, the counts criterion 2 pins.
     rep = verify_theorem2(8)
     assert rep.ok
@@ -123,7 +123,7 @@ def test_report_arithmetic_enforced():
             theorem="thm1", n=7, source="labeled_exhaustive", threshold=4.0,
             scanned=10, prescreen_survivors=5, over_threshold=over,
             extremal_matches=1, hists_found=1, counterexamples=counterexamples,
-            elapsed=0.0, scope="x",
+            elapsed=0.0042, scope="x",
         )
 
     with pytest.raises(InvariantViolation):
@@ -131,6 +131,7 @@ def test_report_arithmetic_enforced():
     rep = report(5, [["C~", 3]])
     assert rep.counterexample_copies == 3 and not rep.ok
     assert "  counterexamples      3\n    counterexample C~ copies 3\n" in rep.text()
+    assert "  elapsed 0.004s" in rep.text()  # a whole order of n <= 8 takes ms
     for over, counterexamples in ((4, [["C~", 3]]), (2, [["C~", 0]]), (1, [["C~", -1]]),
                                   (3, [["C~", 2], ["C~", -1]])):
         with pytest.raises(InvariantViolation):

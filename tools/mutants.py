@@ -137,9 +137,18 @@ MUTANTS = (
     Mutant("search-adopter-needs-three", "hist.py",
            "if kids & (kids - 1):  # an adopter", 'if kids.bit_count() >= 3:  # an adopter',
            ("tests/test_hist.py::test_oracle_equivalence_exhaustive_n6",)),
+    Mutant("search-forced-node-uncounted", "hist.py",
+           "# forced: no children\n            nodes += 1\n", "# forced: no children\n",
+           ("tests/test_hist.py::test_search_node_counts_are_pinned",)),
+    Mutant("search-forced-with-two-free", "hist.py",
+           "free.bit_count() < 2:  # forced", "free.bit_count() < 3:  # forced",
+           ("tests/test_hist.py::test_oracle_equivalence_exhaustive_n6",)),
     Mutant("spanning-trees-skip-unchecked", "hist.py",
            "if _reach(usable, 1, full) == full:", "if True:",
            ("tests/test_hist.py::test_spanning_trees_skip_only_edges_the_rest_can_spare",)),
+    Mutant("hong-skips-bfs-at-half-degree", "spectral.py",
+           "2 * dmin < g.n - 1 and", "2 * dmin < g.n - 2 and",
+           ("tests/test_spectral.py::test_hong_bound_values",)),
     Mutant("ears-not-distinct", "graphs.py",
            "if len({s0, s1, s2, s3, s4}) == 5:", "if True:",
            ("tests/test_graphs.py::test_family_recognizers_are_pinned",)),
