@@ -7,14 +7,19 @@ group offset by 63, zero-padded at the end.
 
 Decoding reads each data byte's share of the adjacency rows straight from
 the per-order tables of `graphs._row_tables`, indexed by the byte's raw
-value, and ORs them; no edge mask is built.  An entry is None for a byte
-outside 63..126 or a last byte with padding bits set, and only then does
-decoding work out which error to raise.
+value, and adds them (the shares are disjoint, so the sum is their OR); no
+edge mask is built.  An entry is None for a byte outside 63..126 or a last
+byte with padding bits set.  A record of the length its order byte
+calls for is decoded at once; every other line, and a record that meets
+a None entry, goes through the checks of `_decode`, which raise the
+first error.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from functools import cache
+from operator import getitem
+from typing import Callable, Iterable, Iterator
 
 from .graphs import _REVERSED6, Graph, _row_tables, edge_slots, mask_of_graph
 
@@ -40,14 +45,44 @@ def decode_graph6(line: str) -> Graph:
     in errors refer to the line as given.
     """
     body = line.rstrip("\r\n")
+    length, decode = _record_decoder(body[:1])
+    if len(body) == length:
+        try:
+            return decode(body)
+        except (TypeError, UnicodeEncodeError):  # a None entry, or a character above 255
+            pass  # _decode names the byte
     if body.startswith(HEADER):
         return _decode(body[len(HEADER):], len(HEADER))
     return _decode(body, 0)
 
 
+@cache
+def _record_decoder(order_byte: str) -> tuple[int, Callable[[str], Graph] | None]:
+    """The record length and the decoder of the short-form records whose
+    first character is `order_byte`, built on first use; (-1, None) when
+    it names no order 1..62.
+
+    The decoder takes a record of that length.  It raises TypeError on a
+    byte outside 63..126 or set padding bits (a None entry), and
+    UnicodeEncodeError on a character above 255.
+    """
+    n = ord(order_byte) - 63 if len(order_byte) == 1 else -1
+    if not 1 <= n <= 62:
+        return -1, None
+    tables, width, unpack = _row_tables(n)
+    unpack = unpack.unpack
+
+    def decode(body: str) -> Graph:
+        # latin-1 maps characters 0..255 to bytes of the same value
+        packed = sum(map(getitem, tables, body[1:].encode("latin-1")))
+        return Graph._from_rows_unchecked(n, unpack(packed.to_bytes(width, "little")))
+
+    return 1 + len(tables), decode
+
+
 def _decode(body: str, base: int) -> Graph:
-    """Decode a record with no header and no line end; error offsets are
-    base plus the offset into body."""
+    """Decode a record with no header and no line end, checking it in
+    full; error offsets are base plus the offset into body."""
     if not body:
         raise Graph6FormatError("empty record", base)
     first = ord(body[0])
@@ -69,19 +104,14 @@ def _decode(body: str, base: int) -> Graph:
     if n == 0:
         raise Graph6FormatError("graph of order 0 not supported", base)
 
-    tables, width, unpack = _row_tables(n)
-    packed = 0
     try:
-        # latin-1 maps characters 0..255 to bytes of the same value
-        for table, c in zip(tables, body[1:].encode("latin-1")):
-            packed |= table[c]
-    except (TypeError, UnicodeEncodeError):  # a None entry, or a character above 255
+        return _record_decoder(body[0])[1](body)
+    except (TypeError, UnicodeEncodeError):
         k = len(body) - len(body[1:].lstrip(_PRINTABLE))  # the first byte outside 63..126
         if k < len(body):
             raise Graph6FormatError(
                 f"byte {ord(body[k])} outside printable range 63..126", base + k) from None
         raise Graph6FormatError("nonzero padding bits", base + nbytes) from None
-    return Graph._from_rows_unchecked(n, unpack.unpack(packed.to_bytes(width, "little")))
 
 
 def encode_graph6(g: Graph) -> str:
@@ -108,18 +138,20 @@ def stream_graph6(
     strict=False bad lines are skipped and appended to `bad` as
     (lineno, error) when a list is supplied.
     """
-    first = True
     for lineno, raw in enumerate(lines, start=1):
-        body = raw.rstrip("\r\n")
-        if first and body.startswith(HEADER):
-            body = body[len(HEADER):]
-        first = False
-        if not body:
-            continue
         try:
-            # decode_graph6, the per-record decode, would strip a header
-            # again; past the start of the stream it is a malformed record
-            yield lineno, _decode(body, 0) if body.startswith(HEADER) else decode_graph6(body)
+            # ">" (byte 62) sorts below every order byte, and a blank line,
+            # a header and any byte below 63 sort at or below it
+            if raw[:1] > ">":
+                yield lineno, decode_graph6(raw)
+                continue
+            body = raw.rstrip("\r\n")
+            if lineno == 1 and body.startswith(HEADER):
+                body = body[len(HEADER):]
+            if body:
+                # decode_graph6 would strip a header again; past the start
+                # of the stream it is a malformed record
+                yield lineno, decode_graph6(body) if body[:1] > ">" else _decode(body, 0)
         except Graph6FormatError as err:
             if strict:
                 raise Graph6FormatError(err.message, err.offset, lineno) from None

@@ -76,7 +76,7 @@ class Graph:
         return self.rows[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return [r.bit_count() for r in self.rows]
+        return list(map(int.bit_count, self.rows))
 
     def max_degree(self) -> int:
         return max(self.degrees())

@@ -42,7 +42,6 @@ vertex may not take exactly one child, so it always stays a leaf.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -392,7 +391,7 @@ class ProofTrace:
     recognized_family: str | None = None
 
     def __post_init__(self):
-        vals = list(self.vertex_roles.values())
+        vals = self.vertex_roles.values()
         if len(vals) != len(set(vals)):
             raise InvariantViolation(f"duplicate vertices in roles {self.vertex_roles}")
 
@@ -439,22 +438,19 @@ def proof_guided_hist(g: Graph, theorem: str) -> ProofTrace:
     if delta < n - spec.degree_gap:
         return ProofTrace(f"{theorem}/max-degree<n-{spec.degree_gap}/outside:below-range")
     hub = degs.index(delta)
-    outsiders = tuple(_bits(((1 << n) - 1) ^ g.rows[hub] ^ (1 << hub)))
-    if len(outsiders) != n - 1 - delta:  # the hub's row holds its own bit, a loop
+    missed = ((1 << n) - 1) ^ g.rows[hub] ^ (1 << hub)  # the outsiders
+    if missed.bit_count() != n - 1 - delta:  # the hub's row holds its own bit, a loop
         raise ValueError(f"{theorem} replay needs a simple graph: vertex {hub} has "
-                         f"degree {delta} but misses {len(outsiders)} vertices")
+                         f"degree {delta} but misses {missed.bit_count()} vertices")
 
     if delta == n - 1:
         return _emit(g, hub, f"{theorem}/max-degree=n-1/star", {"hub": hub}, [])
+    last = missed.bit_length() - 1
     if theorem == "one_connected":
-        return _guided_one_connected(g, hub, *outsiders)
+        return _guided_one_connected(g, hub, last)
     if delta == n - 2:
-        return _guided_two_missing_one(g, hub, *outsiders)
-    return _guided_two_missing_two(g, hub, *outsiders)
-
-
-def _star_minus(g, hub, removed) -> list[tuple[int, int]]:
-    return [(hub, w) for w in _bits(g.rows[hub] & ~removed)]
+        return _guided_two_missing_one(g, hub, last)
+    return _guided_two_missing_two(g, hub, _low(missed), last)
 
 
 def _first_hist(g, hub, candidates) -> ProofTrace | None:
@@ -463,11 +459,17 @@ def _first_hist(g, hub, candidates) -> ProofTrace | None:
     A candidate is (label, roles, removed, extra).  Its tree is the hub's
     star minus the leaves in the bitmask `removed`, plus the edges `extra`.
     """
+    star = g.rows[hub]
     for label, roles, removed, extra in candidates:
-        tree = _star_minus(g, hub, removed) + extra
+        tree = list(extra)
+        leaves = star & ~removed
+        while leaves:  # _bits inlined: this runs once per candidate
+            low = leaves & -leaves
+            tree.append((hub, low.bit_length() - 1))
+            leaves ^= low
         if is_valid_hist(g, tree):
-            outcome = HistOutcome(found=True, tree_edges=tuple(sorted(tree)))
-            return ProofTrace(case_label=label, vertex_roles=roles, outcome=outcome)
+            tree.sort()
+            return ProofTrace(label, roles, HistOutcome(True, tuple(tree)))
     return None
 
 
@@ -475,13 +477,15 @@ def _emit(g, hub, label, roles, extra) -> ProofTrace:
     """The whole star plus `extra`, which the proof guarantees is a HIST."""
     trace = _first_hist(g, hub, [(label, roles, 0, extra)])
     if trace is None:
-        tree = _star_minus(g, hub, 0) + extra
+        tree = [(hub, w) for w in _bits(g.rows[hub])] + extra
         raise InvariantViolation(f"case {label} emitted a non-HIST tree {tree}")
     return trace
 
 
 def _roles(**kv) -> dict[str, int]:
     """Role map keeping the first name for any repeated vertex."""
+    if len(set(kv.values())) == len(kv):
+        return kv
     out = {}
     for k, v in kv.items():
         if v not in out.values():
@@ -491,13 +495,10 @@ def _roles(**kv) -> dict[str, int]:
 
 def _guided_one_connected(g: Graph, x: int, y: int) -> ProofTrace:
     """Connected case with max degree n-2: detour tree or family recognition."""
-    attach = g.rows[y]  # neighbors of y, all inside N(x)
-    hit = _first_hist(g, x, (
-        ("one_connected/max-degree=n-2/detour",
-         _roles(hub=x, outsider=y, pivot=x_i, detour=x_j), 1 << x_j, [(x_i, y), (x_i, x_j)])
-        for x_i in _bits(attach) for x_j in _bits(g.rows[x_i] & g.rows[x])))
+    hit = _first_hist(g, x, _detours(g, x, y))
     if hit:
         return hit
+    attach = g.rows[y]  # neighbors of y, all inside N(x)
     if attach.bit_count() != 1:
         return ProofTrace("one_connected/max-degree=n-2/outside:multiple-attachments",
                           _roles(hub=x, outsider=y))
@@ -511,20 +512,22 @@ def _guided_one_connected(g: Graph, x: int, y: int) -> ProofTrace:
                       recognized_family="L")
 
 
+def _detours(g: Graph, x, y):
+    """Candidates of the connected case with max degree n-2."""
+    attach = g.rows[y]  # neighbors of y, all inside N(x)
+    for x_i in _bits(attach):
+        for x_j in _bits(g.rows[x_i] & g.rows[x]):
+            yield ("one_connected/max-degree=n-2/detour",
+                   _roles(hub=x, outsider=y, pivot=x_i, detour=x_j), 1 << x_j,
+                   [(x_i, y), (x_i, x_j)])
+
+
 def _guided_two_missing_one(g: Graph, u: int, v: int) -> ProofTrace:
     """2-connected case with max degree n-2."""
-    nu, nv = g.rows[u], g.rows[v]  # N(v) is inside N(u)
-    neighbor_pairs = (
-        ("two_connected/max-degree=n-2/neighbor-pair",
-         _roles(hub=u, outsider=v, pivot=u_r, mate=u_s), 1 << u_s, [(u_r, v), (u_r, u_s)])
-        for u_r in _bits(nv) for u_s in _bits(g.rows[u_r] & nv))
-    cross_edges = (
-        ("two_connected/max-degree=n-2/cross-edge",
-         _roles(hub=u, outsider=v, pivot=u_i, detour=u_j), 1 << u_j, [(v, u_i), (u_i, u_j)])
-        for u_i in _bits(nv) for u_j in _bits(g.rows[u_i] & (nu ^ nv)))
-    hit = _first_hist(g, u, itertools.chain(neighbor_pairs, cross_edges))
+    hit = _first_hist(g, u, _missing_one(g, u, v))
     if hit:
         return hit
+    nu, nv = g.rows[u], g.rows[v]  # N(v) is inside N(u)
     # A candidate, when one exists, is a HIST.  Without one N(v) is
     # independent and, as u is no cut vertex, equal to N(u): the graph is
     # K_{2,n-2}, which the proof eliminates by counting.
@@ -532,6 +535,21 @@ def _guided_two_missing_one(g: Graph, u: int, v: int) -> ProofTrace:
         raise InvariantViolation("no neighbor-pair or cross-edge HIST, yet N(v) != N(u)")
     return ProofTrace("two_connected/max-degree=n-2/outside:complete-bipartite",
                       _roles(hub=u, outsider=v))
+
+
+def _missing_one(g: Graph, u, v):
+    """Candidates of the 2-connected case with max degree n-2."""
+    nu, nv = g.rows[u], g.rows[v]  # N(v) is inside N(u)
+    for u_r in _bits(nv):
+        for u_s in _bits(g.rows[u_r] & nv):
+            yield ("two_connected/max-degree=n-2/neighbor-pair",
+                   _roles(hub=u, outsider=v, pivot=u_r, mate=u_s), 1 << u_s,
+                   [(u_r, v), (u_r, u_s)])
+    for u_i in _bits(nv):
+        for u_j in _bits(g.rows[u_i] & (nu ^ nv)):
+            yield ("two_connected/max-degree=n-2/cross-edge",
+                   _roles(hub=u, outsider=v, pivot=u_i, detour=u_j), 1 << u_j,
+                   [(v, u_i), (u_i, u_j)])
 
 
 def _guided_two_missing_two(g: Graph, u: int, v1: int, v2: int) -> ProofTrace:

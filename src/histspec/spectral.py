@@ -120,10 +120,12 @@ def hong_bound(g: Graph) -> float:
 
     The minimum degree and the edge count are read from one degree list,
     not from two walks of the rows; the corpus path calls this once per
-    connected graph at or above its degree floor.  The list is read before
-    the connectivity check, which runs only when 2δ < n - 1: a disconnected
-    graph has a component of at most n/2 vertices, so its minimum degree is
-    at most n/2 - 1.
+    connected graph at or above its degree floor that `scan.over_threshold`
+    leaves under: the bound is at least rho, so it cannot drop an over
+    graph, and there it only counts the prescreen survivors.  The list is
+    read before the connectivity check, which runs only when 2δ < n - 1: a
+    disconnected graph has a component of at most n/2 vertices, so its
+    minimum degree is at most n/2 - 1.
     """
     if g.n < 2:
         raise ValueError("hong_bound needs n >= 2")

@@ -214,46 +214,53 @@ def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
     per-call overhead stays small next to the work on the rows; a chunk
     of int64 rows is 4,096 * n * 8 bytes (288 KiB at n = 9).
 
-    Records are decoded one at a time.  Each chunk is order-checked and
+    Records are decoded one at a time.  Each chunk is order-checked (a
+    record of another order stops the scan with its line number) and
     packed once as little-endian int64 bit rows (graph6's short form caps
     n at 62), and then decided on those rows: the maximum-degree floor
     `scan.degree_floor` on the degree maxima (`np.bitwise_count`, then a
     running maximum over the vertex columns), the theorem's connectivity
     by the bitset BFS that the scan engine and `enumerate_labeled` use
-    (`scan._connected_filter`), `hong_bound` per connected graph, and
-    `scan.over_threshold`, whose bounds need every degree >= 1, as
-    connected graphs have.  The over-threshold graphs are classified in
-    the engine's order (`scan._classify`).  First the spanning stars, for
-    the whole chunk at once: a graph of maximum degree n - 1, read from
-    the degree maxima the floor already took, counts as a HIST with no
-    tree built (n >= 7, so the centre has degree >= 3).  The extremal
-    graph has no HIST, so no extremal graph is settled there.  Then, in
-    corpus order, each graph left goes to the extremal match, proof
-    replay and the tree-growth search; the ones that are not extremal
-    count in `fallback_searches`.
+    (`scan._connected_filter`), and `scan.over_threshold`, whose bounds
+    need every degree >= 1, as connected graphs have.  `hong_bound` runs
+    only on the connected graphs it leaves under: Hong's bound is at least
+    rho, so every over graph passes it, and the survivors are the over
+    graphs plus the under graphs that pass Hong.  The over-threshold
+    graphs are classified in the engine's order (`scan._classify`).
+    First the spanning stars, for the whole chunk at once: a graph of
+    maximum degree n - 1, read from the degree maxima the floor already
+    took, counts as a HIST with no tree built (n >= 7, so the centre has
+    degree >= 3).  The extremal graph has no HIST, so no extremal graph is
+    settled there.  Then, in corpus order, each graph left goes to the
+    extremal match, proof replay and the tree-growth search; the ones
+    that are not extremal count in `fallback_searches`.
     """
     from .hist import proof_guided_hist  # looked up per call, so a rebinding takes effect
 
     out = _scan.ShardOut()
     is_extremal = is_family_L if spec.family == "L" else is_family_B
     floor = _scan.degree_floor(theta)
-    graphs = (g for _, g in read_graph6_file(corpus_path))
-    while chunk := list(itertools.islice(graphs, CORPUS_BATCH)):
-        for g in chunk:
+    records = read_graph6_file(corpus_path)
+    while chunk := list(itertools.islice(records, CORPUS_BATCH)):
+        for lineno, g in chunk:
             if g.n != n:
-                raise ValueError(f"corpus graph of order {g.n}, expected {n}")
-        out.scanned += len(chunk)
-        rows = np.array([g.rows for g in chunk], dtype="<i8")
+                raise ValueError(f"corpus graph of order {g.n}, expected {n} (line {lineno})")
+        graphs = [g for _, g in chunk]
+        out.scanned += len(graphs)
+        rows = np.array([g.rows for g in graphs], dtype="<i8")
         dmax = _scan._row_max(np.bitwise_count(rows))
         keep = dmax >= floor
         keep[keep] = _scan._connected_filter(rows[keep], spec.two_connected)
-        keep[keep] = [hong_bound(g) >= theta - GUARD for g in itertools.compress(chunk, keep)]
-        out.survivors += int(keep.sum())
-        keep[keep] = _scan.over_threshold(theta, rows[keep])
-        out.over += int(keep.sum())
-        star = keep & (dmax == n - 1)
+        over = keep.copy()
+        over[keep] = _scan.over_threshold(theta, rows[keep])
+        rest = keep & ~over
+        rest[rest] = [hong_bound(g) >= theta - GUARD for g in itertools.compress(graphs, rest)]
+        n_over = int(over.sum())
+        out.survivors += n_over + int(rest.sum())
+        out.over += n_over
+        star = over & (dmax == n - 1)
         out.hists += int(star.sum())
-        for g in itertools.compress(chunk, keep & ~star):
+        for g in itertools.compress(graphs, over & ~star):
             if is_extremal(g):
                 out.extremal += 1
                 continue

@@ -1599,6 +1599,41 @@ def test_corpus_filter_matches_per_graph_reference(tmp_path, monkeypatch):
         assert 0 < rep.extremal_matches < rep.over_threshold
 
 
+def test_corpus_runs_hong_only_on_graphs_the_bounds_leave_under(tmp_path, monkeypatch):
+    # Hong's bound is at least rho, so it cannot drop an over-threshold
+    # graph, and the corpus path calls it only on the connected graphs at
+    # or above the degree floor that the batched bounds leave under: once
+    # each, in corpus order.  Some of them fail it, so counting every
+    # under graph as a survivor changes the survivor count.
+    from histspec import spectral_radius, verification
+    from histspec.spectral import GUARD, THM1, THM2
+
+    monkeypatch.setattr(verification, "CORPUS_BATCH", 256)
+    n = 9
+    graphs = _mixed_corpus(n, 2 * 256 + 100, seed=7)
+    path = tmp_path / "mixed9.g6"
+    path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+    real = verification.hong_bound
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(verification, "hong_bound", counted)
+    for spec, verify, theta in ((THM1, verify_theorem1, threshold_connected(n)),
+                                (THM2, verify_theorem2, threshold_two_connected(n))):
+        under = [g for g in graphs if g.max_degree() >= theta - GUARD and spec.admits(g)
+                 and spectral_radius(g).rho < theta - GUARD]
+        del calls[:]
+        rep = verify(n, source=GRAPH6_CORPUS, corpus_path=str(path))
+        assert calls == under
+        failing = sum(real(g) < theta - GUARD for g in under)
+        assert 0 < failing < len(under)
+        assert rep.prescreen_survivors == rep.over_threshold + len(under) - failing
+        assert rep.prescreen_survivors == _per_graph_corpus_report(spec, theta, graphs)[0]
+
+
 def test_corpus_star_settle_is_sound_below_threshold(tmp_path, monkeypatch):
     # At the true thresholds every non-extremal over-threshold graph has a
     # HIST, so counts cannot tell a sound HIST settle from one that claims
@@ -1644,7 +1679,7 @@ def test_corpus_star_settle_is_sound_below_threshold(tmp_path, monkeypatch):
 
 def test_corpus_errors_in_a_later_chunk(tmp_path, monkeypatch):
     # A wrong-order record or a malformed one past the first chunk still
-    # stops the driver, the malformed one with its line number.
+    # stops the driver, each with its line number.
     from histspec import Graph6FormatError, verification
 
     CORPUS_BATCH = 256
@@ -1652,8 +1687,9 @@ def test_corpus_errors_in_a_later_chunk(tmp_path, monkeypatch):
     lines = [encode_graph6(g) + "\n" for g in _mixed_corpus(9, CORPUS_BATCH + 10, seed=8)]
     path = tmp_path / "late.g6"
     path.write_text("".join(lines[:-5] + [encode_graph6(complete(8)) + "\n"] + lines[-5:]))
-    with pytest.raises(ValueError, match="order 8, expected 9"):
+    with pytest.raises(ValueError, match="order 8, expected 9") as err:
         verify_theorem1(9, source=GRAPH6_CORPUS, corpus_path=str(path))
+    assert str(err.value).endswith(f"(line {CORPUS_BATCH + 6})")
     bad = lines[-5][:-2] + "\n"  # one data byte short
     path.write_text("".join(lines[:-5] + [bad] + lines[-4:]))
     with pytest.raises(Graph6FormatError) as err:

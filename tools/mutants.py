@@ -115,6 +115,13 @@ MUTANTS = (
            "scan_range(cfg, 0, 1 << (n * (n - 1) // 2))",
            "scan_range(cfg, 0, 1 << (n * (n - 1) // 2) - 1)",
            (VERIFICATION + "test_theorem1_whole_order_counts",)),
+    Mutant("corpus-survivors-drop-over", "verification.py",
+           "out.survivors += n_over + int(rest.sum())", "out.survivors += int(rest.sum())",
+           (VERIFICATION + "test_corpus_filter_matches_per_graph_reference",)),
+    Mutant("corpus-rest-skips-hong", "verification.py",
+           "        rest[rest] = [hong_bound(g) >= theta - GUARD for g in itertools.compress(graphs, rest)]\n",
+           "",
+           (VERIFICATION + "test_corpus_runs_hong_only_on_graphs_the_bounds_leave_under",)),
     Mutant("counterexample-copies-dropped", "scan.py",
            "weights[bad].tolist()", "[1] * int(bad.sum())",
            (VERIFICATION + "test_window_classes_list_every_copy_of_a_counterexample",
@@ -129,7 +136,7 @@ MUTANTS = (
            "replay = n >= spec.order_floor", "replay = True",
            (VERIFICATION + "test_scan_below_the_replay_order_floor_matches_per_graph_reference",)),
     Mutant("replay-loop-unchecked", "hist.py",
-           "if len(outsiders) != n - 1 - delta:", "if False:",
+           "if missed.bit_count() != n - 1 - delta:", "if False:",
            ("tests/test_hist.py::test_proof_guided_rejects_a_loop_at_the_hub",)),
     Mutant("hist-check-skips-adjacency", "hist.py",
            "0 <= v < n and rows[u] >> v & 1)", "0 <= v < n)",

@@ -35,9 +35,14 @@ per such key that is not extremal, and the search, once per key that
 replay leaves open.  `Graph.is_2_connected` and
 `Graph.cut_vertices` are wrapped the same way as class attributes, so the
 n=8 pass shows what the proof replay's 2-connectivity re-check costs.
-The corpus pass wraps the per-record decode, `hong_bound`, proof replay
-and the `is_valid_hist` check inside it, the two recognizers, and the
-chunk stages `_connected_filter` and `over_threshold`.  BLAS and OpenMP
+The corpus pass wraps, in the order a chunk meets them, the per-record
+decode, the chunk stages `_connected_filter` and `over_threshold`,
+`hong_bound` on the graphs `over_threshold` leaves under, the two
+recognizers, and proof replay with the `is_valid_hist` check inside it.
+`Graph.is_connected`, `Graph.is_2_connected` and `Graph.cut_vertices`
+are wrapped there too, so the corpus pass shows what the repeated
+connectivity checks cost: `hong_bound`'s search (when 2δ < n - 1) and
+the replay's re-check of the theorem's connectivity.  BLAS and OpenMP
 pools are pinned to 1 thread before numpy loads, and
 `histspec` is imported from this checkout's `src/` (both by
 `perfbench/common.py`).
@@ -92,10 +97,11 @@ STAGES = ("_survivors", "_rows_of_masks", "_key_words", "_class_keys", "_decide"
           "find_hist", "_graph_of_row")
 ONE_ROW = ("_graph_of_row",)
 TRANSPOSED = ("_reach_vec",)
-CORPUS_STAGES = ((graph6, "decode_graph6"), (verification, "hong_bound"),
-                 (hist, "proof_guided_hist"), (hist, "is_valid_hist"),
+CORPUS_STAGES = ((graph6, "decode_graph6"), (scan, "_connected_filter"),
+                 (scan, "over_threshold"), (verification, "hong_bound"),
                  (verification, "is_family_L"), (verification, "is_family_B"),
-                 (scan, "_connected_filter"), (scan, "over_threshold"))
+                 (hist, "proof_guided_hist"), (hist, "is_valid_hist"),
+                 (Graph, "is_connected"), (Graph, "is_2_connected"), (Graph, "cut_vertices"))
 N8_SHARDS = (136, 338, 414, 255)
 CORPUS_SEED = 1
 SHARD_BITS = 19
