@@ -636,17 +636,43 @@ def _double_star_feasible(rows) -> np.ndarray:
     feasible = np.zeros(len(rows), dtype=bool)
     for a in range(n - 1):
         ra, rb = cols[a], cols[a + 1:]
-        excl = full ^ bit[a] ^ bit[a + 1:]
-        a_only = np.bitwise_count(ra & ~rb & excl)
-        b_only = np.bitwise_count(rb & ~ra & excl)
-        both = np.bitwise_count(ra & rb & excl)
-        # a takes x of the common neighbours, b the rest: some x in 0..both
-        # gives neither centre degree 2 (a_only + x != 1, b_only + both - x
-        # != 1) iff two or more are shared, or x = 0 works, or x = 1 does.
-        split = ((both >= 2) | ((a_only != 1) & (b_only + both != 1))
-                 | ((both == 1) & (a_only != 0) & (b_only != 1)))
+        split = _leaf_split(ra, rb, full ^ bit[a] ^ bit[a + 1:])
         feasible |= (((ra | rb) == full) & split).any(axis=0)
     return feasible
+
+
+def _hub_double_star(rows) -> np.ndarray:
+    """Graphs with a spanning double star, free of degree 2, that has the
+    hub as one centre: the hub is the lowest vertex of maximum degree,
+    and every vertex b is tried as the other centre in one broadcast step
+    over the whole (graphs, b) array.  `rows` are adjacency bit rows of
+    one order n in any integer word wide enough for n bits.
+
+    These are the trees that proof replay builds from the hub's star plus
+    one more centre.  The hub's own column never dominates (rows have no
+    loops), so b = hub drops out."""
+    n, word = rows.shape[1], rows.dtype.type
+    full = word((1 << n) - 1)
+    bit = word(1) << np.arange(n, dtype=rows.dtype)
+    hub = np.bitwise_count(rows).argmax(axis=1)[:, None]
+    ra = np.take_along_axis(rows, hub, axis=1)
+    split = _leaf_split(ra, rows, full ^ bit[hub] ^ bit)
+    return (((ra | rows) == full) & split).any(axis=1)
+
+
+def _leaf_split(ra, rb, excl):
+    """Whether centres a and b can share their neighbours in `excl` (all
+    vertices but the two centres) as leaves so that neither centre has
+    tree degree 2; `ra` and `rb` are their bit rows, broadcast together.
+
+    a takes x of the common neighbours, b the rest: some x in 0..both
+    gives neither centre degree 2 (a_only + x != 1, b_only + both - x
+    != 1) iff two or more are shared, or x = 0 works, or x = 1 does."""
+    a_only = np.bitwise_count(ra & ~rb & excl)
+    b_only = np.bitwise_count(rb & ~ra & excl)
+    both = np.bitwise_count(ra & rb & excl)
+    return ((both >= 2) | ((a_only != 1) & (b_only + both != 1))
+            | ((both == 1) & (a_only != 0) & (b_only != 1)))
 
 
 def _class_keys(rows: np.ndarray) -> np.ndarray:

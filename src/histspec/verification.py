@@ -217,7 +217,8 @@ def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
     Records are decoded one at a time.  Each chunk is order-checked (a
     record of another order stops the scan with its line number) and
     packed once as little-endian int64 bit rows (graph6's short form caps
-    n at 62), and then decided on those rows: the maximum-degree floor
+    n at 62), one `np.fromiter` over the records' rows, and then decided
+    on those rows: the maximum-degree floor
     `scan.degree_floor` on the degree maxima (`np.bitwise_count`, then a
     running maximum over the vertex columns), the theorem's connectivity
     by the bitset BFS that the scan engine and `enumerate_labeled` use
@@ -230,10 +231,18 @@ def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
     First the spanning stars, for the whole chunk at once: a graph of
     maximum degree n - 1, read from the degree maxima the floor already
     took, counts as a HIST with no tree built (n >= 7, so the centre has
-    degree >= 3).  The extremal graph has no HIST, so no extremal graph is
-    settled there.  Then, in corpus order, each graph left goes to the
-    extremal match, proof replay and the tree-growth search; the ones
-    that are not extremal count in `fallback_searches`.
+    degree >= 3).  Then `scan._hub_double_star`, once for the chunk's
+    over-threshold graphs that are not stars, finds those with a spanning
+    double star, free of degree 2, centred at the hub (the lowest vertex
+    of maximum degree) and another vertex: the trees that proof replay
+    builds from the hub's star plus one more centre.  Then, in corpus
+    order, each graph that is not a star goes to the extremal match; one
+    that is not extremal counts as a HIST if it has a hub double star, with
+    no tree built, and otherwise goes to proof replay and the tree-growth
+    search and counts in `fallback_searches`.  Sound because a star or
+    double star free of degree 2 is a HIST, the extremal graph has none
+    (so no extremal graph is settled by either test), and the search is
+    complete.
     """
     from .hist import proof_guided_hist  # looked up per call, so a rebinding takes effect
 
@@ -247,7 +256,8 @@ def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
                 raise ValueError(f"corpus graph of order {g.n}, expected {n} (line {lineno})")
         graphs = [g for _, g in chunk]
         out.scanned += len(graphs)
-        rows = np.array([g.rows for g in graphs], dtype="<i8")
+        rows = np.fromiter(itertools.chain.from_iterable(g.rows for g in graphs), "<i8",
+                           count=n * len(graphs)).reshape(-1, n)
         dmax = _scan._row_max(np.bitwise_count(rows))
         keep = dmax >= floor
         keep[keep] = _scan._connected_filter(rows[keep], spec.two_connected)
@@ -260,9 +270,14 @@ def _scan_corpus(spec, n, theta, corpus_path) -> _scan.ShardOut:
         out.over += n_over
         star = over & (dmax == n - 1)
         out.hists += int(star.sum())
-        for g in itertools.compress(graphs, over & ~star):
+        left = over & ~star
+        for g, dstar in zip(itertools.compress(graphs, left),
+                            _scan._hub_double_star(rows[left]).tolist()):
             if is_extremal(g):
                 out.extremal += 1
+                continue
+            if dstar:
+                out.hists += 1
                 continue
             out.fallback_searches += 1
             if proof_guided_hist(g, spec.replay).found_tree or find_hist(g).found:

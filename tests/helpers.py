@@ -92,11 +92,14 @@ def bfs_connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
-def brute_double_star(g: Graph) -> bool:
+def brute_double_star(g: Graph, centre: int | None = None) -> bool:
     """Whether some edge ab is the centre of a spanning double star with no
     vertex of degree 2: a and b dominate every vertex, and some split of
-    their common neighbours between them leaves neither centre degree 2."""
+    their common neighbours between them leaves neither centre degree 2.
+    With `centre` given, only the edges at that vertex are tried."""
     for a, b in g.edges():
+        if centre is not None and centre not in (a, b):
+            continue
         rest = [v for v in range(g.n) if v not in (a, b)]
         if not all(g.has_edge(a, v) or g.has_edge(b, v) for v in rest):
             continue

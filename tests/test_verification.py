@@ -14,6 +14,7 @@ from histspec import (
     family_B,
     family_L,
     find_hist,
+    is_family_B,
     is_family_L,
     threshold_connected,
     threshold_two_connected,
@@ -1199,6 +1200,36 @@ def test_double_star_feasible_matches_brute_force():
         assert _double_star_feasible(rows).tolist() == want
 
 
+def test_hub_double_star_matches_brute_force():
+    # The chunk kernel of the corpus path against the brute-force double
+    # star restricted to edges at the hub, the lowest vertex of maximum
+    # degree: every labeled graph of order 3..6 (uint8 rows), random
+    # order-9 and order-12 graphs of mixed density (int64 rows, the
+    # corpus path's), and K_62 - e, L_62, B_62 at graph6's largest order.
+    from histspec.scan import _hub_double_star
+
+    def hub(g):
+        degs = g.degrees()
+        return degs.index(max(degs))
+
+    rng = np.random.default_rng(53)
+    for n in (3, 4, 5, 6, 9, 12):
+        if n <= 6:
+            graphs = list(all_labeled_graphs(n))
+        else:
+            pairs = list(itertools.combinations(range(n), 2))
+            graphs = [Graph(n, [e for e in pairs if rng.random() < p])
+                      for p in rng.uniform(0.3, 0.95, 3000)]
+        want = [brute_double_star(g, hub(g)) for g in graphs]
+        assert n == 3 or 0 < sum(want) < len(want)
+        rows = np.array([g.rows for g in graphs], dtype=np.uint8 if n <= 8 else "<i8")
+        assert _hub_double_star(rows).tolist() == want
+    graphs = [complete(62).remove_edge(0, 61), family_L(62), family_B(62)]
+    rows = np.array([g.rows for g in graphs], dtype="<i8")
+    assert _hub_double_star(rows).tolist() == [brute_double_star(g, hub(g)) for g in graphs]
+    assert _hub_double_star(rows).tolist() == [True, False, False]
+
+
 def _slot_degrees(n, masks):
     """Per-mask vertex degrees, (len(masks), n), by a loop over the edge
     slots: the reference for the engine's half-table degrees."""
@@ -1675,6 +1706,49 @@ def test_corpus_star_settle_is_sound_below_threshold(tmp_path, monkeypatch):
         assert replayed and max(replayed) < n - 1
         missed += [decode_graph6(c).max_degree() for c, _ in counterexamples]
     assert n - 2 in missed
+
+
+def test_corpus_replays_only_graphs_without_a_hub_double_star(tmp_path, monkeypatch):
+    # The corpus path counts a non-extremal over-threshold graph with a
+    # double star centred at its hub as a HIST, so proof replay sees, in
+    # corpus order, exactly the over-threshold graphs that are not stars,
+    # not extremal and have no such double star (brute force).  HvsGLqz
+    # has only a double star on centres 4 and 8 while its hub is 0, so
+    # under thm2 it still reaches replay, and then the search.
+    from histspec import hist, verification
+    from histspec.spectral import THM1, THM2
+
+    monkeypatch.setattr(verification, "CORPUS_BATCH", 256)
+    n = 9
+    fallback = decode_graph6("HvsGLqz")
+    graphs = _mixed_corpus(n, 2 * 256 + 100, seed=7) + [fallback]
+    path = tmp_path / "mixed9.g6"
+    path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+    replayed, searched = [], []
+    real_replay, real_search = hist.proof_guided_hist, verification.find_hist
+
+    def replay(g, theorem):
+        replayed.append(encode_graph6(g))
+        return real_replay(g, theorem)
+
+    def search(g):
+        searched.append(encode_graph6(g))
+        return real_search(g)
+
+    monkeypatch.setattr(hist, "proof_guided_hist", replay)
+    monkeypatch.setattr(verification, "find_hist", search)
+    for spec, verify, theta in ((THM1, verify_theorem1, threshold_connected(n)),
+                                (THM2, verify_theorem2, threshold_two_connected(n))):
+        is_extremal = is_family_L if spec.family == "L" else is_family_B
+        over = _per_graph_corpus_report(spec, theta, graphs)[1]
+        fallbacks = [g for g in over if g.max_degree() < n - 1 and not is_extremal(g)]
+        want = [encode_graph6(g) for g in fallbacks
+                if not brute_double_star(g, g.degrees().index(g.max_degree()))]
+        del replayed[:], searched[:]
+        rep = verify(n, source=GRAPH6_CORPUS, corpus_path=str(path))
+        assert rep.ok and replayed == want
+        assert len(want) < len(fallbacks)
+    assert "HvsGLqz" in replayed and "HvsGLqz" in searched
 
 
 def test_corpus_errors_in_a_later_chunk(tmp_path, monkeypatch):

@@ -71,11 +71,19 @@ MUTANTS = (
            ".all(axis=0)", ".any(axis=0)",
            (VERIFICATION + "test_connected_filter_matches_n_search_reference",)),
     Mutant("double-star-split-one-shared", "scan.py",
-           "split = ((both >= 2)", "split = ((both >= 1)",
-           (VERIFICATION + "test_double_star_feasible_matches_brute_force",)),
+           "return ((both >= 2)", "return ((both >= 1)",
+           (VERIFICATION + "test_double_star_feasible_matches_brute_force",
+            VERIFICATION + "test_hub_double_star_matches_brute_force")),
     Mutant("double-star-centres-count-themselves", "scan.py",
-           "excl = full ^ bit[a] ^ bit[a + 1:]", "excl = full",
+           "full ^ bit[a] ^ bit[a + 1:]", "full",
            (VERIFICATION + "test_double_star_feasible_matches_brute_force",)),
+    Mutant("hub-double-star-no-domination", "scan.py",
+           "(((ra | rows) == full) & split)", "(split)",
+           (VERIFICATION + "test_hub_double_star_matches_brute_force",
+            VERIFICATION + "test_corpus_star_settle_is_sound_below_threshold")),
+    Mutant("hub-double-star-min-degree-hub", "scan.py",
+           "np.bitwise_count(rows).argmax(axis=1)", "np.bitwise_count(rows).argmin(axis=1)",
+           (VERIFICATION + "test_corpus_replays_only_graphs_without_a_hub_double_star",)),
     Mutant("class-keys-rows-not-bits", "scan.py",
            "np.multiply(q[v], ahead.view(np.uint8), out=scratch)",
            "np.multiply(cols[v], ahead.view(np.uint8), out=scratch)",

@@ -37,8 +37,10 @@ replay leaves open.  `Graph.is_2_connected` and
 n=8 pass shows what the proof replay's 2-connectivity re-check costs.
 The corpus pass wraps, in the order a chunk meets them, the per-record
 decode, the chunk stages `_connected_filter` and `over_threshold`,
-`hong_bound` on the graphs `over_threshold` leaves under, the two
-recognizers, and proof replay with the `is_valid_hist` check inside it.
+`hong_bound` on the graphs `over_threshold` leaves under,
+`_hub_double_star` once per chunk on the over-threshold graphs that are
+not stars, the two recognizers, and proof replay, on the graphs without
+a double star at the hub, with the `is_valid_hist` check inside it.
 `Graph.is_connected`, `Graph.is_2_connected` and `Graph.cut_vertices`
 are wrapped there too, so the corpus pass shows what the repeated
 connectivity checks cost: `hong_bound`'s search (when 2δ < n - 1) and
@@ -98,7 +100,7 @@ STAGES = ("_survivors", "_rows_of_masks", "_key_words", "_class_keys", "_decide"
 ONE_ROW = ("_graph_of_row",)
 TRANSPOSED = ("_reach_vec",)
 CORPUS_STAGES = ((graph6, "decode_graph6"), (scan, "_connected_filter"),
-                 (scan, "over_threshold"), (verification, "hong_bound"),
+                 (scan, "over_threshold"), (verification, "hong_bound"), (scan, "_hub_double_star"),
                  (verification, "is_family_L"), (verification, "is_family_B"),
                  (hist, "proof_guided_hist"), (hist, "is_valid_hist"),
                  (Graph, "is_connected"), (Graph, "is_2_connected"), (Graph, "cut_vertices"))
