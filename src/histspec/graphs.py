@@ -10,6 +10,7 @@ share across worker processes.
 
 from __future__ import annotations
 
+import operator
 import struct
 from functools import cache
 from itertools import combinations
@@ -26,7 +27,7 @@ class Graph:
             raise ValueError(f"graph order must be >= 1, got {n}")
         rows = [0] * n
         for u, v in edges:
-            u, v = int(u), int(v)
+            u, v = operator.index(u), operator.index(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
@@ -40,7 +41,7 @@ class Graph:
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[int]) -> "Graph":
         """Build from precomputed bitset rows, validating symmetry."""
-        rows = tuple(int(r) for r in rows)
+        rows = tuple(map(operator.index, rows))
         if n < 1 or len(rows) != n:
             raise ValueError(f"need {n} rows, got {len(rows)}")
         g = cls.__new__(cls)
@@ -124,7 +125,7 @@ class Graph:
 
     def relabel(self, perm: Iterable[int]) -> "Graph":
         """New graph with vertex v renamed to perm[v]."""
-        perm = [int(p) for p in perm]
+        perm = list(map(operator.index, perm))
         if sorted(perm) != list(range(self.n)):
             raise ValueError("perm must be a permutation of 0..n-1")
         rows = [0] * self.n
@@ -142,34 +143,12 @@ class Graph:
     def cut_vertices(self) -> frozenset[int]:
         """Articulation vertices: the v for which G - v is disconnected.
 
-        Input must be connected.  Let h be a vertex of maximum degree (the
-        lowest, on ties).  Starting from N(h), admit in turn each vertex
-        with at least two neighbours already admitted (the hub test when
-        one round admits every vertex outside N[h]).  If every vertex
-        other than h is admitted, then G is connected, and so is G - v for
-        every v != h: h reaches N(h) - v directly, and each later vertex
-        other than v keeps an earlier neighbour other than v, which
-        reaches h by induction.  Only h can then be a cut vertex, decided
-        by one `_reach` inside G - h.  Otherwise connectivity is checked
-        by one `_reach` from vertex 0, and v is a cut vertex iff `_reach`
-        inside G - v, started at its lowest vertex, misses part of G - v.
-        `scan._connected_filter` makes the same tests on many graphs at
-        once, with one round of admissions.
+        Input must be connected, which one `_reach` from vertex 0 checks.
+        Then v is a cut vertex iff `_reach` inside G - v, started at its
+        lowest vertex, misses part of G - v (`_separates`): the rule that
+        `scan._connected_filter` applies to many graphs at once.
         """
         rows, full = self.rows, (1 << self.n) - 1
-        degs = self.degrees()
-        h = degs.index(max(degs))
-        inner, outer = rows[h], full ^ rows[h] ^ (1 << h)
-        grew = True
-        while outer and grew:
-            grew = False
-            for u in _bits(outer):
-                if (rows[u] & inner).bit_count() >= 2:
-                    inner |= 1 << u
-                    outer ^= 1 << u
-                    grew = True
-        if not outer:
-            return frozenset({h}) if _separates(rows, h, full) else frozenset()
         if _reach(rows, 1, full) != full:
             raise ValueError("cut_vertices requires a connected graph")
         return frozenset(v for v in range(self.n) if _separates(rows, v, full))
@@ -232,7 +211,7 @@ def _reach(rows, start_mask: int, alive: int) -> int:
     frontier = visited
     while frontier:
         nxt = 0
-        while frontier:  # _bits inlined: cut_vertices runs this up to n + 1 times
+        while frontier:  # _bits inlined: spanning_trees runs this at every branch
             low = frontier & -frontier
             nxt |= rows[low.bit_length() - 1]
             frontier ^= low

@@ -457,16 +457,11 @@ def _first_hist(g, hub, candidates) -> ProofTrace | None:
     """Trace of the first candidate whose tree is a HIST, else None.
 
     A candidate is (label, roles, removed, extra).  Its tree is the hub's
-    star minus the leaves in the bitmask `removed`, plus the edges `extra`.
+    star minus the leaves in the bitmask `removed`, plus the edge list
+    `extra`.
     """
-    star = g.rows[hub]
     for label, roles, removed, extra in candidates:
-        tree = list(extra)
-        leaves = star & ~removed
-        while leaves:  # _bits inlined: this runs once per candidate
-            low = leaves & -leaves
-            tree.append((hub, low.bit_length() - 1))
-            leaves ^= low
+        tree = extra + [(hub, w) for w in _bits(g.rows[hub] & ~removed)]
         if is_valid_hist(g, tree):
             tree.sort()
             return ProofTrace(label, roles, HistOutcome(True, tuple(tree)))
@@ -484,8 +479,6 @@ def _emit(g, hub, label, roles, extra) -> ProofTrace:
 
 def _roles(**kv) -> dict[str, int]:
     """Role map keeping the first name for any repeated vertex."""
-    if len(set(kv.values())) == len(kv):
-        return kv
     out = {}
     for k, v in kv.items():
         if v not in out.values():

@@ -74,13 +74,12 @@ audit reads too), and the scan pipeline per block is:
      filter shares on int64 rows; for 2-connectivity, the n searches in
      G - v, one per vertex v, run as one BFS over all graphs;
   5. classification of the over-threshold keys on their bit rows alone
-     (`_classify`), in the order the graph6 corpus path shares: the star
-     (for n != 3, where its centre has degree 2) and
-     spanning-double-star HIST tests (vectorized) first, then, per
-     key they leave, extremal family match, the proof-guided
-     constructor (at orders from the theorem's floor up) and full
-     backtracking.  The extremal graph has no HIST, so the first tests
-     settle none of its keys.
+     (`_classify`), in the order the graph6 corpus path shares: the
+     vectorized spanning-double-star HIST test first, which settles the
+     spanning stars too, then, per key it leaves, extremal family match,
+     the proof-guided constructor (at orders from the theorem's floor
+     up) and full backtracking.  The extremal graph has no HIST, so the
+     first test settles none of its keys.
 
 Everything is deterministic; threshold tests use rho >= theta - GUARD so
 the scan can only over-check.
@@ -740,19 +739,21 @@ def _classify(spec: TheoremSpec, rows: np.ndarray) -> np.ndarray:
     over-threshold graphs of the theorem's connectivity, given as
     adjacency bit rows of one order n in any integer word.
 
-    The vectorized HIST tests run first, on every row: a vertex of degree
-    n - 1 gives a spanning star, a HIST for n != 3 (at n = 3 its centre
-    has degree 2), and `_double_star_feasible` a spanning double star.  The extremal graph has no HIST, so no extremal graph is
-    settled there.  Each row left is decided in the order extremal match,
-    proof replay, complete search: the recognizer decides isomorphism to
-    the extremal graph, replay returns only trees that pass
-    `is_valid_hist` and the search is complete, so each verdict holds for
-    every copy.  Replay covers only the theorem's orders; below its order
-    floor the search alone decides, which is sound since it is complete."""
+    `_double_star_feasible` runs first, on every row, and settles each
+    graph with a spanning double star free of degree 2, a HIST.  A
+    spanning star is such a double star whose second centre takes no
+    leaf, so it needs no test of its own; K_1, with no second centre,
+    goes on to the search.  The extremal graph has no HIST, so none of
+    its rows is settled there.  Each row left is decided in the order
+    extremal match, proof replay, complete search: the recognizer decides
+    isomorphism to the extremal graph, replay returns only trees that
+    pass `is_valid_hist` and the search is complete, so each verdict
+    holds for every copy.  Replay covers only the theorem's orders; below
+    its order floor the search alone decides, which is sound since it is
+    complete."""
     n = rows.shape[1]
     code = np.full(len(rows), HIST, dtype=np.uint8)
-    left = np.flatnonzero((_row_max(np.bitwise_count(rows)) < n - 1) | (n == 3))
-    left = left[~_double_star_feasible(rows[left])]
+    left = np.flatnonzero(~_double_star_feasible(rows))
     # Looked up per call, not stored in the spec, so that rebinding the
     # module attribute takes effect.
     is_extremal = is_family_L if spec.family == "L" else is_family_B

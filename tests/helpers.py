@@ -55,16 +55,15 @@ def brute_cut_vertices(g: Graph) -> frozenset[int]:
     return frozenset(out)
 
 
-def hub_test_cases(n: int, rng: np.random.Generator) -> list[Graph]:
-    """Graphs of order n >= 6 on both sides of the hub test (every vertex
-    outside N[h], for h a vertex of maximum degree, has two neighbours in
-    N(h)), each also under two random relabelings.
+def cut_vertex_cases(n: int, rng: np.random.Generator) -> list[Graph]:
+    """Graphs of order n >= 6 for the cut-vertex and 2-connectivity tests,
+    each also under two random relabelings.
 
-    The test holds with h a cut vertex for two cliques sharing one vertex
-    and for the star, and with h not a cut vertex for K_n and K_{2,n-2}.
-    It fails for C_n and B_n (2-connected), L_n and the path (connected,
-    with cut vertices) and two disjoint cliques (disconnected).  K_n, C_n
-    and the path have many vertices of maximum degree, K_{2,n-2} two.
+    Two cliques sharing one vertex and the star have one cut vertex, of
+    maximum degree; K_n, K_{2,n-2}, C_n and B_n are 2-connected; L_n and
+    the path are connected, with cut vertices; two disjoint cliques are
+    disconnected.  K_n, C_n and the path have many vertices of maximum
+    degree, K_{2,n-2} two.
     """
     a = n // 2 + 1
     cases = [

@@ -20,7 +20,7 @@ from histspec import (
 )
 from histspec.graphs import edge_slots, graph_from_mask
 
-from helpers import brute_cut_vertices, brute_isomorphic, hub_test_cases, random_connected
+from helpers import brute_cut_vertices, brute_isomorphic, cut_vertex_cases, random_connected
 
 
 def test_degree_basics():
@@ -110,45 +110,25 @@ def test_two_connectivity_equivalence_exhaustive_small():
             assert g.is_2_connected() == (len(cuts) == 0)
 
 
-def test_cut_vertices_hub_path_matches_brute_force(monkeypatch):
-    # A graph whose vertices are all admitted from N(h) takes one
-    # _separates call (for its hub h), any other one per vertex.  At every
-    # order both paths run, and both agree with brute force on hand-made
-    # graphs that include a hub that is itself the cut vertex and ties in
-    # maximum degree.
-    from histspec import graphs
-
-    calls = []
-    real = graphs._separates
-
-    def counted(*args):
-        calls.append(args[1])
-        return real(*args)
-
-    monkeypatch.setattr(graphs, "_separates", counted)
-    # Vertex 5 has one neighbour in N(0) = {1, 2, 3}, and a second once
-    # vertex 4 (neighbours 1, 2) is admitted; the pendant 6 makes 0 a cut
-    # vertex.
+def test_cut_vertices_match_brute_force():
+    # Hand-made graphs, then the graphs of cut_vertex_cases at n = 6..16
+    # and 62, with and without cut vertices, disconnected ones among them,
+    # all against brute force.  Vertex 0 has maximum degree, and the
+    # pendant 6 makes it the only cut vertex.
     edges = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 5), (4, 5)]
     for g, cuts in ((Graph(6, edges), frozenset()), (Graph(7, edges + [(0, 6)]), frozenset({0}))):
-        calls.clear()
         assert g.cut_vertices() == brute_cut_vertices(g) == cuts
-        assert calls == [0]
     rng = np.random.default_rng(19)
     for n in [*range(6, 17), 62]:
-        hub_path = set()
-        for g in hub_test_cases(n, rng):
+        for g in cut_vertex_cases(n, rng):
             cuts = brute_cut_vertices(g)
             if not g.is_connected():
                 with pytest.raises(ValueError, match="connected"):
                     g.cut_vertices()
                 assert not g.is_2_connected()
                 continue
-            calls.clear()
             assert g.cut_vertices() == cuts
-            hub_path.add(len(calls) == 1)
             assert g.is_2_connected() == (not cuts)
-        assert hub_path == {True, False}
 
 
 def test_cut_vertices_at_wide_rows():
@@ -285,6 +265,20 @@ def test_graph_validation():
         Graph(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 5)])
+    # Vertex labels, rows and permutations must be integers: a float is
+    # refused, not truncated (int() would turn these edges into the path
+    # 0-1-2-3), while numpy integers are accepted.
+    with pytest.raises(TypeError, match="integer"):
+        Graph(4, [(0, 1.9), (1.5, 2), (2.99, 3)])
+    with pytest.raises(TypeError, match="integer"):
+        Graph(4, [(np.float64(0), 1)])
+    with pytest.raises(TypeError, match="integer"):
+        Graph.from_rows(2, (2.5, 1.0))
+    with pytest.raises(TypeError, match="integer"):
+        path_graph(3).relabel([1.9, 0.5, 2.0])
+    p3 = Graph(3, [(np.int64(0), np.uint8(1)), (1, np.int32(2))])
+    assert p3 == path_graph(3) == Graph.from_rows(3, np.array([2, 5, 2]))
+    assert p3.relabel(np.array([2, 1, 0])) == p3
     with pytest.raises(ValueError):
         Graph.from_rows(2, (1, 0))  # asymmetric
     g = Graph.from_rows(2, (2, 1))

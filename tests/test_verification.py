@@ -34,9 +34,9 @@ from helpers import (
     brute_cut_vertices,
     brute_double_star,
     connected_labeled_count,
+    cut_vertex_cases,
     eigvalsh_rho,
     every_mask_table,
-    hub_test_cases,
     identity_scan,
     random_connected,
 )
@@ -200,8 +200,8 @@ def test_scan_below_threshold_reports_real_counterexamples(monkeypatch):
         ("thm2", 3, (1, 0, 1)), ("thm2", 4, (10, 0, 3)), ("thm2", 5, (238, 0, 112))))])
 def test_scan_below_the_replay_order_floor_matches_per_graph_reference(mode, n, counts):
     # Orders 3 to 6 are under both theorems' order floors (7 and 8), where
-    # proof replay is undefined, so the scan decides the graphs the star
-    # and double-star tests leave by the complete search alone.  At theta
+    # proof replay is undefined, so the scan decides the graphs the
+    # double-star test leaves by the complete search alone.  At theta
     # = rho of the extremal graph at n = 6, and at theta = 1 below, it
     # reports what a per-graph reference reports: connectivity by BFS and
     # cut vertices by removal, rho by eigvalsh, the recognizer, then
@@ -1115,7 +1115,7 @@ def _two_connected_reference(rows):
 
 def test_connected_filter_matches_n_search_reference():
     # Every labeled graph of order 7, then the hand-made graphs of
-    # hub_test_cases as uint8 and int64 rows at n = 6..8 and int64 rows at
+    # cut_vertex_cases as uint8 and int64 rows at n = 6..8 and int64 rows at
     # n = 9..16 and 62, with and without cut vertices, disconnected ones
     # among them.
     from histspec import scan
@@ -1124,7 +1124,7 @@ def test_connected_filter_matches_n_search_reference():
     c = scan._codec(7)
     groups = [scan._rows_of_masks(c, np.arange(1 << c.nbits, dtype=np.uint32))]
     for n in [*range(6, 17), 62]:
-        graphs = hub_test_cases(n, rng)
+        graphs = cut_vertex_cases(n, rng)
         expect = [g.is_connected() and not brute_cut_vertices(g) for g in graphs]
         for dtype in (np.uint8, "<i8") if n <= 8 else ("<i8",):
             rows = np.array([g.rows for g in graphs], dtype=dtype)
@@ -1198,6 +1198,28 @@ def test_double_star_feasible_matches_brute_force():
         assert 0 < sum(want) < len(want)
         rows = np.array([g.rows for g in graphs], dtype=np.uint8 if n <= 8 else "<i8")
         assert _double_star_feasible(rows).tolist() == want
+
+
+def test_double_star_test_settles_every_spanning_star():
+    # A spanning star is a double star whose second centre takes no leaf,
+    # so `_classify` runs no star test of its own.  Random graphs with one
+    # vertex joined to all others, at n = 4..12 and 62 (int64 rows), each
+    # have one; K_3 and P_3, whose star centre has degree 2, have none;
+    # K_1, with no second centre, and K_2 still count as HISTs.
+    from histspec.scan import HIST, SEARCHED, _classify, _double_star_feasible
+    from histspec.spectral import THM1, THM2
+
+    rng = np.random.default_rng(61)
+    for n in [*range(4, 13), 62]:
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs = [Graph(n, [e for e in pairs if rng.random() < p or centre in e])
+                  for p, centre in zip(rng.uniform(0, 1, 100), rng.integers(0, n, 100))]
+        assert _double_star_feasible(np.array([g.rows for g in graphs], dtype="<i8")).all()
+    for g in (complete(3), Graph(3, [(0, 1), (1, 2)])):
+        assert not _double_star_feasible(np.array([g.rows], dtype="<i8")).any()
+    for spec in (THM1, THM2):
+        for g in (complete(1), complete(2)):
+            assert _classify(spec, np.array([g.rows], dtype="<i8"))[0] in (HIST, SEARCHED)
 
 
 def test_hub_double_star_matches_brute_force():
@@ -1364,14 +1386,14 @@ def test_survivors_match_per_mask_prescreen(monkeypatch):
 
 def test_extremal_check_runs_once_per_fallback_key(monkeypatch):
     # Per scan_range call, the recognizer runs exactly once on each
-    # distinct key that is over the threshold and left by the star and
-    # double-star tests, on the key row itself, and never on a graph those
-    # tests settle, whichever group of 2^8 rows the key first appears in; every
+    # distinct key that is over the threshold and left by the double-star
+    # test, on the key row itself, and never on a graph that test
+    # settles, whichever group of 2^8 rows the key first appears in; every
     # labeled copy of the extremal graph still counts: out.extremal equals
     # the recognizer's count over all over-threshold graphs, and the
     # ungrouped reference (the identity route, every labeled graph its own
     # key) gives the same ShardOut with one recognizer call per
-    # over-threshold graph the tests leave, and lists those graphs.  n = 7
+    # over-threshold graph the test leaves, and lists those graphs.  n = 7
     # scans its whole order; n = 8 the golden shard 301, since listing
     # every over-threshold mask of its order would list 74,986,629.
     from histspec import graphs, scan
@@ -1410,9 +1432,8 @@ def test_extremal_check_runs_once_per_fallback_key(monkeypatch):
         over = set(listed)
         left = set()
         for key, row in first.items():
-            g = Graph._from_rows_unchecked(n, key)
             if (mask_of_graph(Graph._from_rows_unchecked(n, tuple(row))) in over
-                    and max(g.degrees()) < n - 1 and not brute_double_star(g)):
+                    and not brute_double_star(Graph._from_rows_unchecked(n, key))):
                 left.add(key)
         assert sorted(g.rows for g in calls[:grouped]) == sorted(left)
         assert grouped > 0

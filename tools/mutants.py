@@ -77,6 +77,11 @@ MUTANTS = (
     Mutant("double-star-centres-count-themselves", "scan.py",
            "full ^ bit[a] ^ bit[a + 1:]", "full",
            (VERIFICATION + "test_double_star_feasible_matches_brute_force",)),
+    Mutant("double-star-centre-b-unchecked", "scan.py",
+           "((a_only != 1) & (b_only + both != 1))", "(a_only != 1)",
+           (VERIFICATION + "test_scan_below_the_replay_order_floor_matches_per_graph_reference",
+            VERIFICATION + "test_double_star_feasible_matches_brute_force",
+            VERIFICATION + "test_double_star_test_settles_every_spanning_star")),
     Mutant("hub-double-star-no-domination", "scan.py",
            "(((ra | rows) == full) & split)", "(split)",
            (VERIFICATION + "test_hub_double_star_matches_brute_force",
@@ -137,9 +142,6 @@ MUTANTS = (
     Mutant("counterexamples-wrong-code", "scan.py",
            "bad = code == BAD", "bad = code == SEARCHED",
            (VERIFICATION + "test_scan_below_threshold_reports_real_counterexamples",)),
-    Mutant("star-test-at-order-3", "scan.py",
-           " < n - 1) | (n == 3))", " < n - 1))",
-           (VERIFICATION + "test_scan_below_the_replay_order_floor_matches_per_graph_reference",)),
     Mutant("replay-below-order-floor", "scan.py",
            "replay = n >= spec.order_floor", "replay = True",
            (VERIFICATION + "test_scan_below_the_replay_order_floor_matches_per_graph_reference",)),

@@ -30,7 +30,7 @@ bitset BFS, once per call (for 2-connectivity its n searches, one per
 deleted vertex, run in that one call), then `_classify`, which holds,
 in its order,
 `_double_star_feasible`, the recognizer `is_family_L` or `is_family_B`,
-once per key the star and double-star tests leave, proof replay, once
+once per key the double-star test leaves, proof replay, once
 per such key that is not extremal, and the search, once per key that
 replay leaves open.  `Graph.is_2_connected` and
 `Graph.cut_vertices` are wrapped the same way as class attributes, so the
